@@ -81,6 +81,7 @@ from .schemes import (
     check_expectations,
     cycle_metrics,
     overhead_report,
+    report_from_totals,
     run_scenario,
     simulate,
     totals_of,

@@ -18,8 +18,9 @@ from .schemes import (
     ALL_SCHEMES,
     Scheme,
     check_expectations,
-    overhead_report,
+    report_from_totals,
     simulate,
+    totals_of,
     verify_equivalence,
 )
 
@@ -112,7 +113,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.trace:
             path = _trace_path(args.trace, res.scheme, multi)
-            path.write_text(res.trace.to_text())
+            try:
+                path.write_text(res.trace.to_text())
+            except OSError as exc:
+                print(f"error: cannot write trace: {exc}", file=sys.stderr)
+                return EXIT_ERROR
             print(f"{token}: trace written to {path}")
 
     failed = False
@@ -134,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         failed = failed or bool(problems)
 
     if args.report:
-        report = overhead_report(scenario, seed=args.seed)
+        report = report_from_totals([totals_of(r) for r in results.values()])
         rendered = report.as_table() if args.report == "table" else report.as_kv()
         print(rendered, end="")
 

@@ -112,9 +112,6 @@ class MappingDatabase:
             return self._targets[i]
         raise NoDatabaseEntryError(f"no range covers {vaddr:#x}")
 
-    def ranges(self) -> list[tuple[int, int, int]]:
-        return list(zip(self._starts, self._ends, self._targets))
-
     def __len__(self) -> int:
         return len(self._starts)
 

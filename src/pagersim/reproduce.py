@@ -169,7 +169,6 @@ class ClaimEntry:
     description: str
     cli_args: tuple[str, ...] = ()
     check: object = None  # callable returning None or a failure string
-    expect_exit: int = 0
 
 
 def _fixture_args(name: str, *extra: str) -> tuple[str, ...]:
@@ -238,8 +237,8 @@ def reproduce_all(verbose: bool = False) -> int:
             ok = detail is None
         else:
             code, out = _run_cli(list(claim.cli_args))
-            ok = code == claim.expect_exit
-            detail = f"exit {code} (wanted {claim.expect_exit})" if not ok else None
+            ok = code == 0
+            detail = f"exit {code} (wanted 0)" if not ok else None
             if verbose and out:
                 sys.stdout.write(out)
         status = "PASS" if ok else "FAIL"

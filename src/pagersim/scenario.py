@@ -158,12 +158,6 @@ class ScenarioFile:
                 return t
         raise SemanticError(f"undeclared thread {name!r}")
 
-    def pager_by_name(self, name: str) -> PagerDecl:
-        for p in self.pagers:
-            if p.name == name:
-                return p
-        raise SemanticError(f"undeclared pager {name!r}")
-
     def has_pager(self, name: str) -> bool:
         return any(p.name == name for p in self.pagers)
 
@@ -229,7 +223,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     assigns: list[AssignDecl] = []
     script: list[ScriptItem] = []
     expectations: list[Expectation] = []
-    saw_layout = False
+    layout_line = 0  # line number of the layout line, 0 if there is none
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -239,9 +233,9 @@ def parse_scenario(text: str) -> ScenarioFile:
         word, rest = tokens[0], tokens[1:]
 
         if word == "layout":
-            if saw_layout:
+            if layout_line:
                 raise ParseError(lineno, "duplicate layout line")
-            saw_layout = True
+            layout_line = lineno
             kv = _kv(rest, lineno)
             for key in ("regions", "pages_per_region", "page_size", "user_base"):
                 if key in kv:
@@ -394,6 +388,8 @@ def parse_scenario(text: str) -> ScenarioFile:
         elif word == "expect":
             kv = _kv(rest, lineno)
             fault = _int(_take(kv, "fault", lineno), lineno, "fault index")
+            if fault < 0:
+                raise ParseError(lineno, "fault index must not be negative")
             verdict_tok = _take(kv, "verdict", lineno)
             if verdict_tok not in _VERDICTS:
                 raise ParseError(lineno, f"bad verdict {verdict_tok!r}")
@@ -418,14 +414,17 @@ def parse_scenario(text: str) -> ScenarioFile:
         else:
             raise ParseError(lineno, f"unknown directive {word!r}")
 
-    layout = LayoutConfig(
-        region_count=layout_kw.get("regions", DEFAULT_REGION_COUNT),
-        pages_per_region=layout_kw.get(
-            "pages_per_region", DEFAULT_PAGES_PER_REGION
-        ),
-        page_size=layout_kw.get("page_size", DEFAULT_PAGE_SIZE),
-        user_base=layout_kw.get("user_base", 0),
-    )
+    try:
+        layout = LayoutConfig(
+            region_count=layout_kw.get("regions", DEFAULT_REGION_COUNT),
+            pages_per_region=layout_kw.get(
+                "pages_per_region", DEFAULT_PAGES_PER_REGION
+            ),
+            page_size=layout_kw.get("page_size", DEFAULT_PAGE_SIZE),
+            user_base=layout_kw.get("user_base", 0),
+        )
+    except ValueError as exc:
+        raise ParseError(layout_line, str(exc)) from None
 
     sf = ScenarioFile(
         layout=layout,

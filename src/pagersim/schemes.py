@@ -19,10 +19,13 @@ DISPATCHED fault travels before someone maps a frame:
 
 A resolved fault's cost is read off the trace from the events attributed
 to its cycle, so scripted scheduling noise between faults never pollutes
-the per-fault figures.
+the per-fault figures.  One tally (``_tally``) decides which event kinds
+count toward which cost column; per-cycle metrics and whole-run totals
+both go through it.
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -72,7 +75,7 @@ from .scenario import (
     SwitchItem,
     YieldItem,
 )
-from .trace import EventKind, MODE_SWITCH_KINDS, Trace
+from .trace import EventKind, Trace
 
 
 class Scheme(Enum):
@@ -113,6 +116,19 @@ class CycleMetrics:
         )
 
 
+def _tally(events) -> CycleMetrics:
+    """Cost columns of a collection of attributed events: the one place
+    that maps event kinds to costs."""
+    kinds = Counter(ev.kind for ev in events)
+    return CycleMetrics(
+        mode_switches=kinds[EventKind.MODE_SWITCH_U2K]
+        + kinds[EventKind.MODE_SWITCH_K2U],
+        context_switches=kinds[EventKind.CONTEXT_SWITCH],
+        ipc_messages=kinds[EventKind.IPC_SEND],
+        pager_invocations=kinds[EventKind.IPC_RECEIVE],
+    )
+
+
 def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
     """Cost of one fault cycle, counted over the events attributed to it.
 
@@ -123,7 +139,7 @@ def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
     events = trace.of_cycle(fault_index)
     if not events:
         raise ValueError(f"trace has no fault cycle {fault_index}")
-    kinds = [ev.kind for ev in events]
+    kinds = {ev.kind for ev in events}
     returned = EventKind.MODE_SWITCH_K2U in kinds
     suspended = EventKind.SUSPEND in kinds
     resumed = EventKind.RESUME in kinds
@@ -131,12 +147,7 @@ def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
         raise IncompleteCycleError(
             f"fault cycle {fault_index}: thread never resumed"
         )
-    return CycleMetrics(
-        mode_switches=sum(1 for k in kinds if k in MODE_SWITCH_KINDS),
-        context_switches=kinds.count(EventKind.CONTEXT_SWITCH),
-        ipc_messages=kinds.count(EventKind.IPC_SEND),
-        pager_invocations=kinds.count(EventKind.IPC_RECEIVE),
-    )
+    return _tally(events)
 
 
 @dataclass
@@ -149,9 +160,6 @@ class SimResult:
 
     def page_snapshot(self) -> dict[int, dict]:
         return {asid: sp.pages.snapshot() for asid, sp in sorted(self.spaces.items())}
-
-    def metrics(self, fault_index: int) -> CycleMetrics:
-        return cycle_metrics(self.trace, fault_index)
 
 
 class Simulator:
@@ -606,25 +614,9 @@ class SchemeTotals:
 
 def totals_of(result: SimResult) -> SchemeTotals:
     """Protocol-attributed event totals over a whole run."""
-    mode = ctx = ipc = inv = 0
-    for ev in result.trace:
-        if ev.cycle is None:
-            continue
-        if ev.kind in MODE_SWITCH_KINDS:
-            mode += 1
-        elif ev.kind is EventKind.CONTEXT_SWITCH:
-            ctx += 1
-        elif ev.kind is EventKind.IPC_SEND:
-            ipc += 1
-        elif ev.kind is EventKind.IPC_RECEIVE:
-            inv += 1
+    costs = _tally(ev for ev in result.trace if ev.cycle is not None)
     return SchemeTotals(
-        scheme=result.scheme.value,
-        faults=len(result.cycles),
-        mode_switches=mode,
-        context_switches=ctx,
-        ipc_messages=ipc,
-        pager_invocations=inv,
+        scheme=result.scheme.value, faults=len(result.cycles), **asdict(costs)
     )
 
 
@@ -689,18 +681,13 @@ def _pct(f: Fraction) -> str:
     return f"{float(f) * 100:.1f}%"
 
 
-def overhead_report(
-    scenario: ScenarioFile, seed: int | None = None
-) -> OverheadReport:
-    """Run a scenario under every scheme and total the attributed costs.
+def report_from_totals(rows: list[SchemeTotals]) -> OverheadReport:
+    """The comparison table over per-scheme totals, which must include
+    the ``proposed`` and ``l4re`` rows.
 
     The reduction line compares the region-dispatch scheme against the
     l4re baseline, as an exact fraction of the baseline.
     """
-    rows = [
-        totals_of(simulate(scheme, scenario, seed=seed))
-        for scheme in ALL_SCHEMES
-    ]
     by_name = {r.scheme: r for r in rows}
     l4re, prop = by_name["l4re"], by_name["proposed"]
     reduction_mode = reduction_ctx = None
@@ -714,6 +701,19 @@ def overhead_report(
         )
     return OverheadReport(
         rows=rows, reduction_mode=reduction_mode, reduction_ctx=reduction_ctx
+    )
+
+
+def overhead_report(
+    scenario: ScenarioFile, seed: int | None = None
+) -> OverheadReport:
+    """Run a scenario under every scheme and build the comparison table.
+
+    Each run is totalled as soon as it finishes and then dropped, so only
+    one scheme's machine is alive at a time.
+    """
+    return report_from_totals(
+        [totals_of(simulate(s, scenario, seed=seed)) for s in ALL_SCHEMES]
     )
 
 

@@ -10,9 +10,12 @@ Events may carry the index of the fault-handling cycle they belong to.
 Per-cycle accounting counts only attributed events; switches produced by
 scripted scheduling directives carry no attribution and are invisible to
 the per-fault cost figures, mirroring cost models that charge a fault only
-for the crossings its own handling protocol mandates.
+for the crossings its own handling protocol mandates.  The trace indexes
+attributed events by cycle as they are appended, so reading one cycle's
+events costs that cycle's length, not the trace's.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,11 +33,6 @@ class EventKind(Enum):
     MAP_PAGE = "MAP_PAGE"
     UNMAP_PAGE = "UNMAP_PAGE"
     VERDICT = "VERDICT"
-
-
-MODE_SWITCH_KINDS = frozenset(
-    {EventKind.MODE_SWITCH_U2K, EventKind.MODE_SWITCH_K2U}
-)
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,13 @@ class Trace:
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
+        self._by_cycle: defaultdict[int, list[TraceEvent]] = defaultdict(list)
 
     def append(self, kind: EventKind, *args, cycle: int | None = None) -> TraceEvent:
         ev = TraceEvent(len(self.events), kind, tuple(args), cycle)
         self.events.append(ev)
+        if cycle is not None:
+            self._by_cycle[cycle].append(ev)
         return ev
 
     def __len__(self) -> int:
@@ -74,10 +75,7 @@ class Trace:
 
     def of_cycle(self, cycle: int) -> list[TraceEvent]:
         """All events attributed to one fault cycle, in trace order."""
-        return [ev for ev in self.events if ev.cycle == cycle]
-
-    def count(self, kind: EventKind) -> int:
-        return sum(1 for ev in self.events if ev.kind is kind)
+        return list(self._by_cycle.get(cycle, ()))
 
     def to_text(self) -> str:
         return "".join(ev.render() + "\n" for ev in self.events)

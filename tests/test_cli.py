@@ -1,6 +1,6 @@
 import pytest
 
-from pagersim import cli
+from pagersim import ALL_SCHEMES, Simulator, cli, overhead_report, parse_scenario
 from support import fixture_scn
 
 
@@ -121,3 +121,58 @@ def test_unknown_scheme_rejected_by_argparse(scn):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--scenario", str(scn), "--scheme", "mach"])
     assert exc.value.code == 2
+
+
+def test_invalid_layout_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "layout.scn"
+    path.write_text("layout regions=0\n")
+    rc = cli.main(["--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: line 1:")
+
+
+def test_negative_expect_fault_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "negative.scn"
+    path.write_text(
+        fixture_scn("table1") + "expect fault=-1 verdict=DISPATCHED mode=2\n"
+    )
+    rc = cli.main(["--scenario", str(path), "--check"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_trace_path_is_an_error(scn, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.trace"
+    rc = cli.main(["--scenario", str(scn), "--trace", str(target)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cannot write trace:")
+
+
+def test_each_scheme_is_simulated_once(scn, monkeypatch, capsys):
+    runs = []
+    original = Simulator.run
+
+    def counting_run(self):
+        runs.append(self.scheme)
+        return original(self)
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    rc = cli.main(
+        ["--scenario", str(scn), "--check", "--verify-equivalence",
+         "--report", "table"]
+    )
+    assert rc == 0
+    assert runs == list(ALL_SCHEMES)
+
+
+@pytest.mark.parametrize("name", ["table1", "classify", "workload50"])
+def test_report_equals_overhead_report(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.scn"
+    path.write_text(fixture_scn(name))
+    for style in ("table", "kv"):
+        assert cli.main(["--scenario", str(path), "--report", style]) == 0
+        report = overhead_report(parse_scenario(fixture_scn(name)))
+        want = report.as_table() if style == "table" else report.as_kv()
+        assert capsys.readouterr().out.endswith(want)

@@ -199,3 +199,24 @@ def test_pager_step_default_count():
         "pager-step P 3\n"
     )
     assert sf.script == [PagerStepItem(pager="P"), PagerStepItem(pager="P", count=3)]
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        "layout regions=0",
+        "layout page_size=3",
+        "layout pages_per_region=6",
+        "layout user_base=0x1000",
+    ],
+)
+def test_invalid_layout_is_a_parse_error_on_its_line(layout):
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("# geometry\n" + layout + "\n")
+    assert exc.value.line == 2
+
+
+def test_negative_fault_index_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("expect fault=-1 verdict=DISPATCHED\n")
+    assert exc.value.line == 1

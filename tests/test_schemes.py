@@ -18,6 +18,7 @@ from pagersim.errors import (
     SchemeMismatchError,
     SimulationError,
 )
+from pagersim.reproduce import FIXTURES
 from support import fixture_scn, golden
 
 
@@ -347,3 +348,61 @@ def test_fixed_pager_without_backing_leaves_fault_open_with_warning():
     res = simulate(Scheme.REGION_DISPATCH, sf)
     assert not res.cycles[0].closed
     assert any("no frame" in w for w in res.warnings)
+
+
+# ---- accounting against a whole-trace reference --------------------------
+
+
+def fitting_results(name: str) -> dict[str, SimResult]:
+    """Runs of one fixture under every scheme it fits."""
+    sf = parse_scenario(fixture_scn(name))
+    results = {}
+    for scheme in Scheme:
+        try:
+            results[scheme.value] = simulate(scheme, sf)
+        except SimulationError:  # fig6's pager steps do not fit l4re
+            continue
+    return results
+
+
+def reference_costs(events) -> tuple[int, int, int, int]:
+    kinds = [ev.kind for ev in events]
+    return (
+        kinds.count(EventKind.MODE_SWITCH_U2K)
+        + kinds.count(EventKind.MODE_SWITCH_K2U),
+        kinds.count(EventKind.CONTEXT_SWITCH),
+        kinds.count(EventKind.IPC_SEND),
+        kinds.count(EventKind.IPC_RECEIVE),
+    )
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_of_cycle_equals_a_whole_trace_scan(name):
+    results = fitting_results(name)
+    assert results
+    for res in results.values():
+        for i in range(-1, len(res.cycles) + 1):
+            assert res.trace.of_cycle(i) == [
+                ev for ev in res.trace if ev.cycle == i
+            ], (res.scheme, i)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_costs_equal_per_kind_counts(name):
+    for res in fitting_results(name).values():
+        totals = totals_of(res)
+        assert (
+            totals.mode_switches,
+            totals.context_switches,
+            totals.ipc_messages,
+            totals.pager_invocations,
+        ) == reference_costs(ev for ev in res.trace if ev.cycle is not None)
+        for cycle in res.cycles:
+            try:
+                got = cycle_metrics(res.trace, cycle.index).as_tuple()
+            except IncompleteCycleError:
+                continue
+            want = reference_costs(
+                ev for ev in res.trace if ev.cycle == cycle.index
+            )
+            assert got == want, (res.scheme, cycle.index)

@@ -34,16 +34,6 @@ def test_of_cycle_filters_and_preserves_order():
     assert tr.of_cycle(9) == []
 
 
-def test_count_by_kind():
-    tr = Trace()
-    tr.append(EventKind.IPC_SEND, 0, 2, "PAGE_FAULT")
-    tr.append(EventKind.IPC_SEND, 2, 0, "REPLY")
-    tr.append(EventKind.IPC_RECEIVE, 2, "PAGE_FAULT")
-    assert tr.count(EventKind.IPC_SEND) == 2
-    assert tr.count(EventKind.IPC_RECEIVE) == 1
-    assert tr.count(EventKind.SUSPEND) == 0
-
-
 def test_to_text_is_line_per_event_with_trailing_newline():
     tr = Trace()
     tr.append(EventKind.SUSPEND, 4, cycle=2)
