@@ -10,10 +10,11 @@ shift.  Both forms are implemented and cross-checked on every call; the
 equivalence is what makes the lookup cheap enough to sit on the fault
 path.
 
-The region table is one slot per region: the manager thread id plus the
-state of the management contract.  With the default layout of 1020
-regions and 4-byte thread ids the serialized table is 4080 bytes, under a
-single 4 KiB page.
+The region table holds a slot (the manager thread id plus the state of
+the management contract) only for regions that were assigned; any other
+region reads as unassigned.  It serializes as a dense manager column, one
+id per region: with the default layout of 1020 regions and 4-byte thread
+ids that is 4080 bytes, under a single 4 KiB page.
 """
 
 import struct
@@ -137,13 +138,14 @@ class RegionSlot:
 
 
 class RegionTable:
-    """One slot per region.  Assignment is consumer-driven and last-writer
-    wins; acceptance and revocation are driven by the pager through the
+    """Slots of the assigned regions; an absent region reads as
+    ``RegionSlot()``.  Assignment is consumer-driven and last-writer wins;
+    acceptance and revocation are driven by the pager through the
     fault-dispatch layer."""
 
     def __init__(self, region_count: int) -> None:
         self.region_count = region_count
-        self._slots = [RegionSlot() for _ in range(region_count)]
+        self._slots: dict[int, RegionSlot] = {}
 
     def _check(self, rid: int) -> None:
         if not 0 <= rid < self.region_count:
@@ -159,17 +161,29 @@ class RegionTable:
 
     def lookup(self, rid: int) -> RegionSlot:
         self._check(rid)
-        return self._slots[rid]
+        slot = self._slots.get(rid)
+        return slot if slot is not None else RegionSlot()
 
     def set_contract(self, rid: int, state: ContractState) -> None:
         self._check(rid)
-        self._slots[rid].contract = state
+        self._slots.setdefault(rid, RegionSlot()).contract = state
+
+    def managers(self) -> list[tuple[int, int]]:
+        """``(rid, manager)`` of every region that has a manager, in rid
+        order."""
+        return sorted(
+            (rid, slot.manager)
+            for rid, slot in self._slots.items()
+            if slot.manager is not None
+        )
 
     def serialize_manager_ids(self) -> bytes:
-        """Pack the manager column as little-endian 4-byte ids (0 for an
-        unassigned slot).  This is the structure whose footprint must stay
-        within one page."""
-        ids = [slot.manager or 0 for slot in self._slots]
+        """Pack the manager column as little-endian 4-byte ids, one per
+        region (0 for a region without a manager).  This is the structure
+        whose footprint must stay within one page."""
+        ids = [0] * self.region_count
+        for rid, manager in self.managers():
+            ids[rid] = manager
         return struct.pack(f"<{self.region_count}I", *ids)
 
 

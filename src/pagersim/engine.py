@@ -285,9 +285,7 @@ class Machine:
         order = self._sched_order
         n = len(order)
         for step in range(1, n + 1):
-            idx = (self._sched_pos + step) % n if n else 0
-            if not n:
-                break
+            idx = (self._sched_pos + step) % n
             tid = order[idx]
             if self.threads[tid].state in _SCHEDULABLE:
                 self._sched_pos = idx

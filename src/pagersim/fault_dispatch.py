@@ -26,7 +26,7 @@ trusts; afterwards every fault in the region is a protection fault until
 someone assigns the region again.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Collection
 
@@ -217,6 +217,21 @@ class FaultCycle:
     dispatched_to: int | None = None
 
 
+def fault_message(cycle: FaultCycle, cls: Classification, receiver: int) -> Message:
+    """The kernel's page-fault message about ``cycle`` to ``receiver``."""
+    return Message(
+        sender=KERNEL_TID,
+        receiver=receiver,
+        kind=MessageKind.PAGE_FAULT,
+        payload=FaultPayload(
+            faulter=cycle.faulter,
+            vaddr=cycle.vaddr,
+            access=cycle.access,
+            marker=cls.marker,
+        ),
+    )
+
+
 @dataclass
 class _Outstanding:
     handler: int
@@ -293,17 +308,7 @@ class FaultDispatcher:
         switching is the caller's business."""
         self.record_verdict(cycle, cls)
         self.machine.suspend(cycle.faulter, cycle=cycle.index)
-        msg = Message(
-            sender=KERNEL_TID,
-            receiver=target,
-            kind=MessageKind.PAGE_FAULT,
-            payload=FaultPayload(
-                faulter=cycle.faulter,
-                vaddr=cycle.vaddr,
-                access=cycle.access,
-                marker=cls.marker,
-            ),
-        )
+        msg = fault_message(cycle, cls, target)
         self.machine.send(msg, cycle=cycle.index)
         self._outstanding[cycle.faulter] = _Outstanding(handler=target, cycle=cycle)
         cycle.dispatched_to = target

@@ -152,15 +152,6 @@ class ScenarioFile:
     script: list[ScriptItem] = field(default_factory=list)
     expectations: list[Expectation] = field(default_factory=list)
 
-    def thread_by_name(self, name: str) -> ThreadDecl:
-        for t in self.threads:
-            if t.name == name:
-                return t
-        raise SemanticError(f"undeclared thread {name!r}")
-
-    def has_pager(self, name: str) -> bool:
-        return any(p.name == name for p in self.pagers)
-
 
 # ---- parsing -------------------------------------------------------------
 
@@ -259,6 +250,8 @@ def parse_scenario(text: str) -> ScenarioFile:
                 fields["seed"] = _int(kv.pop("seed"), lineno, "seed")
             if "frames" in kv:
                 fields["frames"] = _int(kv.pop("frames"), lineno, "frames")
+                if fields["frames"] < 0:
+                    raise ParseError(lineno, "frames must not be negative")
             if "order" in kv:
                 fields["order"] = tuple(
                     t for t in kv.pop("order").split(",") if t
@@ -484,12 +477,12 @@ def _check_no_overlap(ranges, what: str) -> None:
 def _validate(sf: ScenarioFile) -> None:
     if not sf.threads:
         raise SemanticError("no threads declared")
-    names: set[str] = set()
+    by_name: dict[str, ThreadDecl] = {}
     tids: set[int] = set()
     for t in sf.threads:
-        if t.name in names:
+        if t.name in by_name:
             raise SemanticError(f"duplicate thread name {t.name!r}")
-        names.add(t.name)
+        by_name[t.name] = t
         if t.tid in tids:
             raise SemanticError(f"duplicate tid {t.tid}")
         tids.add(t.tid)
@@ -498,12 +491,17 @@ def _validate(sf: ScenarioFile) -> None:
         if t.asid <= 0:
             raise SemanticError(f"thread {t.name!r}: asid must be positive")
 
+    def thread(name: str) -> ThreadDecl:
+        if name not in by_name:
+            raise SemanticError(f"undeclared thread {name!r}")
+        return by_name[name]
+
     pager_names: set[str] = set()
     for p in sf.pagers:
         if p.name in pager_names:
             raise SemanticError(f"duplicate pager declaration {p.name!r}")
         pager_names.add(p.name)
-        decl = sf.thread_by_name(p.name)
+        decl = thread(p.name)
         if decl.role is not ThreadRole.PAGER:
             raise SemanticError(
                 f"pager behavior declared for {p.name!r}, whose role is "
@@ -519,13 +517,13 @@ def _validate(sf: ScenarioFile) -> None:
                     f"dbrange declared for non-reflecting pager {p.name!r}"
                 )
             for r in p.dbranges:
-                sf.thread_by_name(r.target)
+                thread(r.target)
             _check_no_overlap(p.dbranges, f"pager {p.name!r}")
         if p.revoke_after is not None and p.revoke_after < 1:
             raise SemanticError(f"pager {p.name!r}: revoke_after must be >= 1")
 
     for t in sf.threads:
-        if t.pager_name is not None and not sf.has_pager(t.pager_name):
+        if t.pager_name is not None and t.pager_name not in pager_names:
             raise SemanticError(
                 f"thread {t.name!r} names undeclared pager {t.pager_name!r}"
             )
@@ -535,7 +533,7 @@ def _validate(sf: ScenarioFile) -> None:
         if asid not in declared_asids:
             raise SemanticError(f"dbrange for unknown asid {asid}")
         for r in ranges:
-            sf.thread_by_name(r.target)
+            thread(r.target)
         _check_no_overlap(ranges, f"asid {asid}")
 
     for a in sf.assigns:
@@ -546,23 +544,21 @@ def _validate(sf: ScenarioFile) -> None:
                 f"assign rid {a.rid} outside layout of "
                 f"{sf.layout.region_count} regions"
             )
-        if not sf.has_pager(a.pager_name):
+        if a.pager_name not in pager_names:
             raise SemanticError(
                 f"assign names undeclared pager {a.pager_name!r}"
             )
 
     for item in sf.script:
         if isinstance(item, (AccessItem, DispatchItem, SwitchItem)):
-            sf.thread_by_name(item.thread)
-        elif isinstance(item, PagerStepItem):
-            if not sf.has_pager(item.pager):
-                raise SemanticError(
-                    f"pager-step names undeclared pager {item.pager!r}"
-                )
+            thread(item.thread)
+        elif isinstance(item, PagerStepItem) and item.pager not in pager_names:
+            raise SemanticError(
+                f"pager-step names undeclared pager {item.pager!r}"
+            )
 
-    if sf.options.order:
-        for name in sf.options.order:
-            sf.thread_by_name(name)
+    for name in sf.options.order:
+        thread(name)
 
 
 # ---- serialization -------------------------------------------------------

@@ -32,8 +32,6 @@ from fractions import Fraction
 from .address_space import AddressSpace, KERNEL_RANGE, region_id_of
 from .engine import (
     DeterministicOrder,
-    FaultPayload,
-    KERNEL_TID,
     Machine,
     Message,
     MessageKind,
@@ -53,6 +51,7 @@ from .fault_dispatch import (
     GP_CODES,
     VerdictCode,
     classify,
+    fault_message,
 )
 from .mmu import FaultEvent, MemoryAccess, translate
 from .pagers import (
@@ -172,7 +171,7 @@ class Simulator:
         self.scheme = scheme
         self.layout = scenario.layout
 
-        self._tid_of = {t.name: t.tid for t in scenario.threads}
+        self._decl = {t.name: t for t in scenario.threads}
         self.machine = Machine(self._directive(seed))
         for t in scenario.threads:
             self.machine.register_thread(
@@ -193,12 +192,12 @@ class Simulator:
         self.behaviors: dict[int, PagerBehavior] = {}
         self.non_accepting: set[int] = set()
         for p in scenario.pagers:
-            tid = self._tid_of[p.name]
+            tid = self._decl[p.name].tid
             db = None
             if p.dbranges:
                 db = MappingDatabase()
                 for r in p.dbranges:
-                    db.insert(r.start, r.end, self._tid_of[r.target])
+                    db.insert(r.start, r.end, self._decl[r.target].tid)
             self.behaviors[tid] = PagerBehavior(
                 policy=p.policy,
                 marker_rule=p.marker_rule,
@@ -214,7 +213,7 @@ class Simulator:
                 self.non_accepting.add(tid)
 
         for a in scenario.assigns:
-            self.spaces[a.asid].regions.assign(a.rid, self._tid_of[a.pager_name])
+            self.spaces[a.asid].regions.assign(a.rid, self._decl[a.pager_name].tid)
 
         # (action, cycle index) queues per pager, in delivery order.
         self._actions: dict[int, list[tuple[Action, int]]] = {}
@@ -234,7 +233,7 @@ class Simulator:
         opt = self.sf.options
         if opt.schedule == "round-robin":
             return SeededRoundRobin(seed if seed is not None else opt.seed)
-        order = tuple(self._tid_of[name] for name in opt.order)
+        order = tuple(self._decl[name].tid for name in opt.order)
         if not order:
             order = tuple(t.tid for t in self.sf.threads)
         return DeterministicOrder(order)
@@ -259,7 +258,7 @@ class Simulator:
         if scheme is Scheme.L4RE:
             for item in sf.script:
                 if isinstance(item, AccessItem):
-                    decl = sf.thread_by_name(item.thread)
+                    decl = self._decl[item.thread]
                     if decl.role is ThreadRole.REGION_MAPPER:
                         raise SchemeMismatchError(
                             "a region mapper must never fault; its pages are "
@@ -277,12 +276,12 @@ class Simulator:
                 declared[t.asid] = t.tid
         fault_asids = sorted(
             {
-                self.sf.thread_by_name(i.thread).asid
+                self._decl[i.thread].asid
                 for i in self.sf.script
                 if isinstance(i, AccessItem)
             }
         )
-        next_tid = max(self._tid_of.values(), default=0) + 1
+        next_tid = max((t.tid for t in self.sf.threads), default=0) + 1
         for asid in fault_asids:
             tid = declared.get(asid)
             if tid is None:
@@ -305,27 +304,24 @@ class Simulator:
         explicit = self.sf.space_dbranges.get(asid)
         if explicit:
             for r in explicit:
-                db.insert(r.start, r.end, self._tid_of[r.target])
+                db.insert(r.start, r.end, self._decl[r.target].tid)
             return db
         layout = self.layout
-        regions = self.spaces[asid].regions
-        for rid in range(layout.region_count):
-            slot = regions.lookup(rid)
-            if slot.manager is not None:
-                start = layout.user_base + rid * layout.region_size
-                db.insert(start, start + layout.region_size, slot.manager)
+        for rid, manager in self.spaces[asid].regions.managers():
+            start = layout.user_base + rid * layout.region_size
+            db.insert(start, start + layout.region_size, manager)
         return db
 
     def _wire_thread_pagers(self) -> None:
-        pager_tids = [self._tid_of[p.name] for p in self.sf.pagers]
+        pager_tids = [self._decl[p.name].tid for p in self.sf.pagers]
         for item in self.sf.script:
             if not isinstance(item, AccessItem):
                 continue
-            decl = self.sf.thread_by_name(item.thread)
+            decl = self._decl[item.thread]
             if decl.tid in self._thread_pager:
                 continue
             if decl.pager_name is not None:
-                self._thread_pager[decl.tid] = self._tid_of[decl.pager_name]
+                self._thread_pager[decl.tid] = self._decl[decl.pager_name].tid
             elif len(pager_tids) == 1:
                 self._thread_pager[decl.tid] = pager_tids[0]
             else:
@@ -345,7 +341,7 @@ class Simulator:
             elif isinstance(item, PagerStepItem):
                 self._exec_pager_step(item)
             elif isinstance(item, SwitchItem):
-                self.machine.switch_to(self._tid_of[item.thread])
+                self.machine.switch_to(self._decl[item.thread].tid)
             elif isinstance(item, YieldItem):
                 self.machine.yield_current()
             if self.sf.options.mode == "auto":
@@ -359,7 +355,7 @@ class Simulator:
         )
 
     def _exec_access(self, item: AccessItem) -> None:
-        tid = self._tid_of[item.thread]
+        tid = self._decl[item.thread].tid
         tcb = self.machine.thread(tid)
         self.machine.switch_to(tid)
         space = self.spaces[tcb.asid]
@@ -377,7 +373,7 @@ class Simulator:
         self._zero_level(cycle)
 
     def _exec_dispatch(self, item: DispatchItem) -> None:
-        tid = self._tid_of[item.thread]
+        tid = self._decl[item.thread].tid
         cycle = self._held.pop(tid, None)
         if cycle is None:
             raise SimulationError(
@@ -386,7 +382,7 @@ class Simulator:
         self._zero_level(cycle)
 
     def _exec_pager_step(self, item: PagerStepItem) -> None:
-        tid = self._tid_of[item.pager]
+        tid = self._decl[item.pager].tid
         for _ in range(item.count):
             queue = self._actions.get(tid)
             if not queue:
@@ -453,12 +449,7 @@ class Simulator:
         (here an in-kernel module), but resolution happens without leaving
         kernel work: no suspension, no IPC, no occupancy change."""
         self.dispatcher.record_verdict(cycle, cls)
-        msg = Message(
-            sender=KERNEL_TID,
-            receiver=cls.manager,
-            kind=MessageKind.PAGE_FAULT,
-            payload=self._payload_for(cycle, cls),
-        )
+        msg = fault_message(cycle, cls, cls.manager)
         for action in self._build_actions(cls.manager, msg):
             if isinstance(action, MapAction):
                 self.dispatcher.memory.map_page(
@@ -475,15 +466,6 @@ class Simulator:
             # The in-kernel policy produced no resolution; the thread can
             # never make progress, park it like a protection fault.
             self.machine.suspend(cycle.faulter, cycle=cycle.index)
-
-    @staticmethod
-    def _payload_for(cycle: FaultCycle, cls: Classification) -> FaultPayload:
-        return FaultPayload(
-            faulter=cycle.faulter,
-            vaddr=cycle.vaddr,
-            access=cycle.access,
-            marker=cls.marker,
-        )
 
     # ---- delivery and pager actions -------------------------------------
 

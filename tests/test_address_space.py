@@ -12,6 +12,7 @@ from pagersim import (
     region_id_of,
     region_id_shift,
 )
+from pagersim.address_space import RegionSlot
 from pagersim.errors import BadRegionError
 
 SMALL = LayoutConfig(region_count=8, pages_per_region=4, page_size=4096)
@@ -121,3 +122,33 @@ def test_serialized_manager_column_fits_one_page():
     assert ids[0] == 9
     assert ids[1019] == 3
     assert set(ids[1:1019]) == {0}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_table_matches_a_dense_reference(seed):
+    # A dense list of slots is the reference: assign replaces a slot (last
+    # writer wins), set_contract edits it in place, even an unassigned one.
+    rng = random.Random(seed)
+    count = rng.choice((1, 5, 16, 64))
+    table = RegionTable(count)
+    dense = [RegionSlot() for _ in range(count)]
+    assert table.managers() == []
+    for _ in range(rng.randrange(1, 40)):
+        rid = rng.randrange(count)
+        if rng.random() < 0.5:
+            manager = rng.randrange(1, 6)
+            table.assign(rid, manager=manager)
+            dense[rid] = RegionSlot(manager, ContractState.ASSIGNED)
+        else:
+            state = rng.choice(list(ContractState))
+            table.set_contract(rid, state)
+            dense[rid].contract = state
+    walk = [table.lookup(rid) for rid in range(count)]
+    assert walk == dense
+    assert table.managers() == [
+        (rid, slot.manager) for rid, slot in enumerate(walk)
+        if slot.manager is not None
+    ]
+    assert table.serialize_manager_ids() == struct.pack(
+        f"<{count}I", *(slot.manager or 0 for slot in walk)
+    )

@@ -26,11 +26,13 @@ def load_bench_module(name: str):
     return module
 
 
-def test_traced_cli_run_on_fault_stream(tmp_path, capsys):
+def traced_cli_run(tmp_path, name: str):
+    """Run ``cli.main`` under the bench tracer on a generated workload at
+    scale 0.02; returns the workload, the exit code and the tracer."""
     tracer_mod = load_bench_module("tracer")
     workloads = load_bench_module("workloads")
-    w = workloads.generate("fault-stream", 5, 0.02)
-    scenario = tmp_path / "fault-stream.scn"
+    w = workloads.generate(name, 5, 0.02)
+    scenario = tmp_path / f"{name}.scn"
     scenario.write_text(w.text)
     tracer = tracer_mod.Tracer()
     with tracer.installed():
@@ -38,9 +40,26 @@ def test_traced_cli_run_on_fault_stream(tmp_path, capsys):
             "--scenario", str(scenario), "--check", "--verify-equivalence",
             "--report", "table", "--trace", str(tmp_path / "cli.trace"),
         ])
+    return w, rc, tracer
+
+
+def test_traced_cli_run_on_fault_stream(tmp_path, capsys):
+    w, rc, tracer = traced_cli_run(tmp_path, "fault-stream")
     out = capsys.readouterr().out
     expectations = len(parse_scenario(w.text).expectations)
     assert rc == 0
     assert f"check: {expectations} expectation line(s), 0 failure(s)" in out
     assert "equivalence: ok" in out
     assert tracer.calls["schemes.run"] == len(ALL_SCHEMES)
+
+
+def test_traced_wide_spaces_run_allocates_no_region_slots(tmp_path, capsys):
+    # The tracer counts ``RegionTable._slots`` after each AddressSpace is
+    # built and falls back to ``region_count`` per space if that attribute
+    # is gone, so a rename shows up here as a non-zero count.
+    w, rc, tracer = traced_cli_run(tmp_path, "wide-spaces")
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "equivalence: ok" in out
+    assert tracer.calls["address_space.init"] >= w.spaces
+    assert tracer.counts["address_space.region_slots"] == 0

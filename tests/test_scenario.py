@@ -220,3 +220,11 @@ def test_negative_fault_index_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_scenario("expect fault=-1 verdict=DISPATCHED\n")
     assert exc.value.line == 1
+
+
+def test_negative_frames_is_a_parse_error():
+    thread = "thread T tid=1 asid=1 role=applicant\n"
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(thread + "option frames=-1\n")
+    assert exc.value.line == 2
+    assert parse_scenario(thread + "option frames=0\n").options.frames == 0

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import pytest
 
 from pagersim import (
+    ALL_SCHEMES,
     EventKind,
     Scheme,
     SimResult,
+    Simulator,
+    VerdictCode,
     check_expectations,
     cycle_metrics,
     overhead_report,
@@ -406,3 +411,31 @@ def test_costs_equal_per_kind_counts(name):
                 ev for ev in res.trace if ev.cycle == cycle.index
             )
             assert got == want, (res.scheme, cycle.index)
+
+
+# ---- allocation follows what the scenario uses ---------------------------
+
+# 65536 regions of 64 KiB each cover the whole 32-bit space; each of the two
+# spaces has one assigned region.
+WIDE_LAYOUT = (
+    "layout regions=65536 pages_per_region=16\n"
+    "thread A tid=1 asid=1 role=applicant\n"
+    "thread P tid=2 asid=2 role=pager\n"
+    "pager P policy=anonymous\n"
+    "assign asid=1 rid=5 pager=P\n"
+    "assign asid=2 rid=65535 pager=P\n"
+    "access A 0x50000 read\n"
+)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_memory_follows_assigned_regions_not_declared_ones(scheme):
+    sf = parse_scenario(WIDE_LAYOUT)
+    tracemalloc.start()
+    try:
+        result = Simulator(sf, scheme).run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [c.verdict for c in result.cycles] == [VerdictCode.DISPATCHED]
+    assert peak < 1 << 20
