@@ -6,9 +6,10 @@ power-of-two regions.  A region id is a plain index:
     rid = (vaddr - user_base) // region_size
 
 and because the region size is a power of two this is the same as a right
-shift.  Both forms are implemented and cross-checked on every call; the
-equivalence is what makes the lookup cheap enough to sit on the fault
-path.
+shift.  Both forms are implemented; the fault path uses the shift form,
+and the agreement of the two is checked by ``reproduce``'s region-forms
+claim and by the tests.  The equivalence is what makes the lookup cheap
+enough to sit on the fault path.
 
 The region table holds a slot (the manager thread id plus the state of
 the management contract) only for regions that were assigned; any other
@@ -20,6 +21,7 @@ ids that is 4080 bytes, under a single 4 KiB page.
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import BadRegionError
 from .mmu import PageTable
@@ -74,15 +76,16 @@ class LayoutConfig:
         if self.user_limit > ADDRESS_SPACE_SIZE:
             raise ValueError("user part exceeds the 32-bit address space")
 
-    @property
+    # Computed once per layout: the fault path reads them on every lookup.
+    @cached_property
     def region_size(self) -> int:
         return self.pages_per_region * self.page_size
 
-    @property
+    @cached_property
     def region_shift(self) -> int:
         return self.region_size.bit_length() - 1
 
-    @property
+    @cached_property
     def user_limit(self) -> int:
         """First address above the user part."""
         return self.user_base + self.region_count * self.region_size
@@ -111,15 +114,10 @@ def region_id_shift(layout: LayoutConfig, vaddr: int):
     return (vaddr - layout.user_base) >> layout.region_shift
 
 
-def region_id_of(layout: LayoutConfig, vaddr: int):
-    """Region id of an address, or ``KERNEL_RANGE`` outside the user part.
-
-    Computes both arithmetic forms and insists they agree; the redundancy
-    is cheap and keeps the equivalence continuously checked.
-    """
-    rid = region_id_shift(layout, vaddr)
-    assert rid == region_id_div(layout, vaddr)
-    return rid
+# Region id of an address, or ``KERNEL_RANGE`` outside the user part: the
+# shift form.  Its agreement with the division form is checked by
+# ``reproduce``'s region-forms claim and by the tests, not on every call.
+region_id_of = region_id_shift
 
 
 class ContractState(Enum):
@@ -195,5 +193,5 @@ class AddressSpace:
         self.regions = RegionTable(layout.region_count)
 
     def present_pages_in_region(self, rid: int) -> list[int]:
-        r = self.layout.region_page_range(rid)
-        return [p for p in self.pages.present_pages() if r.start <= p < r.stop]
+        """Present pages of one region, ascending."""
+        return self.pages.present_pages(self.layout.region_page_range(rid))

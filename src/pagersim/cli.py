@@ -111,6 +111,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{token}: faults={len(res.cycles)} events={len(res.trace)} "
             f"warnings={len(res.warnings)}"
         )
+        for warning in res.warnings:
+            print(f"{token}: warning: {warning}")
         if args.trace:
             path = _trace_path(args.trace, res.scheme, multi)
             try:

@@ -28,6 +28,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     DeadlockError,
@@ -74,8 +75,7 @@ class ThreadControlBlock:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class FaultPayload:
+class FaultPayload(NamedTuple):
     """What a fault message carries to its handler: enough to resolve the
     fault without asking the kernel anything back."""
 
@@ -85,8 +85,7 @@ class FaultPayload:
     marker: int
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     sender: int
     receiver: int
     kind: MessageKind
@@ -222,30 +221,24 @@ class Machine:
 
     def send(self, msg: Message, cycle: int | None = None) -> None:
         """Queue a message at the receiver and record the send."""
-        if msg.receiver not in self.threads:
-            raise UnknownReceiverError(f"no receiver with id {msg.receiver}")
-        args: list = [msg.sender, msg.receiver, msg.kind.value]
-        if msg.payload is not None:
-            p = msg.payload
-            if msg.kind is MessageKind.REPLY:
-                args.append(f"faulter={p.faulter}")
-            else:
-                args.extend(
-                    (
-                        f"faulter={p.faulter}",
-                        f"vaddr={p.vaddr:#x}",
-                        f"access={p.access.value}",
-                        f"marker={p.marker}",
-                    )
-                )
+        sender, receiver, kind, payload = msg
+        if receiver not in self.threads:
+            raise UnknownReceiverError(f"no receiver with id {receiver}")
+        args: list = [sender, receiver, kind.value]
+        if payload is not None:
+            faulter, vaddr, access, marker = payload
+            args.append(f"faulter={faulter}")
+            if kind is not MessageKind.REPLY:
+                args += (f"vaddr={vaddr:#x}", f"access={access.value}",
+                         f"marker={marker}")
         self.trace.append(EventKind.IPC_SEND, *args, cycle=cycle)
-        if msg.receiver != KERNEL_TID:
+        if receiver != KERNEL_TID:
             # The kernel consumes its messages synchronously; only real
             # threads have a mailbox worth filling.
-            self._mailboxes[msg.receiver].append(msg)
+            self._mailboxes[receiver].append(msg)
 
     def receive(self, tid: int, cycle: int | None = None) -> Message:
-        box = self._mailboxes[self.thread(tid).tid]
+        box = self._mailboxes[tid]
         if not box:
             raise SimulationHasNoMessage(tid)
         msg = box.popleft()
@@ -253,11 +246,11 @@ class Machine:
         return msg
 
     def pending_messages(self, tid: int) -> int:
-        return len(self._mailboxes[self.thread(tid).tid])
+        return len(self._mailboxes[tid])
 
     def peek_message(self, tid: int) -> Message | None:
         """Next queued message without consuming it, if any."""
-        box = self._mailboxes[self.thread(tid).tid]
+        box = self._mailboxes[tid]
         return box[0] if box else None
 
     # ---- scheduling ------------------------------------------------------

@@ -28,7 +28,7 @@ someone assigns the region again.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from .address_space import (
     AddressSpace,
@@ -65,13 +65,13 @@ class VerdictCode(Enum):
     DISPATCHED = "DISPATCHED"
 
 
-GP_CODES = frozenset(
-    {VerdictCode.KERNEL_RANGE, VerdictCode.NO_PAGER, VerdictCode.NOT_ACCEPTED}
+# A tuple: membership compares identities; a set would hash the enum in Python.
+GP_CODES = (
+    VerdictCode.KERNEL_RANGE, VerdictCode.NO_PAGER, VerdictCode.NOT_ACCEPTED
 )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     code: VerdictCode
     rid: int | None = None
     manager: int | None = None
@@ -258,13 +258,13 @@ class FaultDispatcher:
 
     def begin_fault(self, fault: FaultEvent) -> FaultCycle:
         """Phase one of fault handling: the trap into the kernel."""
-        asid = self.machine.thread(fault.tid).asid
+        tid, vaddr, access = fault
         cycle = FaultCycle(
             index=len(self.cycles),
-            faulter=fault.tid,
-            asid=asid,
-            vaddr=fault.vaddr,
-            access=fault.access,
+            faulter=tid,
+            asid=self.machine.thread(tid).asid,
+            vaddr=vaddr,
+            access=access,
         )
         self.cycles.append(cycle)
         ev = self.machine.trace.append(

@@ -12,6 +12,7 @@ it returns a ``FaultEvent`` that the dispatch layer classifies.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import AccessType
 from .errors import MarkerOverflowError, NotMappedError
@@ -29,15 +30,13 @@ class PageTableEntry:
     marker: int = 0
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
+class MemoryAccess(NamedTuple):
     tid: int
     vaddr: int
     access: AccessType
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(NamedTuple):
     tid: int
     vaddr: int
     access: AccessType
@@ -68,8 +67,12 @@ class PageTable:
             raise NotMappedError(f"page {page} has no present mapping")
         ent.present = False
 
-    def present_pages(self) -> list[int]:
-        return sorted(p for p, e in self._entries.items() if e.present)
+    def present_pages(self, within: range | None = None) -> list[int]:
+        """Present pages, ascending; with ``within``, only those in it."""
+        return sorted(
+            p for p, e in self._entries.items()
+            if e.present and (within is None or p in within)
+        )
 
     def touched_pages(self) -> list[int]:
         """Pages with any state at all (present, or a surviving marker)."""
@@ -90,7 +93,8 @@ def translate(table: PageTable, page_size: int, access: MemoryAccess):
     region or permission logic lives here; classification of the fault is
     the dispatch layer's job.
     """
-    ent = table.entry(access.vaddr // page_size)
-    if ent.present:
+    tid, vaddr, kind = access
+    ent = table._entries.get(vaddr // page_size)
+    if ent is not None and ent.present:
         return ent.frame
-    return FaultEvent(tid=access.tid, vaddr=access.vaddr, access=access.access)
+    return FaultEvent(tid, vaddr, kind)

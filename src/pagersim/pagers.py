@@ -27,6 +27,7 @@ the last one, which flips the region's contract to REVOKED.
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .engine import Message
 from .errors import (
@@ -119,26 +120,22 @@ class MappingDatabase:
 # ---- actions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapAction:
+class MapAction(NamedTuple):
     asid: int
     vaddr: int
     frame: int
     marker: int
 
 
-@dataclass(frozen=True)
-class ReplyAction:
+class ReplyAction(NamedTuple):
     faulter: int
 
 
-@dataclass(frozen=True)
-class ReflectAction:
+class ReflectAction(NamedTuple):
     message: Message
 
 
-@dataclass(frozen=True)
-class RevokeRegionAction:
+class RevokeRegionAction(NamedTuple):
     """Unmap every present page the pager holds in a region, revoke flag
     on the last; expanded at execution time against live state."""
 

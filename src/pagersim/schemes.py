@@ -24,7 +24,6 @@ count toward which cost column; per-cycle metrics and whole-run totals
 both go through it.
 """
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
@@ -115,17 +114,30 @@ class CycleMetrics:
         )
 
 
+_U2K = EventKind.MODE_SWITCH_U2K
+_K2U = EventKind.MODE_SWITCH_K2U
+_CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
+_IPC_SEND = EventKind.IPC_SEND
+_IPC_RECEIVE = EventKind.IPC_RECEIVE
+
+
 def _tally(events) -> CycleMetrics:
-    """Cost columns of a collection of attributed events: the one place
-    that maps event kinds to costs."""
-    kinds = Counter(ev.kind for ev in events)
-    return CycleMetrics(
-        mode_switches=kinds[EventKind.MODE_SWITCH_U2K]
-        + kinds[EventKind.MODE_SWITCH_K2U],
-        context_switches=kinds[EventKind.CONTEXT_SWITCH],
-        ipc_messages=kinds[EventKind.IPC_SEND],
-        pager_invocations=kinds[EventKind.IPC_RECEIVE],
-    )
+    """Cost columns of the attributed events among ``events``: the one
+    place that maps event kinds to costs.  Kinds are compared by identity;
+    hashing an enum runs Python code."""
+    mode = ctx = ipc = invocations = 0
+    for _seq, kind, _args, cycle in events:
+        if cycle is None:
+            continue
+        if kind is _U2K or kind is _K2U:
+            mode += 1
+        elif kind is _CONTEXT_SWITCH:
+            ctx += 1
+        elif kind is _IPC_SEND:
+            ipc += 1
+        elif kind is _IPC_RECEIVE:
+            invocations += 1
+    return CycleMetrics(mode, ctx, ipc, invocations)
 
 
 def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
@@ -138,7 +150,7 @@ def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
     events = trace.of_cycle(fault_index)
     if not events:
         raise ValueError(f"trace has no fault cycle {fault_index}")
-    kinds = {ev.kind for ev in events}
+    kinds = [kind for _seq, kind, _args, _cycle in events]
     returned = EventKind.MODE_SWITCH_K2U in kinds
     suspended = EventKind.SUSPEND in kinds
     resumed = EventKind.RESUME in kinds
@@ -333,6 +345,7 @@ class Simulator:
     # ---- run loop --------------------------------------------------------
 
     def run(self) -> SimResult:
+        auto = self.sf.options.mode == "auto"
         for item in self.sf.script:
             if isinstance(item, AccessItem):
                 self._exec_access(item)
@@ -344,7 +357,7 @@ class Simulator:
                 self.machine.switch_to(self._decl[item.thread].tid)
             elif isinstance(item, YieldItem):
                 self.machine.yield_current()
-            if self.sf.options.mode == "auto":
+            if auto:
                 self._service_to_quiescence()
         return SimResult(
             scheme=self.scheme,
@@ -474,14 +487,16 @@ class Simulator:
         working through earlier actions."""
         if self._actions.get(target):
             return
-        if self.machine.pending_messages(target) == 0:
+        msg = self.machine.peek_message(target)
+        if msg is None:
             return
         tcb = self.machine.thread(target)
         if tcb.state is ThreadState.BLOCKED_ON_RECEIVE:
             tcb.state = ThreadState.READY
         # Delivery hands the CPU to the receiver: kernel->user crossing
         # plus a context switch when the occupant changes.
-        peek_cycle = self._cycle_of_next_message(target)
+        cycle = self.dispatcher.outstanding_cycle(msg.payload.faulter)
+        peek_cycle = cycle.index if cycle is not None else None
         self.machine.leave_kernel(cycle=peek_cycle)
         self.machine.switch_to(target, cycle=peek_cycle)
         msg = self.machine.receive(target, cycle=peek_cycle)
@@ -490,11 +505,6 @@ class Simulator:
             self._actions[target] = [(a, peek_cycle) for a in actions]
         else:
             self._drain(target)
-
-    def _cycle_of_next_message(self, target: int) -> int | None:
-        msg = self.machine.peek_message(target)
-        cycle = self.dispatcher.outstanding_cycle(msg.payload.faulter)
-        return cycle.index if cycle else None
 
     def _exec_action(self, pager: int) -> None:
         action, cyc = self._actions[pager].pop(0)
@@ -554,7 +564,7 @@ class Simulator:
             self.machine.switch_to(pager)
 
     def _service_to_quiescence(self) -> None:
-        while True:
+        while self._actions:
             pager = next(
                 (tid for tid, queue in self._actions.items() if queue), None
             )
@@ -596,7 +606,7 @@ class SchemeTotals:
 
 def totals_of(result: SimResult) -> SchemeTotals:
     """Protocol-attributed event totals over a whole run."""
-    costs = _tally(ev for ev in result.trace if ev.cycle is not None)
+    costs = _tally(result.trace)
     return SchemeTotals(
         scheme=result.scheme.value, faults=len(result.cycles), **asdict(costs)
     )
@@ -725,9 +735,11 @@ def check_expectations(
                 continue
             cycle = res.cycles[e.fault]
             if cycle.verdict is not e.verdict:
+                got = "none (fault held, never dispatched)"
+                if cycle.verdict is not None:
+                    got = cycle.verdict.value
                 failures.append(
-                    f"{prefix}: verdict {cycle.verdict.value}, "
-                    f"expected {e.verdict.value}"
+                    f"{prefix}: verdict {got}, expected {e.verdict.value}"
                 )
                 continue
             wanted = {

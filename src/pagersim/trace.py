@@ -12,12 +12,13 @@ scripted scheduling directives carry no attribution and are invisible to
 the per-fault cost figures, mirroring cost models that charge a fault only
 for the crossings its own handling protocol mandates.  The trace indexes
 attributed events by cycle as they are appended, so reading one cycle's
-events costs that cycle's length, not the trace's.
+events costs that cycle's length, not the trace's.  Events are immutable
+named tuples; hot readers unpack them rather than read attributes.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class EventKind(Enum):
@@ -35,18 +36,17 @@ class EventKind(Enum):
     VERDICT = "VERDICT"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq: int
     kind: EventKind
     args: tuple
     cycle: int | None = None
 
     def render(self) -> str:
-        parts = [str(self.seq), self.kind.value]
-        parts.extend(str(a) for a in self.args)
-        if self.cycle is not None:
-            parts.append(f"cycle={self.cycle}")
+        seq, kind, args, cycle = self
+        parts = [str(seq), kind.value, *map(str, args)]
+        if cycle is not None:
+            parts.append(f"cycle={cycle}")
         return " ".join(parts)
 
 
@@ -58,8 +58,10 @@ class Trace:
         self._by_cycle: defaultdict[int, list[TraceEvent]] = defaultdict(list)
 
     def append(self, kind: EventKind, *args, cycle: int | None = None) -> TraceEvent:
-        ev = TraceEvent(len(self.events), kind, tuple(args), cycle)
-        self.events.append(ev)
+        events = self.events
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        ev = tuple.__new__(TraceEvent, (len(events), kind, args, cycle))
+        events.append(ev)
         if cycle is not None:
             self._by_cycle[cycle].append(ev)
         return ev
@@ -78,4 +80,4 @@ class Trace:
         return list(self._by_cycle.get(cycle, ()))
 
     def to_text(self) -> str:
-        return "".join(ev.render() + "\n" for ev in self.events)
+        return "".join([ev.render() + "\n" for ev in self.events])

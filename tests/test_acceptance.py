@@ -198,7 +198,8 @@ def test_contract_lifecycle_walk():
                 revocations += 1
         visited.add(ref)
         assert space.regions.lookup(0).contract.value == ref, f"step {step}"
-        assert set(space.present_pages_in_region(0)) == present
+        # Ascending: a revoke sets its flag on the last page of this list.
+        assert space.present_pages_in_region(0) == sorted(present)
 
     assert visited == {"unassigned", "assigned", "accepted", "revoked"}
     assert revocations >= 1

@@ -47,6 +47,12 @@ def test_region_id_examples_default_layout():
     assert region_id_of(lay, 0xFEFFFFFF) == 1019
     assert region_id_of(lay, 0xFF000000) is KERNEL_RANGE
     assert region_id_of(lay, 0xFFFFFFFF) is KERNEL_RANGE
+    # The fault path's form agrees with both forms around every boundary.
+    for rid in range(lay.region_count + 1):
+        start = lay.user_base + rid * lay.region_size
+        for vaddr in (max(start - 1, 0), start, start + 1):
+            want = region_id_div(lay, vaddr)
+            assert region_id_of(lay, vaddr) == want == region_id_shift(lay, vaddr)
 
 
 def test_region_id_rejects_out_of_space_addresses():
@@ -60,7 +66,8 @@ def test_region_id_rejects_out_of_space_addresses():
 def test_forms_agree_exhaustively_on_small_layout():
     # All 2^17 addresses of the small profile plus a kernel-side strip.
     for vaddr in range(SMALL.user_limit + 3 * SMALL.page_size):
-        assert region_id_div(SMALL, vaddr) == region_id_shift(SMALL, vaddr)
+        want = region_id_div(SMALL, vaddr)
+        assert region_id_shift(SMALL, vaddr) == want == region_id_of(SMALL, vaddr)
 
 
 def test_forms_agree_with_linear_reference_on_sampled_addresses():
@@ -77,6 +84,7 @@ def test_forms_agree_with_linear_reference_on_sampled_addresses():
     for _ in range(2000):
         vaddr = rng.randrange(1 << 32)
         assert region_id_div(lay, vaddr) == region_id_shift(lay, vaddr) == reference(lay, vaddr)
+        assert region_id_of(lay, vaddr) == reference(lay, vaddr)
 
 
 def test_user_part_partitions_into_regions():

@@ -63,6 +63,44 @@ def test_check_pass_and_fail(scn, tmp_path, capsys):
     assert "expected NO_PAGER" in out
 
 
+def test_undispatched_held_fault_fails_its_check(tmp_path, capsys):
+    path = tmp_path / "held.scn"
+    path.write_text(
+        "".join(
+            line for line in fixture_scn("classify").splitlines(keepends=True)
+            if not line.startswith("dispatch E")
+        )
+    )
+    rc = cli.main(["--scenario", str(path), "--check"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ""
+    assert (
+        "check: [proposed] fault 5: verdict none (fault held, never "
+        "dispatched), expected RESUMED_PRESENT" in captured.out
+    )
+
+
+def test_warnings_are_printed_in_full(tmp_path, capsys):
+    path = tmp_path / "unbacked.scn"
+    path.write_text(
+        "layout regions=8 pages_per_region=4 page_size=4096\n"
+        "thread T tid=1 asid=1 role=applicant\n"
+        "thread P tid=2 asid=2 role=pager\n"
+        "pager P policy=fixed\n"
+        "assign asid=1 rid=0 pager=P\n"
+        "access T 0x0 read\n"
+    )
+    rc = cli.main(["--scenario", str(path), "--scheme", "proposed"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines == [
+        "proposed: faults=1 events=7 warnings=1",
+        "proposed: warning: fixed-backing pager has no frame for page 0; "
+        "fault of thread 1 left unanswered",
+    ]
+
+
 def test_verify_equivalence_ok(scn, capsys):
     rc = cli.main(["--scenario", str(scn), "--verify-equivalence"])
     assert rc == 0

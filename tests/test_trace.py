@@ -1,3 +1,5 @@
+import pytest
+
 from pagersim import EventKind, Trace
 
 
@@ -21,6 +23,41 @@ def test_render_with_attribution_and_kv_args():
     tr.append(EventKind.MODE_SWITCH_U2K, cycle=0)
     ev = tr.append(EventKind.MAP_PAGE, "asid=1", "vaddr=0x1000", cycle=7)
     assert ev.render() == "1 MAP_PAGE asid=1 vaddr=0x1000 cycle=7"
+
+
+# One event of every kind, with arguments as the simulator records them.
+RENDERED = {
+    EventKind.MODE_SWITCH_U2K: ((), "MODE_SWITCH_U2K"),
+    EventKind.MODE_SWITCH_K2U: ((), "MODE_SWITCH_K2U"),
+    EventKind.CONTEXT_SWITCH: ((1, 2), "CONTEXT_SWITCH 1 2"),
+    EventKind.IPC_SEND: (
+        (0, 2, "PAGE_FAULT", "faulter=1", "vaddr=0x2000", "access=W", "marker=5"),
+        "IPC_SEND 0 2 PAGE_FAULT faulter=1 vaddr=0x2000 access=W marker=5",
+    ),
+    EventKind.IPC_RECEIVE: ((2, "PAGE_FAULT"), "IPC_RECEIVE 2 PAGE_FAULT"),
+    EventKind.SUSPEND: ((1,), "SUSPEND 1"),
+    EventKind.RESUME: ((1,), "RESUME 1"),
+    EventKind.MAP_PAGE: (
+        ("asid=1", "vaddr=0x2000", "frame=0", "marker=0"),
+        "MAP_PAGE asid=1 vaddr=0x2000 frame=0 marker=0",
+    ),
+    EventKind.UNMAP_PAGE: (
+        ("asid=1", "vaddr=0x2000", "revoke=1"),
+        "UNMAP_PAGE asid=1 vaddr=0x2000 revoke=1",
+    ),
+    EventKind.VERDICT: (
+        ("DISPATCHED", "tid=1", "vaddr=0x2000", "manager=7"),
+        "VERDICT DISPATCHED tid=1 vaddr=0x2000 manager=7",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)
+def test_render_of_every_kind(kind):
+    args, text = RENDERED[kind]
+    tr = Trace()
+    assert tr.append(kind, *args).render() == f"0 {text}"
+    assert tr.append(kind, *args, cycle=3).render() == f"1 {text} cycle=3"
 
 
 def test_of_cycle_filters_and_preserves_order():
