@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.scheme == "all" or args.verify_equivalence or args.report:
         schemes = list(ALL_SCHEMES)
     else:
-        schemes = [Scheme.from_token(args.scheme)]
+        schemes = [Scheme(args.scheme)]
     multi = len(schemes) > 1
 
     results = {}

@@ -141,18 +141,16 @@ class Machine:
         asid: int,
         role: ThreadRole,
         name: str = "",
-        state: ThreadState | None = None,
     ) -> ThreadControlBlock:
         if tid in self.threads:
             raise ValueError(f"thread id {tid} already registered")
         if tid <= 0:
             raise ValueError("thread ids must be positive (0 is the kernel)")
-        if state is None:
-            # Pagers and region mappers idle in their message loop.
-            if role in (ThreadRole.PAGER, ThreadRole.REGION_MAPPER):
-                state = ThreadState.BLOCKED_ON_RECEIVE
-            else:
-                state = ThreadState.READY
+        # Pagers and region mappers idle in their message loop.
+        if role in (ThreadRole.PAGER, ThreadRole.REGION_MAPPER):
+            state = ThreadState.BLOCKED_ON_RECEIVE
+        else:
+            state = ThreadState.READY
         tcb = ThreadControlBlock(tid=tid, asid=asid, role=role, state=state, name=name)
         self.threads[tid] = tcb
         self._mailboxes[tid] = deque()
@@ -224,12 +222,13 @@ class Machine:
         sender, receiver, kind, payload = msg
         if receiver not in self.threads:
             raise UnknownReceiverError(f"no receiver with id {receiver}")
-        args: list = [sender, receiver, kind.value]
+        # _value_ is a plain attribute; .value runs Python code per read.
+        args: list = [sender, receiver, kind._value_]
         if payload is not None:
             faulter, vaddr, access, marker = payload
             args.append(f"faulter={faulter}")
             if kind is not MessageKind.REPLY:
-                args += (f"vaddr={vaddr:#x}", f"access={access.value}",
+                args += (f"vaddr={vaddr:#x}", f"access={access._value_}",
                          f"marker={marker}")
         self.trace.append(EventKind.IPC_SEND, *args, cycle=cycle)
         if receiver != KERNEL_TID:
@@ -242,7 +241,7 @@ class Machine:
         if not box:
             raise SimulationHasNoMessage(tid)
         msg = box.popleft()
-        self.trace.append(EventKind.IPC_RECEIVE, tid, msg.kind.value, cycle=cycle)
+        self.trace.append(EventKind.IPC_RECEIVE, tid, msg.kind._value_, cycle=cycle)
         return msg
 
     def pending_messages(self, tid: int) -> int:
@@ -285,7 +284,7 @@ class Machine:
                 return tid
         raise DeadlockError("no runnable thread")
 
-    def yield_current(self, cycle: int | None = None) -> int:
+    def yield_current(self) -> int:
         """Voluntary yield: demote the running thread to ready and dispatch
         the scheduler's next pick (which may be the same thread)."""
         if self._occupant is not None:
@@ -293,7 +292,7 @@ class Machine:
             if occ.state is ThreadState.RUNNING:
                 occ.state = ThreadState.READY
         tid = self.schedule_next()
-        self.switch_to(tid, cycle=cycle)
+        self.switch_to(tid)
         return tid
 
 

@@ -14,7 +14,7 @@ table, the management contracts, and the page table:
 5. otherwise the fault is forwarded to the region's manager (DISPATCHED)
    together with the 31-bit marker stored in the entry.
 
-Protection verdicts terminate the faulting thread; the simulator parks it
+Protection verdicts terminate the faulting thread; the dispatcher parks it
 suspended for good since nothing ever resumes it.
 
 The management contract is stored in the region table but its transitions
@@ -43,6 +43,7 @@ from .engine import (
     Machine,
     Message,
     MessageKind,
+    ThreadState,
 )
 from .errors import (
     BadRegionError,
@@ -214,6 +215,7 @@ class FaultCycle:
     manager: int | None = None
     trap_seq: int = -1
     closed: bool = False
+    # The thread whose reply settles the fault; a reflection moves it.
     dispatched_to: int | None = None
 
 
@@ -232,19 +234,14 @@ def fault_message(cycle: FaultCycle, cls: Classification, receiver: int) -> Mess
     )
 
 
-@dataclass
-class _Outstanding:
-    handler: int
-    cycle: FaultCycle
-
-
 class FaultDispatcher:
-    """Sequencing of trap, verdict, dispatch, and reply events.
+    """Every protocol step of a fault, from trap to settlement.
 
     One instance per simulation run.  The scheme layer decides where a
-    DISPATCHED fault is routed; everything else (event order, suspension,
-    reply validation, cycle accounting) is identical across schemes and
-    lives here.
+    DISPATCHED fault is routed and when a pager runs; every event that is
+    attributed to a fault cycle (crossings, protocol context switches,
+    suspension, IPC, verdicts, map and unmap) is emitted here, so the
+    accounting rules hold for every scheme by construction.
     """
 
     def __init__(self, machine: Machine, spaces: dict[int, AddressSpace]) -> None:
@@ -252,7 +249,7 @@ class FaultDispatcher:
         self.spaces = spaces
         self.memory = KernelMemory(machine, spaces)
         self.cycles: list[FaultCycle] = []
-        self._outstanding: dict[int, _Outstanding] = {}
+        self._outstanding: dict[int, FaultCycle] = {}  # by faulter
 
     # ---- trap and verdicts ----------------------------------------------
 
@@ -277,26 +274,35 @@ class FaultDispatcher:
         cycle.verdict = cls.code
         cycle.rid = cls.rid
         cycle.manager = cls.manager
-        args = [cls.code.value, f"tid={cycle.faulter}", f"vaddr={cycle.vaddr:#x}"]
+        # _value_ is a plain attribute; .value runs Python code per read.
+        args = [cls.code._value_, f"tid={cycle.faulter}", f"vaddr={cycle.vaddr:#x}"]
         if cls.manager is not None:
             args.append(f"manager={cls.manager}")
         self.machine.trace.append(EventKind.VERDICT, *args, cycle=cycle.index)
 
-    def general_protection(self, cycle: FaultCycle, cls: Classification) -> None:
-        """Record the verdict and terminate the faulter.  The thread state
-        enum has no terminal member, so termination is modeled as a
-        suspension nothing will ever pair with a resume."""
-        self.record_verdict(cycle, cls)
+    def park(self, cycle: FaultCycle) -> None:
+        """Suspend the faulter for good: the thread state enum has no
+        terminal member, so a thread that can never continue is modeled
+        as a suspension nothing will ever pair with a resume."""
         self.machine.suspend(cycle.faulter, cycle=cycle.index)
+
+    def general_protection(self, cycle: FaultCycle, cls: Classification) -> None:
+        """Record the verdict and terminate the faulter."""
+        self.record_verdict(cycle, cls)
+        self.park(cycle)
+
+    def return_to_faulter(self, cycle: FaultCycle) -> None:
+        """Leave the kernel into the faulter and close the cycle."""
+        self.machine.leave_kernel(cycle=cycle.index)
+        self.machine.switch_to(cycle.faulter, cycle=cycle.index)
+        cycle.closed = True
 
     def resume_present(self, cycle: FaultCycle, cls: Classification) -> None:
         """The page became present between trap and dispatch: go straight
         back to user mode.  The thread was never suspended, so no suspend
         or resume events appear and no pager hears about the fault."""
         self.record_verdict(cycle, cls)
-        self.machine.leave_kernel(cycle=cycle.index)
-        self.machine.switch_to(cycle.faulter, cycle=cycle.index)
-        cycle.closed = True
+        self.return_to_faulter(cycle)
 
     # ---- dispatch to a pager --------------------------------------------
 
@@ -304,40 +310,70 @@ class FaultDispatcher:
         self, cycle: FaultCycle, cls: Classification, target: int
     ) -> Message:
         """Phase two for a dispatched fault: record the verdict, suspend
-        the faulter, and queue the fault message at ``target``.  Delivery
-        switching is the caller's business."""
+        the faulter, and queue the fault message at ``target``.  When the
+        message is delivered is the caller's business (see ``deliver``)."""
         self.record_verdict(cycle, cls)
         self.machine.suspend(cycle.faulter, cycle=cycle.index)
         msg = fault_message(cycle, cls, target)
         self.machine.send(msg, cycle=cycle.index)
-        self._outstanding[cycle.faulter] = _Outstanding(handler=target, cycle=cycle)
+        self._outstanding[cycle.faulter] = cycle
         cycle.dispatched_to = target
         return msg
 
+    def deliver(self, target: int) -> tuple[Message, int] | None:
+        """Hand the next message queued at ``target`` to it: the
+        kernel-to-user crossing, the switch to the receiver, and the
+        receive, all attributed to the cycle of the fault the message is
+        about.  Returns the message and that cycle's index, or ``None``
+        if the mailbox is empty."""
+        machine = self.machine
+        msg = machine.peek_message(target)
+        if msg is None:
+            return None
+        index = self._outstanding[msg.payload.faulter].index
+        tcb = machine.thread(target)
+        if tcb.state is ThreadState.BLOCKED_ON_RECEIVE:
+            tcb.state = ThreadState.READY
+        machine.leave_kernel(cycle=index)
+        machine.switch_to(target, cycle=index)
+        return machine.receive(target, cycle=index), index
+
+    def reflect(self, mapper: int, msg: Message, target: int, index: int) -> None:
+        """A region mapper's reflect syscall: forward ``msg``'s fault
+        unchanged to ``target``, make ``target`` the thread whose reply
+        settles it, and put the mapper back in its receive loop."""
+        self.machine.enter_kernel(cycle=index)
+        self.reroute(msg.payload.faulter, target)
+        self.machine.send(
+            Message(
+                sender=mapper,
+                receiver=target,
+                kind=MessageKind.REFLECTION,
+                payload=msg.payload,
+            ),
+            cycle=index,
+        )
+        self.machine.block_on_receive(mapper)
+
     def reroute(self, faulter: int, new_handler: int) -> None:
         """A reflection moved responsibility for an in-flight fault."""
-        out = self._outstanding.get(faulter)
-        if out is None:
+        cycle = self._outstanding.get(faulter)
+        if cycle is None:
             raise NoOutstandingFaultError(f"thread {faulter} has no fault in flight")
-        out.handler = new_handler
-
-    def outstanding_cycle(self, faulter: int) -> FaultCycle | None:
-        out = self._outstanding.get(faulter)
-        return out.cycle if out else None
+        cycle.dispatched_to = new_handler
 
     def pager_reply(self, pager: int, faulter: int) -> FaultCycle:
         """A pager's reply syscall: validate it, wake the faulter, and hand
         the CPU back.  Emits U2K (the syscall), the reply send, the
         resume, K2U, and the context switch back to the faulter."""
-        out = self._outstanding.get(faulter)
-        if out is None:
+        cycle = self._outstanding.get(faulter)
+        if cycle is None:
             raise NoOutstandingFaultError(f"thread {faulter} has no fault in flight")
-        if out.handler != pager:
+        if cycle.dispatched_to != pager:
             raise WrongPagerError(
-                f"fault of thread {faulter} is handled by {out.handler}, "
+                f"fault of thread {faulter} is handled by {cycle.dispatched_to}, "
                 f"not {pager}"
             )
-        cycle = out.cycle
         del self._outstanding[faulter]
         self.machine.enter_kernel(cycle=cycle.index)
         self.machine.send(
@@ -356,7 +392,5 @@ class FaultDispatcher:
         )
         self.machine.resume(faulter, cycle=cycle.index)
         self.machine.block_on_receive(pager)
-        self.machine.leave_kernel(cycle=cycle.index)
-        self.machine.switch_to(faulter, cycle=cycle.index)
-        cycle.closed = True
+        self.return_to_faulter(cycle)
         return cycle

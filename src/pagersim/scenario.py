@@ -208,9 +208,12 @@ def parse_scenario(text: str) -> ScenarioFile:
     layout_kw: dict[str, int] = {}
     options = Options()
     threads: list[ThreadDecl] = []
-    pager_lines: list[tuple[int, dict]] = []
-    backing_lines: list[tuple[int, str, int, int]] = []
-    dbrange_lines: list[tuple[int, dict[str, str]]] = []
+    pager_decls: list[dict] = []
+    # Keyed by pager name; a pager's backing and dbrange lines may come
+    # before or after its pager line.
+    backing: dict[str, list[tuple[int, int]]] = {}
+    pager_dbs: dict[str, list[DbRange]] = {}
+    space_dbs: dict[int, list[DbRange]] = {}
     assigns: list[AssignDecl] = []
     script: list[ScriptItem] = []
     expectations: list[Expectation] = []
@@ -300,7 +303,7 @@ def parse_scenario(text: str) -> ScenarioFile:
                     raise ParseError(lineno, f"bad accepts {val!r}")
                 decl["accepts"] = val == "yes"
             _reject_extra(kv, lineno)
-            pager_lines.append((lineno, decl))
+            pager_decls.append(decl)
 
         elif word == "backing":
             if not rest:
@@ -309,21 +312,28 @@ def parse_scenario(text: str) -> ScenarioFile:
             vaddr = _int(_take(kv, "vaddr", lineno), lineno, "vaddr")
             frame = _int(_take(kv, "frame", lineno), lineno, "frame")
             _reject_extra(kv, lineno)
-            backing_lines.append((lineno, name, vaddr, frame))
+            backing.setdefault(name, []).append((vaddr, frame))
 
         elif word == "dbrange":
             kv = _kv(rest, lineno)
             if ("asid" in kv) == ("pager" in kv):
                 raise ParseError(lineno, "dbrange needs asid= or pager= (not both)")
-            entry = dict(kv)
-            for key in ("start", "end", "target"):
-                if key not in kv:
-                    raise ParseError(lineno, f"missing {key}=")
-                kv.pop(key)
-            kv.pop("asid", None)
-            kv.pop("pager", None)
+            owner = kv.pop("pager", None)
+            start_tok = _take(kv, "start", lineno)
+            end_tok = _take(kv, "end", lineno)
+            target = _take(kv, "target", lineno)
+            asid_tok = kv.pop("asid", None)
             _reject_extra(kv, lineno)
-            dbrange_lines.append((lineno, entry))
+            start = _int(start_tok, lineno, "start")
+            end = _int(end_tok, lineno, "end")
+            if start >= end:
+                raise ParseError(lineno, "empty dbrange")
+            rng = DbRange(start=start, end=end, target=target)
+            if owner is None:
+                asid = _int(asid_tok, lineno, "asid")
+                space_dbs.setdefault(asid, []).append(rng)
+            else:
+                pager_dbs.setdefault(owner, []).append(rng)
 
         elif word == "assign":
             kv = _kv(rest, lineno)
@@ -419,49 +429,31 @@ def parse_scenario(text: str) -> ScenarioFile:
     except ValueError as exc:
         raise ParseError(layout_line, str(exc)) from None
 
-    sf = ScenarioFile(
-        layout=layout,
-        options=options,
-        threads=threads,
-        assigns=assigns,
-        script=script,
-        expectations=expectations,
-    )
-    _attach_pagers(sf, pager_lines, backing_lines, dbrange_lines)
-    _validate(sf)
-    return sf
-
-
-def _attach_pagers(sf, pager_lines, backing_lines, dbrange_lines) -> None:
-    backing: dict[str, list[tuple[int, int]]] = {}
-    for lineno, name, vaddr, frame in backing_lines:
-        backing.setdefault(name, []).append((vaddr, frame))
-
-    pager_dbs: dict[str, list[DbRange]] = {}
-    for lineno, entry in dbrange_lines:
-        start = _int(entry["start"], lineno, "start")
-        end = _int(entry["end"], lineno, "end")
-        if start >= end:
-            raise ParseError(lineno, "empty dbrange")
-        rng = DbRange(start=start, end=end, target=entry["target"])
-        if "asid" in entry:
-            asid = _int(entry["asid"], lineno, "asid")
-            cur = list(sf.space_dbranges.get(asid, ()))
-            cur.append(rng)
-            sf.space_dbranges[asid] = tuple(cur)
-        else:
-            pager_dbs.setdefault(entry["pager"], []).append(rng)
-
-    for lineno, decl in pager_lines:
-        name = decl["name"]
-        decl["backing"] = tuple(backing.pop(name, ()))
-        decl["dbranges"] = tuple(pager_dbs.pop(name, ()))
-        sf.pagers.append(PagerDecl(**decl))
-
+    pagers = [
+        PagerDecl(
+            **decl,
+            backing=tuple(backing.pop(decl["name"], ())),
+            dbranges=tuple(pager_dbs.pop(decl["name"], ())),
+        )
+        for decl in pager_decls
+    ]
     if backing:
         raise SemanticError(f"backing for undeclared pager {next(iter(backing))!r}")
     if pager_dbs:
         raise SemanticError(f"dbrange for undeclared pager {next(iter(pager_dbs))!r}")
+
+    sf = ScenarioFile(
+        layout=layout,
+        options=options,
+        threads=threads,
+        pagers=pagers,
+        space_dbranges={a: tuple(r) for a, r in space_dbs.items()},
+        assigns=assigns,
+        script=script,
+        expectations=expectations,
+    )
+    _validate(sf)
+    return sf
 
 
 def _check_no_overlap(ranges, what: str) -> None:

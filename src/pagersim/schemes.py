@@ -19,7 +19,9 @@ DISPATCHED fault travels before someone maps a frame:
 
 A resolved fault's cost is read off the trace from the events attributed
 to its cycle, so scripted scheduling noise between faults never pollutes
-the per-fault figures.  One tally (``_tally``) decides which event kinds
+the per-fault figures.  Every attributed event is emitted by the
+``FaultDispatcher``; the simulator only decides where a dispatched fault
+goes and when a pager runs.  One tally (``_tally``) decides which event kinds
 count toward which cost column; per-cycle metrics and whole-run totals
 both go through it.
 """
@@ -33,10 +35,8 @@ from .engine import (
     DeterministicOrder,
     Machine,
     Message,
-    MessageKind,
     SeededRoundRobin,
     ThreadRole,
-    ThreadState,
 )
 from .errors import (
     IncompleteCycleError,
@@ -71,6 +71,7 @@ from .scenario import (
     PagerStepItem,
     ScenarioFile,
     SwitchItem,
+    ThreadDecl,
     YieldItem,
 )
 from .trace import EventKind, Trace
@@ -81,13 +82,6 @@ class Scheme(Enum):
     L4_SINGLE = "l4-single"
     REGION_DISPATCH = "proposed"
     L4RE = "l4re"
-
-    @classmethod
-    def from_token(cls, token: str) -> "Scheme":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise ValueError(f"unknown scheme {token!r}")
 
 
 ALL_SCHEMES = (
@@ -230,8 +224,9 @@ class Simulator:
         # (action, cycle index) queues per pager, in delivery order.
         self._actions: dict[int, list[tuple[Action, int]]] = {}
         self._held: dict[int, FaultCycle] = {}
-        self._rm_of: dict[int, int] = {}
-        self._thread_pager: dict[int, int] = {}
+        # Faulting thread -> the pager the kernel sends its faults to, under
+        # the two schemes that route by thread rather than by region.
+        self._pager_of: dict[int, int] = {}
 
         self._check_scheme_fit()
         if scheme is Scheme.L4RE:
@@ -267,17 +262,23 @@ class Simulator:
                     "pager-step directives are meaningless under monolithic "
                     "dispatch: no pager threads run"
                 )
-        if scheme is Scheme.L4RE:
-            for item in sf.script:
-                if isinstance(item, AccessItem):
-                    decl = self._decl[item.thread]
-                    if decl.role is ThreadRole.REGION_MAPPER:
-                        raise SchemeMismatchError(
-                            "a region mapper must never fault; its pages are "
-                            "wired"
-                        )
+        if scheme is Scheme.L4RE and any(
+            t.role is ThreadRole.REGION_MAPPER for t in self._faulters()
+        ):
+            raise SchemeMismatchError(
+                "a region mapper must never fault; its pages are wired"
+            )
+
+    def _faulters(self) -> list[ThreadDecl]:
+        """Declarations of the threads the script makes access memory, in
+        order of first access."""
+        names = dict.fromkeys(
+            i.thread for i in self.sf.script if isinstance(i, AccessItem)
+        )
+        return [self._decl[name] for name in names]
 
     def _wire_region_mappers(self) -> None:
+        """In L4Re a space's region mapper is the pager of all its threads."""
         declared: dict[int, int] = {}
         for t in self.sf.threads:
             if t.role is ThreadRole.REGION_MAPPER:
@@ -286,15 +287,10 @@ class Simulator:
                         f"two region mappers declared for asid {t.asid}"
                     )
                 declared[t.asid] = t.tid
-        fault_asids = sorted(
-            {
-                self._decl[i.thread].asid
-                for i in self.sf.script
-                if isinstance(i, AccessItem)
-            }
-        )
+        faulters = self._faulters()
+        mapper_of: dict[int, int] = {}
         next_tid = max((t.tid for t in self.sf.threads), default=0) + 1
-        for asid in fault_asids:
+        for asid in sorted({t.asid for t in faulters}):
             tid = declared.get(asid)
             if tid is None:
                 tid = next_tid
@@ -302,10 +298,12 @@ class Simulator:
                 self.machine.register_thread(
                     tid, asid, role=ThreadRole.REGION_MAPPER, name=f"rm{asid}"
                 )
-            self._rm_of[asid] = tid
+            mapper_of[asid] = tid
             self.behaviors[tid] = PagerBehavior(
                 policy=PagerPolicy.REFLECTING, db=self._space_db(asid)
             )
+        for t in faulters:
+            self._pager_of[t.tid] = mapper_of[t.asid]
 
     def _space_db(self, asid: int) -> MappingDatabase:
         """Mapping database of one space's region mapper: the explicit
@@ -326,19 +324,14 @@ class Simulator:
 
     def _wire_thread_pagers(self) -> None:
         pager_tids = [self._decl[p.name].tid for p in self.sf.pagers]
-        for item in self.sf.script:
-            if not isinstance(item, AccessItem):
-                continue
-            decl = self._decl[item.thread]
-            if decl.tid in self._thread_pager:
-                continue
-            if decl.pager_name is not None:
-                self._thread_pager[decl.tid] = self._decl[decl.pager_name].tid
+        for t in self._faulters():
+            if t.pager_name is not None:
+                self._pager_of[t.tid] = self._decl[t.pager_name].tid
             elif len(pager_tids) == 1:
-                self._thread_pager[decl.tid] = pager_tids[0]
+                self._pager_of[t.tid] = pager_tids[0]
             else:
                 raise SchemeMismatchError(
-                    f"thread {decl.name!r} has no unambiguous pager for "
+                    f"thread {t.name!r} has no unambiguous pager for "
                     "single-pager dispatch; declare pager= on the thread"
                 )
 
@@ -369,6 +362,10 @@ class Simulator:
 
     def _exec_access(self, item: AccessItem) -> None:
         tid = self._decl[item.thread].tid
+        if tid in self._held:
+            raise SimulationError(
+                f"thread {item.thread!r} has a held fault; dispatch it first"
+            )
         tcb = self.machine.thread(tid)
         self.machine.switch_to(tid)
         space = self.spaces[tcb.asid]
@@ -419,21 +416,12 @@ class Simulator:
         if self.scheme is Scheme.MONOLITHIC:
             self._resolve_in_kernel(cycle, cls)
             return
-        target = self._route_target(cycle, cls)
+        if self.scheme is Scheme.REGION_DISPATCH:
+            target = cls.manager
+        else:
+            target = self._pager_of[cycle.faulter]
         self.dispatcher.suspend_and_send(cycle, cls, target)
         self._try_deliver(target)
-
-    def _route_target(self, cycle: FaultCycle, cls: Classification) -> int:
-        if self.scheme is Scheme.REGION_DISPATCH:
-            return cls.manager
-        if self.scheme is Scheme.L4_SINGLE:
-            return self._thread_pager[cycle.faulter]
-        rm = self._rm_of.get(cycle.asid)
-        if rm is None:
-            raise SchemeMismatchError(
-                f"space {cycle.asid} has no region mapper"
-            )
-        return rm
 
     def _behavior_of(self, tid: int) -> PagerBehavior:
         behavior = self.behaviors.get(tid)
@@ -461,24 +449,18 @@ class Simulator:
         """Monolithic path: the verdict still names the responsible manager
         (here an in-kernel module), but resolution happens without leaving
         kernel work: no suspension, no IPC, no occupancy change."""
-        self.dispatcher.record_verdict(cycle, cls)
+        dispatcher = self.dispatcher
+        dispatcher.record_verdict(cycle, cls)
         msg = fault_message(cycle, cls, cls.manager)
         for action in self._build_actions(cls.manager, msg):
-            if isinstance(action, MapAction):
-                self.dispatcher.memory.map_page(
-                    cls.manager, action.asid, action.vaddr,
-                    action.frame, action.marker, cycle=cycle.index,
-                )
-            elif isinstance(action, RevokeRegionAction):
-                self._revoke_region(cls.manager, action, cycle.index)
-            elif isinstance(action, ReplyAction):
-                self.machine.leave_kernel(cycle=cycle.index)
-                self.machine.switch_to(cycle.faulter, cycle=cycle.index)
-                cycle.closed = True
+            if isinstance(action, ReplyAction):
+                dispatcher.return_to_faulter(cycle)
+            else:
+                self._change_memory(cls.manager, action, cycle.index)
         if not cycle.closed:
             # The in-kernel policy produced no resolution; the thread can
             # never make progress, park it like a protection fault.
-            self.machine.suspend(cycle.faulter, cycle=cycle.index)
+            dispatcher.park(cycle)
 
     # ---- delivery and pager actions -------------------------------------
 
@@ -487,73 +469,55 @@ class Simulator:
         working through earlier actions."""
         if self._actions.get(target):
             return
-        msg = self.machine.peek_message(target)
-        if msg is None:
+        delivered = self.dispatcher.deliver(target)
+        if delivered is None:
             return
-        tcb = self.machine.thread(target)
-        if tcb.state is ThreadState.BLOCKED_ON_RECEIVE:
-            tcb.state = ThreadState.READY
-        # Delivery hands the CPU to the receiver: kernel->user crossing
-        # plus a context switch when the occupant changes.
-        cycle = self.dispatcher.outstanding_cycle(msg.payload.faulter)
-        peek_cycle = cycle.index if cycle is not None else None
-        self.machine.leave_kernel(cycle=peek_cycle)
-        self.machine.switch_to(target, cycle=peek_cycle)
-        msg = self.machine.receive(target, cycle=peek_cycle)
+        msg, index = delivered
         actions = self._build_actions(target, msg)
         if actions:
-            self._actions[target] = [(a, peek_cycle) for a in actions]
+            self._actions[target] = [(a, index) for a in actions]
         else:
             self._drain(target)
 
     def _exec_action(self, pager: int) -> None:
-        action, cyc = self._actions[pager].pop(0)
-        if isinstance(action, MapAction):
-            self.dispatcher.memory.map_page(
-                pager, action.asid, action.vaddr, action.frame,
-                action.marker, cycle=cyc,
-            )
-        elif isinstance(action, RevokeRegionAction):
-            self._revoke_region(pager, action, cyc)
-        elif isinstance(action, ReplyAction):
+        action, index = self._actions[pager].pop(0)
+        if isinstance(action, ReplyAction):
             self._ensure_running(pager)
             self.dispatcher.pager_reply(pager, action.faulter)
         elif isinstance(action, ReflectAction):
-            self._reflect(pager, action.message, cyc)
+            self._reflect(pager, action.message, index)
+        else:
+            self._change_memory(pager, action, index)
         if not self._actions.get(pager):
             self._drain(pager)
 
-    def _revoke_region(self, pager: int, action: RevokeRegionAction, cyc) -> None:
-        space = self.spaces[action.asid]
-        pages = space.present_pages_in_region(action.rid)
-        for i, page in enumerate(pages):
-            self.dispatcher.memory.unmap_page(
-                pager,
-                action.asid,
-                page * self.layout.page_size,
-                revoke=(i == len(pages) - 1),
-                cycle=cyc,
+    def _change_memory(self, pager: int, action: Action, index: int) -> None:
+        """Carry out a map or revoke action through the kernel's memory
+        service, on behalf of ``pager``."""
+        memory = self.dispatcher.memory
+        if isinstance(action, MapAction):
+            memory.map_page(
+                pager, action.asid, action.vaddr, action.frame,
+                action.marker, cycle=index,
             )
+        elif isinstance(action, RevokeRegionAction):
+            pages = self.spaces[action.asid].present_pages_in_region(action.rid)
+            for i, page in enumerate(pages):
+                memory.unmap_page(
+                    pager,
+                    action.asid,
+                    page * self.layout.page_size,
+                    revoke=(i == len(pages) - 1),
+                    cycle=index,
+                )
 
-    def _reflect(self, rm: int, original: Message, cyc: int | None) -> None:
+    def _reflect(self, rm: int, original: Message, index: int) -> None:
         """Region-mapper reflection: look up the responsible pager and
         forward the fault message unchanged, then return to the receive
         loop.  The reply will not come back through here."""
         self._ensure_running(rm)
-        behavior = self._behavior_of(rm)
-        self.machine.enter_kernel(cycle=cyc)
-        target = behavior.db.lookup(original.payload.vaddr)
-        self.dispatcher.reroute(original.payload.faulter, target)
-        self.machine.send(
-            Message(
-                sender=rm,
-                receiver=target,
-                kind=MessageKind.REFLECTION,
-                payload=original.payload,
-            ),
-            cycle=cyc,
-        )
-        self.machine.block_on_receive(rm)
+        target = self._behavior_of(rm).db.lookup(original.payload.vaddr)
+        self.dispatcher.reflect(rm, original, target, index)
         self._try_deliver(target)
 
     def _ensure_running(self, pager: int) -> None:
@@ -564,13 +528,9 @@ class Simulator:
             self.machine.switch_to(pager)
 
     def _service_to_quiescence(self) -> None:
+        # A queue leaves the map as soon as it empties (see _drain).
         while self._actions:
-            pager = next(
-                (tid for tid, queue in self._actions.items() if queue), None
-            )
-            if pager is None:
-                return
-            self._exec_action(pager)
+            self._exec_action(next(iter(self._actions)))
 
     def _drain(self, pager: int) -> None:
         self._actions.pop(pager, None)

@@ -44,7 +44,7 @@ class TraceEvent(NamedTuple):
 
     def render(self) -> str:
         seq, kind, args, cycle = self
-        parts = [str(seq), kind.value, *map(str, args)]
+        parts = [str(seq), kind._value_, *map(str, args)]
         if cycle is not None:
             parts.append(f"cycle={cycle}")
         return " ".join(parts)

@@ -214,3 +214,21 @@ def test_report_equals_overhead_report(name, tmp_path, capsys):
         report = overhead_report(parse_scenario(fixture_scn(name)))
         want = report.as_table() if style == "table" else report.as_kv()
         assert capsys.readouterr().out.endswith(want)
+
+
+def test_access_by_a_thread_with_a_held_fault_is_an_error(tmp_path, capsys):
+    path = tmp_path / "held_twice.scn"
+    path.write_text(
+        "thread A tid=1 asid=1 role=applicant\n"
+        "thread P tid=2 asid=2 role=pager\n"
+        "pager P policy=anonymous\n"
+        "assign asid=1 rid=0 pager=P\n"
+        "access A 0x1000 read hold\n"
+        "access A 0x2000 read\n"
+    )
+    rc = cli.main(["--scenario", str(path), "--scheme", "proposed"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        "error: thread 'A' has a held fault; dispatch it first\n"
+    )

@@ -212,6 +212,60 @@ def test_reroute_moves_responsibility():
         disp.reroute(5, PAGER)
 
 
+def test_deliver_on_an_empty_mailbox_does_nothing():
+    m, spaces, disp = dispatcher_setup()
+    assert disp.deliver(PAGER) is None
+    assert len(m.trace) == 0
+    assert m.thread(PAGER).state is ThreadState.BLOCKED_ON_RECEIVE
+
+
+def test_deliver_is_attributed_to_the_cycle_of_the_message():
+    m, spaces, disp = dispatcher_setup()
+    m.register_thread(3, 1, role=ThreadRole.APPLICANT, name="u")
+    first = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    sent = disp.suspend_and_send(first, classify(spaces[1], 0x1000), target=PAGER)
+    m.switch_to(3)
+    second = disp.begin_fault(FaultEvent(tid=3, vaddr=0x2000, access=AccessType.READ))
+    disp.suspend_and_send(second, classify(spaces[1], 0x2000), target=OTHER)
+    start = len(m.trace)
+
+    msg, index = disp.deliver(PAGER)
+    assert (msg, index) == (sent, first.index)
+    delivery = m.trace[start:]
+    assert [(ev.kind, ev.cycle) for ev in delivery] == [
+        (EventKind.MODE_SWITCH_K2U, 0),
+        (EventKind.CONTEXT_SWITCH, 0),
+        (EventKind.IPC_RECEIVE, 0),
+    ]
+    assert m.occupant == PAGER
+    assert m.thread(PAGER).state is ThreadState.RUNNING
+    assert m.pending_messages(PAGER) == 0
+    assert disp.deliver(PAGER) is None
+
+
+def test_reflect_hands_the_fault_to_the_new_handler():
+    m, spaces, disp = dispatcher_setup()
+    cycle = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    disp.suspend_and_send(cycle, classify(spaces[1], 0x1000), target=OTHER)
+    msg, index = disp.deliver(OTHER)
+    start = len(m.trace)
+
+    disp.reflect(OTHER, msg, PAGER, index)
+    assert [ev.render() for ev in m.trace[start:]] == [
+        f"{start} MODE_SWITCH_U2K cycle=0",
+        f"{start + 1} IPC_SEND {OTHER} {PAGER} REFLECTION faulter=1 "
+        "vaddr=0x1000 access=R marker=0 cycle=0",
+    ]
+    assert cycle.dispatched_to == PAGER
+    assert m.thread(OTHER).state is ThreadState.BLOCKED_ON_RECEIVE
+    assert m.peek_message(PAGER).payload == msg.payload
+    with pytest.raises(WrongPagerError):
+        disp.pager_reply(OTHER, faulter=1)  # the mapper no longer answers
+    disp.deliver(PAGER)
+    assert disp.pager_reply(PAGER, faulter=1) is cycle
+    assert cycle.closed
+
+
 def test_general_protection_is_permanent_suspension():
     m, spaces, disp = dispatcher_setup()
     cycle = disp.begin_fault(

@@ -228,3 +228,20 @@ def test_negative_frames_is_a_parse_error():
         parse_scenario(thread + "option frames=-1\n")
     assert exc.value.line == 2
     assert parse_scenario(thread + "option frames=0\n").options.frames == 0
+
+
+@pytest.mark.parametrize(
+    "dbrange, message",
+    [
+        ("dbrange asid=1 start=0x1g end=0x2000 target=P", "bad start: '0x1g'"),
+        ("dbrange asid=1 start=0x1000 end=top target=P", "bad end: 'top'"),
+        ("dbrange asid=one start=0x1000 end=0x2000 target=P", "bad asid: 'one'"),
+        ("dbrange pager=P start=0x2000 end=0x1000 target=P", "empty dbrange"),
+    ],
+)
+def test_bad_dbrange_value_reports_its_own_line(dbrange, message):
+    # The later bad line must not be the one reported.
+    text = "thread P tid=1 asid=1 role=pager\n" + dbrange + "\nbogus directive\n"
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    assert (exc.value.line, exc.value.message) == (2, message)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -24,6 +25,7 @@ from pagersim.errors import (
     SimulationError,
 )
 from pagersim.reproduce import FIXTURES
+from pagersim.trace import Trace
 from support import fixture_scn, golden
 
 
@@ -411,6 +413,37 @@ def test_costs_equal_per_kind_counts(name):
                 ev for ev in res.trace if ev.cycle == cycle.index
             )
             assert got == want, (res.scheme, cycle.index)
+
+
+# ---- one owner for the fault protocol ------------------------------------
+
+# Modules that only record what their callers ask for.
+_RECORDERS = ("pagersim.engine", "pagersim.trace")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_attributed_event_is_emitted_by_the_dispatcher(name, monkeypatch):
+    append = Trace.append
+    emitters = set()
+
+    def recording_append(trace, kind, *args, cycle=None):
+        if cycle is not None:
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] in _RECORDERS:
+                frame = frame.f_back
+            emitters.add(
+                (frame.f_globals["__name__"], frame.f_code.co_qualname, kind.name)
+            )
+        return append(trace, kind, *args, cycle=cycle)
+
+    monkeypatch.setattr(Trace, "append", recording_append)
+    assert fitting_results(name)
+    assert emitters
+    assert {
+        (function, kind)
+        for module, function, kind in emitters
+        if module != "pagersim.fault_dispatch"
+    } == set()
 
 
 # ---- allocation follows what the scenario uses ---------------------------
