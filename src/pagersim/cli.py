@@ -81,8 +81,8 @@ def _trace_path(base: str, scheme: Scheme, multi: bool) -> Path:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as exc:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -223,13 +223,13 @@ class Machine:
         if receiver not in self.threads:
             raise UnknownReceiverError(f"no receiver with id {receiver}")
         # _value_ is a plain attribute; .value runs Python code per read.
-        args: list = [sender, receiver, kind._value_]
+        args: tuple = (sender, receiver, kind._value_)
         if payload is not None:
             faulter, vaddr, access, marker = payload
-            args.append(f"faulter={faulter}")
-            if kind is not MessageKind.REPLY:
-                args += (f"vaddr={vaddr:#x}", f"access={access._value_}",
-                         f"marker={marker}")
+            if kind is MessageKind.REPLY:
+                args += (faulter,)
+            else:
+                args += (faulter, vaddr, access._value_, marker)
         self.trace.append(EventKind.IPC_SEND, *args, cycle=cycle)
         if receiver != KERNEL_TID:
             # The kernel consumes its messages synchronously; only real

@@ -156,12 +156,8 @@ class KernelMemory:
             # First map into the region doubles as acceptance.
             space.regions.set_contract(rid, ContractState.ACCEPTED)
         self.machine.trace.append(
-            EventKind.MAP_PAGE,
-            f"asid={asid}",
-            f"vaddr={page * space.layout.page_size:#x}",
-            f"frame={frame}",
-            f"marker={marker}",
-            cycle=cycle,
+            EventKind.MAP_PAGE, asid, page * space.layout.page_size, frame,
+            marker, cycle=cycle,
         )
 
     def unmap_page(
@@ -177,10 +173,7 @@ class KernelMemory:
         page = vaddr // space.layout.page_size
         space.pages.clear_mapping(page)
         self.machine.trace.append(
-            EventKind.UNMAP_PAGE,
-            f"asid={asid}",
-            f"vaddr={page * space.layout.page_size:#x}",
-            f"revoke={int(revoke)}",
+            EventKind.UNMAP_PAGE, asid, page * space.layout.page_size, revoke,
             cycle=cycle,
         )
         if not revoke:
@@ -275,9 +268,9 @@ class FaultDispatcher:
         cycle.rid = cls.rid
         cycle.manager = cls.manager
         # _value_ is a plain attribute; .value runs Python code per read.
-        args = [cls.code._value_, f"tid={cycle.faulter}", f"vaddr={cycle.vaddr:#x}"]
+        args: tuple = (cls.code._value_, cycle.faulter, cycle.vaddr)
         if cls.manager is not None:
-            args.append(f"manager={cls.manager}")
+            args += (cls.manager,)
         self.machine.trace.append(EventKind.VERDICT, *args, cycle=cycle.index)
 
     def park(self, cycle: FaultCycle) -> None:

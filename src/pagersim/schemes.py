@@ -21,14 +21,16 @@ A resolved fault's cost is read off the trace from the events attributed
 to its cycle, so scripted scheduling noise between faults never pollutes
 the per-fault figures.  Every attributed event is emitted by the
 ``FaultDispatcher``; the simulator only decides where a dispatched fault
-goes and when a pager runs.  One tally (``_tally``) decides which event kinds
-count toward which cost column; per-cycle metrics and whole-run totals
-both go through it.
+goes and when a pager runs.  The trace keeps one counter row per cycle,
+counting each event kind as events are appended; one function
+(``_costs``) decides which kinds count toward which cost column, and
+per-cycle metrics and whole-run totals both read rows through it.
 """
 
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import ge, gt
 
 from .address_space import AddressSpace, KERNEL_RANGE, region_id_of
 from .engine import (
@@ -74,7 +76,7 @@ from .scenario import (
     ThreadDecl,
     YieldItem,
 )
-from .trace import EventKind, Trace
+from .trace import SLOT, Trace
 
 
 class Scheme(Enum):
@@ -108,51 +110,39 @@ class CycleMetrics:
         )
 
 
-_U2K = EventKind.MODE_SWITCH_U2K
-_K2U = EventKind.MODE_SWITCH_K2U
-_CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
-_IPC_SEND = EventKind.IPC_SEND
-_IPC_RECEIVE = EventKind.IPC_RECEIVE
+# Counter-row columns (see ``trace.SLOT``) that the cost figures read.
+_U2K, _K2U, _CTX, _SEND, _RECEIVE, _SUSPEND, _RESUME = map(SLOT.__getitem__, (
+    "MODE_SWITCH_U2K", "MODE_SWITCH_K2U", "CONTEXT_SWITCH", "IPC_SEND",
+    "IPC_RECEIVE", "SUSPEND", "RESUME",
+))
+_ZERO_ROW = (0,) * len(SLOT)
 
 
-def _tally(events) -> CycleMetrics:
-    """Cost columns of the attributed events among ``events``: the one
-    place that maps event kinds to costs.  Kinds are compared by identity;
-    hashing an enum runs Python code."""
-    mode = ctx = ipc = invocations = 0
-    for _seq, kind, _args, cycle in events:
-        if cycle is None:
-            continue
-        if kind is _U2K or kind is _K2U:
-            mode += 1
-        elif kind is _CONTEXT_SWITCH:
-            ctx += 1
-        elif kind is _IPC_SEND:
-            ipc += 1
-        elif kind is _IPC_RECEIVE:
-            invocations += 1
-    return CycleMetrics(mode, ctx, ipc, invocations)
+def _costs(row) -> CycleMetrics:
+    """Cost columns of a counter row: the one place that maps event kinds
+    to costs."""
+    return CycleMetrics(
+        row[_U2K] + row[_K2U], row[_CTX], row[_SEND], row[_RECEIVE]
+    )
 
 
 def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
-    """Cost of one fault cycle, counted over the events attributed to it.
+    """Cost of one fault cycle, read from its counter row.
 
     Raises ``ValueError`` if the trace has no such fault and
     ``IncompleteCycleError`` if the faulting thread never got the CPU
     back (protection fault, or a pager that never replied).
     """
-    events = trace.of_cycle(fault_index)
-    if not events:
-        raise ValueError(f"trace has no fault cycle {fault_index}")
-    kinds = [kind for _seq, kind, _args, _cycle in events]
-    returned = EventKind.MODE_SWITCH_K2U in kinds
-    suspended = EventKind.SUSPEND in kinds
-    resumed = EventKind.RESUME in kinds
-    if not returned or (suspended and not resumed):
+    rows = trace.cycle_counts
+    # Bounds checked here: a negative index would read a row from the end.
+    row = rows[fault_index] if 0 <= fault_index < len(rows) else _ZERO_ROW
+    if not row[_K2U] or (row[_SUSPEND] and not row[_RESUME]):
+        if not any(row):  # no event is attributed to this cycle
+            raise ValueError(f"trace has no fault cycle {fault_index}")
         raise IncompleteCycleError(
             f"fault cycle {fault_index}: thread never resumed"
         )
-    return _tally(events)
+    return _costs(row)
 
 
 @dataclass
@@ -566,7 +556,9 @@ class SchemeTotals:
 
 def totals_of(result: SimResult) -> SchemeTotals:
     """Protocol-attributed event totals over a whole run."""
-    costs = _tally(result.trace)
+    # The leading zero row keeps every column when no cycle has events.
+    columns = [sum(c) for c in zip(_ZERO_ROW, *result.trace.cycle_counts)]
+    costs = _costs(columns)
     return SchemeTotals(
         scheme=result.scheme.value, faults=len(result.cycles), **asdict(costs)
     )
@@ -765,11 +757,11 @@ def verify_equivalence(results: dict[str, SimResult]) -> list[str]:
                 m2 = cycle_metrics(l4re.trace, i).as_tuple()
             except IncompleteCycleError:
                 continue  # ordering is only claimed for resolved cycles
-            if not all(a > b for a, b in zip(m2, m1)):
+            if not all(map(gt, m2, m1)):
                 problems.append(
                     f"cycle {i}: l4re {m2} not strictly above proposed {m1}"
                 )
-            if not all(a >= b for a, b in zip(m1, m0)):
+            if not all(map(ge, m1, m0)):
                 problems.append(
                     f"cycle {i}: proposed {m1} below monolithic {m0}"
                 )

@@ -10,13 +10,12 @@ Events may carry the index of the fault-handling cycle they belong to.
 Per-cycle accounting counts only attributed events; switches produced by
 scripted scheduling directives carry no attribution and are invisible to
 the per-fault cost figures, mirroring cost models that charge a fault only
-for the crossings its own handling protocol mandates.  The trace indexes
-attributed events by cycle as they are appended, so reading one cycle's
-events costs that cycle's length, not the trace's.  Events are immutable
-named tuples; hot readers unpack them rather than read attributes.
+for the crossings its own handling protocol mandates.  Appending an
+attributed event bumps its kind's count in its cycle's counter row, so
+accounting never walks the events.  Events are immutable named tuples of
+raw arguments (ints and enum spellings); only ``render`` makes text.
 """
 
-from collections import defaultdict
 from enum import Enum
 from typing import NamedTuple
 
@@ -36,6 +35,33 @@ class EventKind(Enum):
     VERDICT = "VERDICT"
 
 
+# Tables keyed by the on-wire spelling: hashing an enum runs Python code.
+# Column of each kind in a cycle's counter row:
+SLOT = {kind._value_: i for i, kind in enumerate(EventKind)}
+
+# Each kind's argument formats, in order; unlisted kinds take none.  An event
+# may carry a prefix of them: a send without payload ends at the message
+# kind, a reply after faulter=, a verdict without a manager after vaddr=.
+_FIELDS = {
+    "CONTEXT_SWITCH": ("%s", "%s"),
+    "IPC_SEND": ("%s", "%s", "%s", "faulter=%s", "vaddr=%#x", "access=%s",
+                 "marker=%s"),
+    "IPC_RECEIVE": ("%s", "%s"),
+    "SUSPEND": ("%s",),
+    "RESUME": ("%s",),
+    "MAP_PAGE": ("asid=%s", "vaddr=%#x", "frame=%s", "marker=%s"),
+    "UNMAP_PAGE": ("asid=%s", "vaddr=%#x", "revoke=%d"),
+    "VERDICT": ("%s", "tid=%s", "vaddr=%#x", "manager=%s"),
+}
+# Line templates ``seq KIND args...`` per kind, indexed by argument count,
+# without and with the cycle attribution.
+_LINES = {
+    kind: [" ".join(("%s", kind, *fields[:n])) for n in range(len(fields) + 1)]
+    for kind, fields in ((k, _FIELDS.get(k, ())) for k in SLOT)
+}
+_ATTRIBUTED_LINES = {k: [t + " cycle=%s" for t in v] for k, v in _LINES.items()}
+
+
 class TraceEvent(NamedTuple):
     seq: int
     kind: EventKind
@@ -44,18 +70,19 @@ class TraceEvent(NamedTuple):
 
     def render(self) -> str:
         seq, kind, args, cycle = self
-        parts = [str(seq), kind._value_, *map(str, args)]
-        if cycle is not None:
-            parts.append(f"cycle={cycle}")
-        return " ".join(parts)
+        if cycle is None:
+            return _LINES[kind._value_][len(args)] % (seq, *args)
+        return _ATTRIBUTED_LINES[kind._value_][len(args)] % (seq, *args, cycle)
 
 
 class Trace:
-    """Gap-free, append-only list of :class:`TraceEvent`."""
+    """Gap-free, append-only list of :class:`TraceEvent`, with one counter
+    row per attributed cycle: ``cycle_counts[c][SLOT[kind._value_]]`` is
+    how many events of that kind cycle ``c`` has."""
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        self._by_cycle: defaultdict[int, list[TraceEvent]] = defaultdict(list)
+        self.cycle_counts: list[list[int]] = []
 
     def append(self, kind: EventKind, *args, cycle: int | None = None) -> TraceEvent:
         events = self.events
@@ -63,7 +90,10 @@ class Trace:
         ev = tuple.__new__(TraceEvent, (len(events), kind, args, cycle))
         events.append(ev)
         if cycle is not None:
-            self._by_cycle[cycle].append(ev)
+            rows = self.cycle_counts
+            while len(rows) <= cycle:
+                rows.append([0] * len(SLOT))
+            rows[cycle][SLOT[kind._value_]] += 1
         return ev
 
     def __len__(self) -> int:
@@ -77,7 +107,8 @@ class Trace:
 
     def of_cycle(self, cycle: int) -> list[TraceEvent]:
         """All events attributed to one fault cycle, in trace order."""
-        return list(self._by_cycle.get(cycle, ()))
+        return [ev for ev in self.events if ev.cycle == cycle]
 
     def to_text(self) -> str:
-        return "".join([ev.render() + "\n" for ev in self.events])
+        lines = [ev.render() for ev in self.events]
+        return "\n".join(lines) + "\n" if lines else ""

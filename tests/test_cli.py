@@ -130,6 +130,17 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "utf16.scn"
+    path.write_bytes(b"\xff\xfe" + "access T 0x0 read\n".encode("utf-16-le"))
+    rc = cli.main(["--scenario", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read scenario: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_scenario_error_is_reported(tmp_path, capsys):
     path = tmp_path / "broken.scn"
     path.write_text("thread T tid=0 asid=1 role=applicant\n")

@@ -112,7 +112,10 @@ def test_send_renders_fault_payload_and_queues():
     assert m.peek_message(2).payload.marker == 5
     ev = m.trace[0]
     assert ev.kind is EventKind.IPC_SEND
-    assert ev.args == (0, 2, "PAGE_FAULT", "faulter=1", "vaddr=0x2000", "access=W", "marker=5")
+    assert ev.args == (0, 2, "PAGE_FAULT", 1, 0x2000, "W", 5)
+    assert ev.render() == (
+        "0 IPC_SEND 0 2 PAGE_FAULT faulter=1 vaddr=0x2000 access=W marker=5 cycle=0"
+    )
 
 
 def test_reply_to_kernel_renders_short_and_is_consumed_synchronously():
@@ -124,7 +127,8 @@ def test_reply_to_kernel_renders_short_and_is_consumed_synchronously():
         payload=FaultPayload(faulter=1, vaddr=0x2000, access=AccessType.READ, marker=0),
     )
     m.send(msg)
-    assert m.trace[0].args == (2, 0, "REPLY", "faulter=1")
+    assert m.trace[0].args == (2, 0, "REPLY", 1)
+    assert m.trace[0].render() == "0 IPC_SEND 2 0 REPLY faulter=1"
     assert m.pending_messages(KERNEL_TID) == 0
 
 

@@ -1,11 +1,14 @@
-"""Guards on the fault path's cost, counted in operations, not seconds.
+"""Guards on the fault path's cost, counted in operations and bytes, not
+seconds.
 
 Wall-clock bounds are flaky on a shared host; the number of Python-level
-function calls a run makes is exact and repeatable, so it is what these
-tests bound.
+function calls a run makes, and the bytes it keeps allocated, are exact
+and repeatable, so they are what these tests bound.
 """
 
+import gc
 import sys
+import tracemalloc
 from enum import Enum
 
 import pytest
@@ -16,6 +19,7 @@ from pagersim import (
     EventKind,
     FaultEvent,
     MemoryAccess,
+    Scheme,
     Simulator,
     VerdictCode,
     check_expectations,
@@ -26,12 +30,22 @@ from pagersim import (
 from pagersim.engine import FaultPayload, Message, MessageKind
 from pagersim.fault_dispatch import Classification
 from pagersim.pagers import MapAction, ReflectAction, ReplyAction, RevokeRegionAction
-from pagersim.trace import TraceEvent
+from pagersim.trace import Trace, TraceEvent
 from support import fixture_scn
 
 # Python-level calls per fault of one run of workload50 under every scheme:
 # 10% above the 102.4 measured when the budget was set (Python 3.11).
 CALLS_PER_FAULT_BUDGET = 113
+
+# Python-level calls per fault cycle of check_expectations plus
+# verify_equivalence over the four workload50 runs: 10% above the 3.44
+# measured when the budget was set (Python 3.11).
+CHECK_CALLS_PER_CYCLE_BUDGET = 3.8
+
+# Bytes one run keeps allocated per trace event on FAULT_STREAM: 10% above
+# the 192 (l4re) and 203 (proposed) measured when the bounds were set
+# (Python 3.11, 64-bit).
+BYTES_PER_EVENT_BUDGET = {Scheme.L4RE: 212, Scheme.REGION_DISPATCH: 224}
 
 _MESSAGE = Message(0, 2, MessageKind.PAGE_FAULT)
 
@@ -93,6 +107,20 @@ def test_accounting_never_hashes_an_enum():
     assert hashes == 0
 
 
+def test_check_and_verify_read_only_counters():
+    sf = parse_scenario(fixture_scn("workload50"))
+    results = {s.value: simulate(s, sf) for s in ALL_SCHEMES}
+    (failures, problems), calls, of_cycle = python_calls(
+        lambda: (check_expectations(results, sf), verify_equivalence(results)),
+        Trace.of_cycle.__code__,
+    )
+    assert failures == [] and problems == []
+    assert of_cycle == 0
+    cycles = sum(len(res.cycles) for res in results.values())
+    assert cycles == 4 * 50
+    assert calls / cycles <= CHECK_CALLS_PER_CYCLE_BUDGET
+
+
 def test_run_loop_calls_per_fault_stay_within_budget():
     sf = parse_scenario(fixture_scn("workload50"))
     sims = [Simulator(sf, s) for s in ALL_SCHEMES]
@@ -100,3 +128,44 @@ def test_run_loop_calls_per_fault_stay_within_budget():
     faults = sum(len(res.cycles) for res in results)
     assert faults == 4 * 50
     assert calls / faults <= CALLS_PER_FAULT_BUDGET
+
+
+def fault_stream(faults: int) -> str:
+    """Distinct demand-zero faults from two threads, each served by its own
+    pager, over 16 regions of 64 pages."""
+    lines = [
+        "layout regions=16 pages_per_region=64 page_size=4096",
+        "thread T1 tid=1 asid=1 role=applicant pager=P1",
+        "thread T2 tid=2 asid=1 role=applicant pager=P2",
+        "thread P1 tid=3 asid=2 role=pager",
+        "thread P2 tid=4 asid=2 role=pager",
+        "pager P1 policy=anonymous marker=page",
+        "pager P2 policy=anonymous marker=page",
+    ]
+    lines += [f"assign asid=1 rid={r} pager=P{r % 2 + 1}" for r in range(16)]
+    for i in range(faults):
+        rid, page = i % 16, i // 16
+        kind = "write" if i % 3 else "read"
+        lines.append(f"access T{rid % 2 + 1} {(rid * 64 + page) * 4096:#x} {kind}")
+    return "\n".join(lines) + "\n"
+
+
+FAULT_STREAM = fault_stream(800)
+
+
+@pytest.mark.parametrize(
+    "scheme", BYTES_PER_EVENT_BUDGET, ids=lambda s: s.value
+)
+def test_bytes_kept_per_event_stay_within_budget(scheme):
+    sim = Simulator(parse_scenario(FAULT_STREAM), scheme)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = sim.run()
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.cycles) == 800
+    assert len(result.trace) >= 10_000
+    assert kept / len(result.trace) <= BYTES_PER_EVENT_BUDGET[scheme]

@@ -98,7 +98,8 @@ def test_first_map_accepts_the_contract():
     ev = m.trace[0]
     assert ev.kind is EventKind.MAP_PAGE
     # The recorded address is page aligned even if the fault was not.
-    assert ev.args == ("asid=1", "vaddr=0x1000", "frame=3", "marker=2")
+    assert ev.args == (1, 0x1000, 3, 2)
+    assert ev.render() == "0 MAP_PAGE asid=1 vaddr=0x1000 frame=3 marker=2 cycle=0"
 
 
 def test_unmap_last_page_with_revoke_flag_revokes():

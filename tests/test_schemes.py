@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 
@@ -26,7 +27,7 @@ from pagersim.errors import (
 )
 from pagersim.reproduce import FIXTURES
 from pagersim.trace import Trace
-from support import fixture_scn, golden
+from support import GOLDEN_DIR, fixture_scn, golden
 
 
 def run_fixture(name: str, scheme: Scheme) -> SimResult:
@@ -61,6 +62,22 @@ def test_l4re_cycle_matches_golden():
 def test_concurrent_fault_race_matches_golden():
     trace = run_scenario(Scheme.REGION_DISPATCH, parse_scenario(fixture_scn("fig6")))
     assert trace.to_text() == golden("fig6.proposed.trace")
+
+
+def golden_digests() -> dict[str, str]:
+    """``<fixture>.<scheme>`` -> SHA-256 of its trace text, one line each."""
+    lines = (GOLDEN_DIR / "traces.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_fitting_trace_matches_its_golden_digest(name):
+    got = {
+        f"{name}.{token}": hashlib.sha256(res.trace.to_text().encode()).hexdigest()
+        for token, res in fitting_results(name).items()
+    }
+    want = {k: v for k, v in golden_digests().items() if k.startswith(f"{name}.")}
+    assert got == want
 
 
 # ---- per-cycle metrics ---------------------------------------------------
@@ -109,6 +126,38 @@ def test_protection_fault_cycle_is_incomplete():
     assert res.cycles[0].verdict.value == "NO_PAGER"
     with pytest.raises(IncompleteCycleError):
         cycle_metrics(res.trace, 0)
+
+
+# Cycle 0 resolves, cycle 1 is a protection fault (region 2 has no pager)
+# and cycle 2 is held and never dispatched.  Fits every scheme.
+THREE_CYCLES = (
+    "layout regions=8 pages_per_region=4 page_size=4096\n"
+    "thread T tid=1 asid=1 role=applicant\n"
+    "thread U tid=2 asid=1 role=applicant\n"
+    "thread V tid=3 asid=1 role=applicant\n"
+    "thread P tid=4 asid=2 role=pager\n"
+    "pager P policy=anonymous\n"
+    "assign asid=1 rid=0 pager=P\n"
+    "access T 0x1000 read\n"
+    "access U 0x8000 read\n"
+    "access V 0x2000 read hold\n"
+)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_cycle_metrics_bounds_and_incomplete_cycles(scheme):
+    res = simulate(scheme, parse_scenario(THREE_CYCLES))
+    assert [c.verdict for c in res.cycles] == [
+        VerdictCode.DISPATCHED, VerdictCode.NO_PAGER, None
+    ]
+    assert cycle_metrics(res.trace, 0).mode_switches > 0
+    # -3 would read cycle 0's counters, -1 the held cycle's.
+    for index in (-1, -3, 3, 4):
+        with pytest.raises(ValueError):
+            cycle_metrics(res.trace, index)
+    for index in (1, 2):
+        with pytest.raises(IncompleteCycleError):
+            cycle_metrics(res.trace, index)
 
 
 def test_totals_scale_linearly_with_fault_count():

@@ -21,7 +21,7 @@ def test_render_without_attribution():
 def test_render_with_attribution_and_kv_args():
     tr = Trace()
     tr.append(EventKind.MODE_SWITCH_U2K, cycle=0)
-    ev = tr.append(EventKind.MAP_PAGE, "asid=1", "vaddr=0x1000", cycle=7)
+    ev = tr.append(EventKind.MAP_PAGE, 1, 0x1000, cycle=7)
     assert ev.render() == "1 MAP_PAGE asid=1 vaddr=0x1000 cycle=7"
 
 
@@ -31,22 +31,22 @@ RENDERED = {
     EventKind.MODE_SWITCH_K2U: ((), "MODE_SWITCH_K2U"),
     EventKind.CONTEXT_SWITCH: ((1, 2), "CONTEXT_SWITCH 1 2"),
     EventKind.IPC_SEND: (
-        (0, 2, "PAGE_FAULT", "faulter=1", "vaddr=0x2000", "access=W", "marker=5"),
+        (0, 2, "PAGE_FAULT", 1, 0x2000, "W", 5),
         "IPC_SEND 0 2 PAGE_FAULT faulter=1 vaddr=0x2000 access=W marker=5",
     ),
     EventKind.IPC_RECEIVE: ((2, "PAGE_FAULT"), "IPC_RECEIVE 2 PAGE_FAULT"),
     EventKind.SUSPEND: ((1,), "SUSPEND 1"),
     EventKind.RESUME: ((1,), "RESUME 1"),
     EventKind.MAP_PAGE: (
-        ("asid=1", "vaddr=0x2000", "frame=0", "marker=0"),
+        (1, 0x2000, 0, 0),
         "MAP_PAGE asid=1 vaddr=0x2000 frame=0 marker=0",
     ),
     EventKind.UNMAP_PAGE: (
-        ("asid=1", "vaddr=0x2000", "revoke=1"),
+        (1, 0x2000, True),
         "UNMAP_PAGE asid=1 vaddr=0x2000 revoke=1",
     ),
     EventKind.VERDICT: (
-        ("DISPATCHED", "tid=1", "vaddr=0x2000", "manager=7"),
+        ("DISPATCHED", 1, 0x2000, 7),
         "VERDICT DISPATCHED tid=1 vaddr=0x2000 manager=7",
     ),
 }
