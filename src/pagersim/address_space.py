@@ -71,6 +71,8 @@ class LayoutConfig:
             raise ValueError("page_size must be a power of two")
         if not _is_pow2(self.pages_per_region):
             raise ValueError("pages_per_region must be a power of two")
+        if self.user_base < 0:
+            raise ValueError("user_base must not be negative")
         if self.user_base % self.region_size != 0:
             raise ValueError("user_base must be region aligned")
         if self.user_limit > ADDRESS_SPACE_SIZE:

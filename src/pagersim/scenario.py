@@ -20,18 +20,15 @@ zero-level step, and ``pager-step`` executes one queued pager action.
 
 Numbers are decimal or ``0x`` hex.  Parse errors carry the line number;
 semantic errors (undeclared names, overlaps) are raised after the file
-has been read.
+has been read.  Every directive's fields are listed once, in ``GRAMMAR``,
+which both ``parse_scenario`` and ``serialize_scenario`` read.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from math import inf
 
-from .address_space import (
-    ADDRESS_SPACE_SIZE,
-    DEFAULT_PAGE_SIZE,
-    DEFAULT_PAGES_PER_REGION,
-    DEFAULT_REGION_COUNT,
-    LayoutConfig,
-)
+from .address_space import ADDRESS_SPACE_SIZE, LayoutConfig
 from .engine import AccessType, ThreadRole
 from .fault_dispatch import VerdictCode
 from .pagers import MarkerKind, MarkerRule, PagerPolicy
@@ -50,9 +47,6 @@ class ParseError(ScenarioError):
 
 class SemanticError(ScenarioError):
     pass
-
-
-SCHEME_TOKENS = ("monolithic", "l4-single", "l4re", "proposed")
 
 
 @dataclass(frozen=True)
@@ -153,305 +147,269 @@ class ScenarioFile:
     expectations: list[Expectation] = field(default_factory=list)
 
 
+# ---- grammar -------------------------------------------------------------
+
+# Field converters: one of these, or a dict mapping each accepted token to
+# its value.  ``_read`` converts inline, not through a function per field,
+# because parsing is most of a run's set-up time.
+TEXT = "text"  # the token as written
+INT = "int"  # decimal or 0x hex
+NONNEG = (0, inf)  # an int with bounds (low, high): low <= n < high
+POS = (1, inf)
+ADDR = (0, ADDRESS_SPACE_SIZE)
+NAMES = "comma-separated names, empty ones dropped"
+MARKER = "zero, page or fixed:N"
+
+REQUIRED = True
+
+
+@dataclass(frozen=True, slots=True)  # slots: attribute reads are cheaper
+class Field:
+    key: str  # the key of key=value; a positional field's name in messages
+    attr: str  # attribute of the record
+    conv: object
+    required: bool
+    fmt: Callable[[object], str]
+
+
+@dataclass(frozen=True, slots=True)
+class Directive:
+    section: str | None  # the ScenarioFile list its records are appended to
+    record: type | None
+    positional: tuple[Field, ...]
+    keyed: dict[str, Field]
+
+
+def _field(key, conv, required=False, attr=None, fmt=None) -> Field:
+    if fmt is None:
+        if isinstance(conv, dict):
+            fmt = {v: k for k, v in conv.items()}.__getitem__
+        else:
+            fmt = ",".join if conv is NAMES else str
+    return Field(key, attr or key, conv, required, fmt)
+
+
+def _directive(section, record, positional=(), keyed=()) -> Directive:
+    return Directive(section, record, positional, {f.key: f for f in keyed})
+
+
+def _name(key="thread"):
+    return (_field(key, TEXT, REQUIRED),)
+
+
+# One entry per directive, in the order serialize_scenario writes sections.
+# Optional fields take the record class's default when absent; the
+# serializer writes every field except one that is None or empty.  Only the
+# structural rules are spelled out in parse_scenario: one layout line,
+# option lines merging key by key, the owner and the range of a dbrange,
+# the hold suffix of an access, and attaching backing and dbrange lines to
+# their pager.
+GRAMMAR: dict[str, Directive] = {
+    "layout": _directive(None, LayoutConfig, keyed=(
+        _field("regions", INT, attr="region_count"),
+        _field("pages_per_region", INT),
+        _field("page_size", INT),
+        _field("user_base", INT, fmt=hex),
+    )),
+    "option": _directive(None, Options, keyed=(
+        _field("mode", {"auto": "auto", "manual": "manual"}),
+        _field("schedule", {
+            "deterministic": "deterministic", "round-robin": "round-robin",
+        }),
+        _field("seed", INT),
+        _field("frames", NONNEG),
+        _field("order", NAMES),
+    )),
+    "thread": _directive("threads", ThreadDecl, _name("name"), (
+        _field("tid", INT, REQUIRED),
+        _field("asid", INT, REQUIRED),
+        _field("role", {
+            r.value: r for r in ThreadRole if r is not ThreadRole.KERNEL_INTERNAL
+        }, REQUIRED),
+        _field("pager", TEXT, attr="pager_name"),
+    )),
+    "pager": _directive(None, PagerDecl, _name("name"), (
+        _field("policy", {p.value: p for p in PagerPolicy}, REQUIRED),
+        _field("marker", MARKER, attr="marker_rule", fmt=lambda rule: (
+            f"fixed:{rule.value}" if rule.kind is MarkerKind.FIXED
+            else rule.kind.value
+        )),
+        _field("accepts", {"yes": True, "no": False}),
+        _field("revoke_after", POS),
+    )),
+    "backing": _directive(None, None, _name("pager"), (
+        _field("vaddr", ADDR, REQUIRED, fmt=hex),
+        _field("frame", NONNEG, REQUIRED),
+    )),
+    "dbrange": _directive(None, DbRange, keyed=(
+        _field("asid", INT),
+        _field("pager", TEXT),
+        _field("start", INT, REQUIRED, fmt=hex),
+        _field("end", INT, REQUIRED, fmt=hex),
+        _field("target", TEXT, REQUIRED),
+    )),
+    "assign": _directive("assigns", AssignDecl, keyed=(
+        _field("asid", INT, REQUIRED),
+        _field("rid", INT, REQUIRED),
+        _field("pager", TEXT, REQUIRED, attr="pager_name"),
+    )),
+    "access": _directive("script", AccessItem, _name() + (
+        _field("vaddr", ADDR, REQUIRED, fmt=hex),
+        _field("access", {"read": AccessType.READ, "write": AccessType.WRITE},
+               REQUIRED),
+    )),
+    "dispatch": _directive("script", DispatchItem, _name()),
+    "pager-step": _directive("script", PagerStepItem, (
+        _field("pager", TEXT, REQUIRED), _field("count", POS),
+    )),
+    "switch": _directive("script", SwitchItem, _name()),
+    "yield": _directive("script", YieldItem),
+    "expect": _directive("expectations", Expectation, keyed=(
+        _field("fault", NONNEG, REQUIRED),
+        _field("verdict", {v.value: v for v in VerdictCode}, REQUIRED),
+        _field("scheme", {
+            s: s for s in ("monolithic", "l4-single", "l4re", "proposed")
+        }),
+        _field("mode", NONNEG),
+        _field("ctx", NONNEG),
+        _field("ipc", NONNEG),
+        _field("invocations", NONNEG),
+    )),
+}
+
+_SCRIPT_WORDS = {d.record: w for w, d in GRAMMAR.items() if d.section == "script"}
+
+
 # ---- parsing -------------------------------------------------------------
 
 
-def _int(tok: str, line: int, what: str) -> int:
-    try:
-        return int(tok, 0)
-    except ValueError:
-        raise ParseError(line, f"bad {what}: {tok!r}") from None
-
-
-def _kv(tokens: list[str], line: int) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ParseError(line, f"expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        if key in out:
-            raise ParseError(line, f"duplicate key {key!r}")
-        out[key] = val
-    return out
-
-
-def _take(kv: dict[str, str], key: str, line: int) -> str:
-    try:
-        return kv.pop(key)
-    except KeyError:
-        raise ParseError(line, f"missing {key}=") from None
-
-
-def _reject_extra(kv: dict[str, str], line: int) -> None:
-    if kv:
-        raise ParseError(line, f"unknown key {next(iter(kv))!r}")
-
-
-_ROLES = {r.value: r for r in ThreadRole if r is not ThreadRole.KERNEL_INTERNAL}
-_POLICIES = {p.value: p for p in PagerPolicy}
-_VERDICTS = {v.value: v for v in VerdictCode}
-
-
-def _parse_marker(tok: str, line: int) -> MarkerRule:
-    if tok == "zero":
-        return MarkerRule(MarkerKind.ZERO)
-    if tok == "page":
-        return MarkerRule(MarkerKind.PAGE)
-    if tok.startswith("fixed:"):
-        return MarkerRule(MarkerKind.FIXED, _int(tok[6:], line, "marker value"))
-    raise ParseError(line, f"bad marker rule {tok!r}")
+def _read(d: Directive, tokens: list[str], line: int, memo: dict) -> dict:
+    """The record attributes given by one line's tokens after the directive
+    word.  ``memo`` maps each key=value token the directive has converted
+    before to its (attribute, value): most such tokens repeat, and values
+    are immutable."""
+    positional, npos = d.positional, len(d.positional)
+    kw = {}
+    for i, tok in enumerate(tokens):
+        if i < npos:
+            f = positional[i]
+        else:
+            hit = memo.get(tok)
+            if hit is not None:
+                kw[hit[0]] = hit[1]
+                continue
+            key, eq, tok = tok.partition("=")
+            if not eq:
+                raise ParseError(line, f"expected key=value, got {key!r}")
+            f = d.keyed.get(key)
+            if f is None:
+                raise ParseError(line, f"unknown key {key!r}")
+        conv = f.conv
+        try:
+            if conv is TEXT:
+                val = tok
+            elif conv.__class__ is dict:
+                val = conv[tok]
+            elif conv is INT:
+                val = int(tok, 0)
+            elif conv.__class__ is tuple:
+                val = int(tok, 0)
+                lo, hi = conv
+                if val < lo:
+                    raise ParseError(line, f"{f.key} must be at least {lo}")
+                if val >= hi:
+                    raise ParseError(line, f"{f.key} must be below {hi:#x}")
+            elif conv is NAMES:
+                val = tuple(filter(None, tok.split(",")))
+            elif tok[:6] == "fixed:":  # MARKER
+                val = MarkerRule(MarkerKind.FIXED, int(tok[6:], 0))
+            elif tok == "zero" or tok == "page":
+                val = MarkerRule(MarkerKind(tok))
+            else:
+                raise ValueError(tok)
+        except (KeyError, ValueError):
+            raise ParseError(line, f"bad {f.key}: {tok!r}") from None
+        kw[f.attr] = val
+        if i >= npos:
+            memo[tokens[i]] = (f.attr, val)
+    if len(kw) < len(tokens):
+        keys = [tok.partition("=")[0] for tok in tokens[npos:]]
+        dup = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(line, f"duplicate key {dup!r}")
+    if len(kw) < npos + len(d.keyed):  # some field is absent
+        for f in positional + tuple(d.keyed.values()):
+            if f.required and f.attr not in kw:
+                raise ParseError(line, f"missing {f.key}")
+    return kw
 
 
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse scenario text; raises ParseError (with a line number) for
     syntax problems and SemanticError for inconsistent declarations."""
-    layout_kw: dict[str, int] = {}
-    options = Options()
-    threads: list[ThreadDecl] = []
-    pager_decls: list[dict] = []
+    sf = ScenarioFile()
+    pager_kws: list[dict] = []
     # Keyed by pager name; a pager's backing and dbrange lines may come
     # before or after its pager line.
     backing: dict[str, list[tuple[int, int]]] = {}
-    pager_dbs: dict[str, list[DbRange]] = {}
-    space_dbs: dict[int, list[DbRange]] = {}
-    assigns: list[AssignDecl] = []
-    script: list[ScriptItem] = []
-    expectations: list[Expectation] = []
+    dbranges: dict[str | int, list[DbRange]] = {}  # by pager name or asid
     layout_line = 0  # line number of the layout line, 0 if there is none
+    memos = {word: {} for word in GRAMMAR}  # for _read
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        word, rest = tokens[0], tokens[1:]
+        word = tokens[0]
+        d = GRAMMAR.get(word)
+        if d is None:
+            raise ParseError(lineno, f"unknown directive {word!r}")
+        hold = word == "access" and tokens[-1] == "hold"
+        if hold:
+            tokens.pop()
+        kw = _read(d, tokens[1:], lineno, memos[word])
 
-        if word == "layout":
+        if d.section is not None:
+            if hold:
+                kw["hold"] = True
+            getattr(sf, d.section).append(d.record(**kw))
+        elif word == "layout":
             if layout_line:
                 raise ParseError(lineno, "duplicate layout line")
             layout_line = lineno
-            kv = _kv(rest, lineno)
-            for key in ("regions", "pages_per_region", "page_size", "user_base"):
-                if key in kv:
-                    layout_kw[key] = _int(kv.pop(key), lineno, key)
-            _reject_extra(kv, lineno)
-
+            try:
+                sf.layout = LayoutConfig(**kw)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
         elif word == "option":
-            kv = _kv(rest, lineno)
-            fields = {}
-            if "mode" in kv:
-                val = kv.pop("mode")
-                if val not in ("auto", "manual"):
-                    raise ParseError(lineno, f"bad mode {val!r}")
-                fields["mode"] = val
-            if "schedule" in kv:
-                val = kv.pop("schedule")
-                if val not in ("deterministic", "round-robin"):
-                    raise ParseError(lineno, f"bad schedule {val!r}")
-                fields["schedule"] = val
-            if "seed" in kv:
-                fields["seed"] = _int(kv.pop("seed"), lineno, "seed")
-            if "frames" in kv:
-                fields["frames"] = _int(kv.pop("frames"), lineno, "frames")
-                if fields["frames"] < 0:
-                    raise ParseError(lineno, "frames must not be negative")
-            if "order" in kv:
-                fields["order"] = tuple(
-                    t for t in kv.pop("order").split(",") if t
-                )
-            _reject_extra(kv, lineno)
-            options = replace(options, **fields)
-
-        elif word == "thread":
-            if not rest:
-                raise ParseError(lineno, "thread needs a name")
-            name, kv = rest[0], _kv(rest[1:], lineno)
-            tid = _int(_take(kv, "tid", lineno), lineno, "tid")
-            asid = _int(_take(kv, "asid", lineno), lineno, "asid")
-            role_tok = _take(kv, "role", lineno)
-            if role_tok not in _ROLES:
-                raise ParseError(lineno, f"bad role {role_tok!r}")
-            pager_name = kv.pop("pager", None)
-            _reject_extra(kv, lineno)
-            threads.append(
-                ThreadDecl(name=name, tid=tid, asid=asid,
-                           role=_ROLES[role_tok], pager_name=pager_name)
-            )
-
+            sf.options = replace(sf.options, **kw)
         elif word == "pager":
-            if not rest:
-                raise ParseError(lineno, "pager needs a thread name")
-            name, kv = rest[0], _kv(rest[1:], lineno)
-            policy_tok = _take(kv, "policy", lineno)
-            if policy_tok not in _POLICIES:
-                raise ParseError(lineno, f"bad policy {policy_tok!r}")
-            decl = {
-                "name": name,
-                "policy": _POLICIES[policy_tok],
-                "marker_rule": (
-                    _parse_marker(kv.pop("marker"), lineno)
-                    if "marker" in kv else MarkerRule()
-                ),
-            }
-            if "revoke_after" in kv:
-                decl["revoke_after"] = _int(
-                    kv.pop("revoke_after"), lineno, "revoke_after"
-                )
-            if "accepts" in kv:
-                val = kv.pop("accepts")
-                if val not in ("yes", "no"):
-                    raise ParseError(lineno, f"bad accepts {val!r}")
-                decl["accepts"] = val == "yes"
-            _reject_extra(kv, lineno)
-            pager_decls.append(decl)
-
+            pager_kws.append(kw)
         elif word == "backing":
-            if not rest:
-                raise ParseError(lineno, "backing needs a pager name")
-            name, kv = rest[0], _kv(rest[1:], lineno)
-            vaddr = _int(_take(kv, "vaddr", lineno), lineno, "vaddr")
-            frame = _int(_take(kv, "frame", lineno), lineno, "frame")
-            _reject_extra(kv, lineno)
-            backing.setdefault(name, []).append((vaddr, frame))
-
-        elif word == "dbrange":
-            kv = _kv(rest, lineno)
-            if ("asid" in kv) == ("pager" in kv):
+            backing.setdefault(kw["pager"], []).append((kw["vaddr"], kw["frame"]))
+        else:  # dbrange
+            owners = [kw.pop(key) for key in ("asid", "pager") if key in kw]
+            if len(owners) != 1:
                 raise ParseError(lineno, "dbrange needs asid= or pager= (not both)")
-            owner = kv.pop("pager", None)
-            start_tok = _take(kv, "start", lineno)
-            end_tok = _take(kv, "end", lineno)
-            target = _take(kv, "target", lineno)
-            asid_tok = kv.pop("asid", None)
-            _reject_extra(kv, lineno)
-            start = _int(start_tok, lineno, "start")
-            end = _int(end_tok, lineno, "end")
-            if start >= end:
+            if kw["start"] >= kw["end"]:
                 raise ParseError(lineno, "empty dbrange")
-            rng = DbRange(start=start, end=end, target=target)
-            if owner is None:
-                asid = _int(asid_tok, lineno, "asid")
-                space_dbs.setdefault(asid, []).append(rng)
-            else:
-                pager_dbs.setdefault(owner, []).append(rng)
+            dbranges.setdefault(owners[0], []).append(DbRange(**kw))
 
-        elif word == "assign":
-            kv = _kv(rest, lineno)
-            asid = _int(_take(kv, "asid", lineno), lineno, "asid")
-            rid = _int(_take(kv, "rid", lineno), lineno, "rid")
-            pager_name = _take(kv, "pager", lineno)
-            _reject_extra(kv, lineno)
-            assigns.append(AssignDecl(asid=asid, rid=rid, pager_name=pager_name))
-
-        elif word == "access":
-            if len(rest) < 3:
-                raise ParseError(lineno, "access needs: thread vaddr read|write")
-            name = rest[0]
-            vaddr = _int(rest[1], lineno, "vaddr")
-            if rest[2] == "read":
-                acc = AccessType.READ
-            elif rest[2] == "write":
-                acc = AccessType.WRITE
-            else:
-                raise ParseError(lineno, f"bad access kind {rest[2]!r}")
-            hold = False
-            if len(rest) == 4:
-                if rest[3] != "hold":
-                    raise ParseError(lineno, f"unexpected token {rest[3]!r}")
-                hold = True
-            elif len(rest) > 4:
-                raise ParseError(lineno, "trailing tokens after access")
-            if not 0 <= vaddr < ADDRESS_SPACE_SIZE:
-                raise ParseError(lineno, f"address {vaddr:#x} outside 32-bit space")
-            script.append(AccessItem(thread=name, vaddr=vaddr, access=acc, hold=hold))
-
-        elif word == "dispatch":
-            if len(rest) != 1:
-                raise ParseError(lineno, "dispatch needs exactly a thread name")
-            script.append(DispatchItem(thread=rest[0]))
-
-        elif word == "pager-step":
-            if not rest or len(rest) > 2:
-                raise ParseError(lineno, "pager-step needs: pager [count]")
-            count = _int(rest[1], lineno, "count") if len(rest) == 2 else 1
-            if count < 1:
-                raise ParseError(lineno, "count must be at least 1")
-            script.append(PagerStepItem(pager=rest[0], count=count))
-
-        elif word == "switch":
-            if len(rest) != 1:
-                raise ParseError(lineno, "switch needs exactly a thread name")
-            script.append(SwitchItem(thread=rest[0]))
-
-        elif word == "yield":
-            if rest:
-                raise ParseError(lineno, "yield takes no arguments")
-            script.append(YieldItem())
-
-        elif word == "expect":
-            kv = _kv(rest, lineno)
-            fault = _int(_take(kv, "fault", lineno), lineno, "fault index")
-            if fault < 0:
-                raise ParseError(lineno, "fault index must not be negative")
-            verdict_tok = _take(kv, "verdict", lineno)
-            if verdict_tok not in _VERDICTS:
-                raise ParseError(lineno, f"bad verdict {verdict_tok!r}")
-            exp = {
-                "fault": fault,
-                "verdict": _VERDICTS[verdict_tok],
-            }
-            if "scheme" in kv:
-                tok = kv.pop("scheme")
-                if tok not in SCHEME_TOKENS:
-                    raise ParseError(lineno, f"bad scheme {tok!r}")
-                exp["scheme"] = tok
-            for key, attr in (
-                ("mode", "mode"), ("ctx", "ctx"),
-                ("ipc", "ipc"), ("invocations", "invocations"),
-            ):
-                if key in kv:
-                    exp[attr] = _int(kv.pop(key), lineno, key)
-            _reject_extra(kv, lineno)
-            expectations.append(Expectation(**exp))
-
-        else:
-            raise ParseError(lineno, f"unknown directive {word!r}")
-
-    try:
-        layout = LayoutConfig(
-            region_count=layout_kw.get("regions", DEFAULT_REGION_COUNT),
-            pages_per_region=layout_kw.get(
-                "pages_per_region", DEFAULT_PAGES_PER_REGION
-            ),
-            page_size=layout_kw.get("page_size", DEFAULT_PAGE_SIZE),
-            user_base=layout_kw.get("user_base", 0),
-        )
-    except ValueError as exc:
-        raise ParseError(layout_line, str(exc)) from None
-
-    pagers = [
+    sf.pagers = [
         PagerDecl(
-            **decl,
-            backing=tuple(backing.pop(decl["name"], ())),
-            dbranges=tuple(pager_dbs.pop(decl["name"], ())),
+            **kw,
+            backing=tuple(backing.pop(kw["name"], ())),
+            dbranges=tuple(dbranges.pop(kw["name"], ())),
         )
-        for decl in pager_decls
+        for kw in pager_kws
     ]
     if backing:
         raise SemanticError(f"backing for undeclared pager {next(iter(backing))!r}")
-    if pager_dbs:
-        raise SemanticError(f"dbrange for undeclared pager {next(iter(pager_dbs))!r}")
-
-    sf = ScenarioFile(
-        layout=layout,
-        options=options,
-        threads=threads,
-        pagers=pagers,
-        space_dbranges={a: tuple(r) for a, r in space_dbs.items()},
-        assigns=assigns,
-        script=script,
-        expectations=expectations,
-    )
+    for owner in dbranges:
+        if isinstance(owner, str):
+            raise SemanticError(f"dbrange for undeclared pager {owner!r}")
+    sf.space_dbranges = {asid: tuple(r) for asid, r in dbranges.items()}
     _validate(sf)
     return sf
 
@@ -511,8 +469,6 @@ def _validate(sf: ScenarioFile) -> None:
             for r in p.dbranges:
                 thread(r.target)
             _check_no_overlap(p.dbranges, f"pager {p.name!r}")
-        if p.revoke_after is not None and p.revoke_after < 1:
-            raise SemanticError(f"pager {p.name!r}: revoke_after must be >= 1")
 
     for t in sf.threads:
         if t.pager_name is not None and t.pager_name not in pager_names:
@@ -556,89 +512,38 @@ def _validate(sf: ScenarioFile) -> None:
 # ---- serialization -------------------------------------------------------
 
 
-def _fmt_marker(rule: MarkerRule) -> str:
-    if rule.kind is MarkerKind.ZERO:
-        return "zero"
-    if rule.kind is MarkerKind.PAGE:
-        return "page"
-    return f"fixed:{rule.value}"
+def _line(word: str, values: dict) -> str:
+    d = GRAMMAR[word]
+    parts = [word]
+    parts += [f.fmt(values[f.attr]) for f in d.positional]
+    for f in d.keyed.values():
+        val = values.get(f.attr)
+        if val is not None and val != ():
+            parts.append(f"{f.key}={f.fmt(val)}")
+    return " ".join(parts)
 
 
 def serialize_scenario(sf: ScenarioFile) -> str:
     """Render a scenario back to canonical text.  Parsing the output gives
     a structurally equal ScenarioFile (defaults are written explicitly, so
     the second round trip is the identity)."""
-    out: list[str] = []
-    lay = sf.layout
-    out.append(
-        f"layout regions={lay.region_count} "
-        f"pages_per_region={lay.pages_per_region} "
-        f"page_size={lay.page_size} user_base={lay.user_base:#x}"
-    )
-    opt = sf.options
-    line = (
-        f"option mode={opt.mode} schedule={opt.schedule} seed={opt.seed}"
-    )
-    if opt.frames is not None:
-        line += f" frames={opt.frames}"
-    if opt.order:
-        line += f" order={','.join(opt.order)}"
-    out.append(line)
-    for t in sf.threads:
-        line = f"thread {t.name} tid={t.tid} asid={t.asid} role={t.role.value}"
-        if t.pager_name is not None:
-            line += f" pager={t.pager_name}"
-        out.append(line)
+    out = [_line("layout", vars(sf.layout)), _line("option", vars(sf.options))]
+    out += [_line("thread", vars(t)) for t in sf.threads]
     for p in sf.pagers:
-        line = (
-            f"pager {p.name} policy={p.policy.value} "
-            f"marker={_fmt_marker(p.marker_rule)} "
-            f"accepts={'yes' if p.accepts else 'no'}"
-        )
-        if p.revoke_after is not None:
-            line += f" revoke_after={p.revoke_after}"
-        out.append(line)
-        for vaddr, frame in p.backing:
-            out.append(f"backing {p.name} vaddr={vaddr:#x} frame={frame}")
-        for r in p.dbranges:
-            out.append(
-                f"dbrange pager={p.name} start={r.start:#x} "
-                f"end={r.end:#x} target={r.target}"
-            )
+        out.append(_line("pager", vars(p)))
+        out += [
+            _line("backing", {"pager": p.name, "vaddr": vaddr, "frame": frame})
+            for vaddr, frame in p.backing
+        ]
+        out += [_line("dbrange", {"pager": p.name, **vars(r)}) for r in p.dbranges]
     for asid in sorted(sf.space_dbranges):
-        for r in sf.space_dbranges[asid]:
-            out.append(
-                f"dbrange asid={asid} start={r.start:#x} "
-                f"end={r.end:#x} target={r.target}"
-            )
-    for a in sf.assigns:
-        out.append(f"assign asid={a.asid} rid={a.rid} pager={a.pager_name}")
+        out += [
+            _line("dbrange", {"asid": asid, **vars(r)})
+            for r in sf.space_dbranges[asid]
+        ]
+    out += [_line("assign", vars(a)) for a in sf.assigns]
     for item in sf.script:
-        if isinstance(item, AccessItem):
-            line = (
-                f"access {item.thread} {item.vaddr:#x} "
-                f"{'read' if item.access is AccessType.READ else 'write'}"
-            )
-            if item.hold:
-                line += " hold"
-            out.append(line)
-        elif isinstance(item, DispatchItem):
-            out.append(f"dispatch {item.thread}")
-        elif isinstance(item, PagerStepItem):
-            out.append(f"pager-step {item.pager} {item.count}")
-        elif isinstance(item, SwitchItem):
-            out.append(f"switch {item.thread}")
-        elif isinstance(item, YieldItem):
-            out.append("yield")
-    for e in sf.expectations:
-        line = f"expect fault={e.fault} verdict={e.verdict.value}"
-        if e.scheme is not None:
-            line += f" scheme={e.scheme}"
-        for key, val in (
-            ("mode", e.mode), ("ctx", e.ctx),
-            ("ipc", e.ipc), ("invocations", e.invocations),
-        ):
-            if val is not None:
-                line += f" {key}={val}"
-        out.append(line)
+        line = _line(_SCRIPT_WORDS[type(item)], vars(item))
+        out.append(line + " hold" if getattr(item, "hold", False) else line)
+    out += [_line("expect", vars(e)) for e in sf.expectations]
     return "\n".join(out) + "\n"

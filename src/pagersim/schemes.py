@@ -27,7 +27,7 @@ counting each event kind as events are appended; one function
 per-cycle metrics and whole-run totals both read rows through it.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from operator import ge, gt
@@ -570,19 +570,12 @@ class OverheadReport:
     reduction_mode: Fraction | None
     reduction_ctx: Fraction | None
 
-    _COLUMNS = (
-        ("scheme", "scheme"),
-        ("faults", "faults"),
-        ("mode_switches", "mode_switches"),
-        ("context_switches", "context_switches"),
-        ("ipc_messages", "ipc_messages"),
-        ("pager_invocations", "pager_invocations"),
-    )
+    _COLUMNS = tuple(f.name for f in fields(SchemeTotals))
 
     def as_table(self) -> str:
-        header = [label for label, _ in self._COLUMNS]
+        header = self._COLUMNS
         body = [
-            [str(getattr(row, attr)) for _, attr in self._COLUMNS]
+            [str(getattr(row, attr)) for attr in self._COLUMNS]
             for row in self.rows
         ]
         widths = [
@@ -612,7 +605,7 @@ class OverheadReport:
             lines.append(
                 " ".join(
                     f"{attr}={getattr(row, attr)}"
-                    for _, attr in self._COLUMNS
+                    for attr in self._COLUMNS
                 )
             )
         if self.reduction_mode is not None:

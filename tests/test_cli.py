@@ -1,6 +1,7 @@
 import pytest
 
 from pagersim import ALL_SCHEMES, Simulator, cli, overhead_report, parse_scenario
+from mutants import FIXTURES, mutant
 from support import fixture_scn
 
 
@@ -243,3 +244,22 @@ def test_access_by_a_thread_with_a_held_fault_is_an_error(tmp_path, capsys):
     assert captured.err == (
         "error: thread 'A' has a held fault; dispatch it first\n"
     )
+
+
+CLI_FUZZ_MUTANTS = 84  # per fixture: about 500 in all
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_mutated_scenarios_keep_the_exit_code_contract(name, tmp_path, capsys):
+    base = fixture_scn(name)
+    path = tmp_path / "mutant.scn"
+    for index in range(CLI_FUZZ_MUTANTS):
+        path.write_text(mutant(base, f"cli:{name}:{index}"))
+        rc = cli.main([
+            "--scenario", str(path), "--check", "--verify-equivalence",
+            "--report", "kv",
+        ])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), (index, path.read_text())
+        for line in err.splitlines():
+            assert line.startswith("error: "), (index, line, path.read_text())

@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from pagersim import ParseError, SemanticError, parse_scenario, serialize_scenario
 from pagersim.engine import AccessType, ThreadRole
 from pagersim.pagers import MarkerKind, PagerPolicy
-from pagersim.scenario import AccessItem, PagerStepItem, YieldItem
+from pagersim.scenario import GRAMMAR, AccessItem, PagerStepItem, YieldItem
+from mutants import outcome_line, recorded_mutants
+from support import GOLDEN_DIR
 
 MINIMAL = """\
 thread T1 tid=1 asid=1 role=applicant
@@ -212,7 +217,7 @@ def test_pager_step_default_count():
 )
 def test_invalid_layout_is_a_parse_error_on_its_line(layout):
     with pytest.raises(ParseError) as exc:
-        parse_scenario("# geometry\n" + layout + "\n")
+        parse_scenario("# geometry\n" + layout + "\nbogus directive\n")
     assert exc.value.line == 2
 
 
@@ -245,3 +250,56 @@ def test_bad_dbrange_value_reports_its_own_line(dbrange, message):
     with pytest.raises(ParseError) as exc:
         parse_scenario(text)
     assert (exc.value.line, exc.value.message) == (2, message)
+
+
+def test_mutant_parse_outcomes_match_the_record():
+    """Parse outcome of every recorded mutant of the fixtures: the digest of
+    its canonical text, or its error class and line."""
+    expected = (GOLDEN_DIR / "parse_outcomes.txt").read_text().splitlines()
+    mutants = list(recorded_mutants())
+    assert len(mutants) == len(expected)
+    changed = [
+        f"{want}\n     now {got}\n{text}"
+        for (name, index, text), want in zip(mutants, expected)
+        if (got := outcome_line(name, index, text)) != want
+    ]
+    assert not changed, f"{len(changed)} outcome(s) changed:\n" + "\n".join(changed[:5])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (
+            "layout regions=8 pages_per_region=4 page_size=4096 user_base=-0x4000",
+            "user_base must not be negative",
+        ),
+        ("backing P vaddr=0x1000 frame=-1", "frame must be at least 0"),
+        ("backing P vaddr=0x100000000 frame=1", "vaddr must be below 0x100000000"),
+        ("backing P vaddr=-0x1000 frame=1", "vaddr must be at least 0"),
+        ("expect fault=0 verdict=DISPATCHED mode=-1", "mode must be at least 0"),
+        ("expect fault=0 verdict=DISPATCHED ctx=-1", "ctx must be at least 0"),
+        ("expect fault=0 verdict=DISPATCHED ipc=-1", "ipc must be at least 0"),
+        (
+            "expect fault=0 verdict=DISPATCHED invocations=-1",
+            "invocations must be at least 0",
+        ),
+        ("pager P policy=fixed revoke_after=0", "revoke_after must be at least 1"),
+    ],
+)
+def test_out_of_range_value_is_rejected_on_its_own_line(bad, message):
+    text = "thread P tid=1 asid=1 role=pager\n" + bad + "\nbogus directive\n"
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    assert (exc.value.line, exc.value.message) == (2, message)
+
+
+def test_every_directive_key_and_choice_is_documented():
+    doc = (Path(__file__).parent.parent / "docs" / "scenario-format.md").read_text()
+    for word, directive in GRAMMAR.items():
+        assert re.search(rf"`{re.escape(word)}[ `]", doc), word
+        for key in directive.keyed:  # as key=... or in the option table
+            assert f"{key}=" in doc or f"`{key}`" in doc, (word, key)
+        for f in (*directive.positional, *directive.keyed.values()):
+            if isinstance(f.conv, dict):
+                for token in f.conv:
+                    assert token in doc, (word, f.key, token)
