@@ -287,6 +287,37 @@ def test_l4re_uses_declared_mapper_and_database():
     assert [args[1] for args in reflections] == [3, 4]
 
 
+# A reflecting pager that is itself a reflection target: the space's
+# mapper reflects to R, whose own database reflects on to P2.
+CHAINED_REFLECTION = """\
+layout regions=8 pages_per_region=4 page_size=4096
+thread T tid=1 asid=1 role=applicant
+thread R tid=2 asid=2 role=pager
+thread P2 tid=3 asid=2 role=pager
+pager R policy=reflecting
+pager P2 policy=anonymous
+dbrange pager=R start=0x0 end=0x10000 target=P2
+dbrange asid=1 start=0x0 end=0x10000 target=R
+assign asid=1 rid=0 pager=P2
+access T 0x1000 read
+access T 0x1000 read
+"""
+
+
+def test_chained_reflection_goes_through_every_reflecting_pager():
+    res = simulate(Scheme.L4RE, parse_scenario(CHAINED_REFLECTION))
+    assert [c.verdict for c in res.cycles] == [VerdictCode.DISPATCHED]
+    assert cycle_metrics(res.trace, 0).as_tuple() == (8, 4, 4, 3)
+    reflections = [
+        ev.args[:2] for ev in res.trace
+        if ev.kind is EventKind.IPC_SEND and ev.args[2] == "REFLECTION"
+    ]
+    assert reflections == [(4, 2), (2, 3)]  # mapper -> R -> P2
+    assert hashlib.sha256(res.trace.to_text().encode()).hexdigest() == (
+        "f07154751e83dea93cbea63811a07a08570d9d6fd9b3796016e69bd42a248fdf"
+    )
+
+
 def test_pager_step_is_rejected_under_monolithic():
     sf = parse_scenario(fixture_scn("fig6"))
     with pytest.raises(SchemeMismatchError):
