@@ -21,7 +21,9 @@ treat scheduler overhead as out of scope.
 Message passing is synchronous rendezvous: pagers sit in a receive loop
 (``BLOCKED_ON_RECEIVE``), a send queues at the receiver, and delivery
 hands the CPU to the receiver.  The fault-dispatch layer decides when a
-queued message is actually delivered.
+queued message is actually delivered.  A message about a fault carries
+the fault's ``FaultCycle`` as its payload; ``send`` reads its ``faulter``,
+``vaddr``, ``access`` and ``marker`` without importing the dispatch layer.
 """
 
 import random
@@ -75,21 +77,12 @@ class ThreadControlBlock:
     name: str = ""
 
 
-class FaultPayload(NamedTuple):
-    """What a fault message carries to its handler: enough to resolve the
-    fault without asking the kernel anything back."""
-
-    faulter: int
-    vaddr: int
-    access: AccessType
-    marker: int
-
-
 class Message(NamedTuple):
     sender: int
     receiver: int
     kind: MessageKind
-    payload: FaultPayload | None = None
+    # The FaultCycle of the fault the message is about.
+    payload: object = None
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,6 @@ class Machine:
         self._occupant: int | None = None
         self._mailboxes: dict[int, deque[Message]] = {}
         self._sched_order: list[int] | None = None
-        self._sched_pos = -1
         self.threads[KERNEL_TID] = ThreadControlBlock(
             tid=KERNEL_TID,
             asid=0,
@@ -190,10 +182,6 @@ class Machine:
             self.trace.append(EventKind.CONTEXT_SWITCH, prev, tid, cycle=cycle)
         self._occupant = tid
         tcb.state = ThreadState.RUNNING
-        # The scheduler's cyclic walk resumes after whoever held the CPU
-        # last, so a yield never re-picks the thread that just yielded.
-        if self._sched_order is not None and tid in self._sched_order:
-            self._sched_pos = self._sched_order.index(tid)
 
     def enter_kernel(self, cycle: int | None = None) -> None:
         self.trace.append(EventKind.MODE_SWITCH_U2K, cycle=cycle)
@@ -225,11 +213,13 @@ class Machine:
         # _value_ is a plain attribute; .value runs Python code per read.
         args: tuple = (sender, receiver, kind._value_)
         if payload is not None:
-            faulter, vaddr, access, marker = payload
             if kind is MessageKind.REPLY:
-                args += (faulter,)
+                args += (payload.faulter,)
             else:
-                args += (faulter, vaddr, access._value_, marker)
+                args += (
+                    payload.faulter, payload.vaddr, payload.access._value_,
+                    payload.marker,
+                )
         self.trace.append(EventKind.IPC_SEND, *args, cycle=cycle)
         if receiver != KERNEL_TID:
             # The kernel consumes its messages synchronously; only real
@@ -267,20 +257,16 @@ class Machine:
 
     def schedule_next(self) -> int:
         """Pick the next thread per the directive.  Walks the cyclic order
-        starting after the last pick and returns the first schedulable
-        thread; raises ``DeadlockError`` when nothing can run."""
+        starting after the thread that holds the CPU and returns the first
+        schedulable thread; raises ``DeadlockError`` when nothing can run."""
         if self._sched_order is None:
             self._sched_order = self._build_order()
-            self._sched_pos = -1
-            if self._occupant is not None and self._occupant in self._sched_order:
-                self._sched_pos = self._sched_order.index(self._occupant)
         order = self._sched_order
+        start = -1 if self._occupant is None else order.index(self._occupant)
         n = len(order)
         for step in range(1, n + 1):
-            idx = (self._sched_pos + step) % n
-            tid = order[idx]
+            tid = order[(start + step) % n]
             if self.threads[tid].state in _SCHEDULABLE:
-                self._sched_pos = idx
                 return tid
         raise DeadlockError("no runnable thread")
 

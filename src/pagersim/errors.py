@@ -59,7 +59,7 @@ class NoDatabaseEntryError(SimulationError):
 
 
 class NoOutstandingFaultError(SimulationError):
-    """A pager reply arrived for a thread with no fault in flight."""
+    """A pager reply arrived for a fault that is not in flight."""
 
 
 class WrongPagerError(SimulationError):

@@ -24,6 +24,11 @@ region's last present page with the revoke flag set makes it REVOKED.
 Revocation exists so a pager can walk away from a consumer it no longer
 trusts; afterwards every fault in the region is a protection fault until
 someone assigns the region again.
+
+A fault has one record from the trap to the reply, its ``FaultCycle``.
+Every message about the fault - the page fault, each reflection, the
+reply - carries that cycle as its payload, so a receiver, a reflection or
+a reply reaches the fault through the message, never by looking it up.
 """
 
 from dataclasses import dataclass
@@ -38,7 +43,6 @@ from .address_space import (
 )
 from .engine import (
     AccessType,
-    FaultPayload,
     KERNEL_TID,
     Machine,
     Message,
@@ -52,7 +56,6 @@ from .errors import (
     RevokedRegionError,
     WrongPagerError,
 )
-from .mmu import FaultEvent
 from .trace import EventKind
 
 
@@ -196,7 +199,8 @@ class KernelMemory:
 
 @dataclass
 class FaultCycle:
-    """Bookkeeping for one fault from trap to settlement."""
+    """The one record of a fault from trap to settlement; every message
+    about the fault carries it as its payload."""
 
     index: int
     faulter: int
@@ -206,25 +210,17 @@ class FaultCycle:
     verdict: VerdictCode | None = None
     rid: int | None = None
     manager: int | None = None
+    # The entry's marker as classification read it; fault messages carry it.
+    marker: int = 0
     trap_seq: int = -1
     closed: bool = False
     # The thread whose reply settles the fault; a reflection moves it.
     dispatched_to: int | None = None
 
 
-def fault_message(cycle: FaultCycle, cls: Classification, receiver: int) -> Message:
+def fault_message(cycle: FaultCycle, receiver: int) -> Message:
     """The kernel's page-fault message about ``cycle`` to ``receiver``."""
-    return Message(
-        sender=KERNEL_TID,
-        receiver=receiver,
-        kind=MessageKind.PAGE_FAULT,
-        payload=FaultPayload(
-            faulter=cycle.faulter,
-            vaddr=cycle.vaddr,
-            access=cycle.access,
-            marker=cls.marker,
-        ),
-    )
+    return Message(KERNEL_TID, receiver, MessageKind.PAGE_FAULT, cycle)
 
 
 class FaultDispatcher:
@@ -242,13 +238,11 @@ class FaultDispatcher:
         self.spaces = spaces
         self.memory = KernelMemory(machine, spaces)
         self.cycles: list[FaultCycle] = []
-        self._outstanding: dict[int, FaultCycle] = {}  # by faulter
 
     # ---- trap and verdicts ----------------------------------------------
 
-    def begin_fault(self, fault: FaultEvent) -> FaultCycle:
+    def begin_fault(self, tid: int, vaddr: int, access: AccessType) -> FaultCycle:
         """Phase one of fault handling: the trap into the kernel."""
-        tid, vaddr, access = fault
         cycle = FaultCycle(
             index=len(self.cycles),
             faulter=tid,
@@ -267,6 +261,7 @@ class FaultDispatcher:
         cycle.verdict = cls.code
         cycle.rid = cls.rid
         cycle.manager = cls.manager
+        cycle.marker = cls.marker
         # _value_ is a plain attribute; .value runs Python code per read.
         args: tuple = (cls.code._value_, cycle.faulter, cycle.vaddr)
         if cls.manager is not None:
@@ -307,83 +302,59 @@ class FaultDispatcher:
         message is delivered is the caller's business (see ``deliver``)."""
         self.record_verdict(cycle, cls)
         self.machine.suspend(cycle.faulter, cycle=cycle.index)
-        msg = fault_message(cycle, cls, target)
+        msg = fault_message(cycle, target)
         self.machine.send(msg, cycle=cycle.index)
-        self._outstanding[cycle.faulter] = cycle
         cycle.dispatched_to = target
         return msg
 
-    def deliver(self, target: int) -> tuple[Message, int] | None:
+    def deliver(self, target: int) -> Message | None:
         """Hand the next message queued at ``target`` to it: the
         kernel-to-user crossing, the switch to the receiver, and the
-        receive, all attributed to the cycle of the fault the message is
-        about.  Returns the message and that cycle's index, or ``None``
-        if the mailbox is empty."""
+        receive, all attributed to the cycle the message carries.  Returns
+        the message, or ``None`` if the mailbox is empty."""
         machine = self.machine
         msg = machine.peek_message(target)
         if msg is None:
             return None
-        index = self._outstanding[msg.payload.faulter].index
+        index = msg.payload.index
         tcb = machine.thread(target)
         if tcb.state is ThreadState.BLOCKED_ON_RECEIVE:
             tcb.state = ThreadState.READY
         machine.leave_kernel(cycle=index)
         machine.switch_to(target, cycle=index)
-        return machine.receive(target, cycle=index), index
+        return machine.receive(target, cycle=index)
 
-    def reflect(self, mapper: int, msg: Message, target: int, index: int) -> None:
+    def reflect(self, mapper: int, msg: Message, target: int) -> None:
         """A region mapper's reflect syscall: forward ``msg``'s fault
         unchanged to ``target``, make ``target`` the thread whose reply
         settles it, and put the mapper back in its receive loop."""
-        self.machine.enter_kernel(cycle=index)
-        self.reroute(msg.payload.faulter, target)
+        cycle = msg.payload
+        self.machine.enter_kernel(cycle=cycle.index)
+        cycle.dispatched_to = target
         self.machine.send(
-            Message(
-                sender=mapper,
-                receiver=target,
-                kind=MessageKind.REFLECTION,
-                payload=msg.payload,
-            ),
-            cycle=index,
+            Message(mapper, target, MessageKind.REFLECTION, cycle),
+            cycle=cycle.index,
         )
         self.machine.block_on_receive(mapper)
 
-    def reroute(self, faulter: int, new_handler: int) -> None:
-        """A reflection moved responsibility for an in-flight fault."""
-        cycle = self._outstanding.get(faulter)
-        if cycle is None:
-            raise NoOutstandingFaultError(f"thread {faulter} has no fault in flight")
-        cycle.dispatched_to = new_handler
-
-    def pager_reply(self, pager: int, faulter: int) -> FaultCycle:
+    def pager_reply(self, pager: int, cycle: FaultCycle) -> None:
         """A pager's reply syscall: validate it, wake the faulter, and hand
         the CPU back.  Emits U2K (the syscall), the reply send, the
         resume, K2U, and the context switch back to the faulter."""
-        cycle = self._outstanding.get(faulter)
-        if cycle is None:
-            raise NoOutstandingFaultError(f"thread {faulter} has no fault in flight")
+        if cycle.dispatched_to is None or cycle.closed:
+            raise NoOutstandingFaultError(
+                f"fault cycle {cycle.index} is not in flight"
+            )
         if cycle.dispatched_to != pager:
             raise WrongPagerError(
-                f"fault of thread {faulter} is handled by {cycle.dispatched_to}, "
-                f"not {pager}"
+                f"fault of thread {cycle.faulter} is handled by "
+                f"{cycle.dispatched_to}, not {pager}"
             )
-        del self._outstanding[faulter]
         self.machine.enter_kernel(cycle=cycle.index)
         self.machine.send(
-            Message(
-                sender=pager,
-                receiver=KERNEL_TID,
-                kind=MessageKind.REPLY,
-                payload=FaultPayload(
-                    faulter=faulter,
-                    vaddr=cycle.vaddr,
-                    access=cycle.access,
-                    marker=0,
-                ),
-            ),
+            Message(pager, KERNEL_TID, MessageKind.REPLY, cycle),
             cycle=cycle.index,
         )
-        self.machine.resume(faulter, cycle=cycle.index)
+        self.machine.resume(cycle.faulter, cycle=cycle.index)
         self.machine.block_on_receive(pager)
         self.return_to_faulter(cycle)
-        return cycle

@@ -8,13 +8,12 @@ present flag; the marker survives, which is the whole point of keeping
 pager data inside the entry.  Never-mapped pages read back marker 0.
 
 ``translate`` treats an absent page as an ordinary outcome, not an error:
-it returns a ``FaultEvent`` that the dispatch layer classifies.
+it returns ``None``, and the caller opens the fault's ``FaultCycle``
+with ``FaultDispatcher.begin_fault``.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .engine import AccessType
 from .errors import MarkerOverflowError, NotMappedError
 
 # Marker width: the entry bit that would hold it is spent on the present
@@ -28,18 +27,6 @@ class PageTableEntry:
     present: bool = False
     frame: int = 0
     marker: int = 0
-
-
-class MemoryAccess(NamedTuple):
-    tid: int
-    vaddr: int
-    access: AccessType
-
-
-class FaultEvent(NamedTuple):
-    tid: int
-    vaddr: int
-    access: AccessType
 
 
 class PageTable:
@@ -86,15 +73,14 @@ class PageTable:
         }
 
 
-def translate(table: PageTable, page_size: int, access: MemoryAccess):
+def translate(table: PageTable, page_size: int, vaddr: int) -> int | None:
     """Resolve a virtual address to a frame number.
 
-    Returns the frame on a present page, otherwise a ``FaultEvent``.  No
+    Returns the frame on a present page, otherwise ``None``: a fault.  No
     region or permission logic lives here; classification of the fault is
     the dispatch layer's job.
     """
-    tid, vaddr, kind = access
     ent = table._entries.get(vaddr // page_size)
     if ent is not None and ent.present:
         return ent.frame
-    return FaultEvent(tid, vaddr, kind)
+    return None

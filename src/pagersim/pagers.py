@@ -128,7 +128,7 @@ class MapAction(NamedTuple):
 
 
 class ReplyAction(NamedTuple):
-    faulter: int
+    fault: object  # the FaultCycle the reply settles
 
 
 class ReflectAction(NamedTuple):
@@ -151,7 +151,6 @@ class PagerBehavior:
     policy: PagerPolicy = PagerPolicy.ANONYMOUS
     marker_rule: MarkerRule = field(default_factory=MarkerRule)
     revoke_after: int | None = None
-    accepts: bool = True
     backing: dict[int, int] = field(default_factory=dict)  # page -> frame
     db: MappingDatabase | None = None
 
@@ -162,20 +161,18 @@ class PagerBehavior:
         self,
         msg: Message,
         *,
-        asid: int,
         page_size: int,
-        rid: int,
         allocator: FrameAllocator,
         warnings: list[str],
     ) -> list[Action]:
         """Compute the action list answering one fault message.
 
-        ``asid`` and ``rid`` locate the faulting space and region (a real
-        pager derives both from the faulter's identity); they feed the map
-        target and the revoke bookkeeping.
+        The fault the message carries names the faulting space and region
+        (a real pager derives both from the faulter's identity); they feed
+        the map target and the revoke bookkeeping.
         """
-        p = msg.payload
-        page = p.vaddr // page_size
+        fault = msg.payload
+        page = fault.vaddr // page_size
         if self.policy is PagerPolicy.REJECTING:
             return []
         if self.policy is PagerPolicy.REFLECTING:
@@ -185,21 +182,21 @@ class PagerBehavior:
             if frame is None:
                 warnings.append(
                     f"fixed-backing pager has no frame for page {page}; "
-                    f"fault of thread {p.faulter} left unanswered"
+                    f"fault of thread {fault.faulter} left unanswered"
                 )
                 return []
         else:
             frame = allocator.allocate()
         actions: list[Action] = [
-            MapAction(asid=asid, vaddr=p.vaddr, frame=frame,
+            MapAction(asid=fault.asid, vaddr=fault.vaddr, frame=frame,
                       marker=self.marker_rule.marker_for(page)),
-            ReplyAction(faulter=p.faulter),
+            ReplyAction(fault),
         ]
         if self.revoke_after is not None:
-            key = (asid, rid)
+            key = (fault.asid, fault.rid)
             count = self._resolved.get(key, 0) + 1
             self._resolved[key] = count
             if count >= self.revoke_after:
-                actions.append(RevokeRegionAction(asid=asid, rid=rid))
+                actions.append(RevokeRegionAction(fault.asid, fault.rid))
                 self._resolved[key] = 0
         return actions

@@ -31,6 +31,7 @@ from math import inf
 from .address_space import ADDRESS_SPACE_SIZE, LayoutConfig
 from .engine import AccessType, ThreadRole
 from .fault_dispatch import VerdictCode
+from .mmu import MARKER_LIMIT
 from .pagers import MarkerKind, MarkerRule, PagerPolicy
 
 
@@ -322,7 +323,11 @@ def _read(d: Directive, tokens: list[str], line: int, memo: dict) -> dict:
             elif conv is NAMES:
                 val = tuple(filter(None, tok.split(",")))
             elif tok[:6] == "fixed:":  # MARKER
-                val = MarkerRule(MarkerKind.FIXED, int(tok[6:], 0))
+                val = int(tok[6:], 0)
+                if not 0 <= val < MARKER_LIMIT:
+                    bound = "at least 0" if val < 0 else f"below {MARKER_LIMIT:#x}"
+                    raise ParseError(line, f"{f.key} must be {bound}")
+                val = MarkerRule(MarkerKind.FIXED, val)
             elif tok == "zero" or tok == "page":
                 val = MarkerRule(MarkerKind(tok))
             else:

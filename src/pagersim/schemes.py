@@ -32,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import ge, gt
 
-from .address_space import AddressSpace, KERNEL_RANGE, region_id_of
+from .address_space import AddressSpace
 from .engine import (
     DeterministicOrder,
     Machine,
@@ -54,7 +54,7 @@ from .fault_dispatch import (
     classify,
     fault_message,
 )
-from .mmu import FaultEvent, MemoryAccess, translate
+from .mmu import translate
 from .pagers import (
     Action,
     FrameAllocator,
@@ -198,7 +198,6 @@ class Simulator:
                 policy=p.policy,
                 marker_rule=p.marker_rule,
                 revoke_after=p.revoke_after,
-                accepts=p.accepts,
                 backing={
                     vaddr // self.layout.page_size: frame
                     for vaddr, frame in p.backing
@@ -359,14 +358,9 @@ class Simulator:
         tcb = self.machine.thread(tid)
         self.machine.switch_to(tid)
         space = self.spaces[tcb.asid]
-        outcome = translate(
-            space.pages,
-            self.layout.page_size,
-            MemoryAccess(tid=tid, vaddr=item.vaddr, access=item.access),
-        )
-        if not isinstance(outcome, FaultEvent):
+        if translate(space.pages, self.layout.page_size, item.vaddr) is not None:
             return  # plain memory access, nothing to record
-        cycle = self.dispatcher.begin_fault(outcome)
+        cycle = self.dispatcher.begin_fault(tid, item.vaddr, item.access)
         if item.hold:
             self._held[tid] = cycle
             return
@@ -422,15 +416,9 @@ class Simulator:
         return behavior
 
     def _build_actions(self, handler: int, msg: Message) -> list[Action]:
-        payload = msg.payload
-        asid = self.machine.thread(payload.faulter).asid
-        rid = region_id_of(self.layout, payload.vaddr)
-        assert rid is not KERNEL_RANGE  # kernel-range faults never dispatch
         return self._behavior_of(handler).on_page_fault(
             msg,
-            asid=asid,
             page_size=self.layout.page_size,
-            rid=rid,
             allocator=self.allocator,
             warnings=self.machine.warnings,
         )
@@ -441,7 +429,7 @@ class Simulator:
         kernel work: no suspension, no IPC, no occupancy change."""
         dispatcher = self.dispatcher
         dispatcher.record_verdict(cycle, cls)
-        msg = fault_message(cycle, cls, cls.manager)
+        msg = fault_message(cycle, cls.manager)
         for action in self._build_actions(cls.manager, msg):
             if isinstance(action, ReplyAction):
                 dispatcher.return_to_faulter(cycle)
@@ -459,12 +447,12 @@ class Simulator:
         working through earlier actions."""
         if self._actions.get(target):
             return
-        delivered = self.dispatcher.deliver(target)
-        if delivered is None:
+        msg = self.dispatcher.deliver(target)
+        if msg is None:
             return
-        msg, index = delivered
         actions = self._build_actions(target, msg)
         if actions:
+            index = msg.payload.index
             self._actions[target] = [(a, index) for a in actions]
         else:
             self._drain(target)
@@ -473,9 +461,9 @@ class Simulator:
         action, index = self._actions[pager].pop(0)
         if isinstance(action, ReplyAction):
             self._ensure_running(pager)
-            self.dispatcher.pager_reply(pager, action.faulter)
+            self.dispatcher.pager_reply(pager, action.fault)
         elif isinstance(action, ReflectAction):
-            self._reflect(pager, action.message, index)
+            self._reflect(pager, action.message)
         else:
             self._change_memory(pager, action, index)
         if not self._actions.get(pager):
@@ -501,13 +489,13 @@ class Simulator:
                     cycle=index,
                 )
 
-    def _reflect(self, rm: int, original: Message, index: int) -> None:
+    def _reflect(self, rm: int, original: Message) -> None:
         """Region-mapper reflection: look up the responsible pager and
         forward the fault message unchanged, then return to the receive
         loop.  The reply will not come back through here."""
         self._ensure_running(rm)
         target = self._behavior_of(rm).db.lookup(original.payload.vaddr)
-        self.dispatcher.reflect(rm, original, target, index)
+        self.dispatcher.reflect(rm, original, target)
         self._try_deliver(target)
 
     def _ensure_running(self, pager: int) -> None:

@@ -4,6 +4,7 @@ from pagersim import (
     AccessType,
     DeterministicOrder,
     EventKind,
+    FaultCycle,
     KERNEL_TID,
     Machine,
     Message,
@@ -12,7 +13,6 @@ from pagersim import (
     ThreadRole,
     ThreadState,
 )
-from pagersim.engine import FaultPayload
 from pagersim.errors import (
     DeadlockError,
     NotSchedulableError,
@@ -101,7 +101,8 @@ def fault_message(receiver: int) -> Message:
         sender=KERNEL_TID,
         receiver=receiver,
         kind=MessageKind.PAGE_FAULT,
-        payload=FaultPayload(faulter=1, vaddr=0x2000, access=AccessType.WRITE, marker=5),
+        payload=FaultCycle(0, faulter=1, asid=1, vaddr=0x2000,
+                           access=AccessType.WRITE, marker=5),
     )
 
 
@@ -124,7 +125,7 @@ def test_reply_to_kernel_renders_short_and_is_consumed_synchronously():
         sender=2,
         receiver=KERNEL_TID,
         kind=MessageKind.REPLY,
-        payload=FaultPayload(faulter=1, vaddr=0x2000, access=AccessType.READ, marker=0),
+        payload=FaultCycle(0, faulter=1, asid=1, vaddr=0x2000, access=AccessType.READ),
     )
     m.send(msg)
     assert m.trace[0].args == (2, 0, "REPLY", 1)
@@ -145,7 +146,7 @@ def test_receive_is_fifo_and_traces():
         sender=KERNEL_TID,
         receiver=2,
         kind=MessageKind.PAGE_FAULT,
-        payload=FaultPayload(faulter=1, vaddr=0x3000, access=AccessType.READ, marker=0),
+        payload=FaultCycle(1, faulter=1, asid=1, vaddr=0x3000, access=AccessType.READ),
     )
     m.send(second)
     got = m.receive(2, cycle=0)

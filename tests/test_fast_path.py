@@ -17,8 +17,7 @@ from pagersim import (
     ALL_SCHEMES,
     AccessType,
     EventKind,
-    FaultEvent,
-    MemoryAccess,
+    FaultCycle,
     Scheme,
     Simulator,
     VerdictCode,
@@ -27,15 +26,15 @@ from pagersim import (
     simulate,
     verify_equivalence,
 )
-from pagersim.engine import FaultPayload, Message, MessageKind
+from pagersim.engine import Message, MessageKind
 from pagersim.fault_dispatch import Classification
 from pagersim.pagers import MapAction, ReflectAction, ReplyAction, RevokeRegionAction
 from pagersim.trace import Trace, TraceEvent
 from support import fixture_scn
 
 # Python-level calls per fault of one run of workload50 under every scheme:
-# 10% above the 102.4 measured when the budget was set (Python 3.11).
-CALLS_PER_FAULT_BUDGET = 113
+# 10% above the 84.6 measured when the budget was set (Python 3.11).
+CALLS_PER_FAULT_BUDGET = 93
 
 # Python-level calls per fault cycle of check_expectations plus
 # verify_equivalence over the four workload50 runs: 10% above the 3.44
@@ -59,13 +58,10 @@ _MESSAGE = Message(0, 2, MessageKind.PAGE_FAULT)
     "record, field",
     [
         (TraceEvent(0, EventKind.SUSPEND, (1,), 0), "seq"),
-        (MemoryAccess(1, 0x1000, AccessType.READ), "vaddr"),
-        (FaultEvent(1, 0x1000, AccessType.READ), "vaddr"),
         (Classification(VerdictCode.DISPATCHED, rid=0, manager=2), "manager"),
-        (FaultPayload(1, 0x1000, AccessType.READ, 0), "marker"),
         (_MESSAGE, "payload"),
         (MapAction(1, 0x1000, 0, 0), "frame"),
-        (ReplyAction(1), "faulter"),
+        (ReplyAction(FaultCycle(0, 1, 1, 0x1000, AccessType.READ)), "fault"),
         (ReflectAction(_MESSAGE), "message"),
         (RevokeRegionAction(1, 0), "rid"),
     ],

@@ -22,7 +22,6 @@ from pagersim.errors import (
     RevokedRegionError,
     WrongPagerError,
 )
-from pagersim.mmu import FaultEvent
 
 SMALL = LayoutConfig(region_count=8, pages_per_region=4, page_size=4096)
 PAGER = 9
@@ -151,7 +150,7 @@ def dispatcher_setup():
 
 def test_dispatch_event_order():
     m, spaces, disp = dispatcher_setup()
-    cycle = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     cls = classify(spaces[1], 0x1000)
     disp.suspend_and_send(cycle, cls, target=PAGER)
     kinds = [ev.kind for ev in m.trace]
@@ -169,25 +168,28 @@ def test_dispatch_event_order():
 
 def test_reply_validation_happens_before_any_event():
     m, spaces, disp = dispatcher_setup()
-    cycle = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     disp.suspend_and_send(cycle, classify(spaces[1], 0x1000), target=PAGER)
+    m.register_thread(3, 1, role=ThreadRole.APPLICANT, name="u")
+    m.switch_to(3)
+    held = disp.begin_fault(3, 0x2000, AccessType.READ)  # never dispatched
     length = len(m.trace)
     with pytest.raises(WrongPagerError):
-        disp.pager_reply(OTHER, faulter=1)
+        disp.pager_reply(OTHER, cycle)
     with pytest.raises(NoOutstandingFaultError):
-        disp.pager_reply(PAGER, faulter=5)
+        disp.pager_reply(PAGER, held)
     assert len(m.trace) == length  # failed syscalls leave no trace
 
 
 def test_reply_closes_cycle_and_returns_cpu():
     m, spaces, disp = dispatcher_setup()
-    cycle = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     disp.suspend_and_send(cycle, classify(spaces[1], 0x1000), target=PAGER)
     m.thread(PAGER).state = ThreadState.READY
     m.receive(PAGER, cycle=0)
     m.leave_kernel(cycle=0)
     m.switch_to(PAGER, cycle=0)
-    disp.pager_reply(PAGER, faulter=1)
+    disp.pager_reply(PAGER, cycle)
     assert cycle.closed
     assert m.occupant == 1
     tail = [ev.kind for ev in m.trace[-5:]]
@@ -199,18 +201,7 @@ def test_reply_closes_cycle_and_returns_cpu():
         EventKind.CONTEXT_SWITCH,
     ]
     with pytest.raises(NoOutstandingFaultError):
-        disp.pager_reply(PAGER, faulter=1)  # one reply per fault
-
-
-def test_reroute_moves_responsibility():
-    m, spaces, disp = dispatcher_setup()
-    cycle = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
-    disp.suspend_and_send(cycle, classify(spaces[1], 0x1000), target=OTHER)
-    disp.reroute(1, PAGER)
-    with pytest.raises(WrongPagerError):
-        disp.pager_reply(OTHER, faulter=1)
-    with pytest.raises(NoOutstandingFaultError):
-        disp.reroute(5, PAGER)
+        disp.pager_reply(PAGER, cycle)  # one reply per fault
 
 
 def test_deliver_on_an_empty_mailbox_does_nothing():
@@ -223,15 +214,16 @@ def test_deliver_on_an_empty_mailbox_does_nothing():
 def test_deliver_is_attributed_to_the_cycle_of_the_message():
     m, spaces, disp = dispatcher_setup()
     m.register_thread(3, 1, role=ThreadRole.APPLICANT, name="u")
-    first = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    first = disp.begin_fault(1, 0x1000, AccessType.READ)
     sent = disp.suspend_and_send(first, classify(spaces[1], 0x1000), target=PAGER)
     m.switch_to(3)
-    second = disp.begin_fault(FaultEvent(tid=3, vaddr=0x2000, access=AccessType.READ))
+    second = disp.begin_fault(3, 0x2000, AccessType.READ)
     disp.suspend_and_send(second, classify(spaces[1], 0x2000), target=OTHER)
     start = len(m.trace)
 
-    msg, index = disp.deliver(PAGER)
-    assert (msg, index) == (sent, first.index)
+    msg = disp.deliver(PAGER)
+    assert msg == sent
+    assert msg.payload is first  # the message carries the fault's cycle
     delivery = m.trace[start:]
     assert [(ev.kind, ev.cycle) for ev in delivery] == [
         (EventKind.MODE_SWITCH_K2U, 0),
@@ -246,12 +238,12 @@ def test_deliver_is_attributed_to_the_cycle_of_the_message():
 
 def test_reflect_hands_the_fault_to_the_new_handler():
     m, spaces, disp = dispatcher_setup()
-    cycle = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     disp.suspend_and_send(cycle, classify(spaces[1], 0x1000), target=OTHER)
-    msg, index = disp.deliver(OTHER)
+    msg = disp.deliver(OTHER)
     start = len(m.trace)
 
-    disp.reflect(OTHER, msg, PAGER, index)
+    disp.reflect(OTHER, msg, PAGER)
     assert [ev.render() for ev in m.trace[start:]] == [
         f"{start} MODE_SWITCH_U2K cycle=0",
         f"{start + 1} IPC_SEND {OTHER} {PAGER} REFLECTION faulter=1 "
@@ -259,19 +251,17 @@ def test_reflect_hands_the_fault_to_the_new_handler():
     ]
     assert cycle.dispatched_to == PAGER
     assert m.thread(OTHER).state is ThreadState.BLOCKED_ON_RECEIVE
-    assert m.peek_message(PAGER).payload == msg.payload
+    assert m.peek_message(PAGER).payload is cycle
     with pytest.raises(WrongPagerError):
-        disp.pager_reply(OTHER, faulter=1)  # the mapper no longer answers
+        disp.pager_reply(OTHER, cycle)  # the mapper no longer answers
     disp.deliver(PAGER)
-    assert disp.pager_reply(PAGER, faulter=1) is cycle
+    disp.pager_reply(PAGER, cycle)
     assert cycle.closed
 
 
 def test_general_protection_is_permanent_suspension():
     m, spaces, disp = dispatcher_setup()
-    cycle = disp.begin_fault(
-        FaultEvent(tid=1, vaddr=SMALL.user_limit, access=AccessType.READ)
-    )
+    cycle = disp.begin_fault(1, SMALL.user_limit, AccessType.READ)
     disp.general_protection(cycle, classify(spaces[1], SMALL.user_limit))
     assert m.trace[-1].kind is EventKind.SUSPEND
     assert not cycle.closed
@@ -282,7 +272,7 @@ def test_resume_present_never_suspends():
     m, spaces, disp = dispatcher_setup()
     spaces[1].pages.set_mapping(page=1, frame=0, marker=0)
     spaces[1].regions.set_contract(0, ContractState.ACCEPTED)
-    cycle = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     disp.resume_present(cycle, classify(spaces[1], 0x1000))
     kinds = {ev.kind for ev in m.trace}
     assert EventKind.SUSPEND not in kinds
@@ -293,7 +283,7 @@ def test_resume_present_never_suspends():
 
 def test_verdict_line_rendering():
     m, spaces, disp = dispatcher_setup()
-    cycle = disp.begin_fault(FaultEvent(tid=1, vaddr=0x1000, access=AccessType.READ))
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     disp.record_verdict(
         cycle, Classification(VerdictCode.DISPATCHED, rid=0, manager=PAGER)
     )

@@ -1,22 +1,24 @@
 import pytest
 
-from pagersim import AccessType, MemoryAccess, PageTable, translate
+from pagersim import PageTable, translate
 from pagersim.errors import MarkerOverflowError, NotMappedError
-from pagersim.mmu import FaultEvent
 
 
 def test_translate_miss_returns_fault_event():
+    # A miss is a fault: no frame, and the caller opens the fault's cycle.
     table = PageTable()
-    out = translate(table, 4096, MemoryAccess(tid=1, vaddr=0x1234, access=AccessType.READ))
-    assert isinstance(out, FaultEvent)
-    assert (out.tid, out.vaddr, out.access) == (1, 0x1234, AccessType.READ)
+    assert translate(table, 4096, 0x1234) is None
+    table.set_mapping(page=1, frame=0, marker=0)
+    table.clear_mapping(page=1)
+    assert translate(table, 4096, 0x1234) is None  # a ghost entry misses too
 
 
 def test_translate_hit_returns_frame():
     table = PageTable()
     table.set_mapping(page=1, frame=77, marker=9)
-    out = translate(table, 4096, MemoryAccess(tid=1, vaddr=0x1FFF, access=AccessType.WRITE))
-    assert out == 77
+    assert translate(table, 4096, 0x1FFF) == 77
+    table.set_mapping(page=0, frame=0, marker=0)
+    assert translate(table, 4096, 0x10) == 0  # frame 0 is a hit, not a fault
 
 
 def test_mapping_roundtrip_and_present_pages():

@@ -4,6 +4,7 @@ import pytest
 
 from pagersim import (
     AccessType,
+    FaultCycle,
     FrameAllocator,
     KERNEL_TID,
     MappingDatabase,
@@ -14,7 +15,6 @@ from pagersim import (
     PagerBehavior,
     PagerPolicy,
 )
-from pagersim.engine import FaultPayload
 from pagersim.errors import (
     NoDatabaseEntryError,
     OutOfFramesError,
@@ -97,23 +97,22 @@ def test_mapping_database_agrees_with_linear_scan():
             assert db.lookup(vaddr) == want
 
 
-def fault(vaddr=0x1000, faulter=1, marker=0):
+def fault(vaddr=0x1000, faulter=1, marker=0, rid=0):
     return Message(
         sender=KERNEL_TID,
         receiver=2,
         kind=MessageKind.PAGE_FAULT,
-        payload=FaultPayload(
-            faulter=faulter, vaddr=vaddr, access=AccessType.READ, marker=marker
+        payload=FaultCycle(
+            0, faulter=faulter, asid=1, vaddr=vaddr, access=AccessType.READ,
+            rid=rid, marker=marker,
         ),
     )
 
 
-def serve(behavior, msg, allocator=None, warnings=None, rid=0):
+def serve(behavior, msg, allocator=None, warnings=None):
     return behavior.on_page_fault(
         msg,
-        asid=1,
         page_size=4096,
-        rid=rid,
         allocator=allocator if allocator is not None else FrameAllocator(),
         warnings=warnings if warnings is not None else [],
     )
@@ -122,11 +121,13 @@ def serve(behavior, msg, allocator=None, warnings=None, rid=0):
 def test_anonymous_pager_maps_and_replies():
     behavior = PagerBehavior(policy=PagerPolicy.ANONYMOUS,
                              marker_rule=MarkerRule(MarkerKind.PAGE))
-    actions = serve(behavior, fault(vaddr=0x2A10))
+    msg = fault(vaddr=0x2A10)
+    actions = serve(behavior, msg)
     assert actions == [
         MapAction(asid=1, vaddr=0x2A10, frame=0, marker=2),
-        ReplyAction(faulter=1),
+        ReplyAction(msg.payload),
     ]
+    assert actions[1].fault is msg.payload  # the reply settles this fault
 
 
 def test_fixed_pager_uses_backing_store():
@@ -154,13 +155,13 @@ def test_reflecting_pager_forwards_the_message():
 
 def test_revoke_after_counts_per_region_and_resets():
     behavior = PagerBehavior(policy=PagerPolicy.ANONYMOUS, revoke_after=2)
-    first = serve(behavior, fault(vaddr=0x0), rid=0)
+    first = serve(behavior, fault(vaddr=0x0, rid=0))
     assert not any(isinstance(a, RevokeRegionAction) for a in first)
-    second = serve(behavior, fault(vaddr=0x1000), rid=0)
+    second = serve(behavior, fault(vaddr=0x1000, rid=0))
     assert second[-1] == RevokeRegionAction(asid=1, rid=0)
     # Counter reset: the next fault in the region starts a fresh pair.
-    third = serve(behavior, fault(vaddr=0x2000), rid=0)
+    third = serve(behavior, fault(vaddr=0x2000, rid=0))
     assert not any(isinstance(a, RevokeRegionAction) for a in third)
     # Other regions count independently.
-    other = serve(behavior, fault(vaddr=0x4000), rid=1)
+    other = serve(behavior, fault(vaddr=0x4000, rid=1))
     assert not any(isinstance(a, RevokeRegionAction) for a in other)

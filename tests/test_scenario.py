@@ -284,6 +284,11 @@ def test_mutant_parse_outcomes_match_the_record():
             "invocations must be at least 0",
         ),
         ("pager P policy=fixed revoke_after=0", "revoke_after must be at least 1"),
+        ("pager P policy=fixed marker=fixed:-1", "marker must be at least 0"),
+        (
+            "pager P policy=fixed marker=fixed:0x80000000",
+            "marker must be below 0x80000000",
+        ),
     ],
 )
 def test_out_of_range_value_is_rejected_on_its_own_line(bad, message):
