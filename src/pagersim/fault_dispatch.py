@@ -251,10 +251,10 @@ class FaultDispatcher:
             access=access,
         )
         self.cycles.append(cycle)
-        ev = self.machine.trace.append(
-            EventKind.MODE_SWITCH_U2K, cycle=cycle.index
-        )
-        cycle.trap_seq = ev.seq
+        trace = self.machine.trace
+        # The trap's seq; a column's len() makes no Python-level call.
+        cycle.trap_seq = len(trace.kinds)
+        trace.append(EventKind.MODE_SWITCH_U2K, cycle=cycle.index)
         return cycle
 
     def record_verdict(self, cycle: FaultCycle, cls: Classification) -> None:

@@ -378,11 +378,17 @@ class Simulator:
     def _exec_pager_step(self, item: PagerStepItem) -> None:
         tid = self._decl[item.pager].tid
         for _ in range(item.count):
-            queue = self._actions.get(tid)
-            if not queue:
-                raise SimulationError(
-                    f"pager {item.pager!r} has no pending action"
-                )
+            if not self._actions.get(tid):
+                msg = f"pager {item.pager!r} has no pending action"
+                for rm in map(self.machine.thread, self._actions):
+                    if rm.role is ThreadRole.REGION_MAPPER:  # under l4re
+                        msg += (
+                            f": the fault waits at region mapper {rm.name!r} "
+                            f"(tid {rm.tid}), and mode=manual cannot step a "
+                            "region mapper"
+                        )
+                        break
+                raise SimulationError(msg)
             self._exec_action(tid)
 
     # ---- fault path ------------------------------------------------------

@@ -12,8 +12,8 @@ scripted scheduling directives carry no attribution and are invisible to
 the per-fault cost figures, mirroring cost models that charge a fault only
 for the crossings its own handling protocol mandates.  Appending an
 attributed event bumps its kind's count in its cycle's counter row, so
-accounting never walks the events.  Events are immutable named tuples of
-raw arguments (ints and enum spellings); only ``render`` makes text.
+accounting never walks the events.  Events live in columns of kinds, raw
+arguments (ints and enum spellings) and cycles; only rendering makes text.
 """
 
 from enum import Enum
@@ -62,6 +62,12 @@ _LINES = {
 _ATTRIBUTED_LINES = {k: [t + " cycle=%s" for t in v] for k, v in _LINES.items()}
 
 
+def _line(seq: int, kind: EventKind, args: tuple, cycle: int | None) -> str:
+    if cycle is None:
+        return _LINES[kind._value_][len(args)] % (seq, *args)
+    return _ATTRIBUTED_LINES[kind._value_][len(args)] % (seq, *args, cycle)
+
+
 class TraceEvent(NamedTuple):
     seq: int
     kind: EventKind
@@ -69,46 +75,53 @@ class TraceEvent(NamedTuple):
     cycle: int | None = None
 
     def render(self) -> str:
-        seq, kind, args, cycle = self
-        if cycle is None:
-            return _LINES[kind._value_][len(args)] % (seq, *args)
-        return _ATTRIBUTED_LINES[kind._value_][len(args)] % (seq, *args, cycle)
+        return _line(*self)
 
 
 class Trace:
-    """Gap-free, append-only list of :class:`TraceEvent`, with one counter
-    row per attributed cycle: ``cycle_counts[c][SLOT[kind._value_]]`` is
-    how many events of that kind cycle ``c`` has."""
+    """Gap-free, append-only log in columns ``kinds``, ``args`` and
+    ``cycle_of``, indexed by seq and read back as :class:`TraceEvent`, with
+    one counter row per attributed cycle: ``cycle_counts[c][SLOT[kind._value_]]``
+    is how many events of that kind cycle ``c`` has."""
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self.kinds: list[EventKind] = []
+        self.args: list[tuple] = []
+        self.cycle_of: list[int | None] = []
         self.cycle_counts: list[list[int]] = []
 
-    def append(self, kind: EventKind, *args, cycle: int | None = None) -> TraceEvent:
-        events = self.events
-        # tuple.__new__ skips the named tuple's Python-level __new__.
-        ev = tuple.__new__(TraceEvent, (len(events), kind, args, cycle))
-        events.append(ev)
+    def append(self, kind: EventKind, *args, cycle: int | None = None) -> None:
+        self.kinds.append(kind)
+        self.args.append(args)
+        self.cycle_of.append(cycle)
         if cycle is not None:
             rows = self.cycle_counts
             while len(rows) <= cycle:
                 rows.append([0] * len(SLOT))
             rows[cycle][SLOT[kind._value_]] += 1
-        return ev
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.kinds)
+
+    def _event(self, seq: int) -> TraceEvent:
+        return TraceEvent(seq, self.kinds[seq], self.args[seq], self.cycle_of[seq])
 
     def __iter__(self):
-        return iter(self.events)
+        return map(self._event, range(len(self.kinds)))
 
     def __getitem__(self, idx):
-        return self.events[idx]
+        # A range resolves negative indices and slices, or raises IndexError.
+        seqs = range(len(self.kinds))[idx]
+        if isinstance(idx, slice):
+            return list(map(self._event, seqs))
+        return self._event(seqs)
 
     def of_cycle(self, cycle: int) -> list[TraceEvent]:
         """All events attributed to one fault cycle, in trace order."""
-        return [ev for ev in self.events if ev.cycle == cycle]
+        return [self._event(i) for i, c in enumerate(self.cycle_of) if c == cycle]
 
     def to_text(self) -> str:
-        lines = [ev.render() for ev in self.events]
+        lines = list(
+            map(_line, range(len(self.kinds)), self.kinds, self.args, self.cycle_of)
+        )
         return "\n".join(lines) + "\n" if lines else ""

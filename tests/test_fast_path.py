@@ -42,9 +42,14 @@ CALLS_PER_FAULT_BUDGET = 93
 CHECK_CALLS_PER_CYCLE_BUDGET = 3.8
 
 # Bytes one run keeps allocated per trace event on FAULT_STREAM: 10% above
-# the 192 (l4re) and 203 (proposed) measured when the bounds were set
+# the 104 (l4re) and 115 (proposed) measured when the bounds were set
 # (Python 3.11, 64-bit).
-BYTES_PER_EVENT_BUDGET = {Scheme.L4RE: 212, Scheme.REGION_DISPATCH: 224}
+BYTES_PER_EVENT_BUDGET = {Scheme.L4RE: 115, Scheme.REGION_DISPATCH: 127}
+
+# GC-tracked objects one l4re run of FAULT_STREAM keeps per trace event:
+# 0.158 when the bound was set, against 1.16 for a store of one TraceEvent
+# per event, so events must stay untracked column entries (Python 3.11).
+TRACKED_OBJECTS_PER_EVENT_BUDGET = 0.2
 
 # Python-level calls per directive line (not blank, not only a comment) of
 # parse_scenario(workload50): 2% above the 5.40 measured before the
@@ -170,6 +175,17 @@ def test_bytes_kept_per_event_stay_within_budget(scheme):
     assert len(result.cycles) == 800
     assert len(result.trace) >= 10_000
     assert kept / len(result.trace) <= BYTES_PER_EVENT_BUDGET[scheme]
+
+
+def test_gc_tracked_objects_per_event_stay_within_budget():
+    sim = Simulator(parse_scenario(FAULT_STREAM), Scheme.L4RE)
+    gc.collect()
+    before = len(gc.get_objects())
+    result = sim.run()
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert len(result.trace) >= 10_000
+    assert tracked / len(result.trace) <= TRACKED_OBJECTS_PER_EVENT_BUDGET
 
 
 def test_parse_calls_per_line_stay_within_budget():

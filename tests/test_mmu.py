@@ -4,7 +4,7 @@ from pagersim import PageTable, translate
 from pagersim.errors import MarkerOverflowError, NotMappedError
 
 
-def test_translate_miss_returns_fault_event():
+def test_translate_miss_returns_none():
     # A miss is a fault: no frame, and the caller opens the fault's cycle.
     table = PageTable()
     assert translate(table, 4096, 0x1234) is None

@@ -27,7 +27,7 @@ from pagersim.errors import (
 )
 from pagersim.reproduce import FIXTURES
 from pagersim.trace import Trace
-from support import GOLDEN_DIR, fixture_scn, golden
+from support import GOLDEN_DIR, fitting_results, fixture_scn, golden
 
 
 def run_fixture(name: str, scheme: Scheme) -> SimResult:
@@ -324,6 +324,18 @@ def test_pager_step_is_rejected_under_monolithic():
         simulate(Scheme.MONOLITHIC, sf)
 
 
+def test_manual_step_under_l4re_names_the_waiting_region_mapper():
+    # fig6 steps its pager by hand; under l4re the fault waits at the
+    # implicit region mapper rm1 (tid 4), which pager-step cannot name.
+    sf = parse_scenario(fixture_scn("fig6"))
+    with pytest.raises(SimulationError) as info:
+        simulate(Scheme.L4RE, sf)
+    assert str(info.value) == (
+        "pager 'P' has no pending action: the fault waits at region mapper "
+        "'rm1' (tid 4), and mode=manual cannot step a region mapper"
+    )
+
+
 def test_mapping_database_requires_l4re():
     sf = parse_scenario(fixture_scn("l4re-reflect"))
     with pytest.raises(SchemeMismatchError):
@@ -438,18 +450,6 @@ def test_fixed_pager_without_backing_leaves_fault_open_with_warning():
 
 
 # ---- accounting against a whole-trace reference --------------------------
-
-
-def fitting_results(name: str) -> dict[str, SimResult]:
-    """Runs of one fixture under every scheme it fits."""
-    sf = parse_scenario(fixture_scn(name))
-    results = {}
-    for scheme in Scheme:
-        try:
-            results[scheme.value] = simulate(scheme, sf)
-        except SimulationError:  # fig6's pager steps do not fit l4re
-            continue
-    return results
 
 
 def reference_costs(events) -> tuple[int, int, int, int]:

@@ -1,6 +1,8 @@
 import pytest
 
 from pagersim import EventKind, Trace
+from pagersim.reproduce import FIXTURES
+from support import fitting_results
 
 
 def test_sequence_numbers_are_gap_free():
@@ -14,15 +16,15 @@ def test_sequence_numbers_are_gap_free():
 
 def test_render_without_attribution():
     tr = Trace()
-    ev = tr.append(EventKind.CONTEXT_SWITCH, 1, 2)
-    assert ev.render() == "0 CONTEXT_SWITCH 1 2"
+    tr.append(EventKind.CONTEXT_SWITCH, 1, 2)
+    assert tr[-1].render() == "0 CONTEXT_SWITCH 1 2"
 
 
 def test_render_with_attribution_and_kv_args():
     tr = Trace()
     tr.append(EventKind.MODE_SWITCH_U2K, cycle=0)
-    ev = tr.append(EventKind.MAP_PAGE, 1, 0x1000, cycle=7)
-    assert ev.render() == "1 MAP_PAGE asid=1 vaddr=0x1000 cycle=7"
+    tr.append(EventKind.MAP_PAGE, 1, 0x1000, cycle=7)
+    assert tr[-1].render() == "1 MAP_PAGE asid=1 vaddr=0x1000 cycle=7"
 
 
 # One event of every kind, with arguments as the simulator records them.
@@ -56,8 +58,10 @@ RENDERED = {
 def test_render_of_every_kind(kind):
     args, text = RENDERED[kind]
     tr = Trace()
-    assert tr.append(kind, *args).render() == f"0 {text}"
-    assert tr.append(kind, *args, cycle=3).render() == f"1 {text} cycle=3"
+    tr.append(kind, *args)
+    assert tr[-1].render() == f"0 {text}"
+    tr.append(kind, *args, cycle=3)
+    assert tr[-1].render() == f"1 {text} cycle=3"
 
 
 def test_of_cycle_filters_and_preserves_order():
@@ -77,3 +81,24 @@ def test_to_text_is_line_per_event_with_trailing_newline():
     tr.append(EventKind.RESUME, 4, cycle=2)
     assert tr.to_text() == "0 SUSPEND 4 cycle=2\n1 RESUME 4 cycle=2\n"
     assert Trace().to_text() == ""
+
+
+# ---- events built on read from the columns ---------------------------------
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_events_read_back_match_the_rendered_text(name):
+    for token, res in fitting_results(name).items():
+        trace = res.trace
+        events = list(trace)
+        assert [ev.render() for ev in trace] == trace.to_text().splitlines(), token
+        assert [ev.seq for ev in events] == list(range(len(trace)))
+        assert trace[-1] == events[-1]
+        a, b = len(trace) // 3, 2 * len(trace) // 3
+        assert trace[a:b] == events[a:b]
+        assert trace[::-5] == events[::-5]
+        assert trace.of_cycle(0) == [ev for ev in events if ev.cycle == 0]
+        assert trace[len(trace):] == []
+        for past_either_end in (len(trace), -len(trace) - 1):
+            with pytest.raises(IndexError):
+                trace[past_either_end]
