@@ -131,7 +131,7 @@ class ContractState(Enum):
     REVOKED = "revoked"
 
 
-@dataclass
+@dataclass(slots=True)
 class RegionSlot:
     manager: int | None = None
     contract: ContractState = ContractState.UNASSIGNED
@@ -160,13 +160,17 @@ class RegionTable:
         self._slots[rid] = RegionSlot(manager=manager, contract=ContractState.ASSIGNED)
 
     def lookup(self, rid: int) -> RegionSlot:
-        self._check(rid)
+        if not 0 <= rid < self.region_count:
+            self._check(rid)  # raises
         slot = self._slots.get(rid)
         return slot if slot is not None else RegionSlot()
 
     def set_contract(self, rid: int, state: ContractState) -> None:
-        self._check(rid)
-        self._slots.setdefault(rid, RegionSlot()).contract = state
+        slot = self._slots.get(rid)
+        if slot is None:  # a held slot's rid was checked when it was made
+            self._check(rid)
+            slot = self._slots[rid] = RegionSlot()
+        slot.contract = state
 
     def managers(self) -> list[tuple[int, int]]:
         """``(rid, manager)`` of every region that has a manager, in rid

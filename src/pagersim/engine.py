@@ -68,7 +68,7 @@ class MessageKind(Enum):
     REPLY = "REPLY"
 
 
-@dataclass
+@dataclass(slots=True)
 class ThreadControlBlock:
     tid: int
     asid: int
@@ -113,7 +113,9 @@ class Machine:
         self.trace = Trace()
         self.threads: dict[int, ThreadControlBlock] = {}
         self.warnings: list[str] = []
-        self._occupant: int | None = None
+        # Tid charged with CPU occupancy; it survives suspension until
+        # someone else is switched in.
+        self.occupant: int | None = None
         self._mailboxes: dict[int, deque[Message]] = {}
         self._sched_order: list[int] | None = None
         self.threads[KERNEL_TID] = ThreadControlBlock(
@@ -150,28 +152,24 @@ class Machine:
         return tcb
 
     def thread(self, tid: int) -> ThreadControlBlock:
-        try:
-            return self.threads[tid]
-        except KeyError:
-            raise UnknownThreadError(f"no thread with id {tid}") from None
-
-    @property
-    def occupant(self) -> int | None:
-        """Tid currently charged with CPU occupancy (survives suspension
-        until someone else is switched in)."""
-        return self._occupant
+        """The thread's control block.  The fault path reads ``threads``
+        itself and calls this only to raise ``UnknownThreadError``."""
+        tcb = self.threads.get(tid)
+        if tcb is None:
+            raise UnknownThreadError(f"no thread with id {tid}")
+        return tcb
 
     # ---- occupancy and privilege events ----------------------------------
 
     def switch_to(self, tid: int, cycle: int | None = None) -> None:
         """Make `tid` the running thread, emitting a context switch iff the
         occupant changes.  The first dispatch of a run emits none."""
-        tcb = self.thread(tid)
+        tcb = self.threads.get(tid) or self.thread(tid)
         if tcb.state not in _SCHEDULABLE:
             raise NotSchedulableError(
                 f"thread {tid} is {tcb.state.value}, cannot run"
             )
-        prev = self._occupant
+        prev = self.occupant
         if prev == tid:
             tcb.state = ThreadState.RUNNING
             return
@@ -180,7 +178,7 @@ class Machine:
             if prev_tcb.state is ThreadState.RUNNING:
                 prev_tcb.state = ThreadState.READY
             self.trace.append(EventKind.CONTEXT_SWITCH, prev, tid, cycle=cycle)
-        self._occupant = tid
+        self.occupant = tid
         tcb.state = ThreadState.RUNNING
 
     def enter_kernel(self, cycle: int | None = None) -> None:
@@ -190,18 +188,17 @@ class Machine:
         self.trace.append(EventKind.MODE_SWITCH_K2U, cycle=cycle)
 
     def suspend(self, tid: int, cycle: int | None = None) -> None:
-        tcb = self.thread(tid)
-        tcb.state = ThreadState.SUSPENDED
+        (self.threads.get(tid) or self.thread(tid)).state = ThreadState.SUSPENDED
         self.trace.append(EventKind.SUSPEND, tid, cycle=cycle)
 
     def resume(self, tid: int, cycle: int | None = None) -> None:
-        tcb = self.thread(tid)
-        tcb.state = ThreadState.READY
+        (self.threads.get(tid) or self.thread(tid)).state = ThreadState.READY
         self.trace.append(EventKind.RESUME, tid, cycle=cycle)
 
     def block_on_receive(self, tid: int) -> None:
         # Occupancy is only reassigned by the next switch_to.
-        self.thread(tid).state = ThreadState.BLOCKED_ON_RECEIVE
+        tcb = self.threads.get(tid) or self.thread(tid)
+        tcb.state = ThreadState.BLOCKED_ON_RECEIVE
 
     # ---- messaging -------------------------------------------------------
 
@@ -227,19 +224,23 @@ class Machine:
             self._mailboxes[receiver].append(msg)
 
     def receive(self, tid: int, cycle: int | None = None) -> Message:
-        box = self._mailboxes[tid]
+        box = self._mailboxes.get(tid)
         if not box:
+            self.thread(tid)  # raises UnknownThreadError for an unknown tid
             raise SimulationHasNoMessage(tid)
         msg = box.popleft()
         self.trace.append(EventKind.IPC_RECEIVE, tid, msg.kind._value_, cycle=cycle)
         return msg
 
     def pending_messages(self, tid: int) -> int:
+        self.thread(tid)  # raises UnknownThreadError for an unknown tid
         return len(self._mailboxes[tid])
 
     def peek_message(self, tid: int) -> Message | None:
         """Next queued message without consuming it, if any."""
-        box = self._mailboxes[tid]
+        box = self._mailboxes.get(tid)
+        if box is None:
+            self.thread(tid)  # raises UnknownThreadError
         return box[0] if box else None
 
     # ---- scheduling ------------------------------------------------------
@@ -262,7 +263,7 @@ class Machine:
         if self._sched_order is None:
             self._sched_order = self._build_order()
         order = self._sched_order
-        start = -1 if self._occupant is None else order.index(self._occupant)
+        start = -1 if self.occupant is None else order.index(self.occupant)
         n = len(order)
         for step in range(1, n + 1):
             tid = order[(start + step) % n]
@@ -273,8 +274,8 @@ class Machine:
     def yield_current(self) -> int:
         """Voluntary yield: demote the running thread to ready and dispatch
         the scheduler's next pick (which may be the same thread)."""
-        if self._occupant is not None:
-            occ = self.threads[self._occupant]
+        if self.occupant is not None:
+            occ = self.threads[self.occupant]
             if occ.state is ThreadState.RUNNING:
                 occ.state = ThreadState.READY
         tid = self.schedule_next()

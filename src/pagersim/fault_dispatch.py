@@ -103,14 +103,11 @@ def classify(
         return Classification(VerdictCode.NOT_ACCEPTED, rid=rid, manager=slot.manager)
     if slot.contract is ContractState.ASSIGNED and slot.manager in non_accepting:
         return Classification(VerdictCode.NOT_ACCEPTED, rid=rid, manager=slot.manager)
-    ent = space.pages.entry(vaddr // space.layout.page_size)
-    if ent.present:
-        return Classification(
-            VerdictCode.RESUMED_PRESENT, rid=rid, manager=slot.manager, marker=ent.marker
-        )
-    return Classification(
-        VerdictCode.DISPATCHED, rid=rid, manager=slot.manager, marker=ent.marker
-    )
+    ent = space.pages.entries.get(vaddr // space.layout.page_size)
+    if ent is None:  # never mapped: marker 0
+        return Classification(VerdictCode.DISPATCHED, rid=rid, manager=slot.manager)
+    code = VerdictCode.RESUMED_PRESENT if ent.present else VerdictCode.DISPATCHED
+    return Classification(code, rid=rid, manager=slot.manager, marker=ent.marker)
 
 
 class KernelMemory:
@@ -197,7 +194,7 @@ class KernelMemory:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class FaultCycle:
     """The one record of a fault from trap to settlement; every message
     about the fault carries it as its payload."""
@@ -243,15 +240,11 @@ class FaultDispatcher:
 
     def begin_fault(self, tid: int, vaddr: int, access: AccessType) -> FaultCycle:
         """Phase one of fault handling: the trap into the kernel."""
-        cycle = FaultCycle(
-            index=len(self.cycles),
-            faulter=tid,
-            asid=self.machine.thread(tid).asid,
-            vaddr=vaddr,
-            access=access,
-        )
+        machine = self.machine
+        tcb = machine.threads.get(tid) or machine.thread(tid)
+        cycle = FaultCycle(len(self.cycles), tid, tcb.asid, vaddr, access)
         self.cycles.append(cycle)
-        trace = self.machine.trace
+        trace = machine.trace
         # The trap's seq; a column's len() makes no Python-level call.
         cycle.trap_seq = len(trace.kinds)
         trace.append(EventKind.MODE_SWITCH_U2K, cycle=cycle.index)
@@ -317,7 +310,8 @@ class FaultDispatcher:
         if msg is None:
             return None
         index = msg.payload.index
-        tcb = machine.thread(target)
+        # A thread with a mailbox is registered.
+        tcb = machine.threads[target]
         if tcb.state is ThreadState.BLOCKED_ON_RECEIVE:
             tcb.state = ThreadState.READY
         machine.leave_kernel(cycle=index)

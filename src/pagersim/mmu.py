@@ -22,7 +22,7 @@ MARKER_BITS = 31
 MARKER_LIMIT = 1 << MARKER_BITS
 
 
-@dataclass
+@dataclass(slots=True)
 class PageTableEntry:
     present: bool = False
     frame: int = 0
@@ -30,46 +30,47 @@ class PageTableEntry:
 
 
 class PageTable:
-    """Flat mapping from page index to entry; absent indexes read as an
-    all-zero, non-present entry."""
+    """Flat mapping from page index to entry; a page absent from
+    ``entries`` was never mapped and reads as non-present with marker 0."""
 
     def __init__(self) -> None:
-        self._entries: dict[int, PageTableEntry] = {}
-
-    def entry(self, page: int) -> PageTableEntry:
-        ent = self._entries.get(page)
-        return ent if ent is not None else PageTableEntry()
+        self.entries: dict[int, PageTableEntry] = {}
 
     def set_mapping(self, page: int, frame: int, marker: int) -> None:
         if not 0 <= marker < MARKER_LIMIT:
             raise MarkerOverflowError(
                 f"marker {marker} does not fit in {MARKER_BITS} bits"
             )
-        self._entries[page] = PageTableEntry(present=True, frame=frame, marker=marker)
+        self.entries[page] = PageTableEntry(present=True, frame=frame, marker=marker)
 
     def clear_mapping(self, page: int) -> None:
         """Drop the present flag but keep the marker readable."""
-        ent = self._entries.get(page)
+        ent = self.entries.get(page)
         if ent is None or not ent.present:
             raise NotMappedError(f"page {page} has no present mapping")
         ent.present = False
 
     def present_pages(self, within: range | None = None) -> list[int]:
-        """Present pages, ascending; with ``within``, only those in it."""
-        return sorted(
-            p for p, e in self._entries.items()
-            if e.present and (within is None or p in within)
-        )
+        """Present pages, ascending; with ``within``, only those in it.
+        Walks whichever of ``within`` and the table is shorter."""
+        ents = self.entries
+        return sorted([
+            p for p in (
+                within if within is not None and len(within) < len(ents) else ents
+            )
+            if (e := ents.get(p)) is not None and e.present
+            and (within is None or p in within)
+        ])
 
     def touched_pages(self) -> list[int]:
         """Pages with any state at all (present, or a surviving marker)."""
-        return sorted(self._entries)
+        return sorted(self.entries)
 
     def snapshot(self) -> dict[int, tuple[bool, int, int]]:
         """Canonical content view used for cross-scheme comparison."""
         return {
             p: (e.present, e.frame if e.present else 0, e.marker)
-            for p, e in sorted(self._entries.items())
+            for p, e in sorted(self.entries.items())
         }
 
 
@@ -80,7 +81,7 @@ def translate(table: PageTable, page_size: int, vaddr: int) -> int | None:
     region or permission logic lives here; classification of the fault is
     the dispatch layer's job.
     """
-    ent = table._entries.get(vaddr // page_size)
+    ent = table.entries.get(vaddr // page_size)
     if ent is not None and ent.present:
         return ent.frame
     return None

@@ -339,8 +339,10 @@ class Simulator:
                 self.machine.switch_to(self._decl[item.thread].tid)
             elif isinstance(item, YieldItem):
                 self.machine.yield_current()
-            if auto:
-                self._service_to_quiescence()
+            # Serve pagers until every action queue is empty; a queue
+            # leaves the map as soon as it empties (see _drain).
+            while auto and self._actions:
+                self._exec_action(next(iter(self._actions)))
         return SimResult(
             scheme=self.scheme,
             trace=self.machine.trace,
@@ -355,9 +357,8 @@ class Simulator:
             raise SimulationError(
                 f"thread {item.thread!r} has a held fault; dispatch it first"
             )
-        tcb = self.machine.thread(tid)
         self.machine.switch_to(tid)
-        space = self.spaces[tcb.asid]
+        space = self.spaces[self.machine.threads[tid].asid]
         if translate(space.pages, self.layout.page_size, item.vaddr) is not None:
             return  # plain memory access, nothing to record
         cycle = self.dispatcher.begin_fault(tid, item.vaddr, item.access)
@@ -413,16 +414,13 @@ class Simulator:
         self.dispatcher.suspend_and_send(cycle, cls, target)
         self._try_deliver(target)
 
-    def _behavior_of(self, tid: int) -> PagerBehavior:
-        behavior = self.behaviors.get(tid)
+    def _build_actions(self, handler: int, msg: Message) -> list[Action]:
+        behavior = self.behaviors.get(handler)
         if behavior is None:
             raise SimulationError(
-                f"thread {tid} received a fault but has no pager behavior"
+                f"thread {handler} received a fault but has no pager behavior"
             )
-        return behavior
-
-    def _build_actions(self, handler: int, msg: Message) -> list[Action]:
-        return self._behavior_of(handler).on_page_fault(
+        return behavior.on_page_fault(
             msg,
             page_size=self.layout.page_size,
             allocator=self.allocator,
@@ -465,8 +463,14 @@ class Simulator:
 
     def _exec_action(self, pager: int) -> None:
         action, index = self._actions[pager].pop(0)
+        if (isinstance(action, (ReplyAction, ReflectAction))
+                and self.machine.occupant != pager):
+            # A reply or reflection is a syscall; the pager must hold the
+            # CPU.  Scripted interleavings may have moved it away - switch
+            # back with an unattributed context switch (scheduling, not
+            # fault protocol).
+            self.machine.switch_to(pager)
         if isinstance(action, ReplyAction):
-            self._ensure_running(pager)
             self.dispatcher.pager_reply(pager, action.fault)
         elif isinstance(action, ReflectAction):
             self._reflect(pager, action.message)
@@ -499,22 +503,10 @@ class Simulator:
         """Region-mapper reflection: look up the responsible pager and
         forward the fault message unchanged, then return to the receive
         loop.  The reply will not come back through here."""
-        self._ensure_running(rm)
-        target = self._behavior_of(rm).db.lookup(original.payload.vaddr)
+        # The mapper's actions came from its behavior (see _build_actions).
+        target = self.behaviors[rm].db.lookup(original.payload.vaddr)
         self.dispatcher.reflect(rm, original, target)
         self._try_deliver(target)
-
-    def _ensure_running(self, pager: int) -> None:
-        """A reply or reflection is a syscall; the pager must hold the CPU.
-        Scripted interleavings may have moved it away - switch back with an
-        unattributed context switch (scheduling, not fault protocol)."""
-        if self.machine.occupant != pager:
-            self.machine.switch_to(pager)
-
-    def _service_to_quiescence(self) -> None:
-        # A queue leaves the map as soon as it empties (see _drain).
-        while self._actions:
-            self._exec_action(next(iter(self._actions)))
 
     def _drain(self, pager: int) -> None:
         self._actions.pop(pager, None)

@@ -14,6 +14,9 @@ for the crossings its own handling protocol mandates.  Appending an
 attributed event bumps its kind's count in its cycle's counter row, so
 accounting never walks the events.  Events live in columns of kinds, raw
 arguments (ints and enum spellings) and cycles; only rendering makes text.
+Rendering joins the line templates of a block of ``RENDER_BLOCK`` events
+and formats the block with one ``%`` over its fields, so it makes no
+Python-level call per event.
 """
 
 from enum import Enum
@@ -60,12 +63,10 @@ _LINES = {
     for kind, fields in ((k, _FIELDS.get(k, ())) for k in SLOT)
 }
 _ATTRIBUTED_LINES = {k: [t + " cycle=%s" for t in v] for k, v in _LINES.items()}
-
-
-def _line(seq: int, kind: EventKind, args: tuple, cycle: int | None) -> str:
-    if cycle is None:
-        return _LINES[kind._value_][len(args)] % (seq, *args)
-    return _ATTRIBUTED_LINES[kind._value_][len(args)] % (seq, *args, cycle)
+# Events formatted by one ``%`` in ``Trace.to_text``: large enough that the
+# per-block work vanishes, small enough that a block's text stays small
+# beside the whole trace's.
+RENDER_BLOCK = 1024
 
 
 class TraceEvent(NamedTuple):
@@ -75,7 +76,10 @@ class TraceEvent(NamedTuple):
     cycle: int | None = None
 
     def render(self) -> str:
-        return _line(*self)
+        seq, kind, args, cycle = self
+        if cycle is None:
+            return _LINES[kind._value_][len(args)] % (seq, *args)
+        return _ATTRIBUTED_LINES[kind._value_][len(args)] % (seq, *args, cycle)
 
 
 class Trace:
@@ -121,7 +125,25 @@ class Trace:
         return [self._event(i) for i, c in enumerate(self.cycle_of) if c == cycle]
 
     def to_text(self) -> str:
-        lines = list(
-            map(_line, range(len(self.kinds)), self.kinds, self.args, self.cycle_of)
-        )
-        return "\n".join(lines) + "\n" if lines else ""
+        """One ``seq KIND args...`` line per event, each block of
+        ``RENDER_BLOCK`` events formatted by one ``%`` call."""
+        kinds, args, cycles = self.kinds, self.args, self.cycle_of
+        blocks = []
+        for start in range(0, len(kinds), RENDER_BLOCK):
+            stop = start + RENDER_BLOCK
+            templates = []
+            fields = []
+            for seq, kind, a, cycle in zip(
+                range(start, stop), kinds[start:stop], args[start:stop],
+                cycles[start:stop],
+            ):
+                fields.append(seq)
+                fields += a
+                if cycle is None:
+                    templates.append(_LINES[kind._value_][len(a)])
+                else:
+                    templates.append(_ATTRIBUTED_LINES[kind._value_][len(a)])
+                    fields.append(cycle)
+            templates.append("")  # the block's last line ends in a newline
+            blocks.append("\n".join(templates) % tuple(fields))
+        return "".join(blocks)

@@ -56,6 +56,25 @@ def test_unknown_thread():
         Machine().thread(9)
 
 
+@pytest.mark.parametrize(
+    "method", ["switch_to", "suspend", "resume", "block_on_receive"]
+)
+def test_every_method_taking_a_tid_refuses_an_unknown_thread(method):
+    m = two_thread_machine()
+    with pytest.raises(UnknownThreadError):
+        getattr(m, method)(9)
+    assert len(m.trace) == 0
+
+
+@pytest.mark.parametrize("method", ["receive", "peek_message", "pending_messages"])
+def test_mailbox_methods_refuse_an_unknown_thread(method):
+    m = two_thread_machine()
+    with pytest.raises(UnknownThreadError):
+        getattr(m, method)(9)
+    # An empty mailbox of a known thread is no error for the readers.
+    assert m.peek_message(2) is None and m.pending_messages(2) == 0
+
+
 def test_first_dispatch_emits_no_context_switch():
     m = two_thread_machine()
     m.switch_to(1)

@@ -29,12 +29,21 @@ from pagersim import (
 from pagersim.engine import Message, MessageKind
 from pagersim.fault_dispatch import Classification
 from pagersim.pagers import MapAction, ReflectAction, ReplyAction, RevokeRegionAction
-from pagersim.trace import Trace, TraceEvent
+from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent
 from support import fixture_scn
 
 # Python-level calls per fault of one run of workload50 under every scheme:
-# 10% above the 84.6 measured when the budget was set (Python 3.11).
-CALLS_PER_FAULT_BUDGET = 93
+# 10% above the 65.6 measured when the budget was set (Python 3.11).
+CALLS_PER_FAULT_BUDGET = 72
+
+# Python-level calls per translate hit, under every scheme: 10% above the
+# 3.0 measured when the budget was set (Python 3.11): the access, the
+# switch to the thread and the translation.
+CALLS_PER_HIT_BUDGET = 3.3
+
+# Python-level calls per event of Trace.to_text: one call per block of
+# events, not one per event (Python 3.11).
+RENDER_CALLS_PER_EVENT_BUDGET = 0.01
 
 # Python-level calls per fault cycle of check_expectations plus
 # verify_equivalence over the four workload50 runs: 10% above the 3.44
@@ -194,3 +203,54 @@ def test_parse_calls_per_line_stay_within_budget():
     sf, calls, _ = python_calls(lambda: parse_scenario(text))
     assert len(sf.script) == 50
     assert calls / lines <= PARSE_CALLS_PER_LINE_BUDGET
+
+
+def reread_stream(rereads: int) -> str:
+    """One demand-zero fault, then ``rereads`` hits on the same page."""
+    lines = [
+        "thread T tid=1 asid=1 role=applicant pager=P",
+        "thread P tid=2 asid=2 role=pager",
+        "pager P policy=anonymous",
+        "assign asid=1 rid=0 pager=P",
+    ]
+    lines += ["access T 0x1000 read"] * (1 + rereads)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_translate_hit_calls_stay_within_budget(scheme):
+    # The difference between 200 re-reads and none is the hits' own cost.
+    fault_only = Simulator(parse_scenario(reread_stream(0)), scheme)
+    with_hits = Simulator(parse_scenario(reread_stream(200)), scheme)
+    _, base, _ = python_calls(fault_only.run)
+    result, calls, _ = python_calls(with_hits.run)
+    assert len(result.cycles) == 1
+    assert (calls - base) / 200 <= CALLS_PER_HIT_BUDGET
+
+
+def test_rendering_makes_no_call_per_event():
+    trace = simulate(Scheme.L4RE, parse_scenario(FAULT_STREAM)).trace
+    text, calls, _ = python_calls(trace.to_text)
+    assert text.count("\n") == len(trace) >= 10_000
+    assert calls / len(trace) <= RENDER_CALLS_PER_EVENT_BUDGET
+
+
+def prefix(trace: Trace, events: int) -> Trace:
+    """A new trace holding the first ``events`` events of ``trace``."""
+    out = Trace()
+    for ev in trace[:events]:
+        out.append(ev.kind, *ev.args, cycle=ev.cycle)
+    return out
+
+
+@pytest.mark.parametrize(
+    "events", [0, 1, RENDER_BLOCK, RENDER_BLOCK + 1, None],
+    ids=["empty", "one-event", "one-block", "block-plus-one", "fault-stream"],
+)
+def test_block_rendering_equals_rendering_each_event(events):
+    # Attributed and unattributed events of every kind but UNMAP_PAGE.
+    trace = simulate(Scheme.L4RE, parse_scenario(FAULT_STREAM)).trace
+    if events is not None:
+        trace = prefix(trace, events)
+        assert len(trace) == events
+    assert trace.to_text() == "".join(ev.render() + "\n" for ev in trace)

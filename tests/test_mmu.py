@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pagersim import PageTable, translate
@@ -26,7 +28,7 @@ def test_mapping_roundtrip_and_present_pages():
     table.set_mapping(page=3, frame=5, marker=1)
     table.set_mapping(page=8, frame=6, marker=2)
     assert table.present_pages() == [3, 8]
-    ent = table.entry(3)
+    ent = table.entries[3]
     assert (ent.present, ent.frame, ent.marker) == (True, 5, 1)
 
 
@@ -36,7 +38,7 @@ def test_marker_survives_unmap():
     table = PageTable()
     table.set_mapping(page=4, frame=1, marker=1234)
     table.clear_mapping(page=4)
-    ent = table.entry(4)
+    ent = table.entries[4]
     assert not ent.present
     assert ent.marker == 1234
     assert table.present_pages() == []
@@ -63,3 +65,24 @@ def test_snapshot_shows_present_and_ghost_entries():
     table.set_mapping(page=1, frame=4, marker=8)
     table.clear_mapping(page=1)
     assert table.snapshot() == {0: (True, 3, 7), 1: (False, 0, 8)}
+
+
+@pytest.mark.parametrize("entries", [5, 40, 300])
+def test_present_pages_within_matches_a_filter_of_the_whole_table(entries):
+    # A range of 64 pages over tables smaller and larger than it: walking
+    # the shorter of the two must give what filtering every entry gives.
+    rng = random.Random(entries)
+    table = PageTable()
+    for page in rng.sample(range(512), entries):
+        table.set_mapping(page=page, frame=page, marker=0)
+        if rng.random() < 0.3:
+            table.clear_mapping(page)
+    for start in (0, 64, 200, 448):
+        within = range(start, start + 64)
+        want = sorted(
+            p for p, e in table.entries.items() if e.present and p in within
+        )
+        assert table.present_pages(within) == want
+    assert table.present_pages() == sorted(
+        p for p, e in table.entries.items() if e.present
+    )
