@@ -147,29 +147,24 @@ class RegionTable:
         self.region_count = region_count
         self._slots: dict[int, RegionSlot] = {}
 
-    def _check(self, rid: int) -> None:
-        if not 0 <= rid < self.region_count:
-            raise BadRegionError(
-                f"region {rid} outside table of {self.region_count}"
-            )
-
     def assign(self, rid: int, manager: int) -> None:
         """(Re)assign a region manager; any prior contract state resets to
         ASSIGNED, which is how a revoked region comes back to life."""
-        self._check(rid)
+        self.lookup(rid)  # raises BadRegionError outside the table
         self._slots[rid] = RegionSlot(manager=manager, contract=ContractState.ASSIGNED)
 
     def lookup(self, rid: int) -> RegionSlot:
         if not 0 <= rid < self.region_count:
-            self._check(rid)  # raises
+            raise BadRegionError(
+                f"region {rid} outside table of {self.region_count}"
+            )
         slot = self._slots.get(rid)
         return slot if slot is not None else RegionSlot()
 
     def set_contract(self, rid: int, state: ContractState) -> None:
         slot = self._slots.get(rid)
         if slot is None:  # a held slot's rid was checked when it was made
-            self._check(rid)
-            slot = self._slots[rid] = RegionSlot()
+            slot = self._slots[rid] = self.lookup(rid)
         slot.contract = state
 
     def managers(self) -> list[tuple[int, int]]:

@@ -51,16 +51,11 @@ class PageTable:
         ent.present = False
 
     def present_pages(self, within: range | None = None) -> list[int]:
-        """Present pages, ascending; with ``within``, only those in it.
-        Walks whichever of ``within`` and the table is shorter."""
-        ents = self.entries
-        return sorted([
-            p for p in (
-                within if within is not None and len(within) < len(ents) else ents
-            )
-            if (e := ents.get(p)) is not None and e.present
-            and (within is None or p in within)
-        ])
+        """Present pages, ascending; with ``within``, only those in it."""
+        return sorted(
+            p for p, e in self.entries.items()
+            if e.present and (within is None or p in within)
+        )
 
     def touched_pages(self) -> list[int]:
         """Pages with any state at all (present, or a surviving marker)."""

@@ -69,8 +69,8 @@ def test_snapshot_shows_present_and_ghost_entries():
 
 @pytest.mark.parametrize("entries", [5, 40, 300])
 def test_present_pages_within_matches_a_filter_of_the_whole_table(entries):
-    # A range of 64 pages over tables smaller and larger than it: walking
-    # the shorter of the two must give what filtering every entry gives.
+    # A range of 64 pages over tables smaller and larger than it: the
+    # present pages in the range, ascending, whichever of the two is longer.
     rng = random.Random(entries)
     table = PageTable()
     for page in rng.sample(range(512), entries):
