@@ -82,7 +82,6 @@ from .schemes import (
     cycle_metrics,
     overhead_report,
     report_from_totals,
-    run_scenario,
     simulate,
     totals_of,
     verify_equivalence,

@@ -232,10 +232,6 @@ class Machine:
         self.trace.append(EventKind.IPC_RECEIVE, tid, msg.kind._value_, cycle=cycle)
         return msg
 
-    def pending_messages(self, tid: int) -> int:
-        self.thread(tid)  # raises UnknownThreadError for an unknown tid
-        return len(self._mailboxes[tid])
-
     def peek_message(self, tid: int) -> Message | None:
         """Next queued message without consuming it, if any."""
         box = self._mailboxes.get(tid)

@@ -57,15 +57,12 @@ class PageTable:
             if e.present and (within is None or p in within)
         )
 
-    def touched_pages(self) -> list[int]:
-        """Pages with any state at all (present, or a surviving marker)."""
-        return sorted(self.entries)
-
     def snapshot(self) -> dict[int, tuple[bool, int, int]]:
-        """Canonical content view used for cross-scheme comparison."""
+        """Content view used for cross-scheme comparison; unordered, since
+        dict equality ignores order."""
         return {
             p: (e.present, e.frame if e.present else 0, e.marker)
-            for p, e in sorted(self.entries.items())
+            for p, e in self.entries.items()
         }
 
 

@@ -32,7 +32,7 @@ from .address_space import (
 )
 from .errors import SimulationError
 from .scenario import parse_scenario
-from .schemes import ALL_SCHEMES, overhead_report, run_scenario
+from .schemes import ALL_SCHEMES, overhead_report, simulate
 
 
 class MissingFixtureError(SimulationError):
@@ -153,8 +153,8 @@ def claim_replay_identical() -> str | None:
         sf_text = fixture_path(name).read_text()
         tokens = _FIXTURE_SCHEMES.get(name, tuple(s.value for s in ALL_SCHEMES))
         for scheme in (s for s in ALL_SCHEMES if s.value in tokens):
-            first = run_scenario(scheme, parse_scenario(sf_text)).to_text()
-            second = run_scenario(scheme, parse_scenario(sf_text)).to_text()
+            first = simulate(scheme, parse_scenario(sf_text)).trace.to_text()
+            second = simulate(scheme, parse_scenario(sf_text)).trace.to_text()
             if first != second:
                 return f"{name} under {scheme.value} is not replay-stable"
     return None

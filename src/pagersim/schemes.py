@@ -23,11 +23,13 @@ the per-fault figures.  Every attributed event is emitted by the
 ``FaultDispatcher``; the simulator only decides where a dispatched fault
 goes and when a pager runs.  The trace keeps one counter row per cycle,
 counting each event kind as events are appended; one function
-(``_costs``) decides which kinds count toward which cost column, and
-per-cycle metrics and whole-run totals both read rows through it.
+(``_costs``) decides which kinds count toward which cost column and one
+(``_resolved``) whether a cycle's faulter got the CPU back.  Per-cycle
+metrics, whole-run totals, expectation checks and the cross-scheme
+ordering all read rows through those two.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from operator import ge, gt
@@ -116,14 +118,19 @@ _U2K, _K2U, _CTX, _SEND, _RECEIVE, _SUSPEND, _RESUME = map(SLOT.__getitem__, (
     "IPC_RECEIVE", "SUSPEND", "RESUME",
 ))
 _ZERO_ROW = (0,) * len(SLOT)
+_COST_NAMES = tuple(f.name for f in fields(CycleMetrics))
 
 
-def _costs(row) -> CycleMetrics:
-    """Cost columns of a counter row: the one place that maps event kinds
-    to costs."""
-    return CycleMetrics(
-        row[_U2K] + row[_K2U], row[_CTX], row[_SEND], row[_RECEIVE]
-    )
+def _costs(row) -> tuple[int, int, int, int]:
+    """Cost columns of a counter row, in ``CycleMetrics`` order: the one
+    place that maps event kinds to costs."""
+    return (row[_U2K] + row[_K2U], row[_CTX], row[_SEND], row[_RECEIVE])
+
+
+def _resolved(row) -> bool:
+    """Whether the row's faulter got the CPU back: the kernel returned to
+    user mode, and no suspension is left without its resume."""
+    return row[_K2U] > 0 and (row[_RESUME] > 0 or not row[_SUSPEND])
 
 
 def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
@@ -136,13 +143,13 @@ def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
     rows = trace.cycle_counts
     # Bounds checked here: a negative index would read a row from the end.
     row = rows[fault_index] if 0 <= fault_index < len(rows) else _ZERO_ROW
-    if not row[_K2U] or (row[_SUSPEND] and not row[_RESUME]):
+    if not _resolved(row):
         if not any(row):  # no event is attributed to this cycle
             raise ValueError(f"trace has no fault cycle {fault_index}")
         raise IncompleteCycleError(
             f"fault cycle {fault_index}: thread never resumed"
         )
-    return _costs(row)
+    return CycleMetrics(*_costs(row))
 
 
 @dataclass
@@ -154,7 +161,7 @@ class SimResult:
     warnings: list[str]
 
     def page_snapshot(self) -> dict[int, dict]:
-        return {asid: sp.pages.snapshot() for asid, sp in sorted(self.spaces.items())}
+        return {asid: sp.pages.snapshot() for asid, sp in self.spaces.items()}
 
 
 class Simulator:
@@ -520,13 +527,6 @@ def simulate(
     return Simulator(scenario, scheme, seed=seed).run()
 
 
-def run_scenario(
-    scheme: Scheme, scenario: ScenarioFile, seed: int | None = None
-) -> Trace:
-    """Run a scenario under one scheme and return its trace."""
-    return simulate(scheme, scenario, seed=seed).trace
-
-
 # ---- cross-scheme comparison ---------------------------------------------
 
 
@@ -544,10 +544,7 @@ def totals_of(result: SimResult) -> SchemeTotals:
     """Protocol-attributed event totals over a whole run."""
     # The leading zero row keeps every column when no cycle has events.
     columns = [sum(c) for c in zip(_ZERO_ROW, *result.trace.cycle_counts)]
-    costs = _costs(columns)
-    return SchemeTotals(
-        scheme=result.scheme.value, faults=len(result.cycles), **asdict(costs)
-    )
+    return SchemeTotals(result.scheme.value, len(result.cycles), *_costs(columns))
 
 
 @dataclass
@@ -564,10 +561,7 @@ class OverheadReport:
             [str(getattr(row, attr)) for attr in self._COLUMNS]
             for row in self.rows
         ]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in body))
-            for i in range(len(header))
-        ]
+        widths = [max(map(len, column)) for column in zip(header, *body)]
         lines = [
             "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()
         ]
@@ -605,16 +599,17 @@ def _pct(f: Fraction) -> str:
 
 
 def report_from_totals(rows: list[SchemeTotals]) -> OverheadReport:
-    """The comparison table over per-scheme totals, which must include
-    the ``proposed`` and ``l4re`` rows.
+    """The comparison table over any per-scheme totals, in the order given.
 
     The reduction line compares the region-dispatch scheme against the
-    l4re baseline, as an exact fraction of the baseline.
+    l4re baseline, as an exact fraction of the baseline; it is left out
+    unless both the ``proposed`` and ``l4re`` rows are given.
     """
     by_name = {r.scheme: r for r in rows}
-    l4re, prop = by_name["l4re"], by_name["proposed"]
+    l4re, prop = by_name.get("l4re"), by_name.get("proposed")
     reduction_mode = reduction_ctx = None
-    if l4re.mode_switches and l4re.context_switches:
+    if (l4re is not None and prop is not None
+            and l4re.mode_switches and l4re.context_switches):
         reduction_mode = Fraction(
             l4re.mode_switches - prop.mode_switches, l4re.mode_switches
         )
@@ -673,25 +668,16 @@ def check_expectations(
                     f"{prefix}: verdict {got}, expected {e.verdict.value}"
                 )
                 continue
-            wanted = {
-                "mode_switches": e.mode,
-                "context_switches": e.ctx,
-                "ipc_messages": e.ipc,
-                "pager_invocations": e.invocations,
-            }
-            if all(v is None for v in wanted.values()):
+            wanted = (e.mode, e.ctx, e.ipc, e.invocations)
+            if wanted == (None, None, None, None):
                 continue
-            try:
-                m = cycle_metrics(res.trace, e.fault)
-            except IncompleteCycleError:
+            row = res.trace.cycle_counts[e.fault]
+            if not _resolved(row):
                 failures.append(f"{prefix}: cycle never completed")
                 continue
-            for attr, want in wanted.items():
-                if want is not None and getattr(m, attr) != want:
-                    failures.append(
-                        f"{prefix}: {attr}={getattr(m, attr)}, "
-                        f"expected {want}"
-                    )
+            for attr, got, want in zip(_COST_NAMES, _costs(row), wanted):
+                if want is not None and got != want:
+                    failures.append(f"{prefix}: {attr}={got}, expected {want}")
     return failures
 
 
@@ -723,25 +709,22 @@ def verify_equivalence(results: dict[str, SimResult]) -> list[str]:
             )
     ordered = ("monolithic", "proposed", "l4re")
     if all(t in results for t in ordered):
-        mono, prop, l4re = (results[t] for t in ordered)
-        n = min(len(mono.cycles), len(prop.cycles), len(l4re.cycles))
-        for i in range(n):
+        rows = (results[t].trace.cycle_counts for t in ordered)
+        for cycle, r0, r1, r2 in zip(base.cycles, *rows):
             # The cost ordering is a claim about dispatched faults; cycles
             # that never reach a pager cost the same under every scheme.
-            if base.cycles[i].verdict is not VerdictCode.DISPATCHED:
+            if cycle.verdict is not VerdictCode.DISPATCHED:
                 continue
-            try:
-                m0 = cycle_metrics(mono.trace, i).as_tuple()
-                m1 = cycle_metrics(prop.trace, i).as_tuple()
-                m2 = cycle_metrics(l4re.trace, i).as_tuple()
-            except IncompleteCycleError:
+            if not (_resolved(r0) and _resolved(r1) and _resolved(r2)):
                 continue  # ordering is only claimed for resolved cycles
+            m0, m1, m2 = _costs(r0), _costs(r1), _costs(r2)
             if not all(map(gt, m2, m1)):
                 problems.append(
-                    f"cycle {i}: l4re {m2} not strictly above proposed {m1}"
+                    f"cycle {cycle.index}: l4re {m2} not strictly above "
+                    f"proposed {m1}"
                 )
             if not all(map(ge, m1, m0)):
                 problems.append(
-                    f"cycle {i}: proposed {m1} below monolithic {m0}"
+                    f"cycle {cycle.index}: proposed {m1} below monolithic {m0}"
                 )
     return problems

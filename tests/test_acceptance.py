@@ -30,7 +30,6 @@ from pagersim import (
     parse_scenario,
     region_id_div,
     region_id_shift,
-    run_scenario,
     simulate,
 )
 from pagersim.errors import NotRegionManagerError, RevokedRegionError
@@ -262,7 +261,7 @@ def test_deterministic_replay():
     for name in ("table1", "fig6", "classify", "revoke", "workload50", "l4re-reflect"):
         text = fixture_scn(name)
         for scheme in applicable.get(name, tuple(Scheme)):
-            first = run_scenario(scheme, parse_scenario(text)).to_text()
-            second = run_scenario(scheme, parse_scenario(text)).to_text()
+            first = simulate(scheme, parse_scenario(text)).trace.to_text()
+            second = simulate(scheme, parse_scenario(text)).trace.to_text()
             assert first, (name, scheme)
             assert first == second, (name, scheme)

@@ -66,13 +66,13 @@ def test_every_method_taking_a_tid_refuses_an_unknown_thread(method):
     assert len(m.trace) == 0
 
 
-@pytest.mark.parametrize("method", ["receive", "peek_message", "pending_messages"])
+@pytest.mark.parametrize("method", ["receive", "peek_message"])
 def test_mailbox_methods_refuse_an_unknown_thread(method):
     m = two_thread_machine()
     with pytest.raises(UnknownThreadError):
         getattr(m, method)(9)
     # An empty mailbox of a known thread is no error for the readers.
-    assert m.peek_message(2) is None and m.pending_messages(2) == 0
+    assert m.peek_message(2) is None
 
 
 def test_first_dispatch_emits_no_context_switch():
@@ -127,15 +127,17 @@ def fault_message(receiver: int) -> Message:
 
 def test_send_renders_fault_payload_and_queues():
     m = two_thread_machine()
-    m.send(fault_message(2), cycle=0)
-    assert m.pending_messages(2) == 1
-    assert m.peek_message(2).payload.marker == 5
+    msg = fault_message(2)
+    m.send(msg, cycle=0)
+    assert m.peek_message(2) is msg
+    assert msg.payload.marker == 5
     ev = m.trace[0]
     assert ev.kind is EventKind.IPC_SEND
     assert ev.args == (0, 2, "PAGE_FAULT", 1, 0x2000, "W", 5)
     assert ev.render() == (
         "0 IPC_SEND 0 2 PAGE_FAULT faulter=1 vaddr=0x2000 access=W marker=5 cycle=0"
     )
+    assert m.receive(2) is msg and m.peek_message(2) is None  # one queued
 
 
 def test_reply_to_kernel_renders_short_and_is_consumed_synchronously():
@@ -149,7 +151,7 @@ def test_reply_to_kernel_renders_short_and_is_consumed_synchronously():
     m.send(msg)
     assert m.trace[0].args == (2, 0, "REPLY", 1)
     assert m.trace[0].render() == "0 IPC_SEND 2 0 REPLY faulter=1"
-    assert m.pending_messages(KERNEL_TID) == 0
+    assert m.peek_message(KERNEL_TID) is None
 
 
 def test_send_to_unknown_receiver():
@@ -171,7 +173,7 @@ def test_receive_is_fifo_and_traces():
     got = m.receive(2, cycle=0)
     assert got.payload.vaddr == 0x2000
     assert m.receive(2).payload.vaddr == 0x3000
-    assert m.pending_messages(2) == 0
+    assert m.peek_message(2) is None
     recv_events = [ev for ev in m.trace if ev.kind is EventKind.IPC_RECEIVE]
     assert recv_events[0].args == (2, "PAGE_FAULT")
 

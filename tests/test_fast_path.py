@@ -16,12 +16,14 @@ import pytest
 from pagersim import (
     ALL_SCHEMES,
     AccessType,
+    CycleMetrics,
     EventKind,
     FaultCycle,
     Scheme,
     Simulator,
     VerdictCode,
     check_expectations,
+    cycle_metrics,
     parse_scenario,
     simulate,
     verify_equivalence,
@@ -46,9 +48,10 @@ CALLS_PER_HIT_BUDGET = 3.3
 RENDER_CALLS_PER_EVENT_BUDGET = 0.01
 
 # Python-level calls per fault cycle of check_expectations plus
-# verify_equivalence over the four workload50 runs: 10% above the 3.44
-# measured when the budget was set (Python 3.11).
-CHECK_CALLS_PER_CYCLE_BUDGET = 3.8
+# verify_equivalence over the four runs of one scenario: 10% above the
+# 1.745 measured on workload50 when the budget was set (1.51 on
+# FAULT_STREAM; Python 3.11).
+CHECK_CALLS_PER_CYCLE_BUDGET = 1.92
 
 # Bytes one run keeps allocated per trace event on FAULT_STREAM: 10% above
 # the 104 (l4re) and 115 (proposed) measured when the bounds were set
@@ -88,33 +91,35 @@ def test_records_are_immutable(record, field):
         record.extra = 1
 
 
-def python_calls(fn, code=None):
+def python_calls(fn, *codes):
     """Run ``fn``; return its result, the Python-level function calls it
-    made, and how many of those ran ``code``."""
-    calls = matched = 0
+    made, and how many of those ran each of ``codes``, in order."""
+    calls = 0
+    matched = dict.fromkeys(codes, 0)
 
     def profile(frame, event, _arg):
-        nonlocal calls, matched
+        nonlocal calls
         if event == "call":
             calls += 1
-            matched += frame.f_code is code
+            if frame.f_code in matched:
+                matched[frame.f_code] += 1
 
     sys.setprofile(profile)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
-    return result, calls, matched
+    return result, calls, list(matched.values())
 
 
 def test_accounting_never_hashes_an_enum():
     enum_hash = Enum.__hash__.__code__
     # The counter does see the hash when it runs.
-    assert python_calls(lambda: hash(EventKind.SUSPEND), enum_hash)[2] == 1
+    assert python_calls(lambda: hash(EventKind.SUSPEND), enum_hash)[2] == [1]
 
     sf = parse_scenario(fixture_scn("workload50"))
     results = {s.value: simulate(s, sf) for s in ALL_SCHEMES}
-    (failures, problems), _, hashes = python_calls(
+    (failures, problems), _, [hashes] = python_calls(
         lambda: (check_expectations(results, sf), verify_equivalence(results)),
         enum_hash,
     )
@@ -123,17 +128,23 @@ def test_accounting_never_hashes_an_enum():
 
 
 def test_check_and_verify_read_only_counters():
-    sf = parse_scenario(fixture_scn("workload50"))
-    results = {s.value: simulate(s, sf) for s in ALL_SCHEMES}
-    (failures, problems), calls, of_cycle = python_calls(
-        lambda: (check_expectations(results, sf), verify_equivalence(results)),
-        Trace.of_cycle.__code__,
-    )
-    assert failures == [] and problems == []
-    assert of_cycle == 0
-    cycles = sum(len(res.cycles) for res in results.values())
-    assert cycles == 4 * 50
-    assert calls / cycles <= CHECK_CALLS_PER_CYCLE_BUDGET
+    # workload50 (50 faults, two expect lines) and FAULT_STREAM (800
+    # faults, none): the budget holds per cycle at both scales.
+    for text, faults in ((fixture_scn("workload50"), 50), (FAULT_STREAM, 800)):
+        sf = parse_scenario(text)
+        results = {s.value: simulate(s, sf) for s in ALL_SCHEMES}
+        (failures, problems), calls, records = python_calls(
+            lambda: (check_expectations(results, sf), verify_equivalence(results)),
+            Trace.of_cycle.__code__,
+            cycle_metrics.__code__,
+            CycleMetrics.__init__.__code__,
+        )
+        assert failures == [] and problems == []
+        # No event scan, no public per-cycle reader, no per-cycle record.
+        assert records == [0, 0, 0]
+        cycles = sum(len(res.cycles) for res in results.values())
+        assert cycles == 4 * faults
+        assert calls / cycles <= CHECK_CALLS_PER_CYCLE_BUDGET
 
 
 def test_run_loop_calls_per_fault_stay_within_budget():

@@ -232,7 +232,7 @@ def test_deliver_is_attributed_to_the_cycle_of_the_message():
     ]
     assert m.occupant == PAGER
     assert m.thread(PAGER).state is ThreadState.RUNNING
-    assert m.pending_messages(PAGER) == 0
+    assert m.peek_message(PAGER) is None
     assert disp.deliver(PAGER) is None
 
 

@@ -42,7 +42,7 @@ def test_marker_survives_unmap():
     assert not ent.present
     assert ent.marker == 1234
     assert table.present_pages() == []
-    assert table.touched_pages() == [4]
+    assert list(table.entries) == [4]
 
 
 def test_clear_unmapped_page_raises():

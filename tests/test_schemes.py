@@ -15,7 +15,7 @@ from pagersim import (
     cycle_metrics,
     overhead_report,
     parse_scenario,
-    run_scenario,
+    report_from_totals,
     simulate,
     totals_of,
     verify_equivalence,
@@ -26,7 +26,7 @@ from pagersim.errors import (
     SimulationError,
 )
 from pagersim.reproduce import FIXTURES
-from pagersim.trace import Trace
+from pagersim.trace import SLOT, Trace
 from support import GOLDEN_DIR, fitting_results, fixture_scn, golden
 
 
@@ -38,29 +38,29 @@ def run_fixture(name: str, scheme: Scheme) -> SimResult:
 
 
 def test_monolithic_cycle_matches_golden():
-    trace = run_scenario(Scheme.MONOLITHIC, parse_scenario(fixture_scn("table1")))
+    trace = run_fixture("table1", Scheme.MONOLITHIC).trace
     assert trace.to_text() == golden("table1.monolithic.trace")
 
 
 def test_region_dispatch_cycle_matches_golden():
-    trace = run_scenario(Scheme.REGION_DISPATCH, parse_scenario(fixture_scn("table1")))
+    trace = run_fixture("table1", Scheme.REGION_DISPATCH).trace
     assert trace.to_text() == golden("table1.proposed.trace")
 
 
 def test_single_pager_cycle_equals_region_dispatch_here():
     # With one pager serving everything the two schemes are the same
     # machine word for word.
-    trace = run_scenario(Scheme.L4_SINGLE, parse_scenario(fixture_scn("table1")))
+    trace = run_fixture("table1", Scheme.L4_SINGLE).trace
     assert trace.to_text() == golden("table1.proposed.trace")
 
 
 def test_l4re_cycle_matches_golden():
-    trace = run_scenario(Scheme.L4RE, parse_scenario(fixture_scn("table1")))
+    trace = run_fixture("table1", Scheme.L4RE).trace
     assert trace.to_text() == golden("table1.l4re.trace")
 
 
 def test_concurrent_fault_race_matches_golden():
-    trace = run_scenario(Scheme.REGION_DISPATCH, parse_scenario(fixture_scn("fig6")))
+    trace = run_fixture("fig6", Scheme.REGION_DISPATCH).trace
     assert trace.to_text() == golden("fig6.proposed.trace")
 
 
@@ -244,10 +244,106 @@ def test_check_expectations_reports_mismatches():
         "expect fault=1 verdict=DISPATCHED\n"
     )
     results = {"proposed": simulate(Scheme.REGION_DISPATCH, sf)}
-    messages = check_expectations(results, sf)
-    assert len(messages) == 2
-    assert any("mode_switches" in m for m in messages)
-    assert any("only 1 fault(s)" in m for m in messages)
+    assert check_expectations(results, sf) == [
+        "[proposed] fault 0: mode_switches=4, expected 999",
+        "[proposed] fault 1: only 1 fault(s) occurred",
+    ]
+
+
+# Fault 0 is dispatched to a pager that never replies, fault 1 is a
+# protection fault (region 1 has no pager) and fault 2 is held.
+UNSETTLED = (
+    "layout regions=8 pages_per_region=4 page_size=4096\n"
+    "thread T tid=1 asid=1 role=applicant\n"
+    "thread U tid=2 asid=1 role=applicant\n"
+    "thread V tid=3 asid=1 role=applicant\n"
+    "thread P tid=4 asid=2 role=pager\n"
+    "pager P policy=rejecting\n"
+    "assign asid=1 rid=0 pager=P\n"
+    "access T 0x0 read\n"
+    "access U 0x4000 read\n"
+    "access V 0x1000 read hold\n"
+    "expect fault=0 verdict=DISPATCHED mode=4\n"
+    "expect fault=0 verdict=NO_PAGER\n"
+    "expect fault=1 verdict=NO_PAGER ctx=0\n"
+    "expect fault=1 verdict=DISPATCHED\n"
+    "expect fault=2 verdict=DISPATCHED\n"
+)
+
+
+def test_check_expectations_failure_lines_are_exact():
+    sf = parse_scenario(UNSETTLED)
+    results = {"proposed": simulate(Scheme.REGION_DISPATCH, sf)}
+    assert check_expectations(results, sf) == [
+        "[proposed] fault 0: cycle never completed",
+        "[proposed] fault 0: verdict DISPATCHED, expected NO_PAGER",
+        "[proposed] fault 1: cycle never completed",
+        "[proposed] fault 1: verdict NO_PAGER, expected DISPATCHED",
+        "[proposed] fault 2: verdict none (fault held, never dispatched), "
+        "expected DISPATCHED",
+    ]
+
+
+def test_check_expectations_cost_lines_are_exact():
+    sf = parse_scenario(
+        fixture_scn("table1")
+        + "expect fault=0 verdict=DISPATCHED mode=5 ctx=2 ipc=0 invocations=9\n"
+    )
+    results = {s.value: simulate(s, sf) for s in ALL_SCHEMES}
+    assert check_expectations(results, sf) == [
+        "[l4-single] fault 0: mode_switches=4, expected 5",
+        "[l4-single] fault 0: ipc_messages=2, expected 0",
+        "[l4-single] fault 0: pager_invocations=1, expected 9",
+        "[l4re] fault 0: mode_switches=6, expected 5",
+        "[l4re] fault 0: context_switches=3, expected 2",
+        "[l4re] fault 0: ipc_messages=3, expected 0",
+        "[l4re] fault 0: pager_invocations=2, expected 9",
+        "[monolithic] fault 0: mode_switches=2, expected 5",
+        "[monolithic] fault 0: context_switches=0, expected 2",
+        "[monolithic] fault 0: pager_invocations=0, expected 9",
+        "[proposed] fault 0: mode_switches=4, expected 5",
+        "[proposed] fault 0: ipc_messages=2, expected 0",
+        "[proposed] fault 0: pager_invocations=1, expected 9",
+    ]
+
+
+def _bump(res: SimResult, cycle: int, kind: EventKind, by: int) -> None:
+    """Tamper with one count in one cycle's counter row."""
+    res.trace.cycle_counts[cycle][SLOT[kind.value]] += by
+
+
+def test_verify_reports_l4re_not_above_proposed():
+    results = all_results("table1")
+    _bump(results["l4re"], 0, EventKind.CONTEXT_SWITCH, -1)
+    assert verify_equivalence(results) == [
+        "cycle 0: l4re (6, 2, 3, 2) not strictly above proposed (4, 2, 2, 1)",
+    ]
+
+
+def test_verify_reports_proposed_below_monolithic():
+    results = all_results("table1")
+    _bump(results["monolithic"], 0, EventKind.IPC_RECEIVE, 3)
+    assert verify_equivalence(results) == [
+        "cycle 0: proposed (4, 2, 2, 1) below monolithic (2, 0, 0, 3)",
+    ]
+
+
+def test_verify_skips_cycles_that_never_resumed():
+    results = all_results("table1")
+    _bump(results["l4re"], 0, EventKind.CONTEXT_SWITCH, -3)
+    _bump(results["l4re"], 0, EventKind.RESUME, -1)
+    assert verify_equivalence(results) == []
+
+
+def test_verify_reports_differing_page_tables_and_verdicts():
+    results = all_results("table1")
+    entry = next(iter(results["proposed"].spaces[1].pages.entries.values()))
+    entry.marker += 1
+    results["l4re"].cycles[0].verdict = VerdictCode.NO_PAGER
+    assert verify_equivalence(results) == [
+        "fault verdicts differ between l4-single and l4re",
+        "final page tables differ between l4-single and proposed",
+    ]
 
 
 def test_overhead_report_reductions_are_exact():
@@ -261,6 +357,29 @@ def test_overhead_report_reductions_are_exact():
     kv = report.as_kv()
     assert "reduction_mode_switches=1/3" in kv
     assert "scheme=proposed" in kv
+
+
+def test_report_from_a_subset_of_schemes_has_no_reduction():
+    sf = parse_scenario(fixture_scn("table1"))
+    report = report_from_totals([totals_of(simulate(Scheme.REGION_DISPATCH, sf))])
+    assert report.reduction_mode is None and report.reduction_ctx is None
+    assert report.as_table() == (
+        "scheme    faults  mode_switches  context_switches  ipc_messages"
+        "  pager_invocations\n"
+        "proposed       1              4                 2             2"
+        "                  1\n"
+    )
+    assert report.as_kv() == (
+        "scheme=proposed faults=1 mode_switches=4 context_switches=2"
+        " ipc_messages=2 pager_invocations=1\n"
+    )
+    # l4re without proposed: the rows in the order given, still no line.
+    rows = [totals_of(simulate(s, sf)) for s in (Scheme.L4RE, Scheme.MONOLITHIC)]
+    report = report_from_totals(rows)
+    assert report.reduction_mode is None
+    assert [line.split()[0] for line in report.as_table().splitlines()] == [
+        "scheme", "l4re", "monolithic"
+    ]
 
 
 # ---- scheme wiring and mismatches ----------------------------------------
@@ -411,10 +530,10 @@ def test_round_robin_same_seed_same_trace():
         "thread C tid=3 asid=1 role=applicant\n"
         "yield\nyield\nyield\nyield\n"
     )
-    first = run_scenario(Scheme.MONOLITHIC, parse_scenario(text))
-    second = run_scenario(Scheme.MONOLITHIC, parse_scenario(text))
+    first = simulate(Scheme.MONOLITHIC, parse_scenario(text)).trace
+    second = simulate(Scheme.MONOLITHIC, parse_scenario(text)).trace
     assert first.to_text() == second.to_text()
-    reseeded = run_scenario(Scheme.MONOLITHIC, parse_scenario(text), seed=4)
+    reseeded = simulate(Scheme.MONOLITHIC, parse_scenario(text), seed=4).trace
     assert reseeded.to_text() != first.to_text()
 
 
