@@ -27,8 +27,9 @@ someone assigns the region again.
 
 A fault has one record from the trap to the reply, its ``FaultCycle``.
 Every message about the fault - the page fault, each reflection, the
-reply - carries that cycle as its payload, so a receiver, a reflection or
-a reply reaches the fault through the message, never by looking it up.
+reply - carries that cycle as its payload.  Delivery hands the receiver
+the cycle itself, and a reflection or a reply names the cycle it is
+about, so no step ever looks a fault up.
 """
 
 from dataclasses import dataclass
@@ -215,11 +216,6 @@ class FaultCycle:
     dispatched_to: int | None = None
 
 
-def fault_message(cycle: FaultCycle, receiver: int) -> Message:
-    """The kernel's page-fault message about ``cycle`` to ``receiver``."""
-    return Message(KERNEL_TID, receiver, MessageKind.PAGE_FAULT, cycle)
-
-
 class FaultDispatcher:
     """Every protocol step of a fault, from trap to settlement.
 
@@ -267,44 +263,30 @@ class FaultDispatcher:
         as a suspension nothing will ever pair with a resume."""
         self.machine.suspend(cycle.faulter, cycle=cycle.index)
 
-    def general_protection(self, cycle: FaultCycle, cls: Classification) -> None:
-        """Record the verdict and terminate the faulter."""
-        self.record_verdict(cycle, cls)
-        self.park(cycle)
-
     def return_to_faulter(self, cycle: FaultCycle) -> None:
         """Leave the kernel into the faulter and close the cycle."""
         self.machine.leave_kernel(cycle=cycle.index)
         self.machine.switch_to(cycle.faulter, cycle=cycle.index)
         cycle.closed = True
 
-    def resume_present(self, cycle: FaultCycle, cls: Classification) -> None:
-        """The page became present between trap and dispatch: go straight
-        back to user mode.  The thread was never suspended, so no suspend
-        or resume events appear and no pager hears about the fault."""
-        self.record_verdict(cycle, cls)
-        self.return_to_faulter(cycle)
-
     # ---- dispatch to a pager --------------------------------------------
 
-    def suspend_and_send(
-        self, cycle: FaultCycle, cls: Classification, target: int
-    ) -> Message:
-        """Phase two for a dispatched fault: record the verdict, suspend
-        the faulter, and queue the fault message at ``target``.  When the
+    def suspend_and_send(self, cycle: FaultCycle, target: int) -> None:
+        """Phase two for a dispatched fault, after its verdict: suspend
+        the faulter and queue the fault message at ``target``.  When the
         message is delivered is the caller's business (see ``deliver``)."""
-        self.record_verdict(cycle, cls)
         self.machine.suspend(cycle.faulter, cycle=cycle.index)
-        msg = fault_message(cycle, target)
-        self.machine.send(msg, cycle=cycle.index)
+        self.machine.send(
+            Message(KERNEL_TID, target, MessageKind.PAGE_FAULT, cycle),
+            cycle=cycle.index,
+        )
         cycle.dispatched_to = target
-        return msg
 
-    def deliver(self, target: int) -> Message | None:
+    def deliver(self, target: int) -> FaultCycle | None:
         """Hand the next message queued at ``target`` to it: the
         kernel-to-user crossing, the switch to the receiver, and the
         receive, all attributed to the cycle the message carries.  Returns
-        the message, or ``None`` if the mailbox is empty."""
+        that cycle, or ``None`` if the mailbox is empty."""
         machine = self.machine
         msg = machine.peek_message(target)
         if msg is None:
@@ -316,13 +298,12 @@ class FaultDispatcher:
             tcb.state = ThreadState.READY
         machine.leave_kernel(cycle=index)
         machine.switch_to(target, cycle=index)
-        return machine.receive(target, cycle=index)
+        return machine.receive(target, cycle=index).payload
 
-    def reflect(self, mapper: int, msg: Message, target: int) -> None:
-        """A region mapper's reflect syscall: forward ``msg``'s fault
-        unchanged to ``target``, make ``target`` the thread whose reply
-        settles it, and put the mapper back in its receive loop."""
-        cycle = msg.payload
+    def reflect(self, mapper: int, cycle: FaultCycle, target: int) -> None:
+        """A region mapper's reflect syscall: forward the fault unchanged
+        to ``target``, make ``target`` the thread whose reply settles it,
+        and put the mapper back in its receive loop."""
         self.machine.enter_kernel(cycle=cycle.index)
         cycle.dispatched_to = target
         self.machine.send(

@@ -1,10 +1,12 @@
 """User-level pager behaviors and their supporting structures.
 
-A pager receives a fault message and answers with a short list of actions:
-map a frame, reply to release the faulter, unmap pages, or reflect the
-message onward.  Keeping the answer as data lets a scenario interleave the
-actions of one pager with other events, which is how the concurrent-fault
-race is scripted: the map can land between another thread's trap and its
+A pager receives a fault, its ``FaultCycle``, and answers with a short
+list of actions: map a frame, reply to release the faulter, unmap pages,
+or reflect the fault onward.  Every action carries the fault it answers,
+so whoever carries it out reads the space, address, region and cycle
+there.  Keeping the answer as data lets a scenario interleave the actions
+of one pager with other events, which is how the concurrent-fault race is
+scripted: the map can land between another thread's trap and its
 dispatch step.
 
 Policies:
@@ -16,7 +18,7 @@ Policies:
 * ``REJECTING``  - silently ignore the fault; the faulter stays suspended.
   This is distinct from refusing a region's contract, which the kernel
   turns into a protection fault before any message is sent.
-* ``REFLECTING`` - forward the message to the pager responsible for the
+* ``REFLECTING`` - forward the fault to the pager responsible for the
   faulting range per the mapping database (the region-mapper protocol).
 
 A pager with ``revoke_after=N`` walks away after its Nth resolved fault in
@@ -29,12 +31,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .engine import Message
 from .errors import (
     NoDatabaseEntryError,
     OutOfFramesError,
     OverlappingRangeError,
 )
+from .fault_dispatch import FaultCycle
 
 DEFAULT_FRAME_LIMIT = 1 << 24
 
@@ -121,26 +123,24 @@ class MappingDatabase:
 
 
 class MapAction(NamedTuple):
-    asid: int
-    vaddr: int
+    fault: FaultCycle  # mapped at its faulting page, in its space
     frame: int
     marker: int
 
 
 class ReplyAction(NamedTuple):
-    fault: object  # the FaultCycle the reply settles
+    fault: FaultCycle  # the fault the reply settles
 
 
 class ReflectAction(NamedTuple):
-    message: Message
+    fault: FaultCycle
 
 
 class RevokeRegionAction(NamedTuple):
-    """Unmap every present page the pager holds in a region, revoke flag
-    on the last; expanded at execution time against live state."""
+    """Unmap every present page the pager holds in the faulted region, revoke
+    flag on the last; expanded at execution time against live state."""
 
-    asid: int
-    rid: int
+    fault: FaultCycle
 
 
 Action = MapAction | ReplyAction | ReflectAction | RevokeRegionAction
@@ -159,24 +159,23 @@ class PagerBehavior:
 
     def on_page_fault(
         self,
-        msg: Message,
+        fault: FaultCycle,
         *,
         page_size: int,
         allocator: FrameAllocator,
         warnings: list[str],
     ) -> list[Action]:
-        """Compute the action list answering one fault message.
+        """Compute the action list answering one fault.
 
-        The fault the message carries names the faulting space and region
-        (a real pager derives both from the faulter's identity); they feed
-        the map target and the revoke bookkeeping.
+        The fault names the faulting space and region (a real pager
+        derives both from the faulter's identity); they feed the map
+        target and the revoke bookkeeping.
         """
-        fault = msg.payload
         page = fault.vaddr // page_size
         if self.policy is PagerPolicy.REJECTING:
             return []
         if self.policy is PagerPolicy.REFLECTING:
-            return [ReflectAction(msg)]
+            return [ReflectAction(fault)]
         if self.policy is PagerPolicy.FIXED:
             frame = self.backing.get(page)
             if frame is None:
@@ -188,8 +187,7 @@ class PagerBehavior:
         else:
             frame = allocator.allocate()
         actions: list[Action] = [
-            MapAction(asid=fault.asid, vaddr=fault.vaddr, frame=frame,
-                      marker=self.marker_rule.marker_for(page)),
+            MapAction(fault, frame, self.marker_rule.marker_for(page)),
             ReplyAction(fault),
         ]
         if self.revoke_after is not None:
@@ -197,6 +195,6 @@ class PagerBehavior:
             count = self._resolved.get(key, 0) + 1
             self._resolved[key] = count
             if count >= self.revoke_after:
-                actions.append(RevokeRegionAction(fault.asid, fault.rid))
+                actions.append(RevokeRegionAction(fault))
                 self._resolved[key] = 0
         return actions

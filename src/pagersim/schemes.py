@@ -21,7 +21,9 @@ A resolved fault's cost is read off the trace from the events attributed
 to its cycle, so scripted scheduling noise between faults never pollutes
 the per-fault figures.  Every attributed event is emitted by the
 ``FaultDispatcher``; the simulator only decides where a dispatched fault
-goes and when a pager runs.  The trace keeps one counter row per cycle,
+goes and when a pager runs.  One loop serves a pager its queued faults in
+order, without recursion, and a fault reflected back to a thread it
+already reached is an error.  The trace keeps one counter row per cycle,
 counting each event kind as events are appended; one function
 (``_costs``) decides which kinds count toward which cost column and one
 (``_resolved``) whether a cycle's faulter got the CPU back.  Per-cycle
@@ -38,7 +40,6 @@ from .address_space import AddressSpace
 from .engine import (
     DeterministicOrder,
     Machine,
-    Message,
     SeededRoundRobin,
     ThreadRole,
 )
@@ -48,13 +49,11 @@ from .errors import (
     SimulationError,
 )
 from .fault_dispatch import (
-    Classification,
     FaultCycle,
     FaultDispatcher,
     GP_CODES,
     VerdictCode,
     classify,
-    fault_message,
 )
 from .mmu import translate
 from .pagers import (
@@ -64,7 +63,6 @@ from .pagers import (
     MappingDatabase,
     PagerBehavior,
     PagerPolicy,
-    ReflectAction,
     ReplyAction,
     RevokeRegionAction,
     DEFAULT_FRAME_LIMIT,
@@ -197,7 +195,9 @@ class Simulator:
         for p in scenario.pagers:
             tid = self._decl[p.name].tid
             db = None
-            if p.dbranges:
+            if p.policy is PagerPolicy.REFLECTING:
+                # Without dbrange lines it covers nothing: every reflection
+                # is then a NoDatabaseEntryError, not a missing database.
                 db = MappingDatabase()
                 for r in p.dbranges:
                     db.insert(r.start, r.end, self._decl[r.target].tid)
@@ -217,8 +217,8 @@ class Simulator:
         for a in scenario.assigns:
             self.spaces[a.asid].regions.assign(a.rid, self._decl[a.pager_name].tid)
 
-        # (action, cycle index) queues per pager, in delivery order.
-        self._actions: dict[int, list[tuple[Action, int]]] = {}
+        # Action queues per pager, in delivery order; never an empty one.
+        self._actions: dict[int, list[Action]] = {}
         self._held: dict[int, FaultCycle] = {}
         # Faulting thread -> the pager the kernel sends its faults to, under
         # the two schemes that route by thread rather than by region.
@@ -347,7 +347,7 @@ class Simulator:
             elif isinstance(item, YieldItem):
                 self.machine.yield_current()
             # Serve pagers until every action queue is empty; a queue
-            # leaves the map as soon as it empties (see _drain).
+            # leaves the map as soon as it empties (see _exec_action).
             while auto and self._actions:
                 self._exec_action(next(iter(self._actions)))
         return SimResult(
@@ -386,7 +386,7 @@ class Simulator:
     def _exec_pager_step(self, item: PagerStepItem) -> None:
         tid = self._decl[item.pager].tid
         for _ in range(item.count):
-            if not self._actions.get(tid):
+            if tid not in self._actions:
                 msg = f"pager {item.pager!r} has no pending action"
                 for rm in map(self.machine.thread, self._actions):
                     if rm.role is ThreadRole.REGION_MAPPER:  # under l4re
@@ -402,123 +402,140 @@ class Simulator:
     # ---- fault path ------------------------------------------------------
 
     def _zero_level(self, cycle: FaultCycle) -> None:
-        """Phase two of fault handling: classify and route."""
+        """Phase two of fault handling: classify, record the verdict once,
+        and route by it."""
+        dispatcher = self.dispatcher
         space = self.spaces[cycle.asid]
-        cls = classify(space, cycle.vaddr, self.non_accepting)
-        if cls.code in GP_CODES:
-            self.dispatcher.general_protection(cycle, cls)
-            return
-        if cls.code is VerdictCode.RESUMED_PRESENT:
-            self.dispatcher.resume_present(cycle, cls)
-            return
-        if self.scheme is Scheme.MONOLITHIC:
-            self._resolve_in_kernel(cycle, cls)
-            return
-        if self.scheme is Scheme.REGION_DISPATCH:
-            target = cls.manager
+        dispatcher.record_verdict(
+            cycle, classify(space, cycle.vaddr, self.non_accepting)
+        )
+        verdict = cycle.verdict
+        if verdict in GP_CODES:
+            dispatcher.park(cycle)  # a protection fault ends the faulter
+        elif verdict is VerdictCode.RESUMED_PRESENT:
+            # The page became present between trap and dispatch: straight
+            # back to user mode, with no suspension and no pager message.
+            dispatcher.return_to_faulter(cycle)
+        elif self.scheme is Scheme.MONOLITHIC:
+            self._resolve_in_kernel(cycle)
         else:
-            target = self._pager_of[cycle.faulter]
-        self.dispatcher.suspend_and_send(cycle, cls, target)
-        self._try_deliver(target)
+            if self.scheme is Scheme.REGION_DISPATCH:
+                target = cycle.manager
+            else:
+                target = self._pager_of[cycle.faulter]
+            dispatcher.suspend_and_send(cycle, target)
+            self._serve(target)
 
-    def _build_actions(self, handler: int, msg: Message) -> list[Action]:
+    def _build_actions(self, handler: int, fault: FaultCycle) -> list[Action]:
         behavior = self.behaviors.get(handler)
         if behavior is None:
             raise SimulationError(
                 f"thread {handler} received a fault but has no pager behavior"
             )
         return behavior.on_page_fault(
-            msg,
+            fault,
             page_size=self.layout.page_size,
             allocator=self.allocator,
             warnings=self.machine.warnings,
         )
 
-    def _resolve_in_kernel(self, cycle: FaultCycle, cls: Classification) -> None:
+    def _resolve_in_kernel(self, cycle: FaultCycle) -> None:
         """Monolithic path: the verdict still names the responsible manager
         (here an in-kernel module), but resolution happens without leaving
         kernel work: no suspension, no IPC, no occupancy change."""
-        dispatcher = self.dispatcher
-        dispatcher.record_verdict(cycle, cls)
-        msg = fault_message(cycle, cls.manager)
-        for action in self._build_actions(cls.manager, msg):
+        manager = cycle.manager
+        for action in self._build_actions(manager, cycle):
             if isinstance(action, ReplyAction):
-                dispatcher.return_to_faulter(cycle)
+                self.dispatcher.return_to_faulter(cycle)
             else:
-                self._change_memory(cls.manager, action, cycle.index)
+                self._change_memory(manager, action)
         if not cycle.closed:
             # The in-kernel policy produced no resolution; the thread can
             # never make progress, park it like a protection fault.
-            dispatcher.park(cycle)
+            self.dispatcher.park(cycle)
 
-    # ---- delivery and pager actions -------------------------------------
+    # ---- serving pagers --------------------------------------------------
 
-    def _try_deliver(self, target: int) -> None:
-        """Deliver the next queued message unless the pager is still
-        working through earlier actions."""
-        if self._actions.get(target):
-            return
-        msg = self.dispatcher.deliver(target)
-        if msg is None:
-            return
-        actions = self._build_actions(target, msg)
-        if actions:
-            index = msg.payload.index
-            self._actions[target] = [(a, index) for a in actions]
-        else:
-            self._drain(target)
+    def _serve(self, pager: int) -> None:
+        """Hand ``pager`` its queued messages in order until one leaves it
+        actions or its mailbox is empty.  A pager that still has actions
+        queued gets nothing; ``_exec_action`` serves it again once they
+        are carried out."""
+        while pager not in self._actions:
+            fault = self.dispatcher.deliver(pager)
+            if fault is None:
+                return
+            actions = self._build_actions(pager, fault)
+            if actions:
+                self._actions[pager] = actions
+            else:  # nothing to do: straight back to the receive loop
+                self.machine.block_on_receive(pager)
 
     def _exec_action(self, pager: int) -> None:
-        action, index = self._actions[pager].pop(0)
-        if (isinstance(action, (ReplyAction, ReflectAction))
-                and self.machine.occupant != pager):
-            # A reply or reflection is a syscall; the pager must hold the
-            # CPU.  Scripted interleavings may have moved it away - switch
-            # back with an unattributed context switch (scheduling, not
-            # fault protocol).
-            self.machine.switch_to(pager)
-        if isinstance(action, ReplyAction):
-            self.dispatcher.pager_reply(pager, action.fault)
-        elif isinstance(action, ReflectAction):
-            self._reflect(pager, action.message)
+        queue = self._actions[pager]
+        action = queue.pop(0)
+        if not queue:
+            # An emptied queue leaves the map at once (the auto run loop
+            # stops on an empty map).
+            del self._actions[pager]
+        if isinstance(action, (MapAction, RevokeRegionAction)):
+            self._change_memory(pager, action)
         else:
-            self._change_memory(pager, action, index)
-        if not self._actions.get(pager):
-            self._drain(pager)
+            if self.machine.occupant != pager:
+                # A reply or reflection is a syscall; the pager must hold
+                # the CPU.  Scripted interleavings may have moved it away -
+                # switch back with an unattributed context switch
+                # (scheduling, not fault protocol).
+                self.machine.switch_to(pager)
+            fault = action.fault
+            if isinstance(action, ReplyAction):
+                self.dispatcher.pager_reply(pager, fault)
+            else:
+                # Region-mapper reflection: forward the fault unchanged to
+                # the pager the mapper's database names (the mapper's
+                # actions came from its behavior, see _build_actions).
+                target = self.behaviors[pager].db.lookup(fault.vaddr)
+                # Unchanged, the fault would go round forever once it
+                # reached a thread twice.  Its path so far has no loop:
+                # walk it again from the thread the kernel sent it to.
+                hop = self._pager_of[fault.faulter]
+                while hop != target and hop != pager:
+                    hop = self.behaviors[hop].db.lookup(fault.vaddr)
+                if hop == target:
+                    name = self.machine.threads
+                    raise SimulationError(
+                        f"reflection loop: pager {name[pager].name!r} would "
+                        f"reflect fault {fault.index} (thread "
+                        f"{name[fault.faulter].name!r} at {fault.vaddr:#x}) "
+                        f"to {name[target].name!r}, which the fault already "
+                        "reached"
+                    )
+                self.dispatcher.reflect(pager, fault, target)
+                self._serve(target)
+        if not queue:
+            self.machine.block_on_receive(pager)
+            self._serve(pager)
 
-    def _change_memory(self, pager: int, action: Action, index: int) -> None:
+    def _change_memory(self, pager: int, action: Action) -> None:
         """Carry out a map or revoke action through the kernel's memory
         service, on behalf of ``pager``."""
         memory = self.dispatcher.memory
+        fault = action.fault
         if isinstance(action, MapAction):
             memory.map_page(
-                pager, action.asid, action.vaddr, action.frame,
-                action.marker, cycle=index,
+                pager, fault.asid, fault.vaddr, action.frame, action.marker,
+                cycle=fault.index,
             )
-        elif isinstance(action, RevokeRegionAction):
-            pages = self.spaces[action.asid].present_pages_in_region(action.rid)
-            for i, page in enumerate(pages):
-                memory.unmap_page(
-                    pager,
-                    action.asid,
-                    page * self.layout.page_size,
-                    revoke=(i == len(pages) - 1),
-                    cycle=index,
-                )
-
-    def _reflect(self, rm: int, original: Message) -> None:
-        """Region-mapper reflection: look up the responsible pager and
-        forward the fault message unchanged, then return to the receive
-        loop.  The reply will not come back through here."""
-        # The mapper's actions came from its behavior (see _build_actions).
-        target = self.behaviors[rm].db.lookup(original.payload.vaddr)
-        self.dispatcher.reflect(rm, original, target)
-        self._try_deliver(target)
-
-    def _drain(self, pager: int) -> None:
-        self._actions.pop(pager, None)
-        self.machine.block_on_receive(pager)
-        self._try_deliver(pager)
+            return
+        pages = self.spaces[fault.asid].present_pages_in_region(fault.rid)
+        for i, page in enumerate(pages):
+            memory.unmap_page(
+                pager,
+                fault.asid,
+                page * self.layout.page_size,
+                revoke=(i == len(pages) - 1),
+                cycle=fault.index,
+            )
 
 
 def simulate(

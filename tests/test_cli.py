@@ -246,6 +246,40 @@ def test_access_by_a_thread_with_a_held_fault_is_an_error(tmp_path, capsys):
     )
 
 
+def deep_queue(applicants: int) -> str:
+    """``applicants`` threads fault once each, on distinct pages of one
+    region, while its fixed pager waits for a pager-step; only page 0 has
+    backing, so every later fault leaves the pager no action."""
+    lines = [
+        "layout regions=8 pages_per_region=1024 page_size=4096",
+        "option mode=manual",
+        f"thread P tid={applicants + 1} asid=2 role=pager",
+        "pager P policy=fixed",
+        "backing P vaddr=0x0 frame=7",
+        "assign asid=1 rid=0 pager=P",
+    ]
+    lines += [
+        f"thread T{i} tid={i + 1} asid=1 role=applicant"
+        for i in range(applicants)
+    ]
+    lines += [f"access T{i} {i * 4096:#x} read" for i in range(applicants)]
+    lines.append("pager-step P 2")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scheme", ["l4-single", "proposed"])
+def test_a_deep_mailbox_is_served_without_recursion(scheme, tmp_path, capsys):
+    # The step answers the first fault; the pager is then handed the 999
+    # queued ones in turn, each left unanswered with a warning.
+    path = tmp_path / "deep.scn"
+    path.write_text(deep_queue(1000))
+    rc = cli.main(["--scenario", str(path), "--scheme", scheme])
+    first = capsys.readouterr().out.splitlines()[0]
+    assert rc == 0
+    assert first.startswith(f"{scheme}: faults=1000 ")
+    assert first.endswith(" warnings=999")
+
+
 CLI_FUZZ_MUTANTS = 84  # per fixture: about 500 in all
 
 

@@ -14,12 +14,12 @@ SRC = ROOT / "src"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run(*args: str) -> subprocess.CompletedProcess:
+def run(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
-        text=True, timeout=60,
+        text=True, timeout=timeout,
     )
 
 
@@ -43,3 +43,47 @@ def test_module_entry_point_reports_a_missing_file(tmp_path):
     proc = run("-m", "pagersim", "--scenario", str(tmp_path / "missing.scn"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:"), proc.stderr
+
+
+# Reflection loops under l4re.  A reflection forwards the fault unchanged,
+# so a loop would run (and grow the trace) forever; the run must stop with
+# an error instead.  The timeout turns a hang into a failure.
+REFLECTION_LOOPS = {
+    "self": (
+        "pager R policy=reflecting\n"
+        "dbrange pager=R start=0x0 end=0x10000 target=R\n"
+        "dbrange asid=1 start=0x0 end=0x10000 target=R\n",
+        "error: reflection loop: pager 'R' would reflect fault 0 (thread 'T' "
+        "at 0x1000) to 'R', which the fault already reached\n",
+    ),
+    "pair": (
+        "pager R policy=reflecting\n"
+        "pager Q policy=reflecting\n"
+        "dbrange pager=R start=0x0 end=0x10000 target=Q\n"
+        "dbrange pager=Q start=0x0 end=0x10000 target=R\n"
+        "dbrange asid=1 start=0x0 end=0x10000 target=R\n",
+        "error: reflection loop: pager 'Q' would reflect fault 0 (thread 'T' "
+        "at 0x1000) to 'R', which the fault already reached\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", REFLECTION_LOOPS)
+def test_reflection_loop_is_a_simulation_error(shape, tmp_path):
+    pagers, error = REFLECTION_LOOPS[shape]
+    scn = tmp_path / "loop.scn"
+    scn.write_text(
+        "layout regions=8 pages_per_region=4 page_size=4096\n"
+        "thread T tid=1 asid=1 role=applicant\n"
+        "thread R tid=2 asid=2 role=pager\n"
+        "thread Q tid=3 asid=2 role=pager\n"
+        + pagers
+        + "assign asid=1 rid=0 pager=R\n"
+        "access T 0x1000 read\n"
+    )
+    proc = run(
+        "-m", "pagersim", "--scenario", str(scn), "--scheme", "l4re",
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == error

@@ -136,6 +136,12 @@ def test_map_into_revoked_region_denied():
         mem.map_page(PAGER, 1, 0x2000, frame=1, marker=0)
 
 
+def dispatch(disp, cycle, space, target):
+    """The kernel's steps for a dispatched fault: verdict, then send."""
+    disp.record_verdict(cycle, classify(space, cycle.vaddr))
+    disp.suspend_and_send(cycle, target)
+
+
 def dispatcher_setup():
     m = Machine()
     m.register_thread(1, 1, role=ThreadRole.APPLICANT, name="t")
@@ -151,8 +157,7 @@ def dispatcher_setup():
 def test_dispatch_event_order():
     m, spaces, disp = dispatcher_setup()
     cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
-    cls = classify(spaces[1], 0x1000)
-    disp.suspend_and_send(cycle, cls, target=PAGER)
+    dispatch(disp, cycle, spaces[1], target=PAGER)
     kinds = [ev.kind for ev in m.trace]
     assert kinds == [
         EventKind.MODE_SWITCH_U2K,
@@ -169,7 +174,7 @@ def test_dispatch_event_order():
 def test_reply_validation_happens_before_any_event():
     m, spaces, disp = dispatcher_setup()
     cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
-    disp.suspend_and_send(cycle, classify(spaces[1], 0x1000), target=PAGER)
+    dispatch(disp, cycle, spaces[1], target=PAGER)
     m.register_thread(3, 1, role=ThreadRole.APPLICANT, name="u")
     m.switch_to(3)
     held = disp.begin_fault(3, 0x2000, AccessType.READ)  # never dispatched
@@ -184,7 +189,7 @@ def test_reply_validation_happens_before_any_event():
 def test_reply_closes_cycle_and_returns_cpu():
     m, spaces, disp = dispatcher_setup()
     cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
-    disp.suspend_and_send(cycle, classify(spaces[1], 0x1000), target=PAGER)
+    dispatch(disp, cycle, spaces[1], target=PAGER)
     m.thread(PAGER).state = ThreadState.READY
     m.receive(PAGER, cycle=0)
     m.leave_kernel(cycle=0)
@@ -215,15 +220,15 @@ def test_deliver_is_attributed_to_the_cycle_of_the_message():
     m, spaces, disp = dispatcher_setup()
     m.register_thread(3, 1, role=ThreadRole.APPLICANT, name="u")
     first = disp.begin_fault(1, 0x1000, AccessType.READ)
-    sent = disp.suspend_and_send(first, classify(spaces[1], 0x1000), target=PAGER)
+    dispatch(disp, first, spaces[1], target=PAGER)
+    sent = m.peek_message(PAGER)
+    assert sent.payload is first  # the message carries the fault's cycle
     m.switch_to(3)
     second = disp.begin_fault(3, 0x2000, AccessType.READ)
-    disp.suspend_and_send(second, classify(spaces[1], 0x2000), target=OTHER)
+    dispatch(disp, second, spaces[1], target=OTHER)
     start = len(m.trace)
 
-    msg = disp.deliver(PAGER)
-    assert msg == sent
-    assert msg.payload is first  # the message carries the fault's cycle
+    assert disp.deliver(PAGER) is first  # the receiver gets the cycle
     delivery = m.trace[start:]
     assert [(ev.kind, ev.cycle) for ev in delivery] == [
         (EventKind.MODE_SWITCH_K2U, 0),
@@ -239,11 +244,11 @@ def test_deliver_is_attributed_to_the_cycle_of_the_message():
 def test_reflect_hands_the_fault_to_the_new_handler():
     m, spaces, disp = dispatcher_setup()
     cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
-    disp.suspend_and_send(cycle, classify(spaces[1], 0x1000), target=OTHER)
-    msg = disp.deliver(OTHER)
+    dispatch(disp, cycle, spaces[1], target=OTHER)
+    assert disp.deliver(OTHER) is cycle
     start = len(m.trace)
 
-    disp.reflect(OTHER, msg, PAGER)
+    disp.reflect(OTHER, cycle, PAGER)
     assert [ev.render() for ev in m.trace[start:]] == [
         f"{start} MODE_SWITCH_U2K cycle=0",
         f"{start + 1} IPC_SEND {OTHER} {PAGER} REFLECTION faulter=1 "
@@ -254,15 +259,20 @@ def test_reflect_hands_the_fault_to_the_new_handler():
     assert m.peek_message(PAGER).payload is cycle
     with pytest.raises(WrongPagerError):
         disp.pager_reply(OTHER, cycle)  # the mapper no longer answers
-    disp.deliver(PAGER)
+    assert disp.deliver(PAGER) is cycle
     disp.pager_reply(PAGER, cycle)
     assert cycle.closed
 
 
 def test_general_protection_is_permanent_suspension():
+    # A protection verdict parks the faulter: the verdict, then `park`.
     m, spaces, disp = dispatcher_setup()
     cycle = disp.begin_fault(1, SMALL.user_limit, AccessType.READ)
-    disp.general_protection(cycle, classify(spaces[1], SMALL.user_limit))
+    disp.record_verdict(cycle, classify(spaces[1], SMALL.user_limit))
+    disp.park(cycle)
+    assert [ev.kind for ev in m.trace] == [
+        EventKind.MODE_SWITCH_U2K, EventKind.VERDICT, EventKind.SUSPEND,
+    ]
     assert m.trace[-1].kind is EventKind.SUSPEND
     assert not cycle.closed
     assert cycle.verdict is VerdictCode.KERNEL_RANGE
@@ -273,7 +283,9 @@ def test_resume_present_never_suspends():
     spaces[1].pages.set_mapping(page=1, frame=0, marker=0)
     spaces[1].regions.set_contract(0, ContractState.ACCEPTED)
     cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
-    disp.resume_present(cycle, classify(spaces[1], 0x1000))
+    # A present page sends the faulter back: the verdict, then the return.
+    disp.record_verdict(cycle, classify(spaces[1], 0x1000))
+    disp.return_to_faulter(cycle)
     kinds = {ev.kind for ev in m.trace}
     assert EventKind.SUSPEND not in kinds
     assert EventKind.RESUME not in kinds

@@ -6,12 +6,9 @@ from pagersim import (
     AccessType,
     FaultCycle,
     FrameAllocator,
-    KERNEL_TID,
     MappingDatabase,
     MarkerKind,
     MarkerRule,
-    Message,
-    MessageKind,
     PagerBehavior,
     PagerPolicy,
 )
@@ -98,20 +95,15 @@ def test_mapping_database_agrees_with_linear_scan():
 
 
 def fault(vaddr=0x1000, faulter=1, marker=0, rid=0):
-    return Message(
-        sender=KERNEL_TID,
-        receiver=2,
-        kind=MessageKind.PAGE_FAULT,
-        payload=FaultCycle(
-            0, faulter=faulter, asid=1, vaddr=vaddr, access=AccessType.READ,
-            rid=rid, marker=marker,
-        ),
+    return FaultCycle(
+        0, faulter=faulter, asid=1, vaddr=vaddr, access=AccessType.READ,
+        rid=rid, marker=marker,
     )
 
 
-def serve(behavior, msg, allocator=None, warnings=None):
+def serve(behavior, cycle, allocator=None, warnings=None):
     return behavior.on_page_fault(
-        msg,
+        cycle,
         page_size=4096,
         allocator=allocator if allocator is not None else FrameAllocator(),
         warnings=warnings if warnings is not None else [],
@@ -121,19 +113,24 @@ def serve(behavior, msg, allocator=None, warnings=None):
 def test_anonymous_pager_maps_and_replies():
     behavior = PagerBehavior(policy=PagerPolicy.ANONYMOUS,
                              marker_rule=MarkerRule(MarkerKind.PAGE))
-    msg = fault(vaddr=0x2A10)
-    actions = serve(behavior, msg)
+    cycle = fault(vaddr=0x2A10)
+    actions = serve(behavior, cycle)
     assert actions == [
-        MapAction(asid=1, vaddr=0x2A10, frame=0, marker=2),
-        ReplyAction(msg.payload),
+        MapAction(cycle, frame=0, marker=2),
+        ReplyAction(cycle),
     ]
-    assert actions[1].fault is msg.payload  # the reply settles this fault
+    # Both answer this fault: the map lands at its space and address, and
+    # the reply settles it.
+    assert all(a.fault is cycle for a in actions)
+    assert (cycle.asid, cycle.vaddr) == (1, 0x2A10)
 
 
 def test_fixed_pager_uses_backing_store():
     behavior = PagerBehavior(policy=PagerPolicy.FIXED, backing={2: 55})
-    actions = serve(behavior, fault(vaddr=0x2000))
-    assert actions[0] == MapAction(asid=1, vaddr=0x2000, frame=55, marker=0)
+    cycle = fault(vaddr=0x2000)
+    actions = serve(behavior, cycle)
+    assert actions[0] == MapAction(cycle, frame=55, marker=0)
+    assert actions[0].fault is cycle
 
 
 def test_fixed_pager_without_backing_warns_and_does_nothing():
@@ -148,17 +145,21 @@ def test_rejecting_pager_stays_silent():
 
 
 def test_reflecting_pager_forwards_the_message():
-    msg = fault()
-    actions = serve(PagerBehavior(policy=PagerPolicy.REFLECTING), msg)
-    assert actions == [ReflectAction(msg)]
+    cycle = fault()
+    actions = serve(PagerBehavior(policy=PagerPolicy.REFLECTING), cycle)
+    assert actions == [ReflectAction(cycle)]
+    assert actions[0].fault is cycle
 
 
 def test_revoke_after_counts_per_region_and_resets():
     behavior = PagerBehavior(policy=PagerPolicy.ANONYMOUS, revoke_after=2)
     first = serve(behavior, fault(vaddr=0x0, rid=0))
     assert not any(isinstance(a, RevokeRegionAction) for a in first)
-    second = serve(behavior, fault(vaddr=0x1000, rid=0))
-    assert second[-1] == RevokeRegionAction(asid=1, rid=0)
+    cycle = fault(vaddr=0x1000, rid=0)
+    second = serve(behavior, cycle)
+    assert second[-1] == RevokeRegionAction(cycle)
+    # The revoke names the faulted region through the fault it answers.
+    assert (second[-1].fault.asid, second[-1].fault.rid) == (1, 0)
     # Counter reset: the next fault in the region starts a fresh pair.
     third = serve(behavior, fault(vaddr=0x2000, rid=0))
     assert not any(isinstance(a, RevokeRegionAction) for a in third)

@@ -22,6 +22,7 @@ from pagersim import (
 )
 from pagersim.errors import (
     IncompleteCycleError,
+    NoDatabaseEntryError,
     SchemeMismatchError,
     SimulationError,
 )
@@ -435,6 +436,18 @@ def test_chained_reflection_goes_through_every_reflecting_pager():
     assert hashlib.sha256(res.trace.to_text().encode()).hexdigest() == (
         "f07154751e83dea93cbea63811a07a08570d9d6fd9b3796016e69bd42a248fdf"
     )
+
+
+def test_reflecting_pager_without_a_database_covers_nothing():
+    # No dbrange lines on R: its reflection finds no range, an error the
+    # command line reports, rather than a missing database.
+    sf = parse_scenario(
+        CHAINED_REFLECTION.replace(
+            "dbrange pager=R start=0x0 end=0x10000 target=P2\n", ""
+        )
+    )
+    with pytest.raises(NoDatabaseEntryError, match="no range covers 0x1000"):
+        simulate(Scheme.L4RE, sf)
 
 
 def test_pager_step_is_rejected_under_monolithic():
