@@ -131,6 +131,11 @@ class ContractState(Enum):
     REVOKED = "revoked"
 
 
+# Members the run path reads, bound once: a read through the enum class
+# runs its metaclass's lookup hook (docs/architecture.md, "Run-path costs").
+_ASSIGNED = ContractState.ASSIGNED
+
+
 @dataclass(slots=True)
 class RegionSlot:
     manager: int | None = None
@@ -151,7 +156,7 @@ class RegionTable:
         """(Re)assign a region manager; any prior contract state resets to
         ASSIGNED, which is how a revoked region comes back to life."""
         self.lookup(rid)  # raises BadRegionError outside the table
-        self._slots[rid] = RegionSlot(manager=manager, contract=ContractState.ASSIGNED)
+        self._slots[rid] = RegionSlot(manager=manager, contract=_ASSIGNED)
 
     def lookup(self, rid: int) -> RegionSlot:
         if not 0 <= rid < self.region_count:

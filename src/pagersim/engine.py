@@ -99,8 +99,26 @@ class SeededRoundRobin:
     seed: int = 0
 
 
+# Members the run path reads, bound once: a read through the enum class
+# runs its metaclass's lookup hook (docs/architecture.md, "Run-path costs").
+_RUNNING = ThreadState.RUNNING
+_READY = ThreadState.READY
+_SUSPENDED = ThreadState.SUSPENDED
+_BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
+_PAGER = ThreadRole.PAGER
+_REGION_MAPPER = ThreadRole.REGION_MAPPER
+_KERNEL_INTERNAL = ThreadRole.KERNEL_INTERNAL
+_REPLY = MessageKind.REPLY
+_MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
+_MODE_SWITCH_K2U = EventKind.MODE_SWITCH_K2U
+_CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
+_IPC_SEND = EventKind.IPC_SEND
+_IPC_RECEIVE = EventKind.IPC_RECEIVE
+_SUSPEND = EventKind.SUSPEND
+_RESUME = EventKind.RESUME
+
 # States from which the scheduler may hand a thread the CPU.
-_SCHEDULABLE = (ThreadState.RUNNING, ThreadState.READY)
+_SCHEDULABLE = (_RUNNING, _READY)
 
 
 @dataclass
@@ -121,8 +139,8 @@ class Machine:
         self.threads[KERNEL_TID] = ThreadControlBlock(
             tid=KERNEL_TID,
             asid=0,
-            role=ThreadRole.KERNEL_INTERNAL,
-            state=ThreadState.BLOCKED_ON_RECEIVE,
+            role=_KERNEL_INTERNAL,
+            state=_BLOCKED_ON_RECEIVE,
             name="kernel",
         )
         self._mailboxes[KERNEL_TID] = deque()
@@ -141,10 +159,10 @@ class Machine:
         if tid <= 0:
             raise ValueError("thread ids must be positive (0 is the kernel)")
         # Pagers and region mappers idle in their message loop.
-        if role in (ThreadRole.PAGER, ThreadRole.REGION_MAPPER):
-            state = ThreadState.BLOCKED_ON_RECEIVE
+        if role in (_PAGER, _REGION_MAPPER):
+            state = _BLOCKED_ON_RECEIVE
         else:
-            state = ThreadState.READY
+            state = _READY
         tcb = ThreadControlBlock(tid=tid, asid=asid, role=role, state=state, name=name)
         self.threads[tid] = tcb
         self._mailboxes[tid] = deque()
@@ -171,34 +189,34 @@ class Machine:
             )
         prev = self.occupant
         if prev == tid:
-            tcb.state = ThreadState.RUNNING
+            tcb.state = _RUNNING
             return
         if prev is not None:
             prev_tcb = self.threads[prev]
-            if prev_tcb.state is ThreadState.RUNNING:
-                prev_tcb.state = ThreadState.READY
-            self.trace.append(EventKind.CONTEXT_SWITCH, prev, tid, cycle=cycle)
+            if prev_tcb.state is _RUNNING:
+                prev_tcb.state = _READY
+            self.trace.append(_CONTEXT_SWITCH, prev, tid, cycle=cycle)
         self.occupant = tid
-        tcb.state = ThreadState.RUNNING
+        tcb.state = _RUNNING
 
     def enter_kernel(self, cycle: int | None = None) -> None:
-        self.trace.append(EventKind.MODE_SWITCH_U2K, cycle=cycle)
+        self.trace.append(_MODE_SWITCH_U2K, cycle=cycle)
 
     def leave_kernel(self, cycle: int | None = None) -> None:
-        self.trace.append(EventKind.MODE_SWITCH_K2U, cycle=cycle)
+        self.trace.append(_MODE_SWITCH_K2U, cycle=cycle)
 
     def suspend(self, tid: int, cycle: int | None = None) -> None:
-        (self.threads.get(tid) or self.thread(tid)).state = ThreadState.SUSPENDED
-        self.trace.append(EventKind.SUSPEND, tid, cycle=cycle)
+        (self.threads.get(tid) or self.thread(tid)).state = _SUSPENDED
+        self.trace.append(_SUSPEND, tid, cycle=cycle)
 
     def resume(self, tid: int, cycle: int | None = None) -> None:
-        (self.threads.get(tid) or self.thread(tid)).state = ThreadState.READY
-        self.trace.append(EventKind.RESUME, tid, cycle=cycle)
+        (self.threads.get(tid) or self.thread(tid)).state = _READY
+        self.trace.append(_RESUME, tid, cycle=cycle)
 
     def block_on_receive(self, tid: int) -> None:
         # Occupancy is only reassigned by the next switch_to.
         tcb = self.threads.get(tid) or self.thread(tid)
-        tcb.state = ThreadState.BLOCKED_ON_RECEIVE
+        tcb.state = _BLOCKED_ON_RECEIVE
 
     # ---- messaging -------------------------------------------------------
 
@@ -207,17 +225,17 @@ class Machine:
         sender, receiver, kind, payload = msg
         if receiver not in self.threads:
             raise UnknownReceiverError(f"no receiver with id {receiver}")
-        # _value_ is a plain attribute; .value runs Python code per read.
+        # _value_, not .value: docs/architecture.md, "Run-path costs".
         args: tuple = (sender, receiver, kind._value_)
         if payload is not None:
-            if kind is MessageKind.REPLY:
+            if kind is _REPLY:
                 args += (payload.faulter,)
             else:
                 args += (
                     payload.faulter, payload.vaddr, payload.access._value_,
                     payload.marker,
                 )
-        self.trace.append(EventKind.IPC_SEND, *args, cycle=cycle)
+        self.trace.append(_IPC_SEND, *args, cycle=cycle)
         if receiver != KERNEL_TID:
             # The kernel consumes its messages synchronously; only real
             # threads have a mailbox worth filling.
@@ -229,7 +247,7 @@ class Machine:
             self.thread(tid)  # raises UnknownThreadError for an unknown tid
             raise SimulationHasNoMessage(tid)
         msg = box.popleft()
-        self.trace.append(EventKind.IPC_RECEIVE, tid, msg.kind._value_, cycle=cycle)
+        self.trace.append(_IPC_RECEIVE, tid, msg.kind._value_, cycle=cycle)
         return msg
 
     def peek_message(self, tid: int) -> Message | None:
@@ -272,8 +290,8 @@ class Machine:
         the scheduler's next pick (which may be the same thread)."""
         if self.occupant is not None:
             occ = self.threads[self.occupant]
-            if occ.state is ThreadState.RUNNING:
-                occ.state = ThreadState.READY
+            if occ.state is _RUNNING:
+                occ.state = _READY
         tid = self.schedule_next()
         self.switch_to(tid)
         return tid

@@ -70,10 +70,30 @@ class VerdictCode(Enum):
     DISPATCHED = "DISPATCHED"
 
 
-# A tuple: membership compares identities; a set would hash the enum in Python.
-GP_CODES = (
-    VerdictCode.KERNEL_RANGE, VerdictCode.NO_PAGER, VerdictCode.NOT_ACCEPTED
-)
+# Members the run path reads, bound once: a read through the enum class
+# runs its metaclass's lookup hook (docs/architecture.md, "Run-path costs").
+# KERNEL_RANGE itself is the region lookup's result for a kernel address.
+_KERNEL_RANGE_VERDICT = VerdictCode.KERNEL_RANGE
+_NO_PAGER = VerdictCode.NO_PAGER
+_NOT_ACCEPTED = VerdictCode.NOT_ACCEPTED
+_RESUMED_PRESENT = VerdictCode.RESUMED_PRESENT
+_DISPATCHED = VerdictCode.DISPATCHED
+_UNASSIGNED = ContractState.UNASSIGNED
+_ASSIGNED = ContractState.ASSIGNED
+_ACCEPTED = ContractState.ACCEPTED
+_REVOKED = ContractState.REVOKED
+_BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
+_READY = ThreadState.READY
+_PAGE_FAULT = MessageKind.PAGE_FAULT
+_REFLECTION = MessageKind.REFLECTION
+_REPLY = MessageKind.REPLY
+_MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
+_VERDICT = EventKind.VERDICT
+_MAP_PAGE = EventKind.MAP_PAGE
+_UNMAP_PAGE = EventKind.UNMAP_PAGE
+
+# A tuple, not a set: docs/architecture.md, "Run-path costs".
+GP_CODES = (_KERNEL_RANGE_VERDICT, _NO_PAGER, _NOT_ACCEPTED)
 
 
 class Classification(NamedTuple):
@@ -96,18 +116,18 @@ def classify(
     """
     rid = region_id_of(space.layout, vaddr)
     if rid is KERNEL_RANGE:
-        return Classification(VerdictCode.KERNEL_RANGE)
+        return Classification(_KERNEL_RANGE_VERDICT)
     slot = space.regions.lookup(rid)
-    if slot.manager is None or slot.contract is ContractState.UNASSIGNED:
-        return Classification(VerdictCode.NO_PAGER, rid=rid)
-    if slot.contract is ContractState.REVOKED:
-        return Classification(VerdictCode.NOT_ACCEPTED, rid=rid, manager=slot.manager)
-    if slot.contract is ContractState.ASSIGNED and slot.manager in non_accepting:
-        return Classification(VerdictCode.NOT_ACCEPTED, rid=rid, manager=slot.manager)
+    if slot.manager is None or slot.contract is _UNASSIGNED:
+        return Classification(_NO_PAGER, rid=rid)
+    if slot.contract is _REVOKED:
+        return Classification(_NOT_ACCEPTED, rid=rid, manager=slot.manager)
+    if slot.contract is _ASSIGNED and slot.manager in non_accepting:
+        return Classification(_NOT_ACCEPTED, rid=rid, manager=slot.manager)
     ent = space.pages.entries.get(vaddr // space.layout.page_size)
     if ent is None:  # never mapped: marker 0
-        return Classification(VerdictCode.DISPATCHED, rid=rid, manager=slot.manager)
-    code = VerdictCode.RESUMED_PRESENT if ent.present else VerdictCode.DISPATCHED
+        return Classification(_DISPATCHED, rid=rid, manager=slot.manager)
+    code = _RESUMED_PRESENT if ent.present else _DISPATCHED
     return Classification(code, rid=rid, manager=slot.manager, marker=ent.marker)
 
 
@@ -147,17 +167,17 @@ class KernelMemory:
     ) -> None:
         space = self.spaces[asid]
         rid, slot = self._region_slot(space, vaddr, caller)
-        if slot.contract is ContractState.REVOKED:
+        if slot.contract is _REVOKED:
             raise RevokedRegionError(
                 f"region {rid} of space {asid} was revoked; reassign before mapping"
             )
         page = vaddr // space.layout.page_size
         space.pages.set_mapping(page, frame, marker)
-        if slot.contract is ContractState.ASSIGNED:
+        if slot.contract is _ASSIGNED:
             # First map into the region doubles as acceptance.
-            space.regions.set_contract(rid, ContractState.ACCEPTED)
+            space.regions.set_contract(rid, _ACCEPTED)
         self.machine.trace.append(
-            EventKind.MAP_PAGE, asid, page * space.layout.page_size, frame,
+            _MAP_PAGE, asid, page * space.layout.page_size, frame,
             marker, cycle=cycle,
         )
 
@@ -174,7 +194,7 @@ class KernelMemory:
         page = vaddr // space.layout.page_size
         space.pages.clear_mapping(page)
         self.machine.trace.append(
-            EventKind.UNMAP_PAGE, asid, page * space.layout.page_size, revoke,
+            _UNMAP_PAGE, asid, page * space.layout.page_size, revoke,
             cycle=cycle,
         )
         if not revoke:
@@ -186,8 +206,8 @@ class KernelMemory:
                 f"revoke ineffective: region {rid} of space {asid} still has "
                 f"{len(remaining)} present page(s)"
             )
-        elif slot.contract is ContractState.ACCEPTED:
-            space.regions.set_contract(rid, ContractState.REVOKED)
+        elif slot.contract is _ACCEPTED:
+            space.regions.set_contract(rid, _REVOKED)
         else:
             self.machine.warnings.append(
                 f"revoke on region {rid} of space {asid} ignored: contract is "
@@ -243,7 +263,7 @@ class FaultDispatcher:
         trace = machine.trace
         # The trap's seq; a column's len() makes no Python-level call.
         cycle.trap_seq = len(trace.kinds)
-        trace.append(EventKind.MODE_SWITCH_U2K, cycle=cycle.index)
+        trace.append(_MODE_SWITCH_U2K, cycle=cycle.index)
         return cycle
 
     def record_verdict(self, cycle: FaultCycle, cls: Classification) -> None:
@@ -251,11 +271,11 @@ class FaultDispatcher:
         cycle.rid = cls.rid
         cycle.manager = cls.manager
         cycle.marker = cls.marker
-        # _value_ is a plain attribute; .value runs Python code per read.
+        # _value_, not .value: docs/architecture.md, "Run-path costs".
         args: tuple = (cls.code._value_, cycle.faulter, cycle.vaddr)
         if cls.manager is not None:
             args += (cls.manager,)
-        self.machine.trace.append(EventKind.VERDICT, *args, cycle=cycle.index)
+        self.machine.trace.append(_VERDICT, *args, cycle=cycle.index)
 
     def park(self, cycle: FaultCycle) -> None:
         """Suspend the faulter for good: the thread state enum has no
@@ -277,7 +297,7 @@ class FaultDispatcher:
         message is delivered is the caller's business (see ``deliver``)."""
         self.machine.suspend(cycle.faulter, cycle=cycle.index)
         self.machine.send(
-            Message(KERNEL_TID, target, MessageKind.PAGE_FAULT, cycle),
+            Message(KERNEL_TID, target, _PAGE_FAULT, cycle),
             cycle=cycle.index,
         )
         cycle.dispatched_to = target
@@ -294,8 +314,8 @@ class FaultDispatcher:
         index = msg.payload.index
         # A thread with a mailbox is registered.
         tcb = machine.threads[target]
-        if tcb.state is ThreadState.BLOCKED_ON_RECEIVE:
-            tcb.state = ThreadState.READY
+        if tcb.state is _BLOCKED_ON_RECEIVE:
+            tcb.state = _READY
         machine.leave_kernel(cycle=index)
         machine.switch_to(target, cycle=index)
         return machine.receive(target, cycle=index).payload
@@ -307,7 +327,7 @@ class FaultDispatcher:
         self.machine.enter_kernel(cycle=cycle.index)
         cycle.dispatched_to = target
         self.machine.send(
-            Message(mapper, target, MessageKind.REFLECTION, cycle),
+            Message(mapper, target, _REFLECTION, cycle),
             cycle=cycle.index,
         )
         self.machine.block_on_receive(mapper)
@@ -327,7 +347,7 @@ class FaultDispatcher:
             )
         self.machine.enter_kernel(cycle=cycle.index)
         self.machine.send(
-            Message(pager, KERNEL_TID, MessageKind.REPLY, cycle),
+            Message(pager, KERNEL_TID, _REPLY, cycle),
             cycle=cycle.index,
         )
         self.machine.resume(cycle.faulter, cycle=cycle.index)

@@ -54,6 +54,15 @@ class MarkerKind(Enum):
     FIXED = "fixed"
 
 
+# Members the run path reads, bound once: a read through the enum class
+# runs its metaclass's lookup hook (docs/architecture.md, "Run-path costs").
+_ZERO_MARKER = MarkerKind.ZERO
+_PAGE_MARKER = MarkerKind.PAGE
+_FIXED_POLICY = PagerPolicy.FIXED
+_REJECTING = PagerPolicy.REJECTING
+_REFLECTING = PagerPolicy.REFLECTING
+
+
 @dataclass(frozen=True)
 class MarkerRule:
     """Rule mapping a page index to the 31-bit marker stored with the map."""
@@ -62,9 +71,9 @@ class MarkerRule:
     value: int = 0
 
     def marker_for(self, page: int) -> int:
-        if self.kind is MarkerKind.ZERO:
+        if self.kind is _ZERO_MARKER:
             return 0
-        if self.kind is MarkerKind.PAGE:
+        if self.kind is _PAGE_MARKER:
             return page
         return self.value
 
@@ -172,11 +181,11 @@ class PagerBehavior:
         target and the revoke bookkeeping.
         """
         page = fault.vaddr // page_size
-        if self.policy is PagerPolicy.REJECTING:
+        if self.policy is _REJECTING:
             return []
-        if self.policy is PagerPolicy.REFLECTING:
+        if self.policy is _REFLECTING:
             return [ReflectAction(fault)]
-        if self.policy is PagerPolicy.FIXED:
+        if self.policy is _FIXED_POLICY:
             frame = self.backing.get(page)
             if frame is None:
                 warnings.append(

@@ -35,6 +35,15 @@ from .mmu import MARKER_LIMIT
 from .pagers import MarkerKind, MarkerRule, PagerPolicy
 
 
+# Members that parsing and validation read, bound once: a read through the
+# enum class runs its metaclass's lookup hook (docs/architecture.md,
+# "Run-path costs").
+_FIXED_MARKER = MarkerKind.FIXED
+_PAGER = ThreadRole.PAGER
+_FIXED_POLICY = PagerPolicy.FIXED
+_REFLECTING = PagerPolicy.REFLECTING
+
+
 class ScenarioError(Exception):
     """Base class for problems with a scenario file."""
 
@@ -232,7 +241,7 @@ GRAMMAR: dict[str, Directive] = {
     "pager": _directive(None, PagerDecl, _name("name"), (
         _field("policy", {p.value: p for p in PagerPolicy}, REQUIRED),
         _field("marker", MARKER, attr="marker_rule", fmt=lambda rule: (
-            f"fixed:{rule.value}" if rule.kind is MarkerKind.FIXED
+            f"fixed:{rule.value}" if rule.kind is _FIXED_MARKER
             else rule.kind.value
         )),
         _field("accepts", {"yes": True, "no": False}),
@@ -327,7 +336,7 @@ def _read(d: Directive, tokens: list[str], line: int, memo: dict) -> dict:
                 if not 0 <= val < MARKER_LIMIT:
                     bound = "at least 0" if val < 0 else f"below {MARKER_LIMIT:#x}"
                     raise ParseError(line, f"{f.key} must be {bound}")
-                val = MarkerRule(MarkerKind.FIXED, val)
+                val = MarkerRule(_FIXED_MARKER, val)
             elif tok == "zero" or tok == "page":
                 val = MarkerRule(MarkerKind(tok))
             else:
@@ -457,17 +466,17 @@ def _validate(sf: ScenarioFile) -> None:
             raise SemanticError(f"duplicate pager declaration {p.name!r}")
         pager_names.add(p.name)
         decl = thread(p.name)
-        if decl.role is not ThreadRole.PAGER:
+        if decl.role is not _PAGER:
             raise SemanticError(
                 f"pager behavior declared for {p.name!r}, whose role is "
                 f"{decl.role.value}"
             )
-        if p.backing and p.policy is not PagerPolicy.FIXED:
+        if p.backing and p.policy is not _FIXED_POLICY:
             raise SemanticError(
                 f"backing declared for non-fixed pager {p.name!r}"
             )
         if p.dbranges:
-            if p.policy is not PagerPolicy.REFLECTING:
+            if p.policy is not _REFLECTING:
                 raise SemanticError(
                     f"dbrange declared for non-reflecting pager {p.name!r}"
                 )

@@ -86,6 +86,17 @@ class Scheme(Enum):
     L4RE = "l4re"
 
 
+# Members the run path reads, bound once: a read through the enum class
+# runs its metaclass's lookup hook (docs/architecture.md, "Run-path costs").
+_MONOLITHIC = Scheme.MONOLITHIC
+_L4_SINGLE = Scheme.L4_SINGLE
+_REGION_DISPATCH = Scheme.REGION_DISPATCH
+_L4RE = Scheme.L4RE
+_RESUMED_PRESENT = VerdictCode.RESUMED_PRESENT
+_DISPATCHED = VerdictCode.DISPATCHED
+_REFLECTING = PagerPolicy.REFLECTING
+_REGION_MAPPER = ThreadRole.REGION_MAPPER
+
 ALL_SCHEMES = (
     Scheme.MONOLITHIC,
     Scheme.L4_SINGLE,
@@ -195,7 +206,7 @@ class Simulator:
         for p in scenario.pagers:
             tid = self._decl[p.name].tid
             db = None
-            if p.policy is PagerPolicy.REFLECTING:
+            if p.policy is _REFLECTING:
                 # Without dbrange lines it covers nothing: every reflection
                 # is then a NoDatabaseEntryError, not a missing database.
                 db = MappingDatabase()
@@ -225,9 +236,9 @@ class Simulator:
         self._pager_of: dict[int, int] = {}
 
         self._check_scheme_fit()
-        if scheme is Scheme.L4RE:
+        if scheme is _L4RE:
             self._wire_region_mappers()
-        elif scheme is Scheme.L4_SINGLE:
+        elif scheme is _L4_SINGLE:
             self._wire_thread_pagers()
 
     # ---- setup -----------------------------------------------------------
@@ -243,23 +254,23 @@ class Simulator:
 
     def _check_scheme_fit(self) -> None:
         sf, scheme = self.sf, self.scheme
-        if scheme is not Scheme.L4RE:
+        if scheme is not _L4RE:
             if sf.space_dbranges:
                 raise SchemeMismatchError(
                     "mapping-database ranges require the l4re scheme"
                 )
-            if any(p.policy is PagerPolicy.REFLECTING for p in sf.pagers):
+            if any(p.policy is _REFLECTING for p in sf.pagers):
                 raise SchemeMismatchError(
                     "reflecting pagers require the l4re scheme"
                 )
-        if scheme is Scheme.MONOLITHIC:
+        if scheme is _MONOLITHIC:
             if any(isinstance(i, PagerStepItem) for i in sf.script):
                 raise SchemeMismatchError(
                     "pager-step directives are meaningless under monolithic "
                     "dispatch: no pager threads run"
                 )
-        if scheme is Scheme.L4RE and any(
-            t.role is ThreadRole.REGION_MAPPER for t in self._faulters()
+        if scheme is _L4RE and any(
+            t.role is _REGION_MAPPER for t in self._faulters()
         ):
             raise SchemeMismatchError(
                 "a region mapper must never fault; its pages are wired"
@@ -277,7 +288,7 @@ class Simulator:
         """In L4Re a space's region mapper is the pager of all its threads."""
         declared: dict[int, int] = {}
         for t in self.sf.threads:
-            if t.role is ThreadRole.REGION_MAPPER:
+            if t.role is _REGION_MAPPER:
                 if t.asid in declared:
                     raise SchemeMismatchError(
                         f"two region mappers declared for asid {t.asid}"
@@ -292,11 +303,11 @@ class Simulator:
                 tid = next_tid
                 next_tid += 1
                 self.machine.register_thread(
-                    tid, asid, role=ThreadRole.REGION_MAPPER, name=f"rm{asid}"
+                    tid, asid, role=_REGION_MAPPER, name=f"rm{asid}"
                 )
             mapper_of[asid] = tid
             self.behaviors[tid] = PagerBehavior(
-                policy=PagerPolicy.REFLECTING, db=self._space_db(asid)
+                policy=_REFLECTING, db=self._space_db(asid)
             )
         for t in faulters:
             self._pager_of[t.tid] = mapper_of[t.asid]
@@ -389,7 +400,7 @@ class Simulator:
             if tid not in self._actions:
                 msg = f"pager {item.pager!r} has no pending action"
                 for rm in map(self.machine.thread, self._actions):
-                    if rm.role is ThreadRole.REGION_MAPPER:  # under l4re
+                    if rm.role is _REGION_MAPPER:  # under l4re
                         msg += (
                             f": the fault waits at region mapper {rm.name!r} "
                             f"(tid {rm.tid}), and mode=manual cannot step a "
@@ -412,14 +423,14 @@ class Simulator:
         verdict = cycle.verdict
         if verdict in GP_CODES:
             dispatcher.park(cycle)  # a protection fault ends the faulter
-        elif verdict is VerdictCode.RESUMED_PRESENT:
+        elif verdict is _RESUMED_PRESENT:
             # The page became present between trap and dispatch: straight
             # back to user mode, with no suspension and no pager message.
             dispatcher.return_to_faulter(cycle)
-        elif self.scheme is Scheme.MONOLITHIC:
+        elif self.scheme is _MONOLITHIC:
             self._resolve_in_kernel(cycle)
         else:
-            if self.scheme is Scheme.REGION_DISPATCH:
+            if self.scheme is _REGION_DISPATCH:
                 target = cycle.manager
             else:
                 target = self._pager_of[cycle.faulter]
@@ -730,7 +741,7 @@ def verify_equivalence(results: dict[str, SimResult]) -> list[str]:
         for cycle, r0, r1, r2 in zip(base.cycles, *rows):
             # The cost ordering is a claim about dispatched faults; cycles
             # that never reach a pager cost the same under every scheme.
-            if cycle.verdict is not VerdictCode.DISPATCHED:
+            if cycle.verdict is not _DISPATCHED:
                 continue
             if not (_resolved(r0) and _resolved(r1) and _resolved(r2)):
                 continue  # ordering is only claimed for resolved cycles

@@ -38,7 +38,8 @@ class EventKind(Enum):
     VERDICT = "VERDICT"
 
 
-# Tables keyed by the on-wire spelling: hashing an enum runs Python code.
+# Tables keyed by the on-wire spelling, not the enum: docs/architecture.md,
+# "Run-path costs".
 # Column of each kind in a cycle's counter row:
 SLOT = {kind._value_: i for i, kind in enumerate(EventKind)}
 

@@ -4,15 +4,29 @@ seconds.
 Wall-clock bounds are flaky on a shared host; the number of Python-level
 function calls a run makes, and the bytes it keeps allocated, are exact
 and repeatable, so they are what these tests bound.
+
+An attribute lookup through a metaclass hook costs time but is not a
+Python-level call.  On Python 3.11 ``EnumType`` defines ``__getattr__``, so
+every read of a member through its class, such as ``ThreadState.RUNNING``,
+takes the interpreter's slow hooked lookup (about 170 ns against 7 ns for
+a module global) without calling any Python function.
+``CALLS_PER_FAULT_BUDGET`` and the other budgets cannot see that cost;
+``test_run_path_reads_no_enum_member_through_its_class`` covers it by
+reading the source of every function a run executes.
 """
 
+import ast
+import contextlib
 import gc
+import inspect
+import io
 import sys
 import tracemalloc
 from enum import Enum
 
 import pytest
 
+from pagersim import cli
 from pagersim import (
     ALL_SCHEMES,
     AccessType,
@@ -126,6 +140,92 @@ def test_accounting_never_hashes_an_enum():
     )
     assert failures == [] and problems == []
     assert hashes == 0
+
+
+def functions_run(fn):
+    """Run ``fn``; return its result and each pagersim function it ran, as
+    its code object, mapped to the module the function lives in."""
+    ran = {}
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code not in ran:
+            module = frame.f_globals.get("__name__", "")
+            if module.partition(".")[0] == "pagersim":
+                ran[frame.f_code] = sys.modules[module]
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, ran
+
+
+def function_nodes(module) -> dict:
+    """AST nodes of every function and lambda of ``module``, keyed like
+    their code objects by ``(first line, name)``: a decorated function's
+    code starts at its first decorator, its AST node at ``def``."""
+    nodes = {}
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Lambda):
+            nodes.setdefault((node.lineno, "<lambda>"), []).append(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            line = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            nodes.setdefault((line, node.name), []).append(node)
+    return nodes
+
+
+def enum_member_reads(code, module, nodes) -> list[str]:
+    """``module:function Enum.MEMBER`` for each read of a member through
+    its enum class in the body of the function that ``code`` runs."""
+    name = getattr(code, "co_qualname", code.co_name)
+    found = []
+    for node in nodes[code.co_firstlineno, code.co_name]:
+        body = node.body if isinstance(node.body, list) else [node.body]
+        for sub in (s for stmt in body for s in ast.walk(stmt)):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Load)
+                and isinstance(sub.value, ast.Name)
+            ):
+                obj = getattr(module, sub.value.id, None)
+                if isinstance(obj, type) and issubclass(obj, Enum):
+                    found.append(
+                        f"{module.__name__}:{name} {sub.value.id}.{sub.attr}"
+                    )
+    return found
+
+
+def test_run_path_reads_no_enum_member_through_its_class(tmp_path):
+    # A read like ``ThreadState.RUNNING`` runs the enum class's attribute
+    # lookup hook, which no call counter above sees (it is no Python-level
+    # call); the run path reads module constants bound once instead.
+    ran = {}
+    for name, text in (
+        ("workload50", fixture_scn("workload50")), ("stream", FAULT_STREAM),
+    ):
+        path = tmp_path / f"{name}.scn"
+        path.write_text(text)
+        argv = [
+            "--scenario", str(path), "--check", "--verify-equivalence",
+            "--report", "table", "--trace", str(tmp_path / f"{name}.trace"),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, codes = functions_run(lambda: cli.main(argv))
+        assert status == cli.EXIT_OK
+        ran.update(codes)
+    nodes = {}
+    offenders = []
+    for code, module in ran.items():
+        if code.co_name.startswith("<") and code.co_name != "<lambda>":
+            continue  # a comprehension: walked with the function around it
+        if code.co_filename != module.__file__:
+            continue  # generated code, such as a dataclass's __init__
+        if module not in nodes:
+            nodes[module] = function_nodes(module)
+        offenders += enum_member_reads(code, module, nodes[module])
+    assert Simulator._zero_level.__code__ in ran  # the fault path ran
+    assert sorted(offenders) == []
 
 
 def test_check_and_verify_read_only_counters():
