@@ -134,7 +134,9 @@ class Machine:
         # Tid charged with CPU occupancy; it survives suspension until
         # someone else is switched in.
         self.occupant: int | None = None
-        self._mailboxes: dict[int, deque[Message]] = {}
+        # Queued messages per thread.  The scheme layer reads a pager's box
+        # to learn whether it has mail without a call.
+        self.mailboxes: dict[int, deque[Message]] = {}
         self._sched_order: list[int] | None = None
         self.threads[KERNEL_TID] = ThreadControlBlock(
             tid=KERNEL_TID,
@@ -143,7 +145,7 @@ class Machine:
             state=_BLOCKED_ON_RECEIVE,
             name="kernel",
         )
-        self._mailboxes[KERNEL_TID] = deque()
+        self.mailboxes[KERNEL_TID] = deque()
 
     # ---- thread registry -------------------------------------------------
 
@@ -165,7 +167,7 @@ class Machine:
             state = _READY
         tcb = ThreadControlBlock(tid=tid, asid=asid, role=role, state=state, name=name)
         self.threads[tid] = tcb
-        self._mailboxes[tid] = deque()
+        self.mailboxes[tid] = deque()
         self._sched_order = None  # rebuilt lazily after registration changes
         return tcb
 
@@ -184,9 +186,8 @@ class Machine:
         occupant changes.  The first dispatch of a run emits none."""
         tcb = self.threads.get(tid) or self.thread(tid)
         if tcb.state not in _SCHEDULABLE:
-            raise NotSchedulableError(
-                f"thread {tid} is {tcb.state.value}, cannot run"
-            )
+            who = f"thread {tcb.name!r} (tid {tid})" if tcb.name else f"thread {tid}"
+            raise NotSchedulableError(f"{who} is {tcb.state.value}, cannot run")
         prev = self.occupant
         if prev == tid:
             tcb.state = _RUNNING
@@ -195,23 +196,23 @@ class Machine:
             prev_tcb = self.threads[prev]
             if prev_tcb.state is _RUNNING:
                 prev_tcb.state = _READY
-            self.trace.append(_CONTEXT_SWITCH, prev, tid, cycle=cycle)
+            self.trace.append(_CONTEXT_SWITCH, (prev, tid), cycle)
         self.occupant = tid
         tcb.state = _RUNNING
 
     def enter_kernel(self, cycle: int | None = None) -> None:
-        self.trace.append(_MODE_SWITCH_U2K, cycle=cycle)
+        self.trace.append(_MODE_SWITCH_U2K, (), cycle)
 
     def leave_kernel(self, cycle: int | None = None) -> None:
-        self.trace.append(_MODE_SWITCH_K2U, cycle=cycle)
+        self.trace.append(_MODE_SWITCH_K2U, (), cycle)
 
     def suspend(self, tid: int, cycle: int | None = None) -> None:
         (self.threads.get(tid) or self.thread(tid)).state = _SUSPENDED
-        self.trace.append(_SUSPEND, tid, cycle=cycle)
+        self.trace.append(_SUSPEND, (tid,), cycle)
 
     def resume(self, tid: int, cycle: int | None = None) -> None:
         (self.threads.get(tid) or self.thread(tid)).state = _READY
-        self.trace.append(_RESUME, tid, cycle=cycle)
+        self.trace.append(_RESUME, (tid,), cycle)
 
     def block_on_receive(self, tid: int) -> None:
         # Occupancy is only reassigned by the next switch_to.
@@ -235,24 +236,24 @@ class Machine:
                     payload.faulter, payload.vaddr, payload.access._value_,
                     payload.marker,
                 )
-        self.trace.append(_IPC_SEND, *args, cycle=cycle)
+        self.trace.append(_IPC_SEND, args, cycle)
         if receiver != KERNEL_TID:
             # The kernel consumes its messages synchronously; only real
             # threads have a mailbox worth filling.
-            self._mailboxes[receiver].append(msg)
+            self.mailboxes[receiver].append(msg)
 
     def receive(self, tid: int, cycle: int | None = None) -> Message:
-        box = self._mailboxes.get(tid)
+        box = self.mailboxes.get(tid)
         if not box:
             self.thread(tid)  # raises UnknownThreadError for an unknown tid
             raise SimulationHasNoMessage(tid)
         msg = box.popleft()
-        self.trace.append(_IPC_RECEIVE, tid, msg.kind._value_, cycle=cycle)
+        self.trace.append(_IPC_RECEIVE, (tid, msg.kind._value_), cycle)
         return msg
 
     def peek_message(self, tid: int) -> Message | None:
         """Next queued message without consuming it, if any."""
-        box = self._mailboxes.get(tid)
+        box = self.mailboxes.get(tid)
         if box is None:
             self.thread(tid)  # raises UnknownThreadError
         return box[0] if box else None

@@ -95,6 +95,11 @@ _UNMAP_PAGE = EventKind.UNMAP_PAGE
 # A tuple, not a set: docs/architecture.md, "Run-path costs".
 GP_CODES = (_KERNEL_RANGE_VERDICT, _NO_PAGER, _NOT_ACCEPTED)
 
+# The run path builds its records with ``_new(Record, (field, ...))``, all
+# fields given, not through a NamedTuple's own constructor
+# (docs/architecture.md, "Run-path costs").
+_new = tuple.__new__
+
 
 class Classification(NamedTuple):
     code: VerdictCode
@@ -116,19 +121,20 @@ def classify(
     """
     rid = region_id_of(space.layout, vaddr)
     if rid is KERNEL_RANGE:
-        return Classification(_KERNEL_RANGE_VERDICT)
+        return _new(Classification, (_KERNEL_RANGE_VERDICT, None, None, 0))
     slot = space.regions.lookup(rid)
-    if slot.manager is None or slot.contract is _UNASSIGNED:
-        return Classification(_NO_PAGER, rid=rid)
+    manager = slot.manager
+    if manager is None or slot.contract is _UNASSIGNED:
+        return _new(Classification, (_NO_PAGER, rid, None, 0))
     if slot.contract is _REVOKED:
-        return Classification(_NOT_ACCEPTED, rid=rid, manager=slot.manager)
-    if slot.contract is _ASSIGNED and slot.manager in non_accepting:
-        return Classification(_NOT_ACCEPTED, rid=rid, manager=slot.manager)
+        return _new(Classification, (_NOT_ACCEPTED, rid, manager, 0))
+    if slot.contract is _ASSIGNED and manager in non_accepting:
+        return _new(Classification, (_NOT_ACCEPTED, rid, manager, 0))
     ent = space.pages.entries.get(vaddr // space.layout.page_size)
     if ent is None:  # never mapped: marker 0
-        return Classification(_DISPATCHED, rid=rid, manager=slot.manager)
+        return _new(Classification, (_DISPATCHED, rid, manager, 0))
     code = _RESUMED_PRESENT if ent.present else _DISPATCHED
-    return Classification(code, rid=rid, manager=slot.manager, marker=ent.marker)
+    return _new(Classification, (code, rid, manager, ent.marker))
 
 
 class KernelMemory:
@@ -177,8 +183,8 @@ class KernelMemory:
             # First map into the region doubles as acceptance.
             space.regions.set_contract(rid, _ACCEPTED)
         self.machine.trace.append(
-            _MAP_PAGE, asid, page * space.layout.page_size, frame,
-            marker, cycle=cycle,
+            _MAP_PAGE, (asid, page * space.layout.page_size, frame, marker),
+            cycle,
         )
 
     def unmap_page(
@@ -194,8 +200,7 @@ class KernelMemory:
         page = vaddr // space.layout.page_size
         space.pages.clear_mapping(page)
         self.machine.trace.append(
-            _UNMAP_PAGE, asid, page * space.layout.page_size, revoke,
-            cycle=cycle,
+            _UNMAP_PAGE, (asid, page * space.layout.page_size, revoke), cycle
         )
         if not revoke:
             return
@@ -263,7 +268,7 @@ class FaultDispatcher:
         trace = machine.trace
         # The trap's seq; a column's len() makes no Python-level call.
         cycle.trap_seq = len(trace.kinds)
-        trace.append(_MODE_SWITCH_U2K, cycle=cycle.index)
+        trace.append(_MODE_SWITCH_U2K, (), cycle.index)
         return cycle
 
     def record_verdict(self, cycle: FaultCycle, cls: Classification) -> None:
@@ -275,18 +280,18 @@ class FaultDispatcher:
         args: tuple = (cls.code._value_, cycle.faulter, cycle.vaddr)
         if cls.manager is not None:
             args += (cls.manager,)
-        self.machine.trace.append(_VERDICT, *args, cycle=cycle.index)
+        self.machine.trace.append(_VERDICT, args, cycle.index)
 
     def park(self, cycle: FaultCycle) -> None:
         """Suspend the faulter for good: the thread state enum has no
         terminal member, so a thread that can never continue is modeled
         as a suspension nothing will ever pair with a resume."""
-        self.machine.suspend(cycle.faulter, cycle=cycle.index)
+        self.machine.suspend(cycle.faulter, cycle.index)
 
     def return_to_faulter(self, cycle: FaultCycle) -> None:
         """Leave the kernel into the faulter and close the cycle."""
-        self.machine.leave_kernel(cycle=cycle.index)
-        self.machine.switch_to(cycle.faulter, cycle=cycle.index)
+        self.machine.leave_kernel(cycle.index)
+        self.machine.switch_to(cycle.faulter, cycle.index)
         cycle.closed = True
 
     # ---- dispatch to a pager --------------------------------------------
@@ -295,10 +300,9 @@ class FaultDispatcher:
         """Phase two for a dispatched fault, after its verdict: suspend
         the faulter and queue the fault message at ``target``.  When the
         message is delivered is the caller's business (see ``deliver``)."""
-        self.machine.suspend(cycle.faulter, cycle=cycle.index)
+        self.machine.suspend(cycle.faulter, cycle.index)
         self.machine.send(
-            Message(KERNEL_TID, target, _PAGE_FAULT, cycle),
-            cycle=cycle.index,
+            _new(Message, (KERNEL_TID, target, _PAGE_FAULT, cycle)), cycle.index
         )
         cycle.dispatched_to = target
 
@@ -316,19 +320,18 @@ class FaultDispatcher:
         tcb = machine.threads[target]
         if tcb.state is _BLOCKED_ON_RECEIVE:
             tcb.state = _READY
-        machine.leave_kernel(cycle=index)
-        machine.switch_to(target, cycle=index)
-        return machine.receive(target, cycle=index).payload
+        machine.leave_kernel(index)
+        machine.switch_to(target, index)
+        return machine.receive(target, index).payload
 
     def reflect(self, mapper: int, cycle: FaultCycle, target: int) -> None:
         """A region mapper's reflect syscall: forward the fault unchanged
         to ``target``, make ``target`` the thread whose reply settles it,
         and put the mapper back in its receive loop."""
-        self.machine.enter_kernel(cycle=cycle.index)
+        self.machine.enter_kernel(cycle.index)
         cycle.dispatched_to = target
         self.machine.send(
-            Message(mapper, target, _REFLECTION, cycle),
-            cycle=cycle.index,
+            _new(Message, (mapper, target, _REFLECTION, cycle)), cycle.index
         )
         self.machine.block_on_receive(mapper)
 
@@ -345,11 +348,10 @@ class FaultDispatcher:
                 f"fault of thread {cycle.faulter} is handled by "
                 f"{cycle.dispatched_to}, not {pager}"
             )
-        self.machine.enter_kernel(cycle=cycle.index)
+        self.machine.enter_kernel(cycle.index)
         self.machine.send(
-            Message(pager, KERNEL_TID, _REPLY, cycle),
-            cycle=cycle.index,
+            _new(Message, (pager, KERNEL_TID, _REPLY, cycle)), cycle.index
         )
-        self.machine.resume(cycle.faulter, cycle=cycle.index)
+        self.machine.resume(cycle.faulter, cycle.index)
         self.machine.block_on_receive(pager)
         self.return_to_faulter(cycle)

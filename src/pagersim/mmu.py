@@ -41,7 +41,7 @@ class PageTable:
             raise MarkerOverflowError(
                 f"marker {marker} does not fit in {MARKER_BITS} bits"
             )
-        self.entries[page] = PageTableEntry(present=True, frame=frame, marker=marker)
+        self.entries[page] = PageTableEntry(True, frame, marker)
 
     def clear_mapping(self, page: int) -> None:
         """Drop the present flag but keep the marker readable."""

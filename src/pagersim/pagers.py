@@ -154,6 +154,10 @@ class RevokeRegionAction(NamedTuple):
 
 Action = MapAction | ReplyAction | ReflectAction | RevokeRegionAction
 
+# Actions are built with ``_new(Action, (field, ...))``, not through a
+# NamedTuple's own constructor (docs/architecture.md, "Run-path costs").
+_new = tuple.__new__
+
 
 @dataclass
 class PagerBehavior:
@@ -169,7 +173,6 @@ class PagerBehavior:
     def on_page_fault(
         self,
         fault: FaultCycle,
-        *,
         page_size: int,
         allocator: FrameAllocator,
         warnings: list[str],
@@ -184,7 +187,7 @@ class PagerBehavior:
         if self.policy is _REJECTING:
             return []
         if self.policy is _REFLECTING:
-            return [ReflectAction(fault)]
+            return [_new(ReflectAction, (fault,))]
         if self.policy is _FIXED_POLICY:
             frame = self.backing.get(page)
             if frame is None:
@@ -196,14 +199,14 @@ class PagerBehavior:
         else:
             frame = allocator.allocate()
         actions: list[Action] = [
-            MapAction(fault, frame, self.marker_rule.marker_for(page)),
-            ReplyAction(fault),
+            _new(MapAction, (fault, frame, self.marker_rule.marker_for(page))),
+            _new(ReplyAction, (fault,)),
         ]
         if self.revoke_after is not None:
             key = (fault.asid, fault.rid)
             count = self._resolved.get(key, 0) + 1
             self._resolved[key] = count
             if count >= self.revoke_after:
-                actions.append(RevokeRegionAction(fault))
+                actions.append(_new(RevokeRegionAction, (fault,)))
                 self._resolved[key] = 0
         return actions

@@ -444,10 +444,7 @@ class Simulator:
                 f"thread {handler} received a fault but has no pager behavior"
             )
         return behavior.on_page_fault(
-            fault,
-            page_size=self.layout.page_size,
-            allocator=self.allocator,
-            warnings=self.machine.warnings,
+            fault, self.layout.page_size, self.allocator, self.machine.warnings
         )
 
     def _resolve_in_kernel(self, cycle: FaultCycle) -> None:
@@ -472,10 +469,9 @@ class Simulator:
         actions or its mailbox is empty.  A pager that still has actions
         queued gets nothing; ``_exec_action`` serves it again once they
         are carried out."""
-        while pager not in self._actions:
+        box = self.machine.mailboxes[pager]
+        while box and pager not in self._actions:
             fault = self.dispatcher.deliver(pager)
-            if fault is None:
-                return
             actions = self._build_actions(pager, fault)
             if actions:
                 self._actions[pager] = actions
@@ -535,17 +531,14 @@ class Simulator:
         if isinstance(action, MapAction):
             memory.map_page(
                 pager, fault.asid, fault.vaddr, action.frame, action.marker,
-                cycle=fault.index,
+                fault.index,
             )
             return
         pages = self.spaces[fault.asid].present_pages_in_region(fault.rid)
         for i, page in enumerate(pages):
             memory.unmap_page(
-                pager,
-                fault.asid,
-                page * self.layout.page_size,
-                revoke=(i == len(pages) - 1),
-                cycle=fault.index,
+                pager, fault.asid, page * self.layout.page_size,
+                i == len(pages) - 1, fault.index,
             )
 
 

@@ -95,7 +95,12 @@ class Trace:
         self.cycle_of: list[int | None] = []
         self.cycle_counts: list[list[int]] = []
 
-    def append(self, kind: EventKind, *args, cycle: int | None = None) -> None:
+    def append(
+        self, kind: EventKind, args: tuple = (), cycle: int | None = None
+    ) -> None:
+        """Record one event: its kind, its arguments as one tuple, and the
+        fault cycle it is attributed to, if any.  The run path passes all
+        three positionally (docs/architecture.md, "Run-path costs")."""
         self.kinds.append(kind)
         self.args.append(args)
         self.cycle_of.append(cycle)

@@ -7,6 +7,7 @@ loaded by path and left unedited.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -51,6 +52,11 @@ def test_traced_cli_run_on_fault_stream(tmp_path, capsys):
     assert f"check: {expectations} expectation line(s), 0 failure(s)" in out
     assert "equivalence: ok" in out
     assert tracer.calls["schemes.run"] == len(ALL_SCHEMES)
+    # The benchmark's trace.events counts wrapped appends; every event the
+    # runs recorded went through Trace.append.
+    events = sum(map(int, re.findall(r" events=(\d+) ", out)))
+    assert events > 0
+    assert tracer.calls["trace.append"] == events
 
 
 def test_traced_wide_spaces_run_allocates_no_region_slots(tmp_path, capsys):

@@ -246,6 +246,32 @@ def test_access_by_a_thread_with_a_held_fault_is_an_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "policy, script, error",
+    [
+        ("anonymous", "access P 0x1000 read\n",
+         "thread 'P' (tid 2) is blocked_on_receive, cannot run"),
+        ("rejecting", "access T 0x1000 read\naccess T 0x2000 read\n",
+         "thread 'T' (tid 1) is suspended, cannot run"),
+    ],
+    ids=["access-by-a-pager", "access-after-a-rejected-fault"],
+)
+def test_an_unschedulable_thread_is_named(
+    policy, script, error, tmp_path, capsys
+):
+    path = tmp_path / "unschedulable.scn"
+    path.write_text(
+        "thread T tid=1 asid=1 role=applicant\n"
+        "thread P tid=2 asid=2 role=pager\n"
+        f"pager P policy={policy}\n"
+        "assign asid=1 rid=0 pager=P\n" + script
+    )
+    rc = cli.main(["--scenario", str(path), "--scheme", "proposed"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {error}\n"
+
+
 def deep_queue(applicants: int) -> str:
     """``applicants`` threads fault once each, on distinct pages of one
     region, while its fixed pager waits for a pager-step; only page 0 has

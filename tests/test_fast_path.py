@@ -13,6 +13,17 @@ a module global) without calling any Python function.
 ``CALLS_PER_FAULT_BUDGET`` and the other budgets cannot see that cost;
 ``test_run_path_reads_no_enum_member_through_its_class`` covers it by
 reading the source of every function a run executes.
+
+How a call is made costs time too, and the counts cannot see that either.
+On Python 3.11 the interpreter specializes a call only to a Python
+function called positionally with a fixed arity.  A call that passes a
+keyword, ``*`` or ``**`` argument, or one to a function taking ``*args``,
+goes the generic way, which about doubles the cost of the call itself
+(docs/architecture.md, "Run-path costs").
+``test_per_fault_calls_stay_on_the_fast_call_path`` reads the source of
+every function that a run calls at least once per fault and rejects such
+calls there, and any NamedTuple constructor (a ``<lambda>`` eval'd from
+``<string>``) that a run calls at all.
 """
 
 import ast
@@ -20,8 +31,10 @@ import contextlib
 import gc
 import inspect
 import io
+import re
 import sys
 import tracemalloc
+from collections import Counter
 from enum import Enum
 
 import pytest
@@ -42,15 +55,15 @@ from pagersim import (
     simulate,
     verify_equivalence,
 )
-from pagersim.engine import Message, MessageKind
-from pagersim.fault_dispatch import Classification
+from pagersim.engine import Machine, Message, MessageKind
+from pagersim.fault_dispatch import Classification, FaultDispatcher
 from pagersim.pagers import MapAction, ReflectAction, ReplyAction, RevokeRegionAction
 from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent
 from support import fixture_scn
 
 # Python-level calls per fault of one run of workload50 under every scheme:
-# 10% above the 62.1 measured when the budget was set (Python 3.11).
-CALLS_PER_FAULT_BUDGET = 68.3
+# 10% above the 55.1 measured when the budget was set (Python 3.11).
+CALLS_PER_FAULT_BUDGET = 60.6
 
 # Python-level calls per translate hit, under every scheme: 10% above the
 # 3.0 measured when the budget was set (Python 3.11): the access, the
@@ -143,15 +156,15 @@ def test_accounting_never_hashes_an_enum():
 
 
 def functions_run(fn):
-    """Run ``fn``; return its result and each pagersim function it ran, as
-    its code object, mapped to the module the function lives in."""
-    ran = {}
+    """Run ``fn``; return its result and how many times it ran each
+    function, keyed by the function's code object and the ``__name__`` of
+    its globals.  Two NamedTuples with the same field names have equal
+    constructor code; the name tells them apart."""
+    ran = Counter()
 
     def profile(frame, event, _arg):
-        if event == "call" and frame.f_code not in ran:
-            module = frame.f_globals.get("__name__", "")
-            if module.partition(".")[0] == "pagersim":
-                ran[frame.f_code] = sys.modules[module]
+        if event == "call":
+            ran[frame.f_code, frame.f_globals.get("__name__", "")] += 1
 
     sys.setprofile(profile)
     try:
@@ -159,6 +172,36 @@ def functions_run(fn):
     finally:
         sys.setprofile(None)
     return result, ran
+
+
+def cli_run(tmp_path, name: str, text: str):
+    """``cli.main --check --verify-equivalence --report table --trace`` on
+    one scenario under ``functions_run``; returns its stdout and what ran."""
+    path = tmp_path / f"{name}.scn"
+    path.write_text(text)
+    argv = [
+        "--scenario", str(path), "--check", "--verify-equivalence",
+        "--report", "table", "--trace", str(tmp_path / f"{name}.trace"),
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status, ran = functions_run(lambda: cli.main(argv))
+    assert status == cli.EXIT_OK
+    return out.getvalue(), ran
+
+
+def source_functions(ran):
+    """``(code, module, calls)`` of each function in ``ran`` (see
+    ``functions_run``) that a pagersim module's source defines."""
+    for (code, name), calls in ran.items():
+        if name.partition(".")[0] != "pagersim":
+            continue
+        if code.co_name.startswith("<") and code.co_name != "<lambda>":
+            continue  # a comprehension: walked with the function around it
+        module = sys.modules[name]
+        if code.co_filename != module.__file__:
+            continue  # generated code, such as a dataclass's __init__
+        yield code, module, calls
 
 
 def function_nodes(module) -> dict:
@@ -175,24 +218,28 @@ def function_nodes(module) -> dict:
     return nodes
 
 
+def body_nodes(code, nodes):
+    """Every AST node in the body of the function that ``code`` runs."""
+    for node in nodes[code.co_firstlineno, code.co_name]:
+        body = node.body if isinstance(node.body, list) else [node.body]
+        for stmt in body:
+            yield from ast.walk(stmt)
+
+
 def enum_member_reads(code, module, nodes) -> list[str]:
     """``module:function Enum.MEMBER`` for each read of a member through
     its enum class in the body of the function that ``code`` runs."""
     name = getattr(code, "co_qualname", code.co_name)
     found = []
-    for node in nodes[code.co_firstlineno, code.co_name]:
-        body = node.body if isinstance(node.body, list) else [node.body]
-        for sub in (s for stmt in body for s in ast.walk(stmt)):
-            if (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.ctx, ast.Load)
-                and isinstance(sub.value, ast.Name)
-            ):
-                obj = getattr(module, sub.value.id, None)
-                if isinstance(obj, type) and issubclass(obj, Enum):
-                    found.append(
-                        f"{module.__name__}:{name} {sub.value.id}.{sub.attr}"
-                    )
+    for sub in body_nodes(code, nodes):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)
+            and isinstance(sub.value, ast.Name)
+        ):
+            obj = getattr(module, sub.value.id, None)
+            if isinstance(obj, type) and issubclass(obj, Enum):
+                found.append(f"{module.__name__}:{name} {sub.value.id}.{sub.attr}")
     return found
 
 
@@ -204,28 +251,67 @@ def test_run_path_reads_no_enum_member_through_its_class(tmp_path):
     for name, text in (
         ("workload50", fixture_scn("workload50")), ("stream", FAULT_STREAM),
     ):
-        path = tmp_path / f"{name}.scn"
-        path.write_text(text)
-        argv = [
-            "--scenario", str(path), "--check", "--verify-equivalence",
-            "--report", "table", "--trace", str(tmp_path / f"{name}.trace"),
-        ]
-        with contextlib.redirect_stdout(io.StringIO()):
-            status, codes = functions_run(lambda: cli.main(argv))
-        assert status == cli.EXIT_OK
-        ran.update(codes)
+        ran.update(cli_run(tmp_path, name, text)[1])
     nodes = {}
     offenders = []
-    for code, module in ran.items():
-        if code.co_name.startswith("<") and code.co_name != "<lambda>":
-            continue  # a comprehension: walked with the function around it
-        if code.co_filename != module.__file__:
-            continue  # generated code, such as a dataclass's __init__
+    for code, module, _ in source_functions(ran):
         if module not in nodes:
             nodes[module] = function_nodes(module)
         offenders += enum_member_reads(code, module, nodes[module])
-    assert Simulator._zero_level.__code__ in ran  # the fault path ran
+    # The fault path ran.
+    assert (Simulator._zero_level.__code__, "pagersim.schemes") in ran
     assert sorted(offenders) == []
+
+
+def slow_calls(code, module, nodes) -> list[str]:
+    """``module:function line: call`` for each call in the body of the
+    function that ``code`` runs, outside a ``raise``, that passes a keyword,
+    ``*`` or ``**`` argument, and ``module:function (signature)`` if the
+    function itself takes ``*args``, keyword-only arguments or ``**``."""
+    name = f"{module.__name__}:{getattr(code, 'co_qualname', code.co_name)}"
+    found = []
+    extra_args = code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)
+    if extra_args or code.co_kwonlyargcount:
+        found.append(f"{name} (signature)")
+    raised = {
+        id(sub)
+        for node in body_nodes(code, nodes) if isinstance(node, ast.Raise)
+        for sub in ast.walk(node)
+    }
+    for sub in body_nodes(code, nodes):
+        if (
+            isinstance(sub, ast.Call)
+            and id(sub) not in raised
+            and (sub.keywords or any(isinstance(a, ast.Starred) for a in sub.args))
+        ):
+            found.append(f"{name} line {sub.lineno}: {ast.unparse(sub)}")
+    return found
+
+
+def test_per_fault_calls_stay_on_the_fast_call_path(tmp_path):
+    # See the module docstring: no call counter above sees a call's shape.
+    out, ran = cli_run(tmp_path, "workload50", fixture_scn("workload50"))
+    faults = sum(map(int, re.findall(r" faults=(\d+) ", out)))
+    assert faults == 4 * 50
+    nodes = {}
+    per_fault = set()
+    offenders = []
+    for code, module, calls in source_functions(ran):
+        if calls < faults:
+            continue
+        per_fault.add(code)
+        if module not in nodes:
+            nodes[module] = function_nodes(module)
+        offenders += slow_calls(code, module, nodes[module])
+    # The fault path and the trace appends are among the guarded functions.
+    assert {
+        Simulator._zero_level.__code__, Simulator._build_actions.__code__,
+        Trace.append.__code__,
+    } <= per_fault
+    for (code, name), calls in ran.items():
+        if code.co_name == "<lambda>" and code.co_filename == "<string>":
+            offenders.append(f"{name}.__new__ ran {calls} times")
+    assert not offenders, "\n".join(sorted(offenders))
 
 
 def test_check_and_verify_read_only_counters():
@@ -255,6 +341,23 @@ def test_run_loop_calls_per_fault_stay_within_budget():
     faults = sum(len(res.cycles) for res in results)
     assert faults == 4 * 50
     assert calls / faults <= CALLS_PER_FAULT_BUDGET
+
+
+def test_deliver_runs_once_per_delivered_message():
+    # A pager whose actions are done is served again only if its mailbox
+    # holds a message: no delivery attempt finds it empty.
+    sf = parse_scenario(fixture_scn("workload50"))
+    sims = [Simulator(sf, s) for s in ALL_SCHEMES]
+    results, _, [delivers, peeks] = python_calls(
+        lambda: [sim.run() for sim in sims],
+        FaultDispatcher.deliver.__code__,
+        Machine.peek_message.__code__,
+    )
+    received = sum(
+        res.trace.kinds.count(EventKind.IPC_RECEIVE) for res in results
+    )
+    assert received == (1 + 1 + 2) * 50  # l4-single, proposed, l4re
+    assert delivers == peeks == received
 
 
 def fault_stream(faults: int) -> str:
@@ -351,7 +454,7 @@ def prefix(trace: Trace, events: int) -> Trace:
     """A new trace holding the first ``events`` events of ``trace``."""
     out = Trace()
     for ev in trace[:events]:
-        out.append(ev.kind, *ev.args, cycle=ev.cycle)
+        out.append(ev.kind, ev.args, ev.cycle)
     return out
 
 

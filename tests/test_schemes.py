@@ -638,7 +638,7 @@ def test_every_attributed_event_is_emitted_by_the_dispatcher(name, monkeypatch):
     append = Trace.append
     emitters = set()
 
-    def recording_append(trace, kind, *args, cycle=None):
+    def recording_append(trace, kind, args=(), cycle=None):
         if cycle is not None:
             frame = sys._getframe(1)
             while frame.f_globals["__name__"] in _RECORDERS:
@@ -646,7 +646,7 @@ def test_every_attributed_event_is_emitted_by_the_dispatcher(name, monkeypatch):
             emitters.add(
                 (frame.f_globals["__name__"], frame.f_code.co_qualname, kind.name)
             )
-        return append(trace, kind, *args, cycle=cycle)
+        return append(trace, kind, args, cycle)
 
     monkeypatch.setattr(Trace, "append", recording_append)
     assert fitting_results(name)

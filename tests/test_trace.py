@@ -16,14 +16,14 @@ def test_sequence_numbers_are_gap_free():
 
 def test_render_without_attribution():
     tr = Trace()
-    tr.append(EventKind.CONTEXT_SWITCH, 1, 2)
+    tr.append(EventKind.CONTEXT_SWITCH, (1, 2))
     assert tr[-1].render() == "0 CONTEXT_SWITCH 1 2"
 
 
 def test_render_with_attribution_and_kv_args():
     tr = Trace()
-    tr.append(EventKind.MODE_SWITCH_U2K, cycle=0)
-    tr.append(EventKind.MAP_PAGE, 1, 0x1000, cycle=7)
+    tr.append(EventKind.MODE_SWITCH_U2K, (), 0)
+    tr.append(EventKind.MAP_PAGE, (1, 0x1000), 7)
     assert tr[-1].render() == "1 MAP_PAGE asid=1 vaddr=0x1000 cycle=7"
 
 
@@ -58,18 +58,18 @@ RENDERED = {
 def test_render_of_every_kind(kind):
     args, text = RENDERED[kind]
     tr = Trace()
-    tr.append(kind, *args)
+    tr.append(kind, args)
     assert tr[-1].render() == f"0 {text}"
-    tr.append(kind, *args, cycle=3)
+    tr.append(kind, args, 3)
     assert tr[-1].render() == f"1 {text} cycle=3"
 
 
 def test_of_cycle_filters_and_preserves_order():
     tr = Trace()
-    tr.append(EventKind.MODE_SWITCH_U2K, cycle=0)
-    tr.append(EventKind.CONTEXT_SWITCH, 1, 2)  # scheduling, unattributed
-    tr.append(EventKind.MODE_SWITCH_K2U, cycle=0)
-    tr.append(EventKind.MODE_SWITCH_U2K, cycle=1)
+    tr.append(EventKind.MODE_SWITCH_U2K, (), 0)
+    tr.append(EventKind.CONTEXT_SWITCH, (1, 2))  # scheduling, unattributed
+    tr.append(EventKind.MODE_SWITCH_K2U, (), 0)
+    tr.append(EventKind.MODE_SWITCH_U2K, (), 1)
     assert [ev.seq for ev in tr.of_cycle(0)] == [0, 2]
     assert [ev.seq for ev in tr.of_cycle(1)] == [3]
     assert tr.of_cycle(9) == []
@@ -77,8 +77,8 @@ def test_of_cycle_filters_and_preserves_order():
 
 def test_to_text_is_line_per_event_with_trailing_newline():
     tr = Trace()
-    tr.append(EventKind.SUSPEND, 4, cycle=2)
-    tr.append(EventKind.RESUME, 4, cycle=2)
+    tr.append(EventKind.SUSPEND, (4,), 2)
+    tr.append(EventKind.RESUME, (4,), 2)
     assert tr.to_text() == "0 SUSPEND 4 cycle=2\n1 RESUME 4 cycle=2\n"
     assert Trace().to_text() == ""
 
