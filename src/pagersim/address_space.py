@@ -155,8 +155,13 @@ class RegionTable:
     def assign(self, rid: int, manager: int) -> None:
         """(Re)assign a region manager; any prior contract state resets to
         ASSIGNED, which is how a revoked region comes back to life."""
-        self.lookup(rid)  # raises BadRegionError outside the table
-        self._slots[rid] = RegionSlot(manager=manager, contract=_ASSIGNED)
+        # Checked here, not through lookup(), which would build a throwaway
+        # RegionSlot for a region not yet held.
+        if not 0 <= rid < self.region_count:
+            raise BadRegionError(
+                f"region {rid} outside table of {self.region_count}"
+            )
+        self._slots[rid] = RegionSlot(manager, _ASSIGNED)
 
     def lookup(self, rid: int) -> RegionSlot:
         if not 0 <= rid < self.region_count:
@@ -175,11 +180,11 @@ class RegionTable:
     def managers(self) -> list[tuple[int, int]]:
         """``(rid, manager)`` of every region that has a manager, in rid
         order."""
-        return sorted(
+        return sorted([
             (rid, slot.manager)
             for rid, slot in self._slots.items()
             if slot.manager is not None
-        )
+        ])
 
     def serialize_manager_ids(self) -> bytes:
         """Pack the manager column as little-endian 4-byte ids, one per

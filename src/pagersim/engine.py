@@ -134,18 +134,15 @@ class Machine:
         # Tid charged with CPU occupancy; it survives suspension until
         # someone else is switched in.
         self.occupant: int | None = None
-        # Queued messages per thread.  The scheme layer reads a pager's box
-        # to learn whether it has mail without a call.
+        # Queued messages per thread.  A thread's box is made by the first
+        # message sent to it, so a thread that never gets one has none.
+        # The scheme layer reads a pager's box to learn whether it has mail
+        # without a call.
         self.mailboxes: dict[int, deque[Message]] = {}
         self._sched_order: list[int] | None = None
         self.threads[KERNEL_TID] = ThreadControlBlock(
-            tid=KERNEL_TID,
-            asid=0,
-            role=_KERNEL_INTERNAL,
-            state=_BLOCKED_ON_RECEIVE,
-            name="kernel",
+            KERNEL_TID, 0, _KERNEL_INTERNAL, _BLOCKED_ON_RECEIVE, "kernel"
         )
-        self.mailboxes[KERNEL_TID] = deque()
 
     # ---- thread registry -------------------------------------------------
 
@@ -165,9 +162,7 @@ class Machine:
             state = _BLOCKED_ON_RECEIVE
         else:
             state = _READY
-        tcb = ThreadControlBlock(tid=tid, asid=asid, role=role, state=state, name=name)
-        self.threads[tid] = tcb
-        self.mailboxes[tid] = deque()
+        tcb = self.threads[tid] = ThreadControlBlock(tid, asid, role, state, name)
         self._sched_order = None  # rebuilt lazily after registration changes
         return tcb
 
@@ -240,7 +235,10 @@ class Machine:
         if receiver != KERNEL_TID:
             # The kernel consumes its messages synchronously; only real
             # threads have a mailbox worth filling.
-            self.mailboxes[receiver].append(msg)
+            try:
+                self.mailboxes[receiver].append(msg)
+            except KeyError:
+                self.mailboxes[receiver] = deque((msg,))
 
     def receive(self, tid: int, cycle: int | None = None) -> Message:
         box = self.mailboxes.get(tid)
@@ -254,8 +252,8 @@ class Machine:
     def peek_message(self, tid: int) -> Message | None:
         """Next queued message without consuming it, if any."""
         box = self.mailboxes.get(tid)
-        if box is None:
-            self.thread(tid)  # raises UnknownThreadError
+        if box is None:  # no message yet, or no such thread
+            self.thread(tid)  # raises UnknownThreadError for an unknown tid
         return box[0] if box else None
 
     # ---- scheduling ------------------------------------------------------
@@ -266,8 +264,11 @@ class Machine:
             rng = random.Random(self.directive.seed)
             rng.shuffle(tids)
         elif self.directive.order:
+            # Duplicates in the directive's order are kept; the set only
+            # keeps the completion linear in the number of threads.
             declared = [t for t in self.directive.order if t in self.threads]
-            declared.extend(t for t in tids if t not in declared)
+            seen = set(declared)
+            declared += [t for t in tids if t not in seen]
             tids = declared
         return tids
 

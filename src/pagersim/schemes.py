@@ -186,9 +186,7 @@ class Simulator:
         self._decl = {t.name: t for t in scenario.threads}
         self.machine = Machine(self._directive(seed))
         for t in scenario.threads:
-            self.machine.register_thread(
-                t.tid, t.asid, role=t.role, name=t.name
-            )
+            self.machine.register_thread(t.tid, t.asid, t.role, t.name)
 
         self.spaces: dict[int, AddressSpace] = {}
         for asid in sorted({t.asid for t in scenario.threads}):
@@ -235,11 +233,14 @@ class Simulator:
         # the two schemes that route by thread rather than by region.
         self._pager_of: dict[int, int] = {}
 
-        self._check_scheme_fit()
+        # One scan of the script finds the faulters, for the two schemes
+        # that read them.
+        faulters = self._faulters() if scheme in (_L4RE, _L4_SINGLE) else []
+        self._check_scheme_fit(faulters)
         if scheme is _L4RE:
-            self._wire_region_mappers()
+            self._wire_region_mappers(faulters)
         elif scheme is _L4_SINGLE:
-            self._wire_thread_pagers()
+            self._wire_thread_pagers(faulters)
 
     # ---- setup -----------------------------------------------------------
 
@@ -247,12 +248,14 @@ class Simulator:
         opt = self.sf.options
         if opt.schedule == "round-robin":
             return SeededRoundRobin(seed if seed is not None else opt.seed)
-        order = tuple(self._decl[name].tid for name in opt.order)
+        # Lists, not generators: each step of a generator is a Python-level
+        # call, once per declared thread here.
+        order = tuple([self._decl[name].tid for name in opt.order])
         if not order:
-            order = tuple(t.tid for t in self.sf.threads)
+            order = tuple([t.tid for t in self.sf.threads])
         return DeterministicOrder(order)
 
-    def _check_scheme_fit(self) -> None:
+    def _check_scheme_fit(self, faulters: list[ThreadDecl]) -> None:
         sf, scheme = self.sf, self.scheme
         if scheme is not _L4RE:
             if sf.space_dbranges:
@@ -270,7 +273,7 @@ class Simulator:
                     "dispatch: no pager threads run"
                 )
         if scheme is _L4RE and any(
-            t.role is _REGION_MAPPER for t in self._faulters()
+            t.role is _REGION_MAPPER for t in faulters
         ):
             raise SchemeMismatchError(
                 "a region mapper must never fault; its pages are wired"
@@ -279,12 +282,12 @@ class Simulator:
     def _faulters(self) -> list[ThreadDecl]:
         """Declarations of the threads the script makes access memory, in
         order of first access."""
-        names = dict.fromkeys(
+        names = dict.fromkeys([
             i.thread for i in self.sf.script if isinstance(i, AccessItem)
-        )
+        ])
         return [self._decl[name] for name in names]
 
-    def _wire_region_mappers(self) -> None:
+    def _wire_region_mappers(self, faulters: list[ThreadDecl]) -> None:
         """In L4Re a space's region mapper is the pager of all its threads."""
         declared: dict[int, int] = {}
         for t in self.sf.threads:
@@ -294,16 +297,15 @@ class Simulator:
                         f"two region mappers declared for asid {t.asid}"
                     )
                 declared[t.asid] = t.tid
-        faulters = self._faulters()
         mapper_of: dict[int, int] = {}
-        next_tid = max((t.tid for t in self.sf.threads), default=0) + 1
+        next_tid = max([t.tid for t in self.sf.threads], default=0) + 1
         for asid in sorted({t.asid for t in faulters}):
             tid = declared.get(asid)
             if tid is None:
                 tid = next_tid
                 next_tid += 1
                 self.machine.register_thread(
-                    tid, asid, role=_REGION_MAPPER, name=f"rm{asid}"
+                    tid, asid, _REGION_MAPPER, f"rm{asid}"
                 )
             mapper_of[asid] = tid
             self.behaviors[tid] = PagerBehavior(
@@ -329,9 +331,9 @@ class Simulator:
             db.insert(start, start + layout.region_size, manager)
         return db
 
-    def _wire_thread_pagers(self) -> None:
+    def _wire_thread_pagers(self, faulters: list[ThreadDecl]) -> None:
         pager_tids = [self._decl[p.name].tid for p in self.sf.pagers]
-        for t in self._faulters():
+        for t in faulters:
             if t.pager_name is not None:
                 self._pager_of[t.tid] = self._decl[t.pager_name].tid
             elif len(pager_tids) == 1:

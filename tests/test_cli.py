@@ -272,6 +272,29 @@ def test_an_unschedulable_thread_is_named(
     assert captured.err == f"error: {error}\n"
 
 
+def test_a_reflection_to_a_thread_without_a_pager_line_is_an_error(
+    tmp_path, capsys
+):
+    # B is an applicant that never had a message, so it has no mailbox
+    # until the region mapper's reflection makes one.
+    path = tmp_path / "reflect_to_applicant.scn"
+    path.write_text(
+        "thread A tid=1 asid=1 role=applicant\n"
+        "thread P tid=2 asid=2 role=pager\n"
+        "thread B tid=3 asid=1 role=applicant\n"
+        "pager P policy=anonymous\n"
+        "assign asid=1 rid=0 pager=P\n"
+        "dbrange asid=1 start=0x0 end=0x400000 target=B\n"
+        "access A 0x1000 read\n"
+    )
+    rc = cli.main(["--scenario", str(path), "--scheme", "l4re"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        "error: thread 3 received a fault but has no pager behavior\n"
+    )
+
+
 def deep_queue(applicants: int) -> str:
     """``applicants`` threads fault once each, on distinct pages of one
     region, while its fixed pager waits for a pager-step; only page 0 has

@@ -223,6 +223,46 @@ def test_yield_demotes_and_switches():
     assert m.trace[-1].kind is EventKind.CONTEXT_SWITCH
 
 
+class CountingTid(int):
+    """A thread id that counts the equality tests made on it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        CountingTid.compared += 1
+        return int(self) == other
+
+    __hash__ = int.__hash__
+
+
+def comparisons_of_one_yield(threads: int) -> int:
+    """Equality tests made on thread ids by the first yield among
+    ``threads`` threads, under a directive naming every one of them."""
+    tids = [CountingTid(tid) for tid in range(1, threads + 1)]
+    m = Machine(DeterministicOrder(tuple(tids)))
+    for tid in tids:
+        m.register_thread(tid, tid, ThreadRole.APPLICANT)
+    m.switch_to(tids[0])
+    CountingTid.compared = 0
+    assert m.yield_current() == 2
+    return CountingTid.compared
+
+
+def test_scheduling_order_is_built_in_linear_comparisons():
+    small, large = comparisons_of_one_yield(200), comparisons_of_one_yield(2000)
+    # Ten times the threads: at most ten times the comparisons (a
+    # membership test per thread against a list made 100 times as many).
+    assert large <= 10 * max(small, 1)
+    assert large <= 2000
+
+
+def test_scheduling_order_keeps_duplicates_and_completes_in_tid_order():
+    m = Machine(DeterministicOrder((3, 1, 3, 9)))
+    for tid in (1, 2, 3, 4):
+        m.register_thread(tid, tid, ThreadRole.APPLICANT)
+    assert m._build_order() == [3, 1, 3, 2, 4]
+
+
 def test_seeded_round_robin_is_reproducible():
     def walk(seed):
         m = Machine(SeededRoundRobin(seed))

@@ -23,7 +23,13 @@ goes the generic way, which about doubles the cost of the call itself
 ``test_per_fault_calls_stay_on_the_fast_call_path`` reads the source of
 every function that a run calls at least once per fault and rejects such
 calls there, and any NamedTuple constructor (a ``<lambda>`` eval'd from
-``<string>``) that a run calls at all.
+``<string>``) that a run calls at all.  It also reads every call site that
+calls a Python function at least once per fault, since the shape that
+counts is the caller's.  ``test_per_space_calls_stay_on_the_fast_call_path``
+does the same for ``Simulator(...)``, per declared address space: setting
+up a space is part of the design under test, and a keyword call into a
+dataclass ``__init__`` costs about twice a positional one
+(docs/architecture.md, "Set-up costs").
 """
 
 import ast
@@ -43,9 +49,11 @@ from pagersim import cli
 from pagersim import (
     ALL_SCHEMES,
     AccessType,
+    AddressSpace,
     CycleMetrics,
     EventKind,
     FaultCycle,
+    RegionTable,
     Scheme,
     Simulator,
     VerdictCode,
@@ -89,6 +97,26 @@ BYTES_PER_EVENT_BUDGET = {Scheme.L4RE: 115, Scheme.REGION_DISPATCH: 127}
 # 0.158 when the bound was set, against 1.16 for a store of one TraceEvent
 # per event, so events must stay untracked column entries (Python 3.11).
 TRACKED_OBJECTS_PER_EVENT_BUDGET = 0.2
+
+# Python-level calls per declared address space of four Simulator(...)
+# builds, one per scheme, of wide_spaces() at 100 and at 1,000 spaces: 10%
+# above the 38.5 measured at 1,000 spaces when the budget was set, against
+# 60.6 while assign built a throwaway RegionSlot per region and set-up
+# stepped a generator per thread (Python 3.11).
+SETUP_CALLS_PER_SPACE_BUDGET = 42.4
+
+# GC-tracked objects one Simulator(...) keeps per declared address space of
+# wide_spaces(), at 100 and at 1,000 spaces: 10% above the 7.03 (8.43
+# under l4re, which adds a region mapper and a mapping database for each
+# faulting space) measured at 1,000 spaces when the bounds were set,
+# against 8.03 and 9.63 while every thread got its mailbox deque at
+# registration rather than with its first message (Python 3.11).
+TRACKED_OBJECTS_PER_SPACE_BUDGET = {
+    Scheme.MONOLITHIC: 7.73,
+    Scheme.L4_SINGLE: 7.73,
+    Scheme.REGION_DISPATCH: 7.73,
+    Scheme.L4RE: 9.27,
+}
 
 # Python-level calls per directive line (not blank, not only a comment) of
 # parse_scenario(workload50): 2% above the 5.40 measured before the
@@ -156,27 +184,34 @@ def test_accounting_never_hashes_an_enum():
 
 
 def functions_run(fn):
-    """Run ``fn``; return its result and how many times it ran each
-    function, keyed by the function's code object and the ``__name__`` of
-    its globals.  Two NamedTuples with the same field names have equal
-    constructor code; the name tells them apart."""
+    """Run ``fn``; return its result, how many times it ran each function
+    and how many calls each call site made to a Python function.  A
+    function is keyed by its code object and the ``__name__`` of its
+    globals: two NamedTuples with the same field names have equal
+    constructor code, and the name tells them apart.  A call site is keyed
+    by the calling code object and the offset of its call instruction."""
     ran = Counter()
+    sites = Counter()
 
     def profile(frame, event, _arg):
         if event == "call":
             ran[frame.f_code, frame.f_globals.get("__name__", "")] += 1
+            caller = frame.f_back
+            if caller is not None:
+                sites[caller.f_code, caller.f_lasti] += 1
 
     sys.setprofile(profile)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
-    return result, ran
+    return result, ran, sites
 
 
 def cli_run(tmp_path, name: str, text: str):
     """``cli.main --check --verify-equivalence --report table --trace`` on
-    one scenario under ``functions_run``; returns its stdout and what ran."""
+    one scenario under ``functions_run``; returns its stdout, what ran and
+    the call sites."""
     path = tmp_path / f"{name}.scn"
     path.write_text(text)
     argv = [
@@ -185,9 +220,9 @@ def cli_run(tmp_path, name: str, text: str):
     ]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status, ran = functions_run(lambda: cli.main(argv))
+        status, ran, sites = functions_run(lambda: cli.main(argv))
     assert status == cli.EXIT_OK
-    return out.getvalue(), ran
+    return out.getvalue(), ran, sites
 
 
 def source_functions(ran):
@@ -288,21 +323,64 @@ def slow_calls(code, module, nodes) -> list[str]:
     return found
 
 
-def test_per_fault_calls_stay_on_the_fast_call_path(tmp_path):
-    # See the module docstring: no call counter above sees a call's shape.
-    out, ran = cli_run(tmp_path, "workload50", fixture_scn("workload50"))
-    faults = sum(map(int, re.findall(r" faults=(\d+) ", out)))
-    assert faults == 4 * 50
-    nodes = {}
-    per_fault = set()
-    offenders = []
-    for code, module, calls in source_functions(ran):
-        if calls < faults:
+def slow_call_sites(sites, least: int) -> list[str]:
+    """``module:function line: call`` for each call in a pagersim module's
+    source that called Python functions at least ``least`` times (see
+    ``functions_run``) and passes a keyword, ``*`` or ``**`` argument.
+    The call instruction's position ends where its call expression does."""
+    modules = {
+        m.__file__: m for name, m in list(sys.modules.items())
+        if name.partition(".")[0] == "pagersim"
+    }
+    calls_by_end = {}
+    found = []
+    for (code, offset), calls in sites.items():
+        module = modules.get(code.co_filename)
+        # Python 3.10 keeps no instruction positions, and specializes no call.
+        if calls < least or module is None or not hasattr(code, "co_positions"):
             continue
-        per_fault.add(code)
+        if module not in calls_by_end:
+            calls_by_end[module] = {
+                (node.end_lineno, node.end_col_offset): node
+                for node in ast.walk(ast.parse(inspect.getsource(module)))
+                if isinstance(node, ast.Call)
+            }
+        _, line, _, col = list(code.co_positions())[offset // 2]
+        call = calls_by_end[module].get((line, col))
+        if call is not None and (
+            call.keywords or any(isinstance(a, ast.Starred) for a in call.args)
+        ):
+            name = getattr(code, "co_qualname", code.co_name)
+            found.append(
+                f"{module.__name__}:{name} line {call.lineno}: "
+                f"{ast.unparse(call)}"
+            )
+    return found
+
+
+def calls_off_the_fast_path(ran, sites, least: int):
+    """The pagersim functions ``ran`` ran at least ``least`` times, and
+    the slow calls in their bodies, their slow signatures and the slow
+    call sites that made at least ``least`` calls."""
+    nodes = {}
+    hot = set()
+    offenders = slow_call_sites(sites, least)
+    for code, module, calls in source_functions(ran):
+        if calls < least:
+            continue
+        hot.add(code)
         if module not in nodes:
             nodes[module] = function_nodes(module)
         offenders += slow_calls(code, module, nodes[module])
+    return hot, sorted(set(offenders))
+
+
+def test_per_fault_calls_stay_on_the_fast_call_path(tmp_path):
+    # See the module docstring: no call counter above sees a call's shape.
+    out, ran, sites = cli_run(tmp_path, "workload50", fixture_scn("workload50"))
+    faults = sum(map(int, re.findall(r" faults=(\d+) ", out)))
+    assert faults == 4 * 50
+    per_fault, offenders = calls_off_the_fast_path(ran, sites, faults)
     # The fault path and the trace appends are among the guarded functions.
     assert {
         Simulator._zero_level.__code__, Simulator._build_actions.__code__,
@@ -311,7 +389,25 @@ def test_per_fault_calls_stay_on_the_fast_call_path(tmp_path):
     for (code, name), calls in ran.items():
         if code.co_name == "<lambda>" and code.co_filename == "<string>":
             offenders.append(f"{name}.__new__ ran {calls} times")
-    assert not offenders, "\n".join(sorted(offenders))
+    assert not offenders, "\n".join(offenders)
+
+
+def test_per_space_calls_stay_on_the_fast_call_path():
+    spaces = 100
+    sf = parse_scenario(wide_spaces(spaces))
+    sims, ran, sites = functions_run(
+        lambda: [Simulator(sf, s) for s in ALL_SCHEMES]
+    )
+    per_space, offenders = calls_off_the_fast_path(
+        ran, sites, len(sims) * spaces
+    )
+    # Registering threads, building spaces and assigning regions are among
+    # the guarded functions.
+    assert {
+        Machine.register_thread.__code__, AddressSpace.__init__.__code__,
+        RegionTable.assign.__code__,
+    } <= per_space
+    assert not offenders, "\n".join(offenders)
 
 
 def test_check_and_verify_read_only_counters():
@@ -410,6 +506,65 @@ def test_gc_tracked_objects_per_event_stay_within_budget():
     tracked = len(gc.get_objects()) - before
     assert len(result.trace) >= 10_000
     assert tracked / len(result.trace) <= TRACKED_OBJECTS_PER_EVENT_BUDGET
+
+
+def wide_spaces(spaces: int) -> str:
+    """One applicant in each of ``spaces`` address spaces with two
+    assigned regions, served by three pagers that share one more space;
+    every fifth applicant faults once."""
+    lines = [
+        f"thread A{i} tid={i} asid={i} role=applicant pager=P{i % 3 + 1}"
+        for i in range(1, spaces + 1)
+    ]
+    for j in (1, 2, 3):
+        lines.append(
+            f"thread P{j} tid={spaces + j} asid={spaces + 1} role=pager"
+        )
+        lines.append(f"pager P{j} policy=anonymous marker=page")
+    for i in range(1, spaces + 1):
+        rid = 7 * i % 1020
+        lines += [
+            f"assign asid={i} rid={r} pager=P{i % 3 + 1}"
+            for r in (rid, (rid + 510) % 1020)
+        ]
+    # Regions of the default layout span 4 MiB.
+    lines += [
+        f"access A{i} {(7 * i % 1020 << 22) + 0x1000:#x} read"
+        for i in range(5, spaces + 1, 5)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_set_up_calls_per_space_stay_within_budget():
+    per_space = []
+    for spaces in (100, 1000):
+        sf = parse_scenario(wide_spaces(spaces))
+        sims, calls, _ = python_calls(
+            lambda: [Simulator(sf, s) for s in ALL_SCHEMES]
+        )
+        assert all(len(sim.spaces) == spaces + 1 for sim in sims)
+        per_space.append(calls / spaces)
+    small, large = per_space
+    assert max(small, large) <= SETUP_CALLS_PER_SPACE_BUDGET
+    # Linear in the spaces: ten times the spaces, the same cost per space.
+    assert abs(small - large) <= 0.05 * large
+
+
+@pytest.mark.parametrize(
+    "scheme", TRACKED_OBJECTS_PER_SPACE_BUDGET, ids=lambda s: s.value
+)
+def test_gc_tracked_objects_per_space_stay_within_budget(scheme):
+    # Each tracked object a Simulator keeps is walked by every full
+    # collection while later ones are built.
+    for spaces in (100, 1000):
+        sf = parse_scenario(wide_spaces(spaces))
+        gc.collect()
+        before = len(gc.get_objects())
+        sim = Simulator(sf, scheme)
+        gc.collect()
+        tracked = len(gc.get_objects()) - before
+        assert len(sim.spaces) == spaces + 1
+        assert tracked / spaces <= TRACKED_OBJECTS_PER_SPACE_BUDGET[scheme]
 
 
 def test_parse_calls_per_line_stay_within_budget():
