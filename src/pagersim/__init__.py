@@ -81,7 +81,6 @@ from .schemes import (
     check_expectations,
     cycle_metrics,
     overhead_report,
-    report_from_totals,
     simulate,
     totals_of,
     verify_equivalence,

@@ -16,9 +16,9 @@ from .errors import SimulationError
 from .scenario import ScenarioError, parse_scenario
 from .schemes import (
     ALL_SCHEMES,
+    OverheadReport,
     Scheme,
     check_expectations,
-    report_from_totals,
     simulate,
     totals_of,
     verify_equivalence,
@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         failed = failed or bool(problems)
 
     if args.report:
-        report = report_from_totals([totals_of(r) for r in results.values()])
+        report = OverheadReport([totals_of(r) for r in results.values()])
         rendered = report.as_table() if args.report == "table" else report.as_kv()
         print(rendered, end="")
 

@@ -35,6 +35,7 @@ from typing import NamedTuple
 from .errors import (
     DeadlockError,
     NotSchedulableError,
+    SimulationError,
     UnknownReceiverError,
     UnknownThreadError,
 )
@@ -44,7 +45,6 @@ KERNEL_TID = 0
 
 
 class ThreadState(Enum):
-    RUNNING = "running"
     READY = "ready"
     SUSPENDED = "suspended"
     BLOCKED_ON_RECEIVE = "blocked_on_receive"
@@ -101,7 +101,6 @@ class SeededRoundRobin:
 
 # Members the run path reads, bound once: a read through the enum class
 # runs its metaclass's lookup hook (docs/architecture.md, "Run-path costs").
-_RUNNING = ThreadState.RUNNING
 _READY = ThreadState.READY
 _SUSPENDED = ThreadState.SUSPENDED
 _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
@@ -117,9 +116,6 @@ _IPC_RECEIVE = EventKind.IPC_RECEIVE
 _SUSPEND = EventKind.SUSPEND
 _RESUME = EventKind.RESUME
 
-# States from which the scheduler may hand a thread the CPU.
-_SCHEDULABLE = (_RUNNING, _READY)
-
 
 @dataclass
 class Machine:
@@ -131,15 +127,18 @@ class Machine:
         self.trace = Trace()
         self.threads: dict[int, ThreadControlBlock] = {}
         self.warnings: list[str] = []
-        # Tid charged with CPU occupancy; it survives suspension until
-        # someone else is switched in.
+        # The running thread: the one record of who holds the CPU.  It
+        # survives suspension until someone else is switched in.
         self.occupant: int | None = None
         # Queued messages per thread.  A thread's box is made by the first
         # message sent to it, so a thread that never gets one has none.
         # The scheme layer reads a pager's box to learn whether it has mail
         # without a call.
         self.mailboxes: dict[int, deque[Message]] = {}
+        # The scheduling order and each tid's first position in it, built
+        # together after registration changes.
         self._sched_order: list[int] | None = None
+        self._sched_pos: dict[int, int] = {}
         self.threads[KERNEL_TID] = ThreadControlBlock(
             KERNEL_TID, 0, _KERNEL_INTERNAL, _BLOCKED_ON_RECEIVE, "kernel"
         )
@@ -177,23 +176,18 @@ class Machine:
     # ---- occupancy and privilege events ----------------------------------
 
     def switch_to(self, tid: int, cycle: int | None = None) -> None:
-        """Make `tid` the running thread, emitting a context switch iff the
-        occupant changes.  The first dispatch of a run emits none."""
+        """Make the ready thread `tid` the occupant, emitting a context
+        switch iff the occupant changes.  The first dispatch of a run emits
+        none.  No thread state changes: the occupant is who runs."""
         tcb = self.threads.get(tid) or self.thread(tid)
-        if tcb.state not in _SCHEDULABLE:
+        if tcb.state is not _READY:
             who = f"thread {tcb.name!r} (tid {tid})" if tcb.name else f"thread {tid}"
             raise NotSchedulableError(f"{who} is {tcb.state.value}, cannot run")
         prev = self.occupant
-        if prev == tid:
-            tcb.state = _RUNNING
-            return
-        if prev is not None:
-            prev_tcb = self.threads[prev]
-            if prev_tcb.state is _RUNNING:
-                prev_tcb.state = _READY
-            self.trace.append(_CONTEXT_SWITCH, (prev, tid), cycle)
-        self.occupant = tid
-        tcb.state = _RUNNING
+        if prev != tid:
+            if prev is not None:
+                self.trace.append(_CONTEXT_SWITCH, (prev, tid), cycle)
+            self.occupant = tid
 
     def enter_kernel(self, cycle: int | None = None) -> None:
         self.trace.append(_MODE_SWITCH_U2K, (), cycle)
@@ -243,8 +237,10 @@ class Machine:
     def receive(self, tid: int, cycle: int | None = None) -> Message:
         box = self.mailboxes.get(tid)
         if not box:
+            # The run path never gets here: it receives only after _serve
+            # saw mail in the box.
             self.thread(tid)  # raises UnknownThreadError for an unknown tid
-            raise SimulationHasNoMessage(tid)
+            raise SimulationError(f"thread {tid} has no pending message")
         msg = box.popleft()
         self.trace.append(_IPC_RECEIVE, (tid, msg.kind._value_), cycle)
         return msg
@@ -275,32 +271,26 @@ class Machine:
     def schedule_next(self) -> int:
         """Pick the next thread per the directive.  Walks the cyclic order
         starting after the thread that holds the CPU and returns the first
-        schedulable thread; raises ``DeadlockError`` when nothing can run."""
+        ready thread; raises ``DeadlockError`` when nothing can run."""
         if self._sched_order is None:
-            self._sched_order = self._build_order()
+            order = self._sched_order = self._build_order()
+            # Filled from the back, so a tid listed twice keeps its first
+            # position.
+            self._sched_pos = dict(
+                zip(reversed(order), range(len(order) - 1, -1, -1))
+            )
         order = self._sched_order
-        start = -1 if self.occupant is None else order.index(self.occupant)
+        start = -1 if self.occupant is None else self._sched_pos[self.occupant]
         n = len(order)
         for step in range(1, n + 1):
             tid = order[(start + step) % n]
-            if self.threads[tid].state in _SCHEDULABLE:
+            if self.threads[tid].state is _READY:
                 return tid
         raise DeadlockError("no runnable thread")
 
     def yield_current(self) -> int:
-        """Voluntary yield: demote the running thread to ready and dispatch
-        the scheduler's next pick (which may be the same thread)."""
-        if self.occupant is not None:
-            occ = self.threads[self.occupant]
-            if occ.state is _RUNNING:
-                occ.state = _READY
+        """Voluntary yield: hand the CPU to the scheduler's next pick
+        (which may be the occupant itself)."""
         tid = self.schedule_next()
         self.switch_to(tid)
         return tid
-
-
-class SimulationHasNoMessage(LookupError):
-    """Internal: receive() called on an empty mailbox (a sequencing bug)."""
-
-    def __init__(self, tid: int) -> None:
-        super().__init__(f"thread {tid} has no pending message")

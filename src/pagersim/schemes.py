@@ -31,7 +31,7 @@ metrics, whole-run totals, expectation checks and the cross-scheme
 ordering all read rows through those two.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from operator import ge, gt
@@ -248,12 +248,10 @@ class Simulator:
         opt = self.sf.options
         if opt.schedule == "round-robin":
             return SeededRoundRobin(seed if seed is not None else opt.seed)
-        # Lists, not generators: each step of a generator is a Python-level
-        # call, once per declared thread here.
-        order = tuple([self._decl[name].tid for name in opt.order])
-        if not order:
-            order = tuple([t.tid for t in self.sf.threads])
-        return DeterministicOrder(order)
+        # A list, not a generator: each step of a generator is a
+        # Python-level call.  An empty order is completed by the machine to
+        # every thread in registration order.
+        return DeterministicOrder(tuple([self._decl[n].tid for n in opt.order]))
 
     def _check_scheme_fit(self, faulters: list[ThreadDecl]) -> None:
         sf, scheme = self.sf, self.scheme
@@ -572,11 +570,31 @@ def totals_of(result: SimResult) -> SchemeTotals:
 
 @dataclass
 class OverheadReport:
+    """The comparison table over any per-scheme totals, in the order given.
+
+    The reduction line compares the region-dispatch scheme against the
+    l4re baseline, as an exact fraction of the baseline; it is left out
+    unless both the ``proposed`` and ``l4re`` rows are given.
+    """
+
     rows: list[SchemeTotals]
-    reduction_mode: Fraction | None
-    reduction_ctx: Fraction | None
+    reduction_mode: Fraction | None = field(init=False, default=None)
+    reduction_ctx: Fraction | None = field(init=False, default=None)
 
     _COLUMNS = tuple(f.name for f in fields(SchemeTotals))
+
+    def __post_init__(self) -> None:
+        by_name = {r.scheme: r for r in self.rows}
+        l4re, prop = by_name.get("l4re"), by_name.get("proposed")
+        if (l4re is not None and prop is not None
+                and l4re.mode_switches and l4re.context_switches):
+            self.reduction_mode = Fraction(
+                l4re.mode_switches - prop.mode_switches, l4re.mode_switches
+            )
+            self.reduction_ctx = Fraction(
+                l4re.context_switches - prop.context_switches,
+                l4re.context_switches,
+            )
 
     def as_table(self) -> str:
         header = self._COLUMNS
@@ -621,30 +639,6 @@ def _pct(f: Fraction) -> str:
     return f"{float(f) * 100:.1f}%"
 
 
-def report_from_totals(rows: list[SchemeTotals]) -> OverheadReport:
-    """The comparison table over any per-scheme totals, in the order given.
-
-    The reduction line compares the region-dispatch scheme against the
-    l4re baseline, as an exact fraction of the baseline; it is left out
-    unless both the ``proposed`` and ``l4re`` rows are given.
-    """
-    by_name = {r.scheme: r for r in rows}
-    l4re, prop = by_name.get("l4re"), by_name.get("proposed")
-    reduction_mode = reduction_ctx = None
-    if (l4re is not None and prop is not None
-            and l4re.mode_switches and l4re.context_switches):
-        reduction_mode = Fraction(
-            l4re.mode_switches - prop.mode_switches, l4re.mode_switches
-        )
-        reduction_ctx = Fraction(
-            l4re.context_switches - prop.context_switches,
-            l4re.context_switches,
-        )
-    return OverheadReport(
-        rows=rows, reduction_mode=reduction_mode, reduction_ctx=reduction_ctx
-    )
-
-
 def overhead_report(
     scenario: ScenarioFile, seed: int | None = None
 ) -> OverheadReport:
@@ -653,7 +647,7 @@ def overhead_report(
     Each run is totalled as soon as it finishes and then dropped, so only
     one scheme's machine is alive at a time.
     """
-    return report_from_totals(
+    return OverheadReport(
         [totals_of(simulate(s, scenario, seed=seed)) for s in ALL_SCHEMES]
     )
 

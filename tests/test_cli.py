@@ -48,6 +48,15 @@ def test_trace_files_fan_out_per_scheme(scn, tmp_path):
     assert not target.exists()
 
 
+def test_trace_files_without_a_suffix_get_the_scheme_appended(scn, tmp_path):
+    target = tmp_path / "out"
+    rc = cli.main(["--scenario", str(scn), "--scheme", "all", "--trace", str(target)])
+    assert rc == 0
+    for token in ("monolithic", "l4-single", "proposed", "l4re"):
+        assert (tmp_path / f"out.{token}").read_text().startswith("0 ")
+    assert not target.exists()
+
+
 def test_check_pass_and_fail(scn, tmp_path, capsys):
     assert cli.main(["--scenario", str(scn), "--check"]) == 0
     out = capsys.readouterr().out
@@ -106,6 +115,23 @@ def test_verify_equivalence_ok(scn, capsys):
     rc = cli.main(["--scenario", str(scn), "--verify-equivalence"])
     assert rc == 0
     assert "equivalence: ok" in capsys.readouterr().out
+
+
+def test_equivalence_problems_are_printed_and_exit_1(scn, monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "verify_equivalence", lambda results: ["first wrong", "second wrong"]
+    )
+    rc = cli.main(["--scenario", str(scn), "--verify-equivalence"])
+    assert rc == 1
+    lines = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("equivalence:")
+    ]
+    assert lines == [
+        "equivalence: first wrong",
+        "equivalence: second wrong",
+        "equivalence: 2 problem(s)",
+    ]
 
 
 def test_report_table(scn, capsys):

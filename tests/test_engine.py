@@ -16,6 +16,7 @@ from pagersim import (
 from pagersim.errors import (
     DeadlockError,
     NotSchedulableError,
+    SimulationError,
     UnknownReceiverError,
     UnknownThreadError,
 )
@@ -73,6 +74,13 @@ def test_mailbox_methods_refuse_an_unknown_thread(method):
         getattr(m, method)(9)
     # An empty mailbox of a known thread is no error for the readers.
     assert m.peek_message(2) is None
+
+
+def test_receive_on_an_empty_mailbox_is_a_simulation_error():
+    m = two_thread_machine()
+    with pytest.raises(SimulationError, match="thread 2 has no pending message"):
+        m.receive(2)
+    assert len(m.trace) == 0
 
 
 def test_first_dispatch_emits_no_context_switch():
@@ -254,6 +262,35 @@ def test_scheduling_order_is_built_in_linear_comparisons():
     # membership test per thread against a list made 100 times as many).
     assert large <= 10 * max(small, 1)
     assert large <= 2000
+
+
+def comparisons_of_a_yield_walk(threads: int) -> int:
+    """Equality tests made on thread ids by ``threads`` yields in a row
+    among ``threads`` threads, one turn each."""
+    tids = [CountingTid(tid) for tid in range(1, threads + 1)]
+    m = Machine(DeterministicOrder(tuple(tids)))
+    for tid in tids:
+        m.register_thread(tid, tid, ThreadRole.APPLICANT)
+    m.switch_to(tids[0])
+    CountingTid.compared = 0
+    picks = [m.yield_current() for _ in range(threads)]
+    compared = CountingTid.compared
+    assert picks == tids[1:] + tids[:1]
+    return compared
+
+
+@pytest.mark.parametrize("threads", [200, 2000])
+def test_a_yield_walk_finds_the_occupant_in_constant_comparisons(threads):
+    # A scan of the order for the occupant makes about threads**2 / 2.
+    assert comparisons_of_a_yield_walk(threads) <= 2 * threads
+
+
+def test_schedule_next_starts_after_the_first_position_of_the_occupant():
+    m = Machine(DeterministicOrder((3, 1, 3, 9)))
+    for tid in (1, 2, 3, 4):
+        m.register_thread(tid, tid, ThreadRole.APPLICANT)
+    m.switch_to(3)
+    assert m.schedule_next() == 1
 
 
 def test_scheduling_order_keeps_duplicates_and_completes_in_tid_order():

@@ -7,7 +7,7 @@ and repeatable, so they are what these tests bound.
 
 An attribute lookup through a metaclass hook costs time but is not a
 Python-level call.  On Python 3.11 ``EnumType`` defines ``__getattr__``, so
-every read of a member through its class, such as ``ThreadState.RUNNING``,
+every read of a member through its class, such as ``ThreadState.READY``,
 takes the interpreter's slow hooked lookup (about 170 ns against 7 ns for
 a module global) without calling any Python function.
 ``CALLS_PER_FAULT_BUDGET`` and the other budgets cannot see that cost;
@@ -279,7 +279,7 @@ def enum_member_reads(code, module, nodes) -> list[str]:
 
 
 def test_run_path_reads_no_enum_member_through_its_class(tmp_path):
-    # A read like ``ThreadState.RUNNING`` runs the enum class's attribute
+    # A read like ``ThreadState.READY`` runs the enum class's attribute
     # lookup hook, which no call counter above sees (it is no Python-level
     # call); the run path reads module constants bound once instead.
     ran = {}

@@ -235,8 +235,7 @@ def test_deliver_is_attributed_to_the_cycle_of_the_message():
         (EventKind.CONTEXT_SWITCH, 0),
         (EventKind.IPC_RECEIVE, 0),
     ]
-    assert m.occupant == PAGER
-    assert m.thread(PAGER).state is ThreadState.RUNNING
+    assert m.occupant == PAGER and m.thread(PAGER).state is ThreadState.READY
     assert m.peek_message(PAGER) is None
     assert disp.deliver(PAGER) is None
 

@@ -156,6 +156,16 @@ def test_parse_errors_carry_line_numbers():
             "backing Ghost vaddr=0x0 frame=1\n",
             "undeclared pager",
         ),
+        (
+            "thread T tid=1 asid=1 role=applicant\n"
+            "dbrange pager=Ghost start=0x0 end=0x1000 target=T\n",
+            "dbrange for undeclared pager 'Ghost'",
+        ),
+        (
+            "thread T tid=1 asid=1 role=applicant\n"
+            "dbrange asid=7 start=0x0 end=0x1000 target=T\n",
+            "dbrange for unknown asid 7",
+        ),
     ],
 )
 def test_semantic_errors(text, fragment):

@@ -7,6 +7,7 @@ import pytest
 from pagersim import (
     ALL_SCHEMES,
     EventKind,
+    OverheadReport,
     Scheme,
     SimResult,
     Simulator,
@@ -15,7 +16,6 @@ from pagersim import (
     cycle_metrics,
     overhead_report,
     parse_scenario,
-    report_from_totals,
     simulate,
     totals_of,
     verify_equivalence,
@@ -214,6 +214,11 @@ def test_workload_page_tables_identical_across_schemes():
     assert verify_equivalence(results) == []
 
 
+def test_a_single_result_has_nothing_to_compare():
+    results = all_results("table1")
+    assert verify_equivalence({"l4re": results["l4re"]}) == []
+
+
 def test_verdicts_identical_across_schemes_on_classify():
     results = all_results("classify")
     verdict_rows = [
@@ -362,7 +367,7 @@ def test_overhead_report_reductions_are_exact():
 
 def test_report_from_a_subset_of_schemes_has_no_reduction():
     sf = parse_scenario(fixture_scn("table1"))
-    report = report_from_totals([totals_of(simulate(Scheme.REGION_DISPATCH, sf))])
+    report = OverheadReport([totals_of(simulate(Scheme.REGION_DISPATCH, sf))])
     assert report.reduction_mode is None and report.reduction_ctx is None
     assert report.as_table() == (
         "scheme    faults  mode_switches  context_switches  ipc_messages"
@@ -376,7 +381,7 @@ def test_report_from_a_subset_of_schemes_has_no_reduction():
     )
     # l4re without proposed: the rows in the order given, still no line.
     rows = [totals_of(simulate(s, sf)) for s in (Scheme.L4RE, Scheme.MONOLITHIC)]
-    report = report_from_totals(rows)
+    report = OverheadReport(rows)
     assert report.reduction_mode is None
     assert [line.split()[0] for line in report.as_table().splitlines()] == [
         "scheme", "l4re", "monolithic"
