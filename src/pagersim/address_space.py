@@ -140,6 +140,10 @@ _ASSIGNED = ContractState.ASSIGNED
 class RegionSlot:
     manager: int | None = None
     contract: ContractState = ContractState.UNASSIGNED
+    # Bit i set while the region's page i is present.  Kept by the kernel's
+    # map and unmap, so a revoke reads only its region; an int, so the
+    # collector tracks no object for it.
+    present: int = 0
 
 
 class RegionTable:
@@ -161,7 +165,13 @@ class RegionTable:
             raise BadRegionError(
                 f"region {rid} outside table of {self.region_count}"
             )
-        self._slots[rid] = RegionSlot(manager, _ASSIGNED)
+        slots = self._slots
+        if rid in slots:  # a held slot keeps the pages that stay present
+            slot = slots[rid]
+            slot.manager = manager
+            slot.contract = _ASSIGNED
+        else:
+            slots[rid] = RegionSlot(manager, _ASSIGNED)
 
     def lookup(self, rid: int) -> RegionSlot:
         if not 0 <= rid < self.region_count:
@@ -204,5 +214,13 @@ class AddressSpace:
         self.regions = RegionTable(layout.region_count)
 
     def present_pages_in_region(self, rid: int) -> list[int]:
-        """Present pages of one region, ascending."""
-        return self.pages.present_pages(self.layout.region_page_range(rid))
+        """Present pages of one region, ascending; reads only that
+        region's slot, not the page table."""
+        bits = self.regions.lookup(rid).present
+        first = self.layout.region_page_range(rid).start
+        pages = []
+        while bits:
+            lowest = bits & -bits
+            pages.append(first + lowest.bit_length() - 1)
+            bits ^= lowest
+        return pages

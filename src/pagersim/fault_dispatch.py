@@ -177,14 +177,16 @@ class KernelMemory:
             raise RevokedRegionError(
                 f"region {rid} of space {asid} was revoked; reassign before mapping"
             )
-        page = vaddr // space.layout.page_size
+        layout = space.layout
+        page = vaddr // layout.page_size
         space.pages.set_mapping(page, frame, marker)
+        # Regions are aligned, so a page's bit is its index in the region.
+        slot.present |= 1 << page % layout.pages_per_region
         if slot.contract is _ASSIGNED:
             # First map into the region doubles as acceptance.
             space.regions.set_contract(rid, _ACCEPTED)
         self.machine.trace.append(
-            _MAP_PAGE, (asid, page * space.layout.page_size, frame, marker),
-            cycle,
+            _MAP_PAGE, (asid, page * layout.page_size, frame, marker), cycle
         )
 
     def unmap_page(
@@ -199,17 +201,18 @@ class KernelMemory:
         rid, slot = self._region_slot(space, vaddr, caller)
         page = vaddr // space.layout.page_size
         space.pages.clear_mapping(page)
+        slot.present &= ~(1 << page % space.layout.pages_per_region)
         self.machine.trace.append(
             _UNMAP_PAGE, (asid, page * space.layout.page_size, revoke), cycle
         )
         if not revoke:
             return
-        remaining = space.present_pages_in_region(rid)
+        remaining = slot.present.bit_count()
         if remaining:
             # The flag only means something on the region's last page.
             self.machine.warnings.append(
                 f"revoke ineffective: region {rid} of space {asid} still has "
-                f"{len(remaining)} present page(s)"
+                f"{remaining} present page(s)"
             )
         elif slot.contract is _ACCEPTED:
             space.regions.set_contract(rid, _REVOKED)

@@ -34,7 +34,7 @@ ordering all read rows through those two.
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from operator import ge, gt
+from operator import attrgetter, ge, gt
 
 from .address_space import AddressSpace
 from .engine import (
@@ -128,6 +128,8 @@ _U2K, _K2U, _CTX, _SEND, _RECEIVE, _SUSPEND, _RESUME = map(SLOT.__getitem__, (
 ))
 _ZERO_ROW = (0,) * len(SLOT)
 _COST_NAMES = tuple(f.name for f in fields(CycleMetrics))
+_NO_COSTS = (None,) * len(_COST_NAMES)
+_verdict = attrgetter("verdict")
 
 
 def _costs(row) -> tuple[int, int, int, int]:
@@ -170,7 +172,15 @@ class SimResult:
     warnings: list[str]
 
     def page_snapshot(self) -> dict[int, dict]:
-        return {asid: sp.pages.snapshot() for asid, sp in self.spaces.items()}
+        """``PageTable.snapshot`` of every space whose table holds an
+        entry, by asid.  A space that was never mapped is left out, since
+        an empty table equals an absent one; a table whose pages were all
+        unmapped still holds their markers and is listed."""
+        return {
+            asid: sp.pages.snapshot()
+            for asid, sp in self.spaces.items()
+            if sp.pages.entries
+        }
 
 
 class Simulator:
@@ -664,37 +674,39 @@ def check_expectations(
     scheme qualifier is only checked when that scheme was run.
     """
     failures: list[str] = []
+
+    def fail(token: str, fault: int, what: str) -> None:
+        failures.append(f"[{token}] fault {fault}: {what}")
+
     for e in scenario.expectations:
         targets = [e.scheme] if e.scheme else sorted(results)
+        wanted = (e.mode, e.ctx, e.ipc, e.invocations)
         for token in targets:
             res = results.get(token)
             if res is None:
                 continue
-            prefix = f"[{token}] fault {e.fault}"
             if e.fault >= len(res.cycles):
-                failures.append(
-                    f"{prefix}: only {len(res.cycles)} fault(s) occurred"
-                )
+                fail(token, e.fault, f"only {len(res.cycles)} fault(s) occurred")
                 continue
-            cycle = res.cycles[e.fault]
-            if cycle.verdict is not e.verdict:
+            verdict = res.cycles[e.fault].verdict
+            if verdict is not e.verdict:
                 got = "none (fault held, never dispatched)"
-                if cycle.verdict is not None:
-                    got = cycle.verdict.value
-                failures.append(
-                    f"{prefix}: verdict {got}, expected {e.verdict.value}"
-                )
+                if verdict is not None:
+                    got = verdict.value
+                fail(token, e.fault, f"verdict {got}, expected {e.verdict.value}")
                 continue
-            wanted = (e.mode, e.ctx, e.ipc, e.invocations)
-            if wanted == (None, None, None, None):
+            if wanted == _NO_COSTS:
                 continue
             row = res.trace.cycle_counts[e.fault]
             if not _resolved(row):
-                failures.append(f"{prefix}: cycle never completed")
+                fail(token, e.fault, "cycle never completed")
                 continue
-            for attr, got, want in zip(_COST_NAMES, _costs(row), wanted):
+            costs = _costs(row)
+            if costs == wanted:
+                continue
+            for attr, got, want in zip(_COST_NAMES, costs, wanted):
                 if want is not None and got != want:
-                    failures.append(f"{prefix}: {attr}={got}, expected {want}")
+                    fail(token, e.fault, f"{attr}={got}, expected {want}")
     return failures
 
 
@@ -714,34 +726,46 @@ def verify_equivalence(results: dict[str, SimResult]) -> list[str]:
     base_token = tokens[0]
     base = results[base_token]
     base_snap = base.page_snapshot()
+    base_verdicts = list(map(_verdict, base.cycles))
     for token in tokens[1:]:
         res = results[token]
         if res.page_snapshot() != base_snap:
             problems.append(
                 f"final page tables differ between {base_token} and {token}"
             )
-        if [c.verdict for c in res.cycles] != [c.verdict for c in base.cycles]:
+        if list(map(_verdict, res.cycles)) != base_verdicts:
             problems.append(
                 f"fault verdicts differ between {base_token} and {token}"
             )
     ordered = ("monolithic", "proposed", "l4re")
     if all(t in results for t in ordered):
-        rows = (results[t].trace.cycle_counts for t in ordered)
-        for cycle, r0, r1, r2 in zip(base.cycles, *rows):
+        # Dispatched cycles share a few counter-row patterns, so each
+        # distinct (monolithic, proposed, l4re) triple of rows, read as
+        # tuples to key a dict, is judged once.
+        judged: dict[tuple, list[str]] = {}
+        rows = zip(*[map(tuple, results[t].trace.cycle_counts) for t in ordered])
+        for cycle, verdict, triple in zip(base.cycles, base_verdicts, rows):
             # The cost ordering is a claim about dispatched faults; cycles
             # that never reach a pager cost the same under every scheme.
-            if cycle.verdict is not _DISPATCHED:
+            if verdict is not _DISPATCHED:
                 continue
-            if not (_resolved(r0) and _resolved(r1) and _resolved(r2)):
-                continue  # ordering is only claimed for resolved cycles
-            m0, m1, m2 = _costs(r0), _costs(r1), _costs(r2)
-            if not all(map(gt, m2, m1)):
-                problems.append(
-                    f"cycle {cycle.index}: l4re {m2} not strictly above "
-                    f"proposed {m1}"
-                )
-            if not all(map(ge, m1, m0)):
-                problems.append(
-                    f"cycle {cycle.index}: proposed {m1} below monolithic {m0}"
-                )
+            found = judged.get(triple)
+            if found is None:
+                found = judged[triple] = _misordered(*triple)
+            for problem in found:
+                problems.append(f"cycle {cycle.index}: {problem}")
     return problems
+
+
+def _misordered(r0, r1, r2) -> list[str]:
+    """How the monolithic, proposed and l4re counter rows of one cycle
+    break the cost ordering, if they do."""
+    found: list[str] = []
+    if not (_resolved(r0) and _resolved(r1) and _resolved(r2)):
+        return found  # ordering is only claimed for resolved cycles
+    m0, m1, m2 = _costs(r0), _costs(r1), _costs(r2)
+    if not all(map(gt, m2, m1)):
+        found.append(f"l4re {m2} not strictly above proposed {m1}")
+    if not all(map(ge, m1, m0)):
+        found.append(f"proposed {m1} below monolithic {m0}")
+    return found

@@ -4,9 +4,12 @@ import struct
 import pytest
 
 from pagersim import (
+    AddressSpace,
     ContractState,
+    KernelMemory,
     KERNEL_RANGE,
     LayoutConfig,
+    Machine,
     RegionTable,
     region_id_div,
     region_id_of,
@@ -160,3 +163,29 @@ def test_sparse_table_matches_a_dense_reference(seed):
     assert table.serialize_manager_ids() == struct.pack(
         f"<{count}I", *(slot.manager or 0 for slot in walk)
     )
+
+
+@pytest.mark.parametrize("entries", [5, 40, 300])
+def test_present_pages_of_a_region_match_a_filter_of_the_whole_table(entries):
+    # Regions of 64 pages from page 128: the index the kernel keeps where it
+    # maps and unmaps agrees with a walk of every page-table entry, also
+    # across a reassignment of the region.
+    layout = LayoutConfig(
+        region_count=8, pages_per_region=64, page_size=4096,
+        user_base=2 * 64 * 4096,
+    )
+    space = AddressSpace(1, layout)
+    memory = KernelMemory(Machine(), {1: space})
+    for rid in range(layout.region_count):
+        space.regions.assign(rid, 9)
+    rng = random.Random(entries)
+    for page in rng.sample(range(128, 640), entries):
+        memory.map_page(9, 1, page * 4096, page, 0)
+        if rng.random() < 0.1:
+            space.regions.assign((page - 128) // 64, 9)
+        if rng.random() < 0.3:
+            memory.unmap_page(9, 1, page * 4096)
+    for rid in range(layout.region_count):
+        assert space.present_pages_in_region(rid) == (
+            space.pages.present_pages(layout.region_page_range(rid))
+        )

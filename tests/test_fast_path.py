@@ -65,6 +65,7 @@ from pagersim import (
 )
 from pagersim.engine import Machine, Message, MessageKind
 from pagersim.fault_dispatch import Classification, FaultDispatcher
+from pagersim.mmu import PageTable
 from pagersim.pagers import MapAction, ReflectAction, ReplyAction, RevokeRegionAction
 from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent
 from support import fixture_scn
@@ -84,9 +85,11 @@ RENDER_CALLS_PER_EVENT_BUDGET = 0.01
 
 # Python-level calls per fault cycle of check_expectations plus
 # verify_equivalence over the four runs of one scenario: 10% above the
-# 1.745 measured on workload50 when the budget was set (1.51 on
-# FAULT_STREAM; Python 3.11).
-CHECK_CALLS_PER_CYCLE_BUDGET = 1.92
+# 0.195 measured on workload50 when the budget was set (0.0097 on
+# FAULT_STREAM; Python 3.11), against 1.745 (1.51) while the cost
+# ordering judged every dispatched cycle's rows afresh and every empty
+# page table was snapshotted.
+CHECK_CALLS_PER_CYCLE_BUDGET = 0.215
 
 # Bytes one run keeps allocated per trace event on FAULT_STREAM: 10% above
 # the 104 (l4re) and 115 (proposed) measured when the bounds were set
@@ -430,6 +433,93 @@ def test_check_and_verify_read_only_counters():
         assert calls / cycles <= CHECK_CALLS_PER_CYCLE_BUDGET
 
 
+class EntryReads(dict):
+    """Page-table entries that count the entries read while ``counting``
+    is set: one per key looked up, all of them per walk."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counting = False
+        self.reads = 0
+
+    def _read(self, n: int) -> None:
+        if self.counting:
+            self.reads += n
+
+    def get(self, key, default=None):
+        self._read(1)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._read(1)
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self._read(len(self))
+        return super().__iter__()
+
+    def items(self):
+        self._read(len(self))
+        return super().items()
+
+    def values(self):
+        self._read(len(self))
+        return super().values()
+
+
+REVOKED_PAGES = 4
+
+
+def revoke_beside(outside: int) -> str:
+    """One space of two regions: pager Q maps ``outside`` pages of region 1,
+    then pager R maps REVOKED_PAGES pages of region 0 and revokes it."""
+    lines = [
+        "layout regions=2 pages_per_region=1024 page_size=4096",
+        "thread T tid=1 asid=1 role=applicant",
+        "thread R tid=2 asid=2 role=pager",
+        "thread Q tid=3 asid=2 role=pager",
+        f"pager R policy=anonymous revoke_after={REVOKED_PAGES}",
+        "pager Q policy=anonymous",
+        "assign asid=1 rid=0 pager=R",
+        "assign asid=1 rid=1 pager=Q",
+    ]
+    lines += [f"access T {(1024 + p) * 4096:#x} read" for p in range(outside)]
+    lines += [f"access T {p * 4096:#x} read" for p in range(REVOKED_PAGES)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "scheme", [Scheme.MONOLITHIC, Scheme.REGION_DISPATCH, Scheme.L4RE],
+    ids=lambda s: s.value,
+)
+def test_a_revoke_reads_only_its_region(scheme, monkeypatch):
+    # The entries a revoke reads follow the pages of its region, not the
+    # pages its space holds elsewhere.
+    change_memory = Simulator._change_memory
+
+    def counted(self, pager, action):
+        entries = self.spaces[1].pages.entries
+        entries.counting = isinstance(action, RevokeRegionAction)
+        try:
+            change_memory(self, pager, action)
+        finally:
+            entries.counting = False
+
+    monkeypatch.setattr(Simulator, "_change_memory", counted)
+    reads = []
+    for outside in (40, 400):
+        sim = Simulator(parse_scenario(revoke_beside(outside)), scheme)
+        sim.spaces[1].pages.entries = entries = EntryReads()
+        result = sim.run()
+        assert len(result.cycles) == outside + REVOKED_PAGES
+        assert sim.spaces[1].present_pages_in_region(0) == []
+        assert len(sim.spaces[1].present_pages_in_region(1)) == outside
+        assert result.warnings == []
+        reads.append(entries.reads)
+    assert reads[0] == reads[1]
+    assert 0 < reads[0] <= 2 * REVOKED_PAGES
+
+
 def test_run_loop_calls_per_fault_stay_within_budget():
     sf = parse_scenario(fixture_scn("workload50"))
     sims = [Simulator(sf, s) for s in ALL_SCHEMES]
@@ -533,6 +623,18 @@ def wide_spaces(spaces: int) -> str:
         for i in range(5, spaces + 1, 5)
     ]
     return "\n".join(lines) + "\n"
+
+
+def test_verify_snapshots_only_tables_that_hold_an_entry():
+    # One applicant in five faults, so 200 of the 1,001 spaces hold a
+    # page under each of the four schemes: 800 snapshots, not 4,004.
+    sf = parse_scenario(wide_spaces(1000))
+    results = {s.value: simulate(s, sf) for s in ALL_SCHEMES}
+    problems, _, [snapshots] = python_calls(
+        lambda: verify_equivalence(results), PageTable.snapshot.__code__
+    )
+    assert problems == []
+    assert snapshots == 4 * 200
 
 
 def test_set_up_calls_per_space_stay_within_budget():

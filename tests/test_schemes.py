@@ -352,6 +352,39 @@ def test_verify_reports_differing_page_tables_and_verdicts():
     ]
 
 
+def test_verify_reports_every_cycle_of_a_shared_bad_row_pattern():
+    # All 50 dispatched cycles of workload50 share one row pattern.  Two
+    # cycles tampered alike share a new one, judged once, and each is
+    # reported under its own index; the untouched cycles between them,
+    # whose rows are the original pattern, are not.
+    results = all_results("workload50")
+    for cycle in (7, 31):
+        _bump(results["l4re"], cycle, EventKind.CONTEXT_SWITCH, -1)
+    rows = [results[t].trace.cycle_counts for t in ("monolithic", "proposed", "l4re")]
+    assert [r[8] for r in rows] == [r[6] for r in rows]
+    assert verify_equivalence(results) == [
+        f"cycle {cycle}: l4re (6, 2, 3, 2) not strictly above proposed "
+        "(4, 2, 2, 1)"
+        for cycle in (7, 31)
+    ]
+
+
+@pytest.mark.parametrize("emptied", ["l4-single", "proposed"])
+def test_verify_reports_a_space_mapped_under_one_scheme_only(emptied):
+    # An empty table is left out of the snapshot, so a space that is empty
+    # under one scheme and mapped under the others is still a difference,
+    # whether the empty one is the base of the comparison or not.
+    results = all_results("table1")
+    results[emptied].spaces[1].pages.entries.clear()
+    assert results[emptied].page_snapshot() == {}
+    others = [t for t in sorted(results)[1:] if t != emptied]
+    differing = others if emptied == "l4-single" else [emptied]
+    assert verify_equivalence(results) == [
+        f"final page tables differ between l4-single and {token}"
+        for token in differing
+    ]
+
+
 def test_overhead_report_reductions_are_exact():
     from fractions import Fraction
 
