@@ -4,19 +4,9 @@ The machine models exactly one CPU.  At any instant one thread occupies it
 (the kernel pseudo-thread, tid 0, never does; kernel work is charged to the
 thread it serves).  A ``CONTEXT_SWITCH`` event is emitted if and only if
 the occupying thread id changes, so projecting the trace onto context
-switches reconstructs the occupancy timeline.
-
-Privilege crossings are accounted where the dispatch protocol mandates
-them, not where a real CPU would incidentally cross for scheduling:
-
-* a fault trap emits ``MODE_SWITCH_U2K``;
-* a syscall entry (reply or reflection send) emits ``MODE_SWITCH_U2K``;
-* delivering control to user code (message delivery, fault return, resume
-  after a reply) emits ``MODE_SWITCH_K2U``.
-
-Scripted scheduler switches emit only ``CONTEXT_SWITCH``.  This matches
-cost comparisons that count a fault's protocol-mandated crossings and
-treat scheduler overhead as out of scope.
+switches reconstructs the occupancy timeline.  The machine emits no
+privilege crossing: those are steps of the fault protocol, and the
+fault-dispatch layer records them.
 
 Message passing is synchronous rendezvous: pagers sit in a receive loop
 (``BLOCKED_ON_RECEIVE``), a send queues at the receiver, and delivery
@@ -108,8 +98,6 @@ _PAGER = ThreadRole.PAGER
 _REGION_MAPPER = ThreadRole.REGION_MAPPER
 _KERNEL_INTERNAL = ThreadRole.KERNEL_INTERNAL
 _REPLY = MessageKind.REPLY
-_MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
-_MODE_SWITCH_K2U = EventKind.MODE_SWITCH_K2U
 _CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
 _IPC_SEND = EventKind.IPC_SEND
 _IPC_RECEIVE = EventKind.IPC_RECEIVE
@@ -173,7 +161,7 @@ class Machine:
             raise UnknownThreadError(f"no thread with id {tid}")
         return tcb
 
-    # ---- occupancy and privilege events ----------------------------------
+    # ---- occupancy and thread states -------------------------------------
 
     def switch_to(self, tid: int, cycle: int | None = None) -> None:
         """Make the ready thread `tid` the occupant, emitting a context
@@ -188,12 +176,6 @@ class Machine:
             if prev is not None:
                 self.trace.append(_CONTEXT_SWITCH, (prev, tid), cycle)
             self.occupant = tid
-
-    def enter_kernel(self, cycle: int | None = None) -> None:
-        self.trace.append(_MODE_SWITCH_U2K, (), cycle)
-
-    def leave_kernel(self, cycle: int | None = None) -> None:
-        self.trace.append(_MODE_SWITCH_K2U, (), cycle)
 
     def suspend(self, tid: int, cycle: int | None = None) -> None:
         (self.threads.get(tid) or self.thread(tid)).state = _SUSPENDED

@@ -29,7 +29,22 @@ A fault has one record from the trap to the reply, its ``FaultCycle``.
 Every message about the fault - the page fault, each reflection, the
 reply - carries that cycle as its payload.  Delivery hands the receiver
 the cycle itself, and a reflection or a reply names the cycle it is
-about, so no step ever looks a fault up.
+about, so no step ever looks a fault up.  The trap is the first event
+attributed to the cycle.
+
+Privilege crossings are steps of the protocol, so this module alone
+records them, where the protocol mandates them rather than where a real
+CPU would incidentally cross for scheduling:
+
+* a fault trap emits ``MODE_SWITCH_U2K``;
+* a syscall entry (reply or reflection send) emits ``MODE_SWITCH_U2K``;
+* delivering control to user code (message delivery, fault return, resume
+  after a reply) emits ``MODE_SWITCH_K2U``.
+
+Scripted scheduler switches emit only ``CONTEXT_SWITCH``.  This matches
+cost comparisons that count a fault's protocol-mandated crossings and
+treat scheduler overhead as out of scope.  A reply or a reflection also
+puts its sender back in its receive loop.
 """
 
 from dataclasses import dataclass
@@ -88,6 +103,7 @@ _PAGE_FAULT = MessageKind.PAGE_FAULT
 _REFLECTION = MessageKind.REFLECTION
 _REPLY = MessageKind.REPLY
 _MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
+_MODE_SWITCH_K2U = EventKind.MODE_SWITCH_K2U
 _VERDICT = EventKind.VERDICT
 _MAP_PAGE = EventKind.MAP_PAGE
 _UNMAP_PAGE = EventKind.UNMAP_PAGE
@@ -238,7 +254,6 @@ class FaultCycle:
     manager: int | None = None
     # The entry's marker as classification read it; fault messages carry it.
     marker: int = 0
-    trap_seq: int = -1
     closed: bool = False
     # The thread whose reply settles the fault; a reflection moves it.
     dispatched_to: int | None = None
@@ -268,10 +283,7 @@ class FaultDispatcher:
         tcb = machine.threads.get(tid) or machine.thread(tid)
         cycle = FaultCycle(len(self.cycles), tid, tcb.asid, vaddr, access)
         self.cycles.append(cycle)
-        trace = machine.trace
-        # The trap's seq; a column's len() makes no Python-level call.
-        cycle.trap_seq = len(trace.kinds)
-        trace.append(_MODE_SWITCH_U2K, (), cycle.index)
+        machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
         return cycle
 
     def record_verdict(self, cycle: FaultCycle, cls: Classification) -> None:
@@ -293,7 +305,7 @@ class FaultDispatcher:
 
     def return_to_faulter(self, cycle: FaultCycle) -> None:
         """Leave the kernel into the faulter and close the cycle."""
-        self.machine.leave_kernel(cycle.index)
+        self.machine.trace.append(_MODE_SWITCH_K2U, (), cycle.index)
         self.machine.switch_to(cycle.faulter, cycle.index)
         cycle.closed = True
 
@@ -323,7 +335,7 @@ class FaultDispatcher:
         tcb = machine.threads[target]
         if tcb.state is _BLOCKED_ON_RECEIVE:
             tcb.state = _READY
-        machine.leave_kernel(index)
+        machine.trace.append(_MODE_SWITCH_K2U, (), index)
         machine.switch_to(target, index)
         return machine.receive(target, index).payload
 
@@ -331,7 +343,7 @@ class FaultDispatcher:
         """A region mapper's reflect syscall: forward the fault unchanged
         to ``target``, make ``target`` the thread whose reply settles it,
         and put the mapper back in its receive loop."""
-        self.machine.enter_kernel(cycle.index)
+        self.machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
         cycle.dispatched_to = target
         self.machine.send(
             _new(Message, (mapper, target, _REFLECTION, cycle)), cycle.index
@@ -351,7 +363,7 @@ class FaultDispatcher:
                 f"fault of thread {cycle.faulter} is handled by "
                 f"{cycle.dispatched_to}, not {pager}"
             )
-        self.machine.enter_kernel(cycle.index)
+        self.machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
         self.machine.send(
             _new(Message, (pager, KERNEL_TID, _REPLY, cycle)), cycle.index
         )

@@ -530,7 +530,9 @@ class Simulator:
                 self.dispatcher.reflect(pager, fault, target)
                 self._serve(target)
         if not queue:
-            self.machine.block_on_receive(pager)
+            # Already back in its receive loop: every non-empty action list
+            # ends with the reply or reflection that put the pager there,
+            # or with an action that comes after it.
             self._serve(pager)
 
     def _change_memory(self, pager: int, action: Action) -> None:

@@ -148,7 +148,8 @@ def test_race_attribution():
         for ev in res.trace.of_cycle(1)
         if ev.kind is EventKind.MODE_SWITCH_K2U
     )
-    window = [ev for ev in res.trace if second.trap_seq <= ev.seq <= close]
+    trap = res.trace.of_cycle(1)[0].seq
+    window = [ev for ev in res.trace if trap <= ev.seq <= close]
     assert not any(ev.kind is EventKind.IPC_SEND for ev in window)
     assert not any(ev.kind is EventKind.SUSPEND for ev in res.trace.of_cycle(1))
 

@@ -73,6 +73,25 @@ def test_check_pass_and_fail(scn, tmp_path, capsys):
     assert "expected NO_PAGER" in out
 
 
+def test_check_skips_an_expect_line_for_a_scheme_that_did_not_run(
+    tmp_path, capsys
+):
+    path = tmp_path / "l4re-off.scn"
+    text = fixture_scn("table1")
+    wrong = text.replace("scheme=l4re       mode=6", "scheme=l4re       mode=5")
+    assert wrong != text
+    path.write_text(wrong)
+    rc = cli.main(["--scenario", str(path), "--scheme", "proposed", "--check"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "check: 4 expectation line(s), 0 failure(s)" in out.splitlines()
+
+    rc = cli.main(["--scenario", str(path), "--check"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "check: [l4re] fault 0: mode_switches=6, expected 5" in out.splitlines()
+
+
 def test_undispatched_held_fault_fails_its_check(tmp_path, capsys):
     path = tmp_path / "held.scn"
     path.write_text(

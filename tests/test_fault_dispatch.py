@@ -166,7 +166,7 @@ def test_dispatch_event_order():
         EventKind.IPC_SEND,
     ]
     assert all(ev.cycle == 0 for ev in m.trace)
-    assert cycle.trap_seq == 0
+    assert m.trace.of_cycle(cycle.index)[0].seq == 0  # the trap
     assert cycle.dispatched_to == PAGER
     assert not cycle.closed
 
@@ -190,10 +190,7 @@ def test_reply_closes_cycle_and_returns_cpu():
     m, spaces, disp = dispatcher_setup()
     cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     dispatch(disp, cycle, spaces[1], target=PAGER)
-    m.thread(PAGER).state = ThreadState.READY
-    m.receive(PAGER, cycle=0)
-    m.leave_kernel(cycle=0)
-    m.switch_to(PAGER, cycle=0)
+    assert disp.deliver(PAGER) is cycle
     disp.pager_reply(PAGER, cycle)
     assert cycle.closed
     assert m.occupant == 1

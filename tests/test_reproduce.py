@@ -1,5 +1,5 @@
 from pagersim import reproduce
-from pagersim.engine import Machine
+from pagersim.trace import EventKind, Trace
 
 
 def test_all_claims_reproduce(capsys):
@@ -28,8 +28,15 @@ def test_claim_ids_are_stable():
 
 
 def test_broken_kernel_entry_fails_claims(monkeypatch, capsys):
-    # A simulator that forgets the trap crossing must not still pass.
-    monkeypatch.setattr(Machine, "enter_kernel", lambda self, cycle=None: None)
+    # A simulator that loses its kernel entries (the trap and the reply
+    # and reflection syscalls) must not still pass.
+    append = Trace.append
+
+    def lossy(self, kind, args=(), cycle=None):
+        if kind is not EventKind.MODE_SWITCH_U2K:
+            append(self, kind, args, cycle)
+
+    monkeypatch.setattr(Trace, "append", lossy)
     rc = reproduce.reproduce_all()
     out = capsys.readouterr().out
     assert rc == 1
