@@ -85,6 +85,12 @@ from .schemes import (
     totals_of,
     verify_equivalence,
 )
-from .trace import EventKind, Trace, TraceEvent
+from .trace import (
+    CountingTrace,
+    EventKind,
+    EventsNotKeptError,
+    Trace,
+    TraceEvent,
+)
 
 __version__ = "0.1.0"

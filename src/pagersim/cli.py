@@ -98,10 +98,15 @@ def main(argv: list[str] | None = None) -> int:
         schemes = [Scheme(args.scheme)]
     multi = len(schemes) > 1
 
+    # Only --trace reads events; every other output reads counter rows,
+    # verdicts and page tables, so without it the runs keep no events.
+    keep_events = bool(args.trace)
     results = {}
     try:
         for scheme in schemes:
-            results[scheme.value] = simulate(scheme, scenario, seed=args.seed)
+            results[scheme.value] = simulate(
+                scheme, scenario, args.seed, keep_events
+            )
     except (SimulationError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -29,7 +29,7 @@ from .errors import (
     UnknownReceiverError,
     UnknownThreadError,
 )
-from .trace import EventKind, Trace
+from .trace import CountingTrace, EventKind, Trace
 
 KERNEL_TID = 0
 
@@ -110,9 +110,11 @@ class Machine:
     directive: DeterministicOrder | SeededRoundRobin = field(
         default_factory=DeterministicOrder
     )
+    # False builds a counters-only trace: event count and counter rows.
+    keep_events: bool = True
 
     def __post_init__(self) -> None:
-        self.trace = Trace()
+        self.trace = Trace() if self.keep_events else CountingTrace()
         self.threads: dict[int, ThreadControlBlock] = {}
         self.warnings: list[str] = []
         # The running thread: the one record of who holds the CPU.  It

@@ -184,17 +184,20 @@ class SimResult:
 
 
 class Simulator:
-    """One scenario run under one scheme.  Build, then call ``run()``."""
+    """One scenario run under one scheme.  Build, then call ``run()``.
+    With ``keep_events=False`` the run's trace is a counters-only
+    ``CountingTrace`` (see ``simulate``)."""
 
     def __init__(
-        self, scenario: ScenarioFile, scheme: Scheme, seed: int | None = None
+        self, scenario: ScenarioFile, scheme: Scheme, seed: int | None = None,
+        keep_events: bool = True,
     ) -> None:
         self.sf = scenario
         self.scheme = scheme
         self.layout = scenario.layout
 
         self._decl = {t.name: t for t in scenario.threads}
-        self.machine = Machine(self._directive(seed))
+        self.machine = Machine(self._directive(seed), keep_events)
         for t in scenario.threads:
             self.machine.register_thread(t.tid, t.asid, t.role, t.name)
 
@@ -555,9 +558,16 @@ class Simulator:
 
 
 def simulate(
-    scheme: Scheme, scenario: ScenarioFile, seed: int | None = None
+    scheme: Scheme, scenario: ScenarioFile, seed: int | None = None,
+    keep_events: bool = True,
 ) -> SimResult:
-    return Simulator(scenario, scheme, seed=seed).run()
+    """Run a scenario under one scheme.  The result's trace keeps every
+    event by default; with ``keep_events=False`` it keeps only the event
+    count and the per-cycle counter rows, enough for ``totals_of``,
+    ``check_expectations`` and ``verify_equivalence``, and its event
+    readers (``iter``, indexing, ``of_cycle``, ``to_text``) raise
+    ``EventsNotKeptError``."""
+    return Simulator(scenario, scheme, seed, keep_events).run()
 
 
 # ---- cross-scheme comparison ---------------------------------------------
@@ -656,11 +666,12 @@ def overhead_report(
 ) -> OverheadReport:
     """Run a scenario under every scheme and build the comparison table.
 
-    Each run is totalled as soon as it finishes and then dropped, so only
-    one scheme's machine is alive at a time.
+    The totals read only counter rows, so each run keeps no events (its
+    trace is counters-only).  Each run is totalled as soon as it finishes
+    and then dropped, so only one scheme's machine is alive at a time.
     """
     return OverheadReport(
-        [totals_of(simulate(s, scenario, seed=seed)) for s in ALL_SCHEMES]
+        [totals_of(simulate(s, scenario, seed, False)) for s in ALL_SCHEMES]
     )
 
 

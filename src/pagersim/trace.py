@@ -17,6 +17,11 @@ arguments (ints and enum spellings) and cycles; only rendering makes text.
 Rendering joins the line templates of a block of ``RENDER_BLOCK`` events
 and formats the block with one ``%`` over its fields, so it makes no
 Python-level call per event.
+
+Where events go is chosen once, when the trace is built.  A ``Trace``
+keeps them; a ``CountingTrace``, for runs whose events nobody reads, keeps
+only the event count and the counter rows, and each of its event readers
+raises ``EventsNotKeptError``.
 """
 
 from enum import Enum
@@ -153,3 +158,42 @@ class Trace:
             templates.append("")  # the block's last line ends in a newline
             blocks.append("\n".join(templates) % tuple(fields))
         return "".join(blocks)
+
+
+class EventsNotKeptError(LookupError):
+    """Events were read from a trace that kept only counters."""
+
+
+class CountingTrace(Trace):
+    """Counters-only trace: the event count and the counter rows of a
+    :class:`Trace`, and no events.  ``len`` is the number of events
+    appended, so a run's summary reads the same as with a kept log;
+    iterating, indexing, ``of_cycle`` and ``to_text`` raise
+    :class:`EventsNotKeptError`.  The keeping ``Trace.append`` is left
+    without a branch; this class has its own."""
+
+    def __init__(self) -> None:
+        self.appended = 0
+        self.cycle_counts: list[list[int]] = []
+
+    def append(
+        self, kind: EventKind, args: tuple = (), cycle: int | None = None
+    ) -> None:
+        """Count one event and, if it is attributed, bump its cycle's row."""
+        self.appended += 1
+        if cycle is not None:
+            rows = self.cycle_counts
+            while len(rows) <= cycle:
+                rows.append([0] * len(SLOT))
+            rows[cycle][SLOT[kind._value_]] += 1
+
+    def __len__(self) -> int:
+        return self.appended
+
+    def _not_kept(self, *_):
+        raise EventsNotKeptError(
+            f"this trace counted {self.appended} events but did not keep "
+            "them; run with keep_events=True (or pass --trace) to read events"
+        )
+
+    __iter__ = __getitem__ = of_cycle = to_text = _not_kept

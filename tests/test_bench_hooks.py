@@ -6,25 +6,11 @@ this test makes such a rename fail here instead.  The bench modules are
 loaded by path and left unedited.
 """
 
-import importlib.util
 import re
-import sys
-from pathlib import Path
 
 import pagersim.cli
 from pagersim import ALL_SCHEMES, parse_scenario
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
-
-
-def load_bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", BENCH_DIR / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+from support import load_bench_module
 
 
 def traced_cli_run(tmp_path, name: str):

@@ -1,8 +1,19 @@
+import hashlib
+
 import pytest
 
-from pagersim import ALL_SCHEMES, Simulator, cli, overhead_report, parse_scenario
+from pagersim import (
+    ALL_SCHEMES,
+    CountingTrace,
+    Simulator,
+    Trace,
+    cli,
+    overhead_report,
+    parse_scenario,
+    simulate,
+)
 from mutants import FIXTURES, mutant
-from support import fixture_scn
+from support import fixture_scn, golden_digests
 
 
 @pytest.fixture
@@ -391,3 +402,77 @@ def test_mutated_scenarios_keep_the_exit_code_contract(name, tmp_path, capsys):
         assert rc in (0, 1, 2), (index, path.read_text())
         for line in err.splitlines():
             assert line.startswith("error: "), (index, line, path.read_text())
+
+
+# ---- where events go: counted without --trace, kept with it ----------------
+
+
+def spy_simulate(monkeypatch, force_keep: bool | None = None) -> list:
+    """Record the ``keep_events`` each simulation of ``cli.main`` gets and
+    the class of the trace it built (None if it stopped); with
+    ``force_keep`` set, run every simulation with that value instead, as
+    every run did before counters-only traces."""
+    seen = []
+
+    def spy(scheme, scenario, seed=None, keep_events=True):
+        seen.append([keep_events, None])
+        keep = keep_events if force_keep is None else force_keep
+        result = simulate(scheme, scenario, seed, keep)
+        seen[-1][1] = type(result.trace)
+        return result
+
+    monkeypatch.setattr(cli, "simulate", spy)
+    return seen
+
+
+UNTRACED_COMMANDS = (
+    ("--check", "--verify-equivalence", "--report", "table"),
+    ("--check", "--verify-equivalence", "--report", "kv"),
+)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_untraced_commands_print_the_same_from_counters_only_runs(
+    name, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / f"{name}.scn"
+    path.write_text(fixture_scn(name))
+    for command in UNTRACED_COMMANDS:
+        argv = ["--scenario", str(path), *command]
+        kept = spy_simulate(monkeypatch, force_keep=True)
+        kept_rc = cli.main(argv)
+        kept_out = capsys.readouterr()
+        counted = spy_simulate(monkeypatch)
+        counted_rc = cli.main(argv)
+        counted_out = capsys.readouterr()
+        assert counted_rc == kept_rc
+        assert counted_out == kept_out
+        # The same simulations ran to the end both ways; one that stopped
+        # (a scheme the fixture does not fit) built no trace.
+        assert kept
+        assert [t is None for _, t in counted] == [t is None for _, t in kept]
+        assert {t for _, t in kept} <= {Trace, None}
+        assert {t for _, t in counted} <= {CountingTrace, None}
+        assert {keep for keep, _ in counted} == {False}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_traced_runs_keep_their_events(name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / f"{name}.scn"
+    path.write_text(fixture_scn(name))
+    digests = {
+        key.split(".", 1)[1]: digest
+        for key, digest in golden_digests().items()
+        if key.startswith(f"{name}.")
+    }
+    assert digests
+    for token, digest in digests.items():
+        target = tmp_path / f"{token}.trace"
+        seen = spy_simulate(monkeypatch)
+        rc = cli.main([
+            "--scenario", str(path), "--scheme", token, "--check",
+            "--trace", str(target),
+        ])
+        assert rc == 0, capsys.readouterr()
+        assert seen == [[True, Trace]]
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, token

@@ -101,6 +101,13 @@ CHECK_CALLS_PER_CYCLE_BUDGET = 0.215
 # (Python 3.11, 64-bit).
 BYTES_PER_EVENT_BUDGET = {Scheme.L4RE: 115, Scheme.REGION_DISPATCH: 127}
 
+# Bytes a counters-only run (keep_events=False) keeps per fault of
+# fault_stream(n, 512), at 600 and at 6,000 faults, under monolithic and
+# l4re: 10% above the 498 measured at 6,000 faults under either scheme when
+# the budget was set (456 and 461 at 600; Python 3.11, 64-bit), against 853
+# (monolithic) and 1,877 (l4re) for a run that keeps its events.
+COUNTED_BYTES_PER_FAULT_BUDGET = 548
+
 # GC-tracked objects one l4re run of FAULT_STREAM keeps per trace event:
 # 0.158 when the bound was set, against 1.16 for a store of one TraceEvent
 # per event, so events must stay untracked column entries (Python 3.11).
@@ -610,11 +617,11 @@ def test_only_the_dispatcher_appends_a_crossing():
     assert len(found) == 5, found
 
 
-def fault_stream(faults: int) -> str:
+def fault_stream(faults: int, pages: int = 64) -> str:
     """Distinct demand-zero faults from two threads, each served by its own
-    pager, over 16 regions of 64 pages."""
+    pager, over 16 regions of ``pages`` pages."""
     lines = [
-        "layout regions=16 pages_per_region=64 page_size=4096",
+        f"layout regions=16 pages_per_region={pages} page_size=4096",
         "thread T1 tid=1 asid=1 role=applicant pager=P1",
         "thread T2 tid=2 asid=1 role=applicant pager=P2",
         "thread P1 tid=3 asid=2 role=pager",
@@ -626,7 +633,7 @@ def fault_stream(faults: int) -> str:
     for i in range(faults):
         rid, page = i % 16, i // 16
         kind = "write" if i % 3 else "read"
-        lines.append(f"access T{rid % 2 + 1} {(rid * 64 + page) * 4096:#x} {kind}")
+        lines.append(f"access T{rid % 2 + 1} {(rid * pages + page) * 4096:#x} {kind}")
     return "\n".join(lines) + "\n"
 
 
@@ -649,6 +656,45 @@ def test_bytes_kept_per_event_stay_within_budget(scheme):
     assert len(result.cycles) == 800
     assert len(result.trace) >= 10_000
     assert kept / len(result.trace) <= BYTES_PER_EVENT_BUDGET[scheme]
+
+
+def counted_bytes_per_fault(scheme: Scheme, faults: int) -> tuple[float, float]:
+    """Bytes a counters-only run keeps per fault, and its events per fault."""
+    sim = Simulator(parse_scenario(fault_stream(faults, 512)), scheme, None, False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = sim.run()
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.cycles) == faults
+    return kept / faults, len(result.trace) / faults
+
+
+def agree(a: float, b: float) -> bool:
+    """Within 10% of the larger."""
+    return abs(a - b) <= 0.1 * max(a, b)
+
+
+def test_counters_only_bytes_per_fault_follow_faults_not_events():
+    kept = {}
+    events = {}
+    for scheme in (Scheme.MONOLITHIC, Scheme.L4RE):
+        for faults in (600, 6000):
+            kept[scheme, faults], events[scheme] = counted_bytes_per_fault(
+                scheme, faults
+            )
+    # The two schemes' events per fault differ about 4x, yet a
+    # counters-only run keeps the same bytes per fault under both, at
+    # either size.
+    assert events[Scheme.L4RE] >= 3 * events[Scheme.MONOLITHIC]
+    for scheme in (Scheme.MONOLITHIC, Scheme.L4RE):
+        assert agree(kept[scheme, 600], kept[scheme, 6000]), kept
+    for faults in (600, 6000):
+        assert agree(kept[Scheme.MONOLITHIC, faults], kept[Scheme.L4RE, faults]), kept
+    assert max(kept.values()) <= COUNTED_BYTES_PER_FAULT_BUDGET, kept
 
 
 def test_gc_tracked_objects_per_event_stay_within_budget():

@@ -1,5 +1,5 @@
 from pagersim import reproduce
-from pagersim.trace import EventKind, Trace
+from pagersim.trace import CountingTrace, EventKind, Trace
 
 
 def test_all_claims_reproduce(capsys):
@@ -29,14 +29,18 @@ def test_claim_ids_are_stable():
 
 def test_broken_kernel_entry_fails_claims(monkeypatch, capsys):
     # A simulator that loses its kernel entries (the trap and the reply
-    # and reflection syscalls) must not still pass.
-    append = Trace.append
+    # and reflection syscalls) must not still pass, whether its traces
+    # keep events or only count them (cli.main without --trace and
+    # overhead_report build counters-only traces).
+    def lossy(append):
+        def append_all_but_kernel_entries(self, kind, args=(), cycle=None):
+            if kind is not EventKind.MODE_SWITCH_U2K:
+                append(self, kind, args, cycle)
 
-    def lossy(self, kind, args=(), cycle=None):
-        if kind is not EventKind.MODE_SWITCH_U2K:
-            append(self, kind, args, cycle)
+        return append_all_but_kernel_entries
 
-    monkeypatch.setattr(Trace, "append", lossy)
+    for cls in (Trace, CountingTrace):
+        monkeypatch.setattr(cls, "append", lossy(cls.__dict__["append"]))
     rc = reproduce.reproduce_all()
     out = capsys.readouterr().out
     assert rc == 1

@@ -28,7 +28,7 @@ from pagersim.errors import (
 )
 from pagersim.reproduce import FIXTURES
 from pagersim.trace import SLOT, Trace
-from support import GOLDEN_DIR, fitting_results, fixture_scn, golden
+from support import fitting_results, fixture_scn, golden, golden_digests
 
 
 def run_fixture(name: str, scheme: Scheme) -> SimResult:
@@ -63,12 +63,6 @@ def test_l4re_cycle_matches_golden():
 def test_concurrent_fault_race_matches_golden():
     trace = run_fixture("fig6", Scheme.REGION_DISPATCH).trace
     assert trace.to_text() == golden("fig6.proposed.trace")
-
-
-def golden_digests() -> dict[str, str]:
-    """``<fixture>.<scheme>`` -> SHA-256 of its trace text, one line each."""
-    lines = (GOLDEN_DIR / "traces.sha256").read_text().splitlines()
-    return {name: digest for digest, name in (line.split() for line in lines)}
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -1,6 +1,6 @@
 import pytest
 
-from pagersim import EventKind, Trace
+from pagersim import CountingTrace, EventKind, EventsNotKeptError, Trace
 from pagersim.reproduce import FIXTURES
 from support import fitting_results
 
@@ -102,3 +102,45 @@ def test_events_read_back_match_the_rendered_text(name):
         for past_either_end in (len(trace), -len(trace) - 1):
             with pytest.raises(IndexError):
                 trace[past_either_end]
+
+
+# ---- counters-only traces ---------------------------------------------------
+
+
+# Two attributed events and a scheduling switch, which is not attributed.
+EVENTS = (
+    (EventKind.MODE_SWITCH_U2K, (), 0),
+    (EventKind.CONTEXT_SWITCH, (1, 2), None),
+    (EventKind.MODE_SWITCH_K2U, (), 2),
+)
+
+
+def filled(trace: Trace) -> Trace:
+    for event in EVENTS:
+        trace.append(*event)
+    return trace
+
+
+def test_counting_trace_keeps_the_count_and_the_counter_rows():
+    counted, kept = filled(CountingTrace()), filled(Trace())
+    assert len(counted) == len(kept) == 3
+    assert counted.cycle_counts == kept.cycle_counts
+    assert len(CountingTrace()) == 0
+
+
+# Each reader of events, on a counters-only trace.
+READERS = {
+    "iter": lambda tr: iter(tr),
+    "list": lambda tr: list(tr),
+    "index": lambda tr: tr[0],
+    "slice": lambda tr: tr[:],
+    "of_cycle": lambda tr: tr.of_cycle(0),
+    "to_text": lambda tr: tr.to_text(),
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+def test_reading_events_of_a_counting_trace_fails_loudly(read):
+    for tr in (filled(CountingTrace()), CountingTrace()):
+        with pytest.raises(EventsNotKeptError, match="did not keep them"):
+            read(tr)
