@@ -29,6 +29,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
 
 
+def _file_name(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file name, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pagersim",
@@ -45,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dispatch scheme to simulate (default: all)",
     )
     parser.add_argument(
-        "--trace", metavar="FILE",
+        "--trace", metavar="FILE", type=_file_name,
         help="write the event trace here; with --scheme all the scheme "
         "name is inserted before the file extension",
     )

@@ -25,7 +25,7 @@ which both ``parse_scenario`` and ``serialize_scenario`` read.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from math import inf
 
 from .address_space import ADDRESS_SPACE_SIZE, LayoutConfig
@@ -186,8 +186,13 @@ class Field:
 class Directive:
     section: str | None  # the ScenarioFile list its records are appended to
     record: type | None
-    positional: tuple[Field, ...]
-    keyed: dict[str, Field]
+    fields: tuple[Field, ...]  # the positional ones, then the keyed ones
+    npos: int  # how many are positional
+    slot: dict[str, int]  # each key's index in fields
+    defaults: tuple  # what an absent optional field reads as, by index
+
+
+_ABSENT = object()  # a field no token has given yet
 
 
 def _field(key, conv, required=False, attr=None, fmt=None) -> Field:
@@ -200,7 +205,21 @@ def _field(key, conv, required=False, attr=None, fmt=None) -> Field:
 
 
 def _directive(section, record, positional=(), keyed=()) -> Directive:
-    return Directive(section, record, positional, {f.key: f for f in keyed})
+    """A section directive's fields are its record's leading constructor
+    arguments, in order, so ``_read`` hands back the record's positional
+    arguments and an absent optional field reads as the record's default.
+    Any other directive's absent field reads as None, and parse_scenario
+    applies its structural rule to what was given."""
+    fields = positional + keyed
+    defaults = [None] * len(fields)
+    if section is not None:
+        default_of = {f.name: f.default for f in dataclass_fields(record)}
+        defaults = [default_of[f.attr] for f in fields]
+    npos = len(positional)
+    return Directive(
+        section, record, fields, npos,
+        {f.key: i for i, f in enumerate(fields) if i >= npos}, tuple(defaults),
+    )
 
 
 def _name(key="thread"):
@@ -293,68 +312,91 @@ _SCRIPT_WORDS = {d.record: w for w, d in GRAMMAR.items() if d.section == "script
 # ---- parsing -------------------------------------------------------------
 
 
-def _read(d: Directive, tokens: list[str], line: int, memo: dict) -> dict:
-    """The record attributes given by one line's tokens after the directive
-    word.  ``memo`` maps each key=value token the directive has converted
-    before to its (attribute, value): most such tokens repeat, and values
-    are immutable."""
-    positional, npos = d.positional, len(d.positional)
-    kw = {}
+def _read(d: Directive, tokens: list[str], line: int, memos: list[dict]) -> list:
+    """The values of ``d.fields`` given by one line's tokens after the
+    directive word, absent optional ones filled from ``d.defaults``.
+    ``memos`` holds one dict per positional field, mapping each token the
+    directive has converted there before to its value, and then one for
+    the key=value tokens, mapping each to its field's index and value:
+    most tokens repeat, and values are immutable."""
+    fields, npos = d.fields, d.npos
+    keyed = memos[npos]
+    vals = [_ABSENT] * len(fields)
+    dup = False
     for i, tok in enumerate(tokens):
         if i < npos:
-            f = positional[i]
-        else:
-            hit = memo.get(tok)
-            if hit is not None:
-                kw[hit[0]] = hit[1]
+            val = memos[i].get(tok)
+            if val is not None:
+                vals[i] = val
                 continue
-            key, eq, tok = tok.partition("=")
+            j, text = i, tok
+        else:
+            hit = keyed.get(tok)
+            if hit is not None:
+                j, val = hit
+                if vals[j] is not _ABSENT:
+                    dup = True
+                vals[j] = val
+                continue
+            key, eq, text = tok.partition("=")
             if not eq:
                 raise ParseError(line, f"expected key=value, got {key!r}")
-            f = d.keyed.get(key)
-            if f is None:
+            j = d.slot.get(key)
+            if j is None:
                 raise ParseError(line, f"unknown key {key!r}")
+        f = fields[j]
         conv = f.conv
         try:
             if conv is TEXT:
-                val = tok
+                val = text
             elif conv.__class__ is dict:
-                val = conv[tok]
+                val = conv[text]
             elif conv is INT:
-                val = int(tok, 0)
+                val = int(text, 0)
             elif conv.__class__ is tuple:
-                val = int(tok, 0)
+                val = int(text, 0)
                 lo, hi = conv
                 if val < lo:
                     raise ParseError(line, f"{f.key} must be at least {lo}")
                 if val >= hi:
                     raise ParseError(line, f"{f.key} must be below {hi:#x}")
             elif conv is NAMES:
-                val = tuple(filter(None, tok.split(",")))
-            elif tok[:6] == "fixed:":  # MARKER
-                val = int(tok[6:], 0)
+                val = tuple(filter(None, text.split(",")))
+            elif text[:6] == "fixed:":  # MARKER
+                val = int(text[6:], 0)
                 if not 0 <= val < MARKER_LIMIT:
                     bound = "at least 0" if val < 0 else f"below {MARKER_LIMIT:#x}"
                     raise ParseError(line, f"{f.key} must be {bound}")
                 val = MarkerRule(_FIXED_MARKER, val)
-            elif tok == "zero" or tok == "page":
-                val = MarkerRule(MarkerKind(tok))
+            elif text == "zero" or text == "page":
+                val = MarkerRule(MarkerKind(text))
             else:
-                raise ValueError(tok)
+                raise ValueError(text)
         except (KeyError, ValueError):
-            raise ParseError(line, f"bad {f.key}: {tok!r}") from None
-        kw[f.attr] = val
-        if i >= npos:
-            memo[tokens[i]] = (f.attr, val)
-    if len(kw) < len(tokens):
+            raise ParseError(line, f"bad {f.key}: {text!r}") from None
+        if i < npos:
+            memos[i][tok] = val
+        else:
+            keyed[tok] = (j, val)
+            if vals[j] is not _ABSENT:
+                dup = True
+        vals[j] = val
+    if dup:
         keys = [tok.partition("=")[0] for tok in tokens[npos:]]
-        dup = next(k for k in keys if keys.count(k) > 1)
-        raise ParseError(line, f"duplicate key {dup!r}")
-    if len(kw) < npos + len(d.keyed):  # some field is absent
-        for f in positional + tuple(d.keyed.values()):
-            if f.required and f.attr not in kw:
-                raise ParseError(line, f"missing {f.key}")
-    return kw
+        first = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(line, f"duplicate key {first!r}")
+    if len(tokens) < len(fields):  # some field is absent
+        for j, f in enumerate(fields):
+            if vals[j] is _ABSENT:
+                if f.required:
+                    raise ParseError(line, f"missing {f.key}")
+                vals[j] = d.defaults[j]
+    return vals
+
+
+def _given(d: Directive, vals: list) -> dict:
+    """The attributes a non-section directive's line gave, by name."""
+    return {f.attr: v for f, v in zip(d.fields, vals) if v is not None}
 
 
 def parse_scenario(text: str) -> ScenarioFile:
@@ -367,7 +409,16 @@ def parse_scenario(text: str) -> ScenarioFile:
     backing: dict[str, list[tuple[int, int]]] = {}
     dbranges: dict[str | int, list[DbRange]] = {}  # by pager name or asid
     layout_line = 0  # line number of the layout line, 0 if there is none
-    memos = {word: {} for word in GRAMMAR}  # for _read
+    # Per directive word: its grammar entry, the memos _read keeps for it,
+    # and the append of the ScenarioFile list its records go to (None for
+    # the directives whose structural rules are spelled out below).
+    table = {
+        word: (
+            d, [{} for _ in range(d.npos + 1)],
+            d.section and getattr(sf, d.section).append,
+        )
+        for word, d in GRAMMAR.items()
+    }
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
@@ -376,39 +427,42 @@ def parse_scenario(text: str) -> ScenarioFile:
         if not tokens:
             continue
         word = tokens[0]
-        d = GRAMMAR.get(word)
-        if d is None:
+        entry = table.get(word)
+        if entry is None:
             raise ParseError(lineno, f"unknown directive {word!r}")
-        hold = word == "access" and tokens[-1] == "hold"
+        d, memos, add = entry
+        hold = tokens[-1] == "hold" and word == "access"
         if hold:
             tokens.pop()
-        kw = _read(d, tokens[1:], lineno, memos[word])
+        vals = _read(d, tokens[1:], lineno, memos)
 
-        if d.section is not None:
+        if add is not None:
             if hold:
-                kw["hold"] = True
-            getattr(sf, d.section).append(d.record(**kw))
+                vals.append(True)
+            add(d.record(*vals))
         elif word == "layout":
             if layout_line:
                 raise ParseError(lineno, "duplicate layout line")
             layout_line = lineno
             try:
-                sf.layout = LayoutConfig(**kw)
+                sf.layout = LayoutConfig(**_given(d, vals))
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
         elif word == "option":
-            sf.options = replace(sf.options, **kw)
+            sf.options = replace(sf.options, **_given(d, vals))
         elif word == "pager":
-            pager_kws.append(kw)
+            pager_kws.append(_given(d, vals))
         elif word == "backing":
-            backing.setdefault(kw["pager"], []).append((kw["vaddr"], kw["frame"]))
+            pager, vaddr, frame = vals
+            backing.setdefault(pager, []).append((vaddr, frame))
         else:  # dbrange
-            owners = [kw.pop(key) for key in ("asid", "pager") if key in kw]
-            if len(owners) != 1:
+            asid, pager, start, end, target = vals
+            if (asid is None) == (pager is None):
                 raise ParseError(lineno, "dbrange needs asid= or pager= (not both)")
-            if kw["start"] >= kw["end"]:
+            if start >= end:
                 raise ParseError(lineno, "empty dbrange")
-            dbranges.setdefault(owners[0], []).append(DbRange(**kw))
+            owner = pager if asid is None else asid
+            dbranges.setdefault(owner, []).append(DbRange(start, end, target))
 
     sf.pagers = [
         PagerDecl(
@@ -511,13 +565,23 @@ def _validate(sf: ScenarioFile) -> None:
                 f"assign names undeclared pager {a.pager_name!r}"
             )
 
+    # The script's names in one pass with no call per item; the ordered
+    # loop runs only to report the first wrong one.
+    named, stepped = set(), set()
     for item in sf.script:
-        if isinstance(item, (AccessItem, DispatchItem, SwitchItem)):
-            thread(item.thread)
-        elif isinstance(item, PagerStepItem) and item.pager not in pager_names:
-            raise SemanticError(
-                f"pager-step names undeclared pager {item.pager!r}"
-            )
+        cls = item.__class__
+        if cls is PagerStepItem:
+            stepped.add(item.pager)
+        elif cls is not YieldItem:
+            named.add(item.thread)
+    if not (named.issubset(by_name) and stepped.issubset(pager_names)):
+        for item in sf.script:
+            if isinstance(item, (AccessItem, DispatchItem, SwitchItem)):
+                thread(item.thread)
+            elif isinstance(item, PagerStepItem) and item.pager not in pager_names:
+                raise SemanticError(
+                    f"pager-step names undeclared pager {item.pager!r}"
+                )
 
     for name in sf.options.order:
         thread(name)
@@ -529,8 +593,8 @@ def _validate(sf: ScenarioFile) -> None:
 def _line(word: str, values: dict) -> str:
     d = GRAMMAR[word]
     parts = [word]
-    parts += [f.fmt(values[f.attr]) for f in d.positional]
-    for f in d.keyed.values():
+    parts += [f.fmt(values[f.attr]) for f in d.fields[:d.npos]]
+    for f in d.fields[d.npos:]:
         val = values.get(f.attr)
         if val is not None and val != ():
             parts.append(f"{f.key}={f.fmt(val)}")

@@ -130,6 +130,9 @@ _ZERO_ROW = (0,) * len(SLOT)
 _COST_NAMES = tuple(f.name for f in fields(CycleMetrics))
 _NO_COSTS = (None,) * len(_COST_NAMES)
 _verdict = attrgetter("verdict")
+# C-level script scans for set-up: no Python-level call per script item.
+_thread = attrgetter("thread")
+_is_access = AccessItem.__instancecheck__
 
 
 def _costs(row) -> tuple[int, int, int, int]:
@@ -278,7 +281,7 @@ class Simulator:
                     "reflecting pagers require the l4re scheme"
                 )
         if scheme is _MONOLITHIC:
-            if any(isinstance(i, PagerStepItem) for i in sf.script):
+            if PagerStepItem in map(type, sf.script):
                 raise SchemeMismatchError(
                     "pager-step directives are meaningless under monolithic "
                     "dispatch: no pager threads run"
@@ -293,9 +296,9 @@ class Simulator:
     def _faulters(self) -> list[ThreadDecl]:
         """Declarations of the threads the script makes access memory, in
         order of first access."""
-        names = dict.fromkeys([
-            i.thread for i in self.sf.script if isinstance(i, AccessItem)
-        ])
+        names = dict.fromkeys(
+            map(_thread, filter(_is_access, self.sf.script))
+        )
         return [self._decl[name] for name in names]
 
     def _wire_region_mappers(self, faulters: list[ThreadDecl]) -> None:

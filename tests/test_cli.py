@@ -256,6 +256,17 @@ def test_unwritable_trace_path_is_an_error(scn, tmp_path, capsys):
     assert err.startswith("error: cannot write trace:")
 
 
+def test_empty_trace_path_is_a_usage_error(scn, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--scenario", str(scn), "--scheme", "proposed", "--trace", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --trace: expected a file name, got ''" in captured.err
+    assert list(tmp_path.iterdir()) == [scn]
+
+
 def test_each_scheme_is_simulated_once(scn, monkeypatch, capsys):
     runs = []
     original = Simulator.run

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,8 +8,8 @@ from pagersim import ParseError, SemanticError, parse_scenario, serialize_scenar
 from pagersim.engine import AccessType, ThreadRole
 from pagersim.pagers import MarkerKind, PagerPolicy
 from pagersim.scenario import GRAMMAR, AccessItem, PagerStepItem, YieldItem
-from mutants import outcome_line, recorded_mutants
-from support import GOLDEN_DIR
+from mutants import FIXTURES, outcome_line, recorded_mutants
+from support import GOLDEN_DIR, fixture_scn, load_bench_module
 
 MINIMAL = """\
 thread T1 tid=1 asid=1 role=applicant
@@ -74,6 +75,120 @@ expect fault=0 verdict=DISPATCHED scheme=proposed mode=4 ctx=2 ipc=2 invocations
     again = parse_scenario(rendered)
     assert again == once
     assert serialize_scenario(again) == rendered
+
+
+def test_section_fields_come_in_constructor_order():
+    # parse_scenario builds a section's records positionally from the
+    # values _read lists in GRAMMAR order.
+    sections = {w: d for w, d in GRAMMAR.items() if d.section is not None}
+    assert set(sections) == {
+        "thread", "assign", "access", "dispatch", "pager-step", "switch",
+        "yield", "expect",
+    }
+    for word, d in sections.items():
+        attrs = [f.attr for f in d.fields]
+        names = [f.name for f in dataclasses.fields(d.record)]
+        assert attrs == names[:len(attrs)], word
+
+
+@pytest.mark.parametrize(
+    "shuffled, canonical",
+    [
+        (
+            "expect scheme=proposed fault=0 verdict=DISPATCHED mode=4 ctx=2 "
+            "ipc=2 invocations=1",
+            "expect fault=0 verdict=DISPATCHED scheme=proposed mode=4 ctx=2 "
+            "ipc=2 invocations=1",
+        ),
+        (
+            "expect invocations=1 ctx=2 verdict=DISPATCHED fault=0",
+            "expect fault=0 verdict=DISPATCHED ctx=2 invocations=1",
+        ),
+        (
+            "thread T2 pager=P role=applicant asid=1 tid=9",
+            "thread T2 tid=9 asid=1 role=applicant pager=P",
+        ),
+        ("assign pager=P rid=0 asid=1", "assign asid=1 rid=0 pager=P"),
+    ],
+)
+def test_keyed_fields_in_any_order_parse_to_the_same_record(shuffled, canonical):
+    first = parse_scenario(MINIMAL + shuffled + "\n")
+    assert first == parse_scenario(MINIMAL + canonical + "\n")
+    assert first != parse_scenario(MINIMAL)
+
+
+def test_equal_lines_give_equal_records_not_one_shared_record():
+    sf = parse_scenario(MINIMAL + "access T1 0x1000 read\n" * 2)
+    first, second, third = sf.script
+    assert first == second == third
+    assert first is not second and second is not third
+
+
+def test_a_repeated_token_is_converted_once_per_parse():
+    # The same token in the same place is looked up, not converted again;
+    # each line still gets a record of its own.
+    sf = parse_scenario(MINIMAL + "access T1 0x123456 read\n" * 2)
+    first, second = sf.script[-2:]
+    assert first.vaddr == 0x123456
+    assert first.vaddr is second.vaddr
+    assert first is not second
+
+
+def test_round_trip_on_the_fixtures_and_the_bench_workloads():
+    generate = load_bench_module("workloads").generate
+    texts = [fixture_scn(name) for name in FIXTURES]
+    texts += [generate(name, 0).text for name in ("fault-stream", "wide-spaces", "hot-mix")]
+    for text in texts:
+        sf = parse_scenario(text)
+        assert parse_scenario(serialize_scenario(sf)) == sf
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # The first key, in line order, that comes twice, whether the
+        # repeat has a value of its own or repeats the token.
+        (
+            "expect fault=0 verdict=DISPATCHED mode=1 ctx=1 ctx=2 mode=2",
+            "duplicate key 'mode'",
+        ),
+        (
+            "expect fault=0 verdict=DISPATCHED mode=1 ctx=1 ctx=1 mode=1",
+            "duplicate key 'mode'",
+        ),
+        # A bad value later on the line is reported before a repeated key.
+        ("expect fault=0 fault=1 verdict=BOGUS", "bad verdict: 'BOGUS'"),
+        ("expect fault=0 fault=0 verdict=BOGUS", "bad verdict: 'BOGUS'"),
+        ("expect fault=0 fault=1", "duplicate key 'fault'"),
+        ("expect verdict=DISPATCHED mode=1", "missing fault"),
+        ("access T1 0x1000", "missing access"),
+        ("access T1 0x1000 read write", "expected key=value, got 'write'"),
+    ],
+)
+def test_a_bad_line_reports_its_first_fault(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(MINIMAL + line + "\n")
+    assert (exc.value.line, exc.value.message) == (6, message)
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        (
+            "access Ghost1 0x1000 read\npager-step Ghost2\ndispatch Ghost3\n",
+            "undeclared thread 'Ghost1'",
+        ),
+        (
+            "yield\npager-step Ghost2\naccess Ghost1 0x1000 read\n",
+            "pager-step names undeclared pager 'Ghost2'",
+        ),
+        ("switch T1\npager-step T1\n", "pager-step names undeclared pager 'T1'"),
+    ],
+)
+def test_the_first_wrong_name_in_the_script_is_reported(script, message):
+    with pytest.raises(SemanticError) as exc:
+        parse_scenario(MINIMAL + script)
+    assert str(exc.value) == message
 
 
 def test_parse_errors_carry_line_numbers():
@@ -312,9 +427,9 @@ def test_every_directive_key_and_choice_is_documented():
     doc = (Path(__file__).parent.parent / "docs" / "scenario-format.md").read_text()
     for word, directive in GRAMMAR.items():
         assert re.search(rf"`{re.escape(word)}[ `]", doc), word
-        for key in directive.keyed:  # as key=... or in the option table
+        for key in directive.slot:  # as key=... or in the option table
             assert f"{key}=" in doc or f"`{key}`" in doc, (word, key)
-        for f in (*directive.positional, *directive.keyed.values()):
+        for f in directive.fields:
             if isinstance(f.conv, dict):
                 for token in f.conv:
                     assert token in doc, (word, f.key, token)
