@@ -312,20 +312,27 @@ _SCRIPT_WORDS = {d.record: w for w, d in GRAMMAR.items() if d.section == "script
 # ---- parsing -------------------------------------------------------------
 
 
-def _read(d: Directive, tokens: list[str], line: int, memos: list[dict]) -> list:
+def _read(
+    d: Directive, tokens: list[str], line: int, memos: list[dict | None],
+) -> list:
     """The values of ``d.fields`` given by one line's tokens after the
     directive word, absent optional ones filled from ``d.defaults``.
-    ``memos`` holds one dict per positional field, mapping each token the
-    directive has converted there before to its value, and then one for
-    the key=value tokens, mapping each to its field's index and value:
-    most tokens repeat, and values are immutable."""
+    ``memos`` holds one entry per positional field, None for a text field
+    and otherwise a dict mapping each token the directive has converted
+    there before to its value, and then a dict for the key=value tokens,
+    mapping each to its field's index and value: most tokens repeat, and
+    values are immutable."""
     fields, npos = d.fields, d.npos
     keyed = memos[npos]
     vals = [_ABSENT] * len(fields)
     dup = False
     for i, tok in enumerate(tokens):
         if i < npos:
-            val = memos[i].get(tok)
+            memo = memos[i]
+            if memo is None:  # a text field: the token is the value
+                vals[i] = tok
+                continue
+            val = memo.get(tok)
             if val is not None:
                 vals[i] = val
                 continue
@@ -414,7 +421,8 @@ def parse_scenario(text: str) -> ScenarioFile:
     # the directives whose structural rules are spelled out below).
     table = {
         word: (
-            d, [{} for _ in range(d.npos + 1)],
+            d,
+            [None if f.conv is TEXT else {} for f in d.fields[:d.npos]] + [{}],
             d.section and getattr(sf, d.section).append,
         )
         for word, d in GRAMMAR.items()
@@ -565,23 +573,16 @@ def _validate(sf: ScenarioFile) -> None:
                 f"assign names undeclared pager {a.pager_name!r}"
             )
 
-    # The script's names in one pass with no call per item; the ordered
-    # loop runs only to report the first wrong one.
-    named, stepped = set(), set()
+    # Membership tests inline: no Python-level call per script item.
     for item in sf.script:
         cls = item.__class__
         if cls is PagerStepItem:
-            stepped.add(item.pager)
-        elif cls is not YieldItem:
-            named.add(item.thread)
-    if not (named.issubset(by_name) and stepped.issubset(pager_names)):
-        for item in sf.script:
-            if isinstance(item, (AccessItem, DispatchItem, SwitchItem)):
-                thread(item.thread)
-            elif isinstance(item, PagerStepItem) and item.pager not in pager_names:
+            if item.pager not in pager_names:
                 raise SemanticError(
                     f"pager-step names undeclared pager {item.pager!r}"
                 )
+        elif cls is not YieldItem and item.thread not in by_name:
+            thread(item.thread)
 
     for name in sf.options.order:
         thread(name)

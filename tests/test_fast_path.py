@@ -139,16 +139,14 @@ TRACKED_OBJECTS_PER_SPACE_BUDGET = {
 
 # Python-level calls per directive line (not blank, not only a comment) of
 # parse_scenario(workload50): 10% above the 2.54 measured when the budget
-# was set (Python 3.11), against 2.85 while validation called a function
-# per script item, and 5.40 before the grammar table.
+# was set (Python 3.11). Validation makes no call per script item.
 PARSE_CALLS_PER_LINE_BUDGET = 2.8
 
 # Python-level calls per script line of parse_scenario plus four
 # Simulator(...) builds, one per scheme, of script_of() at 500 and at
 # 2,000 lines: 10% above the 2.0 measured when the budget was set (reading
-# the line and building its record), against 3.8 while validation called
-# a function per item that names a thread and a monolithic set-up resumed
-# a generator per item (Python 3.11).
+# the line and building its record; Python 3.11). Neither validation nor
+# set-up calls a function or resumes a generator per script item.
 SCRIPT_CALLS_PER_LINE_BUDGET = 2.2
 
 # GC-tracked objects a parsed FAULT_STREAM keeps per record: 1.0 plus the

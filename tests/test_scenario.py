@@ -125,8 +125,8 @@ def test_equal_lines_give_equal_records_not_one_shared_record():
 
 
 def test_a_repeated_token_is_converted_once_per_parse():
-    # The same token in the same place is looked up, not converted again;
-    # each line still gets a record of its own.
+    # A converted token repeated in the same place is looked up, not
+    # converted again; each line still gets a record of its own.
     sf = parse_scenario(MINIMAL + "access T1 0x123456 read\n" * 2)
     first, second = sf.script[-2:]
     assert first.vaddr == 0x123456
