@@ -33,24 +33,15 @@ DEFAULT_REGION_COUNT = 1020
 DEFAULT_PAGES_PER_REGION = 1024
 DEFAULT_PAGE_SIZE = 4096
 
-MANAGER_ID_BYTES = 4
 
-
-class KernelRange:
-    """Singleton result of region lookup for addresses outside the user part."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
+class _Sentinel:
     def __repr__(self) -> str:
         return "KERNEL_RANGE"
 
 
-KERNEL_RANGE = KernelRange()
+# Result of region lookup for addresses outside the user part; compare
+# with ``is``.
+KERNEL_RANGE = _Sentinel()
 
 
 def _is_pow2(n: int) -> bool:

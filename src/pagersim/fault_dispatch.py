@@ -271,7 +271,6 @@ class FaultDispatcher:
 
     def __init__(self, machine: Machine, spaces: dict[int, AddressSpace]) -> None:
         self.machine = machine
-        self.spaces = spaces
         self.memory = KernelMemory(machine, spaces)
         self.cycles: list[FaultCycle] = []
 

@@ -50,13 +50,6 @@ class PageTable:
             raise NotMappedError(f"page {page} has no present mapping")
         ent.present = False
 
-    def present_pages(self, within: range | None = None) -> list[int]:
-        """Present pages, ascending; with ``within``, only those in it."""
-        return sorted(
-            p for p, e in self.entries.items()
-            if e.present and (within is None or p in within)
-        )
-
     def snapshot(self) -> dict[int, tuple[bool, int, int]]:
         """Content view used for cross-scheme comparison; unordered, since
         dict equality ignores order."""

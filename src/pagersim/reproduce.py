@@ -17,7 +17,7 @@ import io
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter, ge, gt
+from typing import NamedTuple
 
 from .address_space import AddressSpace
 from .engine import (
@@ -69,6 +70,7 @@ from .pagers import (
 )
 from .scenario import (
     AccessItem,
+    DbRange,
     DispatchItem,
     PagerStepItem,
     ScenarioFile,
@@ -97,28 +99,14 @@ _DISPATCHED = VerdictCode.DISPATCHED
 _REFLECTING = PagerPolicy.REFLECTING
 _REGION_MAPPER = ThreadRole.REGION_MAPPER
 
-ALL_SCHEMES = (
-    Scheme.MONOLITHIC,
-    Scheme.L4_SINGLE,
-    Scheme.REGION_DISPATCH,
-    Scheme.L4RE,
-)
+ALL_SCHEMES = tuple(Scheme)
 
 
-@dataclass(frozen=True)
-class CycleMetrics:
+class CycleMetrics(NamedTuple):
     mode_switches: int
     context_switches: int
     ipc_messages: int
     pager_invocations: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (
-            self.mode_switches,
-            self.context_switches,
-            self.ipc_messages,
-            self.pager_invocations,
-        )
 
 
 # Counter-row columns (see ``trace.SLOT``) that the cost figures read.
@@ -127,8 +115,7 @@ _U2K, _K2U, _CTX, _SEND, _RECEIVE, _SUSPEND, _RESUME = map(SLOT.__getitem__, (
     "IPC_RECEIVE", "SUSPEND", "RESUME",
 ))
 _ZERO_ROW = (0,) * len(SLOT)
-_COST_NAMES = tuple(f.name for f in fields(CycleMetrics))
-_NO_COSTS = (None,) * len(_COST_NAMES)
+_NO_COSTS = (None,) * len(CycleMetrics._fields)
 _verdict = attrgetter("verdict")
 # C-level script scans for set-up: no Python-level call per script item.
 _thread = attrgetter("thread")
@@ -219,13 +206,10 @@ class Simulator:
         self.non_accepting: set[int] = set()
         for p in scenario.pagers:
             tid = self._decl[p.name].tid
-            db = None
-            if p.policy is _REFLECTING:
-                # Without dbrange lines it covers nothing: every reflection
-                # is then a NoDatabaseEntryError, not a missing database.
-                db = MappingDatabase()
-                for r in p.dbranges:
-                    db.insert(r.start, r.end, self._decl[r.target].tid)
+            # A reflecting pager without dbrange lines covers nothing: every
+            # reflection is then a NoDatabaseEntryError, not a missing
+            # database.
+            db = self._db_of(p.dbranges) if p.policy is _REFLECTING else None
             self.behaviors[tid] = PagerBehavior(
                 policy=p.policy,
                 marker_rule=p.marker_rule,
@@ -328,17 +312,22 @@ class Simulator:
         for t in faulters:
             self._pager_of[t.tid] = mapper_of[t.asid]
 
+    def _db_of(self, ranges: tuple[DbRange, ...]) -> MappingDatabase:
+        """Mapping database of declared dbrange lines."""
+        db = MappingDatabase()
+        for r in ranges:
+            db.insert(r.start, r.end, self._decl[r.target].tid)
+        return db
+
     def _space_db(self, asid: int) -> MappingDatabase:
         """Mapping database of one space's region mapper: the explicit
         ranges if the scenario declared any, otherwise one range per
         assigned region - the same declarations the in-kernel region
         table is built from, realized in user space."""
-        db = MappingDatabase()
         explicit = self.sf.space_dbranges.get(asid)
         if explicit:
-            for r in explicit:
-                db.insert(r.start, r.end, self._decl[r.target].tid)
-            return db
+            return self._db_of(explicit)
+        db = MappingDatabase()
         layout = self.layout
         for rid, manager in self.spaces[asid].regions.managers():
             start = layout.user_base + rid * layout.region_size
@@ -720,7 +709,7 @@ def check_expectations(
             costs = _costs(row)
             if costs == wanted:
                 continue
-            for attr, got, want in zip(_COST_NAMES, costs, wanted):
+            for attr, got, want in zip(CycleMetrics._fields, costs, wanted):
                 if want is not None and got != want:
                     fail(token, e.fault, f"{attr}={got}, expected {want}")
     return failures

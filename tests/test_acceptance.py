@@ -69,7 +69,7 @@ def test_cycle_cost_table():
     for scheme, shape in want.items():
         res = simulate(scheme, parse_scenario(sf_text))
         assert res.cycles[0].verdict is VerdictCode.DISPATCHED
-        assert cycle_metrics(res.trace, 0).as_tuple() == shape, scheme
+        assert cycle_metrics(res.trace, 0) == shape, scheme
     assert time.perf_counter() - started < 1.0
 
 
@@ -138,9 +138,9 @@ def test_race_attribution():
     res = simulate(Scheme.REGION_DISPATCH, parse_scenario(fixture_scn("fig6")))
     first, second = res.cycles
     assert first.verdict is VerdictCode.DISPATCHED
-    assert cycle_metrics(res.trace, 0).as_tuple() == (4, 2, 2, 1)
+    assert cycle_metrics(res.trace, 0) == (4, 2, 2, 1)
     assert second.verdict is VerdictCode.RESUMED_PRESENT
-    assert cycle_metrics(res.trace, 1).as_tuple() == (2, 0, 0, 0)
+    assert cycle_metrics(res.trace, 1) == (2, 0, 0, 0)
     # No message of any kind goes out while the second fault is in the
     # kernel: its window of the trace is free of sends.
     close = next(
@@ -244,10 +244,10 @@ def test_scheme_equivalence_on_workload():
     assert all(snap == base for snap in snapshots.values())
 
     for i in range(50):
-        mono = cycle_metrics(results[Scheme.MONOLITHIC].trace, i).as_tuple()
-        single = cycle_metrics(results[Scheme.L4_SINGLE].trace, i).as_tuple()
-        prop = cycle_metrics(results[Scheme.REGION_DISPATCH].trace, i).as_tuple()
-        l4re = cycle_metrics(results[Scheme.L4RE].trace, i).as_tuple()
+        mono = cycle_metrics(results[Scheme.MONOLITHIC].trace, i)
+        single = cycle_metrics(results[Scheme.L4_SINGLE].trace, i)
+        prop = cycle_metrics(results[Scheme.REGION_DISPATCH].trace, i)
+        l4re = cycle_metrics(results[Scheme.L4RE].trace, i)
         assert single == prop, i
         assert all(a > b for a, b in zip(l4re, prop)), i
         assert all(a >= b for a, b in zip(prop, mono)), i

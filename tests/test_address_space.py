@@ -50,6 +50,10 @@ def test_region_id_examples_default_layout():
     assert region_id_of(lay, 0xFEFFFFFF) == 1019
     assert region_id_of(lay, 0xFF000000) is KERNEL_RANGE
     assert region_id_of(lay, 0xFFFFFFFF) is KERNEL_RANGE
+    assert region_id_div(lay, 0xFF000000) is KERNEL_RANGE
+    assert region_id_shift(lay, 0xFF000000) is KERNEL_RANGE
+    # reproduce's region-forms failure message prints the sentinel.
+    assert repr(KERNEL_RANGE) == str(KERNEL_RANGE) == "KERNEL_RANGE"
     # The fault path's form agrees with both forms around every boundary.
     for rid in range(lay.region_count + 1):
         start = lay.user_base + rid * lay.region_size
@@ -186,6 +190,8 @@ def test_present_pages_of_a_region_match_a_filter_of_the_whole_table(entries):
         if rng.random() < 0.3:
             memory.unmap_page(9, 1, page * 4096)
     for rid in range(layout.region_count):
-        assert space.present_pages_in_region(rid) == (
-            space.pages.present_pages(layout.region_page_range(rid))
+        within = layout.region_page_range(rid)
+        assert space.present_pages_in_region(rid) == sorted(
+            p for p, e in space.pages.entries.items()
+            if e.present and p in within
         )

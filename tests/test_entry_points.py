@@ -1,6 +1,6 @@
 """Smoke test of what runs only as a program: the demos and
 ``python -m pagersim``, each in a fresh interpreter with ``src`` on the
-import path."""
+import path, and the README's library example."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from support import fixture_scn, golden
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -87,3 +88,22 @@ def test_reflection_loop_is_a_simulation_error(shape, tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == error
+
+
+def readme_block(heading: str) -> str:
+    """The first Python block under a ``## heading`` of README.md."""
+    section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n")[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # Run as written, with table1 as its case.scn, so that an API the
+    # example shows cannot be deleted while the README still uses it.
+    (tmp_path / "case.scn").write_text(fixture_scn("table1"))
+    monkeypatch.chdir(tmp_path)
+    exec(readme_block("Library use"), {})
+    assert capsys.readouterr().out == (
+        golden("table1.proposed.trace") + "\n"
+        "CycleMetrics(mode_switches=4, context_switches=2, ipc_messages=2,"
+        " pager_invocations=1)\n"
+    )

@@ -168,6 +168,7 @@ _FAULT = FaultCycle(0, 1, 1, 0x1000, AccessType.READ)
         (ReplyAction(_FAULT), "fault"),
         (ReflectAction(_FAULT), "fault"),
         (RevokeRegionAction(_FAULT), "fault"),
+        (CycleMetrics(4, 2, 2, 1), "ipc_messages"),
     ],
     ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
 )
@@ -477,7 +478,7 @@ def test_check_and_verify_read_only_counters():
             lambda: (check_expectations(results, sf), verify_equivalence(results)),
             Trace.of_cycle.__code__,
             cycle_metrics.__code__,
-            CycleMetrics.__init__.__code__,
+            CycleMetrics.__new__.__code__,
         )
         assert failures == [] and problems == []
         # No event scan, no public per-cycle reader, no per-cycle record.

@@ -87,7 +87,7 @@ def test_cycle_metrics_per_scheme():
     }
     for scheme, want in shapes.items():
         res = run_fixture("table1", scheme)
-        assert cycle_metrics(res.trace, 0).as_tuple() == want, scheme
+        assert cycle_metrics(res.trace, 0) == want, scheme
 
 
 def test_cycle_metrics_missing_index():
@@ -462,7 +462,7 @@ access T 0x1000 read
 def test_chained_reflection_goes_through_every_reflecting_pager():
     res = simulate(Scheme.L4RE, parse_scenario(CHAINED_REFLECTION))
     assert [c.verdict for c in res.cycles] == [VerdictCode.DISPATCHED]
-    assert cycle_metrics(res.trace, 0).as_tuple() == (8, 4, 4, 3)
+    assert cycle_metrics(res.trace, 0) == (8, 4, 4, 3)
     reflections = [
         ev.args[:2] for ev in res.trace
         if ev.kind is EventKind.IPC_SEND and ev.args[2] == "REFLECTION"
@@ -653,7 +653,7 @@ def test_costs_equal_per_kind_counts(name):
         ) == reference_costs(ev for ev in res.trace if ev.cycle is not None)
         for cycle in res.cycles:
             try:
-                got = cycle_metrics(res.trace, cycle.index).as_tuple()
+                got = cycle_metrics(res.trace, cycle.index)
             except IncompleteCycleError:
                 continue
             want = reference_costs(
