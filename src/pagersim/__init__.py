@@ -54,7 +54,7 @@ from .fault_dispatch import (
     VerdictCode,
     classify,
 )
-from .mmu import PageTable, translate
+from .mmu import translate
 from .pagers import (
     FrameAllocator,
     MappingDatabase,

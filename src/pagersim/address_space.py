@@ -24,7 +24,6 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import BadRegionError
-from .mmu import PageTable
 
 ADDRESS_BITS = 32
 ADDRESS_SPACE_SIZE = 1 << ADDRESS_BITS
@@ -201,7 +200,7 @@ class AddressSpace:
     def __init__(self, asid: int, layout: LayoutConfig) -> None:
         self.asid = asid
         self.layout = layout
-        self.pages = PageTable()
+        self.pages: dict[int, tuple[bool, int, int]] = {}
         self.regions = RegionTable(layout.region_count)
 
     def present_pages_in_region(self, rid: int) -> list[int]:

@@ -67,11 +67,14 @@ from .engine import (
 )
 from .errors import (
     BadRegionError,
+    MarkerOverflowError,
     NoOutstandingFaultError,
+    NotMappedError,
     NotRegionManagerError,
     RevokedRegionError,
     WrongPagerError,
 )
+from .mmu import MARKER_BITS, MARKER_LIMIT
 from .trace import EventKind
 
 
@@ -146,11 +149,11 @@ def classify(
         return _new(Classification, (_NOT_ACCEPTED, rid, manager, 0))
     if slot.contract is _ASSIGNED and manager in non_accepting:
         return _new(Classification, (_NOT_ACCEPTED, rid, manager, 0))
-    ent = space.pages.entries.get(vaddr // space.layout.page_size)
+    ent = space.pages.get(vaddr // space.layout.page_size)
     if ent is None:  # never mapped: marker 0
         return _new(Classification, (_DISPATCHED, rid, manager, 0))
-    code = _RESUMED_PRESENT if ent.present else _DISPATCHED
-    return _new(Classification, (code, rid, manager, ent.marker))
+    code = _RESUMED_PRESENT if ent[0] else _DISPATCHED
+    return _new(Classification, (code, rid, manager, ent[2]))
 
 
 class KernelMemory:
@@ -193,9 +196,13 @@ class KernelMemory:
             raise RevokedRegionError(
                 f"region {rid} of space {asid} was revoked; reassign before mapping"
             )
+        if not 0 <= marker < MARKER_LIMIT:
+            raise MarkerOverflowError(
+                f"marker {marker} does not fit in {MARKER_BITS} bits"
+            )
         layout = space.layout
         page = vaddr // layout.page_size
-        space.pages.set_mapping(page, frame, marker)
+        space.pages[page] = (True, frame, marker)
         # Regions are aligned, so a page's bit is its index in the region.
         slot.present |= 1 << page % layout.pages_per_region
         if slot.contract is _ASSIGNED:
@@ -216,7 +223,11 @@ class KernelMemory:
         space = self.spaces[asid]
         rid, slot = self._region_slot(space, vaddr, caller)
         page = vaddr // space.layout.page_size
-        space.pages.clear_mapping(page)
+        ent = space.pages.get(page)
+        if ent is None or not ent[0]:
+            raise NotMappedError(f"page {page} has no present mapping")
+        # Drop the present flag but keep the marker readable.
+        space.pages[page] = (False, 0, ent[2])
         slot.present &= ~(1 << page % space.layout.pages_per_region)
         self.machine.trace.append(
             _UNMAP_PAGE, (asid, page * space.layout.page_size, revoke), cycle

@@ -162,14 +162,13 @@ class SimResult:
     warnings: list[str]
 
     def page_snapshot(self) -> dict[int, dict]:
-        """``PageTable.snapshot`` of every space whose table holds an
-        entry, by asid.  A space that was never mapped is left out, since
-        an empty table equals an absent one; a table whose pages were all
-        unmapped still holds their markers and is listed."""
+        """A copy of the page table of every space whose table holds an
+        entry, by asid; an entry is already its ``(present, frame,
+        marker)`` content.  A space that was never mapped is left out,
+        since an empty table equals an absent one; a table whose pages were
+        all unmapped still holds their markers and is listed."""
         return {
-            asid: sp.pages.snapshot()
-            for asid, sp in self.spaces.items()
-            if sp.pages.entries
+            asid: dict(sp.pages) for asid, sp in self.spaces.items() if sp.pages
         }
 
 

@@ -117,7 +117,7 @@ def test_verdict_truth_table():
             sp.regions.assign(0, manager=PAGER)
             sp.regions.set_contract(0, contract)
         if present:
-            sp.pages.set_mapping(page=1, frame=4, marker=0)
+            sp.pages[1] = (True, 4, 0)
         return sp
 
     cases = [

@@ -192,6 +192,6 @@ def test_present_pages_of_a_region_match_a_filter_of_the_whole_table(entries):
     for rid in range(layout.region_count):
         within = layout.region_page_range(rid)
         assert space.present_pages_in_region(rid) == sorted(
-            p for p, e in space.pages.entries.items()
-            if e.present and p in within
+            p for p, (present, _, _) in space.pages.items()
+            if present and p in within
         )

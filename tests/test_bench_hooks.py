@@ -55,3 +55,14 @@ def test_traced_wide_spaces_run_allocates_no_region_slots(tmp_path, capsys):
     assert "equivalence: ok" in out
     assert tracer.calls["address_space.init"] >= w.spaces
     assert tracer.counts["address_space.region_slots"] == 0
+
+
+def test_traced_hot_mix_run_counts_translate_hits(tmp_path, capsys):
+    # The hit-ratio hook counts each int that ``translate`` returns; a
+    # change to what ``translate`` reads or returns shows up here as no hits.
+    w, rc, tracer = traced_cli_run(tmp_path, "hot-mix")
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "equivalence: ok" in out
+    hits = tracer.counts["mmu.translate.hits"]
+    assert 0 < hits < tracer.calls["mmu.translate"]

@@ -34,9 +34,7 @@ def space_with(contract=None, present=False, marker=0):
         sp.regions.assign(0, manager=PAGER)
         sp.regions.set_contract(0, contract)
     if present or marker:
-        sp.pages.set_mapping(page=1, frame=4, marker=marker)
-        if not present:
-            sp.pages.clear_mapping(page=1)
+        sp.pages[1] = (True, 4, marker) if present else (False, 0, marker)
     return sp
 
 
@@ -276,7 +274,7 @@ def test_general_protection_is_permanent_suspension():
 
 def test_resume_present_never_suspends():
     m, spaces, disp = dispatcher_setup()
-    spaces[1].pages.set_mapping(page=1, frame=0, marker=0)
+    spaces[1].pages[1] = (True, 0, 0)
     spaces[1].regions.set_contract(0, ContractState.ACCEPTED)
     cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     # A present page sends the faulter back: the verdict, then the return.

@@ -1,65 +1,82 @@
 import pytest
 
-from pagersim import PageTable, translate
+from pagersim import AddressSpace, KernelMemory, LayoutConfig, Machine, translate
 from pagersim.errors import MarkerOverflowError, NotMappedError
+
+PAGER = 9
+
+
+def managed_space():
+    """A space of 8 regions of 4 pages, all managed by PAGER, and the
+    kernel service that writes its page table."""
+    space = AddressSpace(1, LayoutConfig(8, 4, 4096))
+    for rid in range(8):
+        space.regions.assign(rid, PAGER)
+    return space, KernelMemory(Machine(), {1: space})
 
 
 def test_translate_miss_returns_none():
     # A miss is a fault: no frame, and the caller opens the fault's cycle.
-    table = PageTable()
-    assert translate(table, 4096, 0x1234) is None
-    table.set_mapping(page=1, frame=0, marker=0)
-    table.clear_mapping(page=1)
-    assert translate(table, 4096, 0x1234) is None  # a ghost entry misses too
+    pages = {}
+    assert translate(pages, 4096, 0x1234) is None
+    pages[1] = (False, 0, 0)
+    assert translate(pages, 4096, 0x1234) is None  # a ghost entry misses too
 
 
 def test_translate_hit_returns_frame():
-    table = PageTable()
-    table.set_mapping(page=1, frame=77, marker=9)
-    assert translate(table, 4096, 0x1FFF) == 77
-    table.set_mapping(page=0, frame=0, marker=0)
-    assert translate(table, 4096, 0x10) == 0  # frame 0 is a hit, not a fault
+    pages = {1: (True, 77, 9)}
+    assert translate(pages, 4096, 0x1FFF) == 77
+    pages[0] = (True, 0, 0)
+    assert translate(pages, 4096, 0x10) == 0  # frame 0 is a hit, not a fault
 
 
 def test_mapping_roundtrip_and_present_pages():
-    table = PageTable()
-    table.set_mapping(page=3, frame=5, marker=1)
-    table.set_mapping(page=8, frame=6, marker=2)
-    assert sorted(p for p, e in table.entries.items() if e.present) == [3, 8]
-    ent = table.entries[3]
-    assert (ent.present, ent.frame, ent.marker) == (True, 5, 1)
+    space, memory = managed_space()
+    memory.map_page(PAGER, 1, 3 * 4096, 5, 1)
+    memory.map_page(PAGER, 1, 8 * 4096, 6, 2)
+    assert sorted(p for p, (present, _, _) in space.pages.items() if present) == [3, 8]
+    assert space.pages[3] == (True, 5, 1)
 
 
 def test_marker_survives_unmap():
     # The stored word is the pager's breadcrumb: it must still be there
     # when the next fault on the page is classified.
-    table = PageTable()
-    table.set_mapping(page=4, frame=1, marker=1234)
-    table.clear_mapping(page=4)
-    ent = table.entries[4]
-    assert not ent.present
-    assert ent.marker == 1234
-    assert [p for p, e in table.entries.items() if e.present] == []
-    assert list(table.entries) == [4]
+    space, memory = managed_space()
+    memory.map_page(PAGER, 1, 4 * 4096, 1, 1234)
+    memory.unmap_page(PAGER, 1, 4 * 4096)
+    present, _, marker = space.pages[4]
+    assert not present
+    assert marker == 1234
+    assert [p for p, (present, _, _) in space.pages.items() if present] == []
+    assert list(space.pages) == [4]
 
 
 def test_clear_unmapped_page_raises():
-    with pytest.raises(NotMappedError):
-        PageTable().clear_mapping(page=0)
+    space, memory = managed_space()
+    with pytest.raises(NotMappedError, match="^page 0 has no present mapping$"):
+        memory.unmap_page(PAGER, 1, 0)
+    memory.map_page(PAGER, 1, 0, 1, 0)
+    memory.unmap_page(PAGER, 1, 0)
+    with pytest.raises(NotMappedError):  # a ghost entry is not present either
+        memory.unmap_page(PAGER, 1, 0)
 
 
 def test_marker_width_boundary():
-    table = PageTable()
-    table.set_mapping(page=0, frame=0, marker=(1 << 31) - 1)  # widest legal
+    space, memory = managed_space()
+    memory.map_page(PAGER, 1, 0, 0, (1 << 31) - 1)  # widest legal
+    with pytest.raises(
+        MarkerOverflowError, match=r"^marker 2147483648 does not fit in 31 bits$"
+    ):
+        memory.map_page(PAGER, 1, 4096, 0, 1 << 31)
     with pytest.raises(MarkerOverflowError):
-        table.set_mapping(page=1, frame=0, marker=1 << 31)
-    with pytest.raises(MarkerOverflowError):
-        table.set_mapping(page=2, frame=0, marker=-1)
+        memory.map_page(PAGER, 1, 2 * 4096, 0, -1)
+    # A refused map writes nothing.
+    assert space.pages == {0: (True, 0, (1 << 31) - 1)}
 
 
 def test_snapshot_shows_present_and_ghost_entries():
-    table = PageTable()
-    table.set_mapping(page=0, frame=3, marker=7)
-    table.set_mapping(page=1, frame=4, marker=8)
-    table.clear_mapping(page=1)
-    assert table.snapshot() == {0: (True, 3, 7), 1: (False, 0, 8)}
+    space, memory = managed_space()
+    memory.map_page(PAGER, 1, 0, 3, 7)
+    memory.map_page(PAGER, 1, 4096, 4, 8)
+    memory.unmap_page(PAGER, 1, 4096)
+    assert space.pages == {0: (True, 3, 7), 1: (False, 0, 8)}

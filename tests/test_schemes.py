@@ -340,8 +340,9 @@ def test_verify_skips_cycles_that_never_resumed():
 
 def test_verify_reports_differing_page_tables_and_verdicts():
     results = all_results("table1")
-    entry = next(iter(results["proposed"].spaces[1].pages.entries.values()))
-    entry.marker += 1
+    pages = results["proposed"].spaces[1].pages
+    page, (present, frame, marker) = next(iter(pages.items()))
+    pages[page] = (present, frame, marker + 1)
     results["l4re"].cycles[0].verdict = VerdictCode.NO_PAGER
     assert verify_equivalence(results) == [
         "fault verdicts differ between l4-single and l4re",
@@ -372,7 +373,7 @@ def test_verify_reports_a_space_mapped_under_one_scheme_only(emptied):
     # under one scheme and mapped under the others is still a difference,
     # whether the empty one is the base of the comparison or not.
     results = all_results("table1")
-    results[emptied].spaces[1].pages.entries.clear()
+    results[emptied].spaces[1].pages.clear()
     assert results[emptied].page_snapshot() == {}
     others = [t for t in sorted(results)[1:] if t != emptied]
     differing = others if emptied == "l4-single" else [emptied]
