@@ -140,7 +140,7 @@ class RegionTable:
     """Slots of the assigned regions; an absent region reads as
     ``RegionSlot()``.  Assignment is consumer-driven and last-writer wins;
     acceptance and revocation are driven by the pager through the
-    fault-dispatch layer."""
+    fault-dispatch layer, which writes the contract of the slot it holds."""
 
     def __init__(self, region_count: int) -> None:
         self.region_count = region_count
@@ -170,12 +170,6 @@ class RegionTable:
             )
         slot = self._slots.get(rid)
         return slot if slot is not None else RegionSlot()
-
-    def set_contract(self, rid: int, state: ContractState) -> None:
-        slot = self._slots.get(rid)
-        if slot is None:  # a held slot's rid was checked when it was made
-            slot = self._slots[rid] = self.lookup(rid)
-        slot.contract = state
 
     def managers(self) -> list[tuple[int, int]]:
         """``(rid, manager)`` of every region that has a manager, in rid

@@ -11,16 +11,15 @@ fault-dispatch layer records them.
 Message passing is synchronous rendezvous: pagers sit in a receive loop
 (``BLOCKED_ON_RECEIVE``), a send queues at the receiver, and delivery
 hands the CPU to the receiver.  The fault-dispatch layer decides when a
-queued message is actually delivered.  A message about a fault carries
-the fault's ``FaultCycle`` as its payload; ``send`` reads its ``faulter``,
-``vaddr``, ``access`` and ``marker`` without importing the dispatch layer.
+queued message is actually delivered, and it writes each send's trace
+arguments itself.  A queued message is its kind and its payload, and the
+payload is opaque here: the machine reads none of its fields.
 """
 
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import (
     DeadlockError,
@@ -67,14 +66,6 @@ class ThreadControlBlock:
     name: str = ""
 
 
-class Message(NamedTuple):
-    sender: int
-    receiver: int
-    kind: MessageKind
-    # The FaultCycle of the fault the message is about.
-    payload: object = None
-
-
 @dataclass(frozen=True)
 class DeterministicOrder:
     """Scheduler directive: walk a fixed cyclic preference order."""
@@ -97,7 +88,6 @@ _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
 _PAGER = ThreadRole.PAGER
 _REGION_MAPPER = ThreadRole.REGION_MAPPER
 _KERNEL_INTERNAL = ThreadRole.KERNEL_INTERNAL
-_REPLY = MessageKind.REPLY
 _CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
 _IPC_SEND = EventKind.IPC_SEND
 _IPC_RECEIVE = EventKind.IPC_RECEIVE
@@ -120,11 +110,11 @@ class Machine:
         # The running thread: the one record of who holds the CPU.  It
         # survives suspension until someone else is switched in.
         self.occupant: int | None = None
-        # Queued messages per thread.  A thread's box is made by the first
-        # message sent to it, so a thread that never gets one has none.
-        # The scheme layer reads a pager's box to learn whether it has mail
-        # without a call.
-        self.mailboxes: dict[int, deque[Message]] = {}
+        # Queued ``(kind, payload)`` messages per thread, the kind as the
+        # trace spells it.  A thread's box is made by the first message
+        # sent to it, so a thread that never gets one has none.  The
+        # dispatch and scheme layers read a pager's box without a call.
+        self.mailboxes: dict[int, deque[tuple[str, object]]] = {}
         # The scheduling order and each tid's first position in it, built
         # together after registration changes.
         self._sched_order: list[int] | None = None
@@ -194,47 +184,34 @@ class Machine:
 
     # ---- messaging -------------------------------------------------------
 
-    def send(self, msg: Message, cycle: int | None = None) -> None:
-        """Queue a message at the receiver and record the send."""
-        sender, receiver, kind, payload = msg
+    def send(self, args: tuple, payload: object, cycle: int | None = None) -> None:
+        """Record a send whose trace arguments are ``args``, ``(sender,
+        receiver, kind, ...)``, and queue ``(kind, payload)`` at the
+        receiver."""
+        receiver = args[1]
         if receiver not in self.threads:
             raise UnknownReceiverError(f"no receiver with id {receiver}")
-        # _value_, not .value: docs/architecture.md, "Run-path costs".
-        args: tuple = (sender, receiver, kind._value_)
-        if payload is not None:
-            if kind is _REPLY:
-                args += (payload.faulter,)
-            else:
-                args += (
-                    payload.faulter, payload.vaddr, payload.access._value_,
-                    payload.marker,
-                )
         self.trace.append(_IPC_SEND, args, cycle)
         if receiver != KERNEL_TID:
             # The kernel consumes its messages synchronously; only real
             # threads have a mailbox worth filling.
+            msg = (args[2], payload)
             try:
                 self.mailboxes[receiver].append(msg)
             except KeyError:
                 self.mailboxes[receiver] = deque((msg,))
 
-    def receive(self, tid: int, cycle: int | None = None) -> Message:
+    def receive(self, tid: int, cycle: int | None = None) -> object:
+        """Take the next message queued at ``tid``; returns its payload."""
         box = self.mailboxes.get(tid)
         if not box:
-            # The run path never gets here: it receives only after _serve
-            # saw mail in the box.
+            # The run path never gets here: it receives only after it saw
+            # mail in the box.
             self.thread(tid)  # raises UnknownThreadError for an unknown tid
             raise SimulationError(f"thread {tid} has no pending message")
-        msg = box.popleft()
-        self.trace.append(_IPC_RECEIVE, (tid, msg.kind._value_), cycle)
-        return msg
-
-    def peek_message(self, tid: int) -> Message | None:
-        """Next queued message without consuming it, if any."""
-        box = self.mailboxes.get(tid)
-        if box is None:  # no message yet, or no such thread
-            self.thread(tid)  # raises UnknownThreadError for an unknown tid
-        return box[0] if box else None
+        kind, payload = box.popleft()
+        self.trace.append(_IPC_RECEIVE, (tid, kind), cycle)
+        return payload
 
     # ---- scheduling ------------------------------------------------------
 

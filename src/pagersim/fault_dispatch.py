@@ -27,9 +27,11 @@ someone assigns the region again.
 
 A fault has one record from the trap to the reply, its ``FaultCycle``.
 Every message about the fault - the page fault, each reflection, the
-reply - carries that cycle as its payload.  Delivery hands the receiver
-the cycle itself, and a reflection or a reply names the cycle it is
-about, so no step ever looks a fault up.  The trap is the first event
+reply - carries that cycle as its payload, and this module alone reads
+its fields: each send writes its own trace arguments from the cycle, and
+the machine only records them and queues the cycle.  Delivery hands the
+receiver the cycle itself, and a reflection or a reply names the cycle it
+is about, so no step ever looks a fault up.  The trap is the first event
 attributed to the cycle.
 
 Privilege crossings are steps of the protocol, so this module alone
@@ -61,7 +63,6 @@ from .engine import (
     AccessType,
     KERNEL_TID,
     Machine,
-    Message,
     MessageKind,
     ThreadState,
 )
@@ -102,9 +103,10 @@ _ACCEPTED = ContractState.ACCEPTED
 _REVOKED = ContractState.REVOKED
 _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
 _READY = ThreadState.READY
-_PAGE_FAULT = MessageKind.PAGE_FAULT
-_REFLECTION = MessageKind.REFLECTION
-_REPLY = MessageKind.REPLY
+# Message kinds as the trace spells them.
+_PAGE_FAULT = MessageKind.PAGE_FAULT.value
+_REFLECTION = MessageKind.REFLECTION.value
+_REPLY = MessageKind.REPLY.value
 _MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
 _MODE_SWITCH_K2U = EventKind.MODE_SWITCH_K2U
 _VERDICT = EventKind.VERDICT
@@ -207,7 +209,7 @@ class KernelMemory:
         slot.present |= 1 << page % layout.pages_per_region
         if slot.contract is _ASSIGNED:
             # First map into the region doubles as acceptance.
-            space.regions.set_contract(rid, _ACCEPTED)
+            slot.contract = _ACCEPTED
         self.machine.trace.append(
             _MAP_PAGE, (asid, page * layout.page_size, frame, marker), cycle
         )
@@ -242,7 +244,7 @@ class KernelMemory:
                 f"{remaining} present page(s)"
             )
         elif slot.contract is _ACCEPTED:
-            space.regions.set_contract(rid, _REVOKED)
+            slot.contract = _REVOKED
         else:
             self.machine.warnings.append(
                 f"revoke on region {rid} of space {asid} ignored: contract is "
@@ -253,7 +255,8 @@ class KernelMemory:
 @dataclass(slots=True)
 class FaultCycle:
     """The one record of a fault from trap to settlement; every message
-    about the fault carries it as its payload."""
+    about the fault carries it as its payload, and every pager action
+    answering it is carried out against it."""
 
     index: int
     faulter: int
@@ -326,9 +329,11 @@ class FaultDispatcher:
         the faulter and queue the fault message at ``target``.  When the
         message is delivered is the caller's business (see ``deliver``)."""
         self.machine.suspend(cycle.faulter, cycle.index)
-        self.machine.send(
-            _new(Message, (KERNEL_TID, target, _PAGE_FAULT, cycle)), cycle.index
-        )
+        # _value_, not .value: docs/architecture.md, "Run-path costs".
+        self.machine.send((
+            KERNEL_TID, target, _PAGE_FAULT, cycle.faulter, cycle.vaddr,
+            cycle.access._value_, cycle.marker,
+        ), cycle, cycle.index)
         cycle.dispatched_to = target
 
     def deliver(self, target: int) -> FaultCycle | None:
@@ -337,17 +342,18 @@ class FaultDispatcher:
         receive, all attributed to the cycle the message carries.  Returns
         that cycle, or ``None`` if the mailbox is empty."""
         machine = self.machine
-        msg = machine.peek_message(target)
-        if msg is None:
+        box = machine.mailboxes.get(target)
+        if not box:
+            machine.thread(target)  # UnknownThreadError for an unknown tid
             return None
-        index = msg.payload.index
+        index = box[0][1].index
         # A thread with a mailbox is registered.
         tcb = machine.threads[target]
         if tcb.state is _BLOCKED_ON_RECEIVE:
             tcb.state = _READY
         machine.trace.append(_MODE_SWITCH_K2U, (), index)
         machine.switch_to(target, index)
-        return machine.receive(target, index).payload
+        return machine.receive(target, index)
 
     def reflect(self, mapper: int, cycle: FaultCycle, target: int) -> None:
         """A region mapper's reflect syscall: forward the fault unchanged
@@ -355,9 +361,10 @@ class FaultDispatcher:
         and put the mapper back in its receive loop."""
         self.machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
         cycle.dispatched_to = target
-        self.machine.send(
-            _new(Message, (mapper, target, _REFLECTION, cycle)), cycle.index
-        )
+        self.machine.send((
+            mapper, target, _REFLECTION, cycle.faulter, cycle.vaddr,
+            cycle.access._value_, cycle.marker,
+        ), cycle, cycle.index)
         self.machine.block_on_receive(mapper)
 
     def pager_reply(self, pager: int, cycle: FaultCycle) -> None:
@@ -375,7 +382,7 @@ class FaultDispatcher:
             )
         self.machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
         self.machine.send(
-            _new(Message, (pager, KERNEL_TID, _REPLY, cycle)), cycle.index
+            (pager, KERNEL_TID, _REPLY, cycle.faulter), cycle, cycle.index
         )
         self.machine.resume(cycle.faulter, cycle.index)
         self.machine.block_on_receive(pager)

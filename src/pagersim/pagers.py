@@ -2,12 +2,14 @@
 
 A pager receives a fault, its ``FaultCycle``, and answers with a short
 list of actions: map a frame, reply to release the faulter, unmap pages,
-or reflect the fault onward.  Every action carries the fault it answers,
-so whoever carries it out reads the space, address, region and cycle
-there.  Keeping the answer as data lets a scenario interleave the actions
-of one pager with other events, which is how the concurrent-fault race is
-scripted: the map can land between another thread's trap and its
-dispatch step.
+or reflect the fault onward.  One list answers one fault, so no action
+names it: whoever carries the list out holds the fault beside it and
+reads the space, address, region and cycle there.  A map is a
+``MapAction(frame, marker)``; the other three need no data and are the
+members of ``Step``.  Keeping the answer as data lets a scenario
+interleave the actions of one pager with other events, which is how the
+concurrent-fault race is scripted: the map can land between another
+thread's trap and its dispatch step.
 
 Policies:
 
@@ -132,29 +134,30 @@ class MappingDatabase:
 
 
 class MapAction(NamedTuple):
-    fault: FaultCycle  # mapped at its faulting page, in its space
+    """Map ``frame`` at the faulting page, in the faulting space."""
+
     frame: int
     marker: int
 
 
-class ReplyAction(NamedTuple):
-    fault: FaultCycle  # the fault the reply settles
+class Step(Enum):
+    """The actions that need no data beyond the fault they answer."""
+
+    REPLY = "reply"  # settle the fault, releasing the faulter
+    REFLECT = "reflect"  # forward the fault to the pager the database names
+    # Unmap every present page the pager holds in the faulted region,
+    # revoke flag on the last; expanded at execution time against live state.
+    REVOKE = "revoke"
 
 
-class ReflectAction(NamedTuple):
-    fault: FaultCycle
+# Bound once, and compared by identity on the run path.
+REPLY = Step.REPLY
+REFLECT = Step.REFLECT
+REVOKE = Step.REVOKE
 
+Action = MapAction | Step
 
-class RevokeRegionAction(NamedTuple):
-    """Unmap every present page the pager holds in the faulted region, revoke
-    flag on the last; expanded at execution time against live state."""
-
-    fault: FaultCycle
-
-
-Action = MapAction | ReplyAction | ReflectAction | RevokeRegionAction
-
-# Actions are built with ``_new(Action, (field, ...))``, not through a
+# A map is built with ``_new(MapAction, (frame, marker))``, not through the
 # NamedTuple's own constructor (docs/architecture.md, "Run-path costs").
 _new = tuple.__new__
 
@@ -187,7 +190,7 @@ class PagerBehavior:
         if self.policy is _REJECTING:
             return []
         if self.policy is _REFLECTING:
-            return [_new(ReflectAction, (fault,))]
+            return [REFLECT]
         if self.policy is _FIXED_POLICY:
             frame = self.backing.get(page)
             if frame is None:
@@ -199,14 +202,13 @@ class PagerBehavior:
         else:
             frame = allocator.allocate()
         actions: list[Action] = [
-            _new(MapAction, (fault, frame, self.marker_rule.marker_for(page))),
-            _new(ReplyAction, (fault,)),
+            _new(MapAction, (frame, self.marker_rule.marker_for(page))), REPLY,
         ]
         if self.revoke_after is not None:
             key = (fault.asid, fault.rid)
             count = self._resolved.get(key, 0) + 1
             self._resolved[key] = count
             if count >= self.revoke_after:
-                actions.append(_new(RevokeRegionAction, (fault,)))
+                actions.append(REVOKE)
                 self._resolved[key] = 0
         return actions

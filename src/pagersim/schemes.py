@@ -60,12 +60,12 @@ from .mmu import translate
 from .pagers import (
     Action,
     FrameAllocator,
-    MapAction,
     MappingDatabase,
     PagerBehavior,
     PagerPolicy,
-    ReplyAction,
-    RevokeRegionAction,
+    REFLECT,
+    REPLY,
+    REVOKE,
     DEFAULT_FRAME_LIMIT,
 )
 from .scenario import (
@@ -225,8 +225,9 @@ class Simulator:
         for a in scenario.assigns:
             self.spaces[a.asid].regions.assign(a.rid, self._decl[a.pager_name].tid)
 
-        # Action queues per pager, in delivery order; never an empty one.
-        self._actions: dict[int, list[Action]] = {}
+        # Per pager, the fault it is answering and the actions of its answer
+        # not yet carried out, in order; never an empty list.
+        self._actions: dict[int, tuple[FaultCycle, list[Action]]] = {}
         self._held: dict[int, FaultCycle] = {}
         # Faulting thread -> the pager the kernel sends its faults to, under
         # the two schemes that route by thread rather than by region.
@@ -457,10 +458,10 @@ class Simulator:
         kernel work: no suspension, no IPC, no occupancy change."""
         manager = cycle.manager
         for action in self._build_actions(manager, cycle):
-            if isinstance(action, ReplyAction):
+            if action is REPLY:
                 self.dispatcher.return_to_faulter(cycle)
             else:
-                self._change_memory(manager, action)
+                self._change_memory(manager, cycle, action)
         if not cycle.closed:
             # The in-kernel policy produced no resolution; the thread can
             # never make progress, park it like a protection fault.
@@ -478,28 +479,25 @@ class Simulator:
             fault = self.dispatcher.deliver(pager)
             actions = self._build_actions(pager, fault)
             if actions:
-                self._actions[pager] = actions
+                self._actions[pager] = (fault, actions)
             else:  # nothing to do: straight back to the receive loop
                 self.machine.block_on_receive(pager)
 
     def _exec_action(self, pager: int) -> None:
-        queue = self._actions[pager]
+        fault, queue = self._actions[pager]
         action = queue.pop(0)
         if not queue:
             # An emptied queue leaves the map at once (the auto run loop
             # stops on an empty map).
             del self._actions[pager]
-        if isinstance(action, (MapAction, RevokeRegionAction)):
-            self._change_memory(pager, action)
-        else:
+        if action is REPLY or action is REFLECT:
             if self.machine.occupant != pager:
                 # A reply or reflection is a syscall; the pager must hold
                 # the CPU.  Scripted interleavings may have moved it away -
                 # switch back with an unattributed context switch
                 # (scheduling, not fault protocol).
                 self.machine.switch_to(pager)
-            fault = action.fault
-            if isinstance(action, ReplyAction):
+            if action is REPLY:
                 self.dispatcher.pager_reply(pager, fault)
             else:
                 # Region-mapper reflection: forward the fault unchanged to
@@ -523,18 +521,21 @@ class Simulator:
                     )
                 self.dispatcher.reflect(pager, fault, target)
                 self._serve(target)
+        else:
+            self._change_memory(pager, fault, action)
         if not queue:
             # Already back in its receive loop: every non-empty action list
             # ends with the reply or reflection that put the pager there,
             # or with an action that comes after it.
             self._serve(pager)
 
-    def _change_memory(self, pager: int, action: Action) -> None:
-        """Carry out a map or revoke action through the kernel's memory
-        service, on behalf of ``pager``."""
+    def _change_memory(
+        self, pager: int, fault: FaultCycle, action: Action
+    ) -> None:
+        """Carry out a map or revoke action answering ``fault`` through the
+        kernel's memory service, on behalf of ``pager``."""
         memory = self.dispatcher.memory
-        fault = action.fault
-        if isinstance(action, MapAction):
+        if action is not REVOKE:
             memory.map_page(
                 pager, fault.asid, fault.vaddr, action.frame, action.marker,
                 fault.index,

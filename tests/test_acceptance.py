@@ -115,7 +115,7 @@ def test_verdict_truth_table():
         sp = AddressSpace(asid=1, layout=SMALL)
         if contract is not None:
             sp.regions.assign(0, manager=PAGER)
-            sp.regions.set_contract(0, contract)
+            sp.regions.lookup(0).contract = contract
         if present:
             sp.pages[1] = (True, 4, 0)
         return sp

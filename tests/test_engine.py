@@ -7,8 +7,6 @@ from pagersim import (
     FaultCycle,
     KERNEL_TID,
     Machine,
-    Message,
-    MessageKind,
     SeededRoundRobin,
     ThreadRole,
     ThreadState,
@@ -67,13 +65,13 @@ def test_every_method_taking_a_tid_refuses_an_unknown_thread(method):
     assert len(m.trace) == 0
 
 
-@pytest.mark.parametrize("method", ["receive", "peek_message"])
+@pytest.mark.parametrize("method", ["receive"])
 def test_mailbox_methods_refuse_an_unknown_thread(method):
     m = two_thread_machine()
     with pytest.raises(UnknownThreadError):
         getattr(m, method)(9)
-    # An empty mailbox of a known thread is no error for the readers.
-    assert m.peek_message(2) is None
+    # A known thread gets its box with its first message.
+    assert m.mailboxes == {}
 
 
 def test_receive_on_an_empty_mailbox_is_a_simulation_error():
@@ -123,65 +121,62 @@ def test_suspend_resume_events_and_states():
     ]
 
 
-def fault_message(receiver: int) -> Message:
-    return Message(
-        sender=KERNEL_TID,
-        receiver=receiver,
-        kind=MessageKind.PAGE_FAULT,
-        payload=FaultCycle(0, faulter=1, asid=1, vaddr=0x2000,
-                           access=AccessType.WRITE, marker=5),
-    )
+def fault_send(receiver: int, vaddr: int = 0x2000) -> tuple:
+    """The trace arguments of a page-fault send from the kernel."""
+    return (KERNEL_TID, receiver, "PAGE_FAULT", 1, vaddr, "W", 5)
 
 
 def test_send_renders_fault_payload_and_queues():
     m = two_thread_machine()
-    msg = fault_message(2)
-    m.send(msg, cycle=0)
-    assert m.peek_message(2) is msg
-    assert msg.payload.marker == 5
+    cycle = FaultCycle(0, faulter=1, asid=1, vaddr=0x2000,
+                       access=AccessType.WRITE, marker=5)
+    m.send(fault_send(2), cycle, 0)
+    assert list(m.mailboxes[2]) == [("PAGE_FAULT", cycle)]
     ev = m.trace[0]
     assert ev.kind is EventKind.IPC_SEND
     assert ev.args == (0, 2, "PAGE_FAULT", 1, 0x2000, "W", 5)
     assert ev.render() == (
         "0 IPC_SEND 0 2 PAGE_FAULT faulter=1 vaddr=0x2000 access=W marker=5 cycle=0"
     )
-    assert m.receive(2) is msg and m.peek_message(2) is None  # one queued
+    assert m.receive(2) is cycle and not m.mailboxes[2]  # one queued
+
+
+def test_send_queues_an_opaque_payload_untouched():
+    # The machine reads no field of what it carries: any object goes
+    # through the mailbox as it was sent.
+    m = two_thread_machine()
+    payload = object()
+    m.send(fault_send(2), payload)
+    assert m.receive(2, 3) is payload
+    assert [(ev.kind, ev.args, ev.cycle) for ev in m.trace] == [
+        (EventKind.IPC_SEND, fault_send(2), None),
+        (EventKind.IPC_RECEIVE, (2, "PAGE_FAULT"), 3),
+    ]
 
 
 def test_reply_to_kernel_renders_short_and_is_consumed_synchronously():
     m = two_thread_machine()
-    msg = Message(
-        sender=2,
-        receiver=KERNEL_TID,
-        kind=MessageKind.REPLY,
-        payload=FaultCycle(0, faulter=1, asid=1, vaddr=0x2000, access=AccessType.READ),
-    )
-    m.send(msg)
+    m.send((2, KERNEL_TID, "REPLY", 1), object())
     assert m.trace[0].args == (2, 0, "REPLY", 1)
     assert m.trace[0].render() == "0 IPC_SEND 2 0 REPLY faulter=1"
-    assert m.peek_message(KERNEL_TID) is None
+    assert m.mailboxes == {}
 
 
 def test_send_to_unknown_receiver():
     m = two_thread_machine()
     with pytest.raises(UnknownReceiverError):
-        m.send(fault_message(9))
+        m.send(fault_send(9), object())
+    assert len(m.trace) == 0
 
 
 def test_receive_is_fifo_and_traces():
     m = two_thread_machine()
-    m.send(fault_message(2))
-    second = Message(
-        sender=KERNEL_TID,
-        receiver=2,
-        kind=MessageKind.PAGE_FAULT,
-        payload=FaultCycle(1, faulter=1, asid=1, vaddr=0x3000, access=AccessType.READ),
-    )
-    m.send(second)
-    got = m.receive(2, cycle=0)
-    assert got.payload.vaddr == 0x2000
-    assert m.receive(2).payload.vaddr == 0x3000
-    assert m.peek_message(2) is None
+    first, second = object(), object()
+    m.send(fault_send(2), first)
+    m.send(fault_send(2, 0x3000), second)
+    assert m.receive(2, cycle=0) is first
+    assert m.receive(2) is second
+    assert not m.mailboxes[2]
     recv_events = [ev for ev in m.trace if ev.kind is EventKind.IPC_RECEIVE]
     assert recv_events[0].args == (2, "PAGE_FAULT")
 

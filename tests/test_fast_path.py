@@ -55,11 +55,9 @@ import pagersim
 from pagersim import cli, scenario
 from pagersim import (
     ALL_SCHEMES,
-    AccessType,
     AddressSpace,
     CycleMetrics,
     EventKind,
-    FaultCycle,
     RegionTable,
     Scheme,
     Simulator,
@@ -70,19 +68,27 @@ from pagersim import (
     simulate,
     verify_equivalence,
 )
-from pagersim.engine import Machine, Message, MessageKind
+from pagersim.engine import Machine
 from pagersim.fault_dispatch import Classification, FaultDispatcher
-from pagersim.pagers import MapAction, ReflectAction, ReplyAction, RevokeRegionAction
+from pagersim.pagers import REVOKE, MapAction
 from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent
 from support import fixture_scn
 
+# On Python 3.10 the attributes of an instance without slots live in a
+# separate __dict__, which the collector tracks once it holds a tracked
+# object; 3.11 keeps them in the instance.  The GC budgets below that count
+# such instances have a 3.10 figure of their own.
+PY310 = sys.version_info < (3, 11)
+
 # Python-level calls per fault of one run of workload50 under every scheme:
-# 10% above the 49.1 measured when the budget was set (Python 3.11),
-# against 51.1 while a map went through a page-table method that built a
-# mutable entry record, and 55.1 while the machine wrote the syscall and
-# return crossings and a pager went back to its receive loop twice per
-# reply or reflection.
-CALLS_PER_FAULT_BUDGET = 54.0
+# 10% above the 47.6 measured when the budget was set (Python 3.11),
+# against 49.1 while delivery peeked at a mailbox through a machine method
+# and the kernel looked a region's slot up again to write its contract,
+# 51.1 while a map went through a page-table method that built a mutable
+# entry record, and 55.1 while the machine wrote the syscall and return
+# crossings and a pager went back to its receive loop twice per reply or
+# reflection.
+CALLS_PER_FAULT_BUDGET = 52.4
 
 # Python-level calls per translate hit, under every scheme: 10% above the
 # 3.0 measured when the budget was set (Python 3.11): the access, the
@@ -138,12 +144,14 @@ SETUP_CALLS_PER_SPACE_BUDGET = 42.4
 # faulting space) measured at 1,000 spaces when the bounds were set,
 # against 7.03 and 8.43 while each page table was an object wrapping its
 # dict, and 8.03 and 9.63 while every thread got its mailbox deque at
-# registration rather than with its first message (Python 3.11).
+# registration rather than with its first message (Python 3.11).  On
+# Python 3.10: 10% above the 8.37 (10.37) measured at 100 spaces, where
+# each AddressSpace and RegionTable adds its tracked __dict__.
 TRACKED_OBJECTS_PER_SPACE_BUDGET = {
-    Scheme.MONOLITHIC: 6.63,
-    Scheme.L4_SINGLE: 6.63,
-    Scheme.REGION_DISPATCH: 6.63,
-    Scheme.L4RE: 8.17,
+    Scheme.MONOLITHIC: 9.21 if PY310 else 6.63,
+    Scheme.L4_SINGLE: 9.21 if PY310 else 6.63,
+    Scheme.REGION_DISPATCH: 9.21 if PY310 else 6.63,
+    Scheme.L4RE: 11.41 if PY310 else 8.17,
 }
 
 # Python-level calls per directive line (not blank, not only a comment) of
@@ -160,11 +168,10 @@ SCRIPT_CALLS_PER_LINE_BUDGET = 2.2
 
 # GC-tracked objects a parsed FAULT_STREAM keeps per record: 1.0 plus the
 # file's few containers when the bound was set, against 2.0 for records
-# whose instance __dict__ is filled by hand (Python 3.11).
-TRACKED_OBJECTS_PER_RECORD_BUDGET = 1.02
-
-_MESSAGE = Message(0, 2, MessageKind.PAGE_FAULT)
-_FAULT = FaultCycle(0, 1, 1, 0x1000, AccessType.READ)
+# whose instance __dict__ is filled by hand (Python 3.11).  On Python 3.10
+# every record keeps its tracked __dict__: 1.99 measured, so 2.0 plus the
+# same few containers.
+TRACKED_OBJECTS_PER_RECORD_BUDGET = 2.02 if PY310 else 1.02
 
 
 @pytest.mark.parametrize(
@@ -172,11 +179,7 @@ _FAULT = FaultCycle(0, 1, 1, 0x1000, AccessType.READ)
     [
         (TraceEvent(0, EventKind.SUSPEND, (1,), 0), "seq"),
         (Classification(VerdictCode.DISPATCHED, rid=0, manager=2), "manager"),
-        (_MESSAGE, "payload"),
-        (MapAction(_FAULT, 0, 0), "frame"),
-        (ReplyAction(_FAULT), "fault"),
-        (ReflectAction(_FAULT), "fault"),
-        (RevokeRegionAction(_FAULT), "fault"),
+        (MapAction(0, 0), "frame"),
         (CycleMetrics(4, 2, 2, 1), "ipc_messages"),
     ],
     ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
@@ -561,11 +564,11 @@ def test_a_revoke_reads_only_its_region(scheme, monkeypatch):
     # pages its space holds elsewhere.
     change_memory = Simulator._change_memory
 
-    def counted(self, pager, action):
+    def counted(self, pager, fault, action):
         entries = self.spaces[1].pages
-        entries.counting = isinstance(action, RevokeRegionAction)
+        entries.counting = action is REVOKE
         try:
-            change_memory(self, pager, action)
+            change_memory(self, pager, fault, action)
         finally:
             entries.counting = False
 
@@ -598,16 +601,16 @@ def test_deliver_runs_once_per_delivered_message():
     # holds a message: no delivery attempt finds it empty.
     sf = parse_scenario(fixture_scn("workload50"))
     sims = [Simulator(sf, s) for s in ALL_SCHEMES]
-    results, _, [delivers, peeks] = python_calls(
+    results, _, [delivers, receives] = python_calls(
         lambda: [sim.run() for sim in sims],
         FaultDispatcher.deliver.__code__,
-        Machine.peek_message.__code__,
+        Machine.receive.__code__,
     )
     received = sum(
         res.trace.kinds.count(EventKind.IPC_RECEIVE) for res in results
     )
     assert received == (1 + 1 + 2) * 50  # l4-single, proposed, l4re
-    assert delivers == peeks == received
+    assert delivers == receives == received
 
 
 def test_a_pager_returns_to_its_receive_loop_once_per_reply_or_reflection():

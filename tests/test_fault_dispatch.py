@@ -20,6 +20,7 @@ from pagersim.errors import (
     NoOutstandingFaultError,
     NotRegionManagerError,
     RevokedRegionError,
+    UnknownThreadError,
     WrongPagerError,
 )
 
@@ -32,7 +33,7 @@ def space_with(contract=None, present=False, marker=0):
     sp = AddressSpace(asid=1, layout=SMALL)
     if contract is not None:
         sp.regions.assign(0, manager=PAGER)
-        sp.regions.set_contract(0, contract)
+        sp.regions.lookup(0).contract = contract  # the slot assign made
     if present or marker:
         sp.pages[1] = (True, 4, marker) if present else (False, 0, marker)
     return sp
@@ -121,7 +122,7 @@ def test_plain_unmap_keeps_contract():
 def test_revoke_before_acceptance_warns():
     m, spaces, mem = machine_with_memory()
     mem.map_page(PAGER, 1, 0x0, frame=0, marker=0)
-    spaces[1].regions.set_contract(0, ContractState.ASSIGNED)
+    spaces[1].regions.lookup(0).contract = ContractState.ASSIGNED
     mem.unmap_page(PAGER, 1, 0x0, revoke=True)
     assert any("ignored" in w for w in m.warnings)
 
@@ -209,6 +210,8 @@ def test_deliver_on_an_empty_mailbox_does_nothing():
     assert disp.deliver(PAGER) is None
     assert len(m.trace) == 0
     assert m.thread(PAGER).state is ThreadState.BLOCKED_ON_RECEIVE
+    with pytest.raises(UnknownThreadError):
+        disp.deliver(99)
 
 
 def test_deliver_is_attributed_to_the_cycle_of_the_message():
@@ -216,8 +219,8 @@ def test_deliver_is_attributed_to_the_cycle_of_the_message():
     m.register_thread(3, 1, role=ThreadRole.APPLICANT, name="u")
     first = disp.begin_fault(1, 0x1000, AccessType.READ)
     dispatch(disp, first, spaces[1], target=PAGER)
-    sent = m.peek_message(PAGER)
-    assert sent.payload is first  # the message carries the fault's cycle
+    # The message carries the fault's cycle.
+    assert list(m.mailboxes[PAGER]) == [("PAGE_FAULT", first)]
     m.switch_to(3)
     second = disp.begin_fault(3, 0x2000, AccessType.READ)
     dispatch(disp, second, spaces[1], target=OTHER)
@@ -231,7 +234,7 @@ def test_deliver_is_attributed_to_the_cycle_of_the_message():
         (EventKind.IPC_RECEIVE, 0),
     ]
     assert m.occupant == PAGER and m.thread(PAGER).state is ThreadState.READY
-    assert m.peek_message(PAGER) is None
+    assert not m.mailboxes[PAGER]
     assert disp.deliver(PAGER) is None
 
 
@@ -250,7 +253,7 @@ def test_reflect_hands_the_fault_to_the_new_handler():
     ]
     assert cycle.dispatched_to == PAGER
     assert m.thread(OTHER).state is ThreadState.BLOCKED_ON_RECEIVE
-    assert m.peek_message(PAGER).payload is cycle
+    assert list(m.mailboxes[PAGER]) == [("REFLECTION", cycle)]
     with pytest.raises(WrongPagerError):
         disp.pager_reply(OTHER, cycle)  # the mapper no longer answers
     assert disp.deliver(PAGER) is cycle
@@ -275,7 +278,7 @@ def test_general_protection_is_permanent_suspension():
 def test_resume_present_never_suspends():
     m, spaces, disp = dispatcher_setup()
     spaces[1].pages[1] = (True, 0, 0)
-    spaces[1].regions.set_contract(0, ContractState.ACCEPTED)
+    spaces[1].regions.lookup(0).contract = ContractState.ACCEPTED
     cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
     # A present page sends the faulter back: the verdict, then the return.
     disp.record_verdict(cycle, classify(spaces[1], 0x1000))
@@ -296,3 +299,27 @@ def test_verdict_line_rendering():
     assert m.trace[-1].render() == (
         f"1 VERDICT DISPATCHED tid=1 vaddr=0x1000 manager={PAGER} cycle=0"
     )
+
+
+def test_each_send_renders_the_fields_of_the_cycle_it_carries():
+    # The dispatcher writes every send's trace arguments from the cycle;
+    # the machine only records them.
+    m, spaces, disp = dispatcher_setup()
+    spaces[1].pages[1] = (False, 0, 77)  # unmapped, its marker kept
+    cycle = disp.begin_fault(1, 0x1A20, AccessType.WRITE)
+    dispatch(disp, cycle, spaces[1], target=OTHER)
+    assert disp.deliver(OTHER) is cycle
+    disp.reflect(OTHER, cycle, PAGER)
+    assert disp.deliver(PAGER) is cycle
+    disp.pager_reply(PAGER, cycle)
+    sends = [
+        ev.render().split(" ", 1)[1]
+        for ev in m.trace if ev.kind is EventKind.IPC_SEND
+    ]
+    assert sends == [
+        f"IPC_SEND 0 {OTHER} PAGE_FAULT faulter=1 vaddr=0x1a20 access=W "
+        "marker=77 cycle=0",
+        f"IPC_SEND {OTHER} {PAGER} REFLECTION faulter=1 vaddr=0x1a20 "
+        "access=W marker=77 cycle=0",
+        f"IPC_SEND {PAGER} 0 REPLY faulter=1 cycle=0",
+    ]

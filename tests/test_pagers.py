@@ -17,12 +17,7 @@ from pagersim.errors import (
     OutOfFramesError,
     OverlappingRangeError,
 )
-from pagersim.pagers import (
-    MapAction,
-    ReflectAction,
-    ReplyAction,
-    RevokeRegionAction,
-)
+from pagersim.pagers import MapAction, REFLECT, REPLY, REVOKE
 
 
 def test_marker_rules():
@@ -115,22 +110,16 @@ def test_anonymous_pager_maps_and_replies():
                              marker_rule=MarkerRule(MarkerKind.PAGE))
     cycle = fault(vaddr=0x2A10)
     actions = serve(behavior, cycle)
-    assert actions == [
-        MapAction(cycle, frame=0, marker=2),
-        ReplyAction(cycle),
-    ]
-    # Both answer this fault: the map lands at its space and address, and
-    # the reply settles it.
-    assert all(a.fault is cycle for a in actions)
+    assert actions == [MapAction(frame=0, marker=2), REPLY]
+    # The list answers this fault alone, so no action names it: the map
+    # lands at the fault's space and address, and the reply settles it.
     assert (cycle.asid, cycle.vaddr) == (1, 0x2A10)
 
 
 def test_fixed_pager_uses_backing_store():
     behavior = PagerBehavior(policy=PagerPolicy.FIXED, backing={2: 55})
     cycle = fault(vaddr=0x2000)
-    actions = serve(behavior, cycle)
-    assert actions[0] == MapAction(cycle, frame=55, marker=0)
-    assert actions[0].fault is cycle
+    assert serve(behavior, cycle) == [MapAction(frame=55, marker=0), REPLY]
 
 
 def test_fixed_pager_without_backing_warns_and_does_nothing():
@@ -147,22 +136,20 @@ def test_rejecting_pager_stays_silent():
 def test_reflecting_pager_forwards_the_message():
     cycle = fault()
     actions = serve(PagerBehavior(policy=PagerPolicy.REFLECTING), cycle)
-    assert actions == [ReflectAction(cycle)]
-    assert actions[0].fault is cycle
+    assert actions == [REFLECT]
 
 
 def test_revoke_after_counts_per_region_and_resets():
     behavior = PagerBehavior(policy=PagerPolicy.ANONYMOUS, revoke_after=2)
     first = serve(behavior, fault(vaddr=0x0, rid=0))
-    assert not any(isinstance(a, RevokeRegionAction) for a in first)
-    cycle = fault(vaddr=0x1000, rid=0)
-    second = serve(behavior, cycle)
-    assert second[-1] == RevokeRegionAction(cycle)
-    # The revoke names the faulted region through the fault it answers.
-    assert (second[-1].fault.asid, second[-1].fault.rid) == (1, 0)
+    assert REVOKE not in first
+    # The revoke follows the map and the reply of the fault that completes
+    # the pair; the region it empties is that fault's.
+    second = serve(behavior, fault(vaddr=0x1000, rid=0))
+    assert second == [MapAction(frame=0, marker=0), REPLY, REVOKE]
     # Counter reset: the next fault in the region starts a fresh pair.
     third = serve(behavior, fault(vaddr=0x2000, rid=0))
-    assert not any(isinstance(a, RevokeRegionAction) for a in third)
+    assert REVOKE not in third
     # Other regions count independently.
     other = serve(behavior, fault(vaddr=0x4000, rid=1))
-    assert not any(isinstance(a, RevokeRegionAction) for a in other)
+    assert REVOKE not in other

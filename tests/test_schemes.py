@@ -679,9 +679,12 @@ def test_every_attributed_event_is_emitted_by_the_dispatcher(name, monkeypatch):
             frame = sys._getframe(1)
             while frame.f_globals["__name__"] in _RECORDERS:
                 frame = frame.f_back
-            emitters.add(
-                (frame.f_globals["__name__"], frame.f_code.co_qualname, kind.name)
-            )
+            # The method's class and name: co_qualname is 3.11+ only.
+            owner = frame.f_locals.get("self")
+            function = frame.f_code.co_name
+            if owner is not None:
+                function = f"{type(owner).__name__}.{function}"
+            emitters.add((frame.f_globals["__name__"], function, kind.name))
         return append(trace, kind, args, cycle)
 
     monkeypatch.setattr(Trace, "append", recording_append)
