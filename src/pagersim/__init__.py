@@ -21,7 +21,6 @@ from .engine import (
     DeterministicOrder,
     KERNEL_TID,
     Machine,
-    MessageKind,
     SeededRoundRobin,
     ThreadRole,
     ThreadState,

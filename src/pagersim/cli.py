@@ -60,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the cross-scheme overhead report (runs every scheme)",
     )
     parser.add_argument(
-        "--seed", type=int, default=None,
-        help="override the scenario's round-robin schedule seed",
-    )
-    parser.add_argument(
         "--check", action="store_true",
         help="verify the scenario's expect lines; failures exit 1",
     )
@@ -110,9 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     results = {}
     try:
         for scheme in schemes:
-            results[scheme.value] = simulate(
-                scheme, scenario, args.seed, keep_events
-            )
+            results[scheme.value] = simulate(scheme, scenario, keep_events)
     except (SimulationError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

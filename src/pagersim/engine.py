@@ -1,8 +1,9 @@
 """Single-CPU deterministic machine: threads, occupancy, messages.
 
-The machine models exactly one CPU.  At any instant one thread occupies it
-(the kernel pseudo-thread, tid 0, never does; kernel work is charged to the
-thread it serves).  A ``CONTEXT_SWITCH`` event is emitted if and only if
+The machine models exactly one CPU.  At any instant one thread occupies it.
+The kernel is not a thread: tid 0 only names it as the sender of a page
+fault and the receiver of a reply, and kernel work is charged to the
+thread it serves.  A ``CONTEXT_SWITCH`` event is emitted if and only if
 the occupying thread id changes, so projecting the trace onto context
 switches reconstructs the occupancy timeline.  The machine emits no
 privilege crossing: those are steps of the fault protocol, and the
@@ -43,18 +44,11 @@ class ThreadRole(Enum):
     APPLICANT = "applicant"
     PAGER = "pager"
     REGION_MAPPER = "region_mapper"
-    KERNEL_INTERNAL = "kernel_internal"
 
 
 class AccessType(Enum):
     READ = "R"
     WRITE = "W"
-
-
-class MessageKind(Enum):
-    PAGE_FAULT = "PAGE_FAULT"
-    REFLECTION = "REFLECTION"
-    REPLY = "REPLY"
 
 
 @dataclass(slots=True)
@@ -87,7 +81,6 @@ _SUSPENDED = ThreadState.SUSPENDED
 _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
 _PAGER = ThreadRole.PAGER
 _REGION_MAPPER = ThreadRole.REGION_MAPPER
-_KERNEL_INTERNAL = ThreadRole.KERNEL_INTERNAL
 _CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
 _IPC_SEND = EventKind.IPC_SEND
 _IPC_RECEIVE = EventKind.IPC_RECEIVE
@@ -119,9 +112,6 @@ class Machine:
         # together after registration changes.
         self._sched_order: list[int] | None = None
         self._sched_pos: dict[int, int] = {}
-        self.threads[KERNEL_TID] = ThreadControlBlock(
-            KERNEL_TID, 0, _KERNEL_INTERNAL, _BLOCKED_ON_RECEIVE, "kernel"
-        )
 
     # ---- thread registry -------------------------------------------------
 
@@ -189,12 +179,12 @@ class Machine:
         receiver, kind, ...)``, and queue ``(kind, payload)`` at the
         receiver."""
         receiver = args[1]
-        if receiver not in self.threads:
+        if receiver != KERNEL_TID and receiver not in self.threads:
             raise UnknownReceiverError(f"no receiver with id {receiver}")
         self.trace.append(_IPC_SEND, args, cycle)
         if receiver != KERNEL_TID:
-            # The kernel consumes its messages synchronously; only real
-            # threads have a mailbox worth filling.
+            # The kernel is no thread: it takes a reply synchronously, so
+            # only real threads have a mailbox worth filling.
             msg = (args[2], payload)
             try:
                 self.mailboxes[receiver].append(msg)
@@ -216,7 +206,7 @@ class Machine:
     # ---- scheduling ------------------------------------------------------
 
     def _build_order(self) -> list[int]:
-        tids = [t for t in self.threads if t != KERNEL_TID]
+        tids = list(self.threads)
         if isinstance(self.directive, SeededRoundRobin):
             rng = random.Random(self.directive.seed)
             rng.shuffle(tids)

@@ -63,7 +63,6 @@ from .engine import (
     AccessType,
     KERNEL_TID,
     Machine,
-    MessageKind,
     ThreadState,
 )
 from .errors import (
@@ -103,10 +102,10 @@ _ACCEPTED = ContractState.ACCEPTED
 _REVOKED = ContractState.REVOKED
 _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
 _READY = ThreadState.READY
-# Message kinds as the trace spells them.
-_PAGE_FAULT = MessageKind.PAGE_FAULT.value
-_REFLECTION = MessageKind.REFLECTION.value
-_REPLY = MessageKind.REPLY.value
+# Message kinds are their trace spellings.
+_PAGE_FAULT = "PAGE_FAULT"
+_REFLECTION = "REFLECTION"
+_REPLY = "REPLY"
 _MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
 _MODE_SWITCH_K2U = EventKind.MODE_SWITCH_K2U
 _VERDICT = EventKind.VERDICT

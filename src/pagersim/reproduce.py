@@ -8,15 +8,18 @@ revocation, the region-table footprint, cross-scheme equivalence on a
 50-fault workload, and byte-identical replay.  Each claim prints one
 status line; any failure makes the process exit nonzero.
 
-Fixture-backed claims go through the command line exactly as a user
-would run them; numeric identities are checked in process.
+Every claim is a check function.  Fixture-backed ones run the command
+line exactly as a user would; numeric identities are checked in process.
+The command takes no arguments: any argument is a usage error (exit 2).
 """
 
+import argparse
 import contextlib
 import io
 import random
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -47,13 +50,6 @@ def fixture_path(name: str) -> Path:
     if not path.is_file():
         raise MissingFixtureError(f"fixture {name}.scn is not installed")
     return path
-
-
-def _run_cli(args: list[str]) -> tuple[int, str]:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(args)
-    return code, buf.getvalue()
 
 
 # ---- in-process claims ---------------------------------------------------
@@ -163,16 +159,24 @@ def claim_replay_identical() -> str | None:
 # ---- claim registry ------------------------------------------------------
 
 
+def _cli_claim(name: str, *extra: str) -> Callable[[], str | None]:
+    """A check that runs the command line on fixture ``name`` with the
+    arguments ``extra``, exactly as a user would, and wants exit 0."""
+
+    def check() -> str | None:
+        args = ["--scenario", str(fixture_path(name)), *extra]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(args)
+        return None if code == 0 else f"exit {code} (wanted 0)"
+
+    return check
+
+
 @dataclass(frozen=True)
 class ClaimEntry:
     claim_id: str
     description: str
-    cli_args: tuple[str, ...] = ()
-    check: object = None  # callable returning None or a failure string
-
-
-def _fixture_args(name: str, *extra: str) -> tuple[str, ...]:
-    return ("--scenario", str(fixture_path(name))) + extra
+    check: Callable[[], str | None]  # None, or what failed
 
 
 def build_claims() -> list[ClaimEntry]:
@@ -180,73 +184,63 @@ def build_claims() -> list[ClaimEntry]:
         ClaimEntry(
             "cycle-costs",
             "per-scheme cost of one dispatched fault (2/0, 4/2, 4/2, 6/3)",
-            cli_args=_fixture_args("table1", "--check"),
+            _cli_claim("table1", "--check"),
         ),
         ClaimEntry(
             "reduction-exact",
             "region dispatch saves exactly 1/3 of crossings and switches",
-            check=claim_reduction_exact,
+            claim_reduction_exact,
         ),
         ClaimEntry(
             "region-forms",
             "division and shift region numbers agree with a reference",
-            check=claim_region_forms_agree,
+            claim_region_forms_agree,
         ),
         ClaimEntry(
             "verdict-classes",
             "all five fault verdicts reachable, identically in all schemes",
-            cli_args=_fixture_args("classify", "--check", "--verify-equivalence"),
+            _cli_claim("classify", "--check", "--verify-equivalence"),
         ),
         ClaimEntry(
             "race-attribution",
             "concurrent fault costs only its trap and return",
-            cli_args=_fixture_args("fig6", "--scheme", "proposed", "--check"),
+            _cli_claim("fig6", "--scheme", "proposed", "--check"),
         ),
         ClaimEntry(
             "contract-revocation",
             "a manager can walk away; later faults are protection faults",
-            cli_args=_fixture_args("revoke", "--check"),
+            _cli_claim("revoke", "--check"),
         ),
         ClaimEntry(
             "table-footprint",
             "region table of manager ids fits one 4 KiB page",
-            check=claim_table_footprint,
+            claim_table_footprint,
         ),
         ClaimEntry(
             "scheme-equivalence",
             "50-fault workload: same page tables, costs strictly ordered",
-            cli_args=_fixture_args(
-                "workload50", "--check", "--verify-equivalence"
-            ),
+            _cli_claim("workload50", "--check", "--verify-equivalence"),
         ),
         ClaimEntry(
             "replay-identical",
             "every fixture trace is byte-identical across runs",
-            check=claim_replay_identical,
+            claim_replay_identical,
         ),
     ]
 
 
-def reproduce_all(verbose: bool = False) -> int:
+def reproduce_all() -> int:
     claims = build_claims()
     width = max(len(c.claim_id) for c in claims)
     failures = 0
     for claim in claims:
-        if claim.check is not None:
-            detail = claim.check()
-            ok = detail is None
-        else:
-            code, out = _run_cli(list(claim.cli_args))
-            ok = code == 0
-            detail = f"exit {code} (wanted 0)" if not ok else None
-            if verbose and out:
-                sys.stdout.write(out)
-        status = "PASS" if ok else "FAIL"
+        detail = claim.check()
+        status = "PASS" if detail is None else "FAIL"
         line = f"{status}  {claim.claim_id.ljust(width)}  {claim.description}"
         if detail:
             line += f"  [{detail}]"
         print(line)
-        failures += 0 if ok else 1
+        failures += detail is not None
     print(
         f"{len(claims) - failures}/{len(claims)} claims reproduced"
         + (f", {failures} FAILED" if failures else "")
@@ -255,9 +249,12 @@ def reproduce_all(verbose: bool = False) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    verbose = "-v" in args or "--verbose" in args
-    return reproduce_all(verbose=verbose)
+    # The parser defines no argument, not even -h: any argument is a usage
+    # error.
+    argparse.ArgumentParser(
+        prog="python -m pagersim.reproduce", add_help=False
+    ).parse_args(argv)
+    return reproduce_all()
 
 
 if __name__ == "__main__":

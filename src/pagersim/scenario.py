@@ -252,9 +252,7 @@ GRAMMAR: dict[str, Directive] = {
     "thread": _directive("threads", ThreadDecl, _name("name"), (
         _field("tid", INT, REQUIRED),
         _field("asid", INT, REQUIRED),
-        _field("role", {
-            r.value: r for r in ThreadRole if r is not ThreadRole.KERNEL_INTERNAL
-        }, REQUIRED),
+        _field("role", {r.value: r for r in ThreadRole}, REQUIRED),
         _field("pager", TEXT, attr="pager_name"),
     )),
     "pager": _directive(None, PagerDecl, _name("name"), (

@@ -178,15 +178,14 @@ class Simulator:
     ``CountingTrace`` (see ``simulate``)."""
 
     def __init__(
-        self, scenario: ScenarioFile, scheme: Scheme, seed: int | None = None,
-        keep_events: bool = True,
+        self, scenario: ScenarioFile, scheme: Scheme, keep_events: bool = True
     ) -> None:
         self.sf = scenario
         self.scheme = scheme
         self.layout = scenario.layout
 
         self._decl = {t.name: t for t in scenario.threads}
-        self.machine = Machine(self._directive(seed), keep_events)
+        self.machine = Machine(self._directive(), keep_events)
         for t in scenario.threads:
             self.machine.register_thread(t.tid, t.asid, t.role, t.name)
 
@@ -244,10 +243,10 @@ class Simulator:
 
     # ---- setup -----------------------------------------------------------
 
-    def _directive(self, seed: int | None):
+    def _directive(self):
         opt = self.sf.options
         if opt.schedule == "round-robin":
-            return SeededRoundRobin(seed if seed is not None else opt.seed)
+            return SeededRoundRobin(opt.seed)
         # A list, not a generator: each step of a generator is a
         # Python-level call.  An empty order is completed by the machine to
         # every thread in registration order.
@@ -550,8 +549,7 @@ class Simulator:
 
 
 def simulate(
-    scheme: Scheme, scenario: ScenarioFile, seed: int | None = None,
-    keep_events: bool = True,
+    scheme: Scheme, scenario: ScenarioFile, keep_events: bool = True
 ) -> SimResult:
     """Run a scenario under one scheme.  The result's trace keeps every
     event by default; with ``keep_events=False`` it keeps only the event
@@ -559,7 +557,7 @@ def simulate(
     ``check_expectations`` and ``verify_equivalence``, and its event
     readers (``iter``, indexing, ``of_cycle``, ``to_text``) raise
     ``EventsNotKeptError``."""
-    return Simulator(scenario, scheme, seed, keep_events).run()
+    return Simulator(scenario, scheme, keep_events).run()
 
 
 # ---- cross-scheme comparison ---------------------------------------------
@@ -653,9 +651,7 @@ def _pct(f: Fraction) -> str:
     return f"{float(f) * 100:.1f}%"
 
 
-def overhead_report(
-    scenario: ScenarioFile, seed: int | None = None
-) -> OverheadReport:
+def overhead_report(scenario: ScenarioFile) -> OverheadReport:
     """Run a scenario under every scheme and build the comparison table.
 
     The totals read only counter rows, so each run keeps no events (its
@@ -663,7 +659,7 @@ def overhead_report(
     and then dropped, so only one scheme's machine is alive at a time.
     """
     return OverheadReport(
-        [totals_of(simulate(s, scenario, seed, False)) for s in ALL_SCHEMES]
+        [totals_of(simulate(s, scenario, False)) for s in ALL_SCHEMES]
     )
 
 

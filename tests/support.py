@@ -45,7 +45,7 @@ def fitting_results(name: str, keep_events: bool = True) -> dict[str, SimResult]
     results = {}
     for scheme in Scheme:
         try:
-            results[scheme.value] = simulate(scheme, sf, None, keep_events)
+            results[scheme.value] = simulate(scheme, sf, keep_events)
         except SimulationError:  # fig6's pager steps do not fit l4re
             continue
     return results

@@ -229,6 +229,16 @@ def test_unknown_scheme_rejected_by_argparse(scn):
     assert exc.value.code == 2
 
 
+def test_seed_is_not_an_option(scn, capsys):
+    # Only the scenario's "option seed=" seeds a round-robin schedule.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", "3", "--scenario", str(scn)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 3" in captured.err
+
+
 def test_invalid_layout_is_a_scenario_error(tmp_path, capsys):
     path = tmp_path / "layout.scn"
     path.write_text("layout regions=0\n")
@@ -425,10 +435,10 @@ def spy_simulate(monkeypatch, force_keep: bool | None = None) -> list:
     every run did before counters-only traces."""
     seen = []
 
-    def spy(scheme, scenario, seed=None, keep_events=True):
+    def spy(scheme, scenario, keep_events=True):
         seen.append([keep_events, None])
         keep = keep_events if force_keep is None else force_keep
-        result = simulate(scheme, scenario, seed, keep)
+        result = simulate(scheme, scenario, keep)
         seen[-1][1] = type(result.trace)
         return result
 

@@ -53,7 +53,7 @@ def run_both(text: str) -> tuple[dict, dict]:
         errors = []
         for keep, into in ((True, kept), (False, counted)):
             try:
-                into[scheme.value] = simulate(scheme, sf, None, keep)
+                into[scheme.value] = simulate(scheme, sf, keep)
             except (ScenarioError, SimulationError) as exc:
                 errors.append((type(exc), str(exc)))
         if errors:
@@ -93,8 +93,8 @@ def test_bench_workloads_count_alike(name):
 def test_overhead_report_runs_counters_only(monkeypatch):
     traces = []
 
-    def spy(scheme, scenario, seed=None, keep_events=True):
-        result = simulate(scheme, scenario, seed, keep_events)
+    def spy(scheme, scenario, keep_events=True):
+        result = simulate(scheme, scenario, keep_events)
         traces.append(type(result.trace))
         return result
 

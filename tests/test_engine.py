@@ -27,11 +27,21 @@ def two_thread_machine():
     return m
 
 
-def test_kernel_thread_preregistered():
+def test_kernel_is_not_a_registered_thread():
+    # Tid 0 only names the kernel in send lines: no control block stands
+    # for it, yet a reply to it is recorded and consumed at once.
     m = Machine()
-    k = m.thread(KERNEL_TID)
-    assert k.role is ThreadRole.KERNEL_INTERNAL
-    assert k.state is ThreadState.BLOCKED_ON_RECEIVE
+    assert m.threads == {}
+    with pytest.raises(UnknownThreadError):
+        m.thread(KERNEL_TID)
+    m.send((2, KERNEL_TID, "REPLY", 1), object(), 0)
+    assert [(ev.kind, ev.args, ev.cycle) for ev in m.trace] == [
+        (EventKind.IPC_SEND, (2, KERNEL_TID, "REPLY", 1), 0)
+    ]
+    assert m.mailboxes == {}
+    with pytest.raises(UnknownReceiverError):
+        m.send((KERNEL_TID, 9, "PAGE_FAULT", 1, 0x2000, "W", 0), object())
+    assert len(m.trace) == 1
 
 
 def test_register_rejects_duplicate_and_nonpositive_tids():

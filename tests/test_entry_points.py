@@ -1,6 +1,7 @@
-"""Smoke test of what runs only as a program: the demos and
-``python -m pagersim``, each in a fresh interpreter with ``src`` on the
-import path, and the README's library example."""
+"""Smoke test of what runs only as a program: the demos,
+``python -m pagersim`` and ``python -m pagersim.reproduce``, each in a
+fresh interpreter with ``src`` on the import path, and the README's
+library example."""
 
 import os
 import subprocess
@@ -44,6 +45,14 @@ def test_module_entry_point_reports_a_missing_file(tmp_path):
     proc = run("-m", "pagersim", "--scenario", str(tmp_path / "missing.scn"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("arg", ["-v", "--bogus"])
+def test_reproduce_takes_no_arguments(arg):
+    proc = run("-m", "pagersim.reproduce", arg, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: python -m pagersim.reproduce\n")
+    assert proc.stdout == ""  # not one claim ran
 
 
 # Reflection loops under l4re.  A reflection forwards the fault unchanged,
