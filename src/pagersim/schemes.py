@@ -117,9 +117,6 @@ _U2K, _K2U, _CTX, _SEND, _RECEIVE, _SUSPEND, _RESUME = map(SLOT.__getitem__, (
 _ZERO_ROW = (0,) * len(SLOT)
 _NO_COSTS = (None,) * len(CycleMetrics._fields)
 _verdict = attrgetter("verdict")
-# C-level script scans for set-up: no Python-level call per script item.
-_thread = attrgetter("thread")
-_is_access = AccessItem.__instancecheck__
 
 
 def _costs(row) -> tuple[int, int, int, int]:
@@ -155,6 +152,11 @@ def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
 
 @dataclass
 class SimResult:
+    """One run's trace, fault cycles, warnings and address spaces.
+    ``spaces`` holds only the spaces of threads that access memory, the
+    only ones a run can touch; a declared space whose threads never do is
+    not built."""
+
     scheme: Scheme
     trace: Trace
     cycles: list[FaultCycle]
@@ -189,9 +191,15 @@ class Simulator:
         for t in scenario.threads:
             self.machine.register_thread(t.tid, t.asid, t.role, t.name)
 
-        self.spaces: dict[int, AddressSpace] = {}
-        for asid in sorted({t.asid for t in scenario.threads}):
-            self.spaces[asid] = AddressSpace(asid, self.layout)
+        # One scan of the script finds the faulters.  Every space a run can
+        # touch is a faulter's: the trap, classification, translation, maps,
+        # revokes and the region mappers' databases all name the faulter's
+        # asid.  So only those spaces are built and given their regions.
+        faulters = self._faulters()
+        spaces = self.spaces = {
+            asid: AddressSpace(asid, self.layout)
+            for asid in sorted({t.asid for t in faulters})
+        }
 
         self.allocator = FrameAllocator(
             scenario.options.frames
@@ -222,7 +230,8 @@ class Simulator:
                 self.non_accepting.add(tid)
 
         for a in scenario.assigns:
-            self.spaces[a.asid].regions.assign(a.rid, self._decl[a.pager_name].tid)
+            if a.asid in spaces:
+                spaces[a.asid].regions.assign(a.rid, self._decl[a.pager_name].tid)
 
         # Per pager, the fault it is answering and the actions of its answer
         # not yet carried out, in order; never an empty list.
@@ -232,9 +241,6 @@ class Simulator:
         # the two schemes that route by thread rather than by region.
         self._pager_of: dict[int, int] = {}
 
-        # One scan of the script finds the faulters, for the two schemes
-        # that read them.
-        faulters = self._faulters() if scheme in (_L4RE, _L4_SINGLE) else []
         self._check_scheme_fit(faulters)
         if scheme is _L4RE:
             self._wire_region_mappers(faulters)
@@ -279,9 +285,12 @@ class Simulator:
     def _faulters(self) -> list[ThreadDecl]:
         """Declarations of the threads the script makes access memory, in
         order of first access."""
-        names = dict.fromkeys(
-            map(_thread, filter(_is_access, self.sf.script))
-        )
+        # A list comprehension makes no Python-level call per script item,
+        # and runs faster than a filter over a bound isinstance check.
+        names = dict.fromkeys([
+            item.thread for item in self.sf.script
+            if isinstance(item, AccessItem)
+        ])
         return [self._decl[name] for name in names]
 
     def _wire_region_mappers(self, faulters: list[ThreadDecl]) -> None:
@@ -296,7 +305,7 @@ class Simulator:
                 declared[t.asid] = t.tid
         mapper_of: dict[int, int] = {}
         next_tid = max([t.tid for t in self.sf.threads], default=0) + 1
-        for asid in sorted({t.asid for t in faulters}):
+        for asid in self.spaces:  # the faulters' spaces, in asid order
             tid = declared.get(asid)
             if tid is None:
                 tid = next_tid

@@ -10,6 +10,7 @@ import re
 
 import pagersim.cli
 from pagersim import ALL_SCHEMES, parse_scenario
+from pagersim.scenario import AccessItem
 from support import load_bench_module
 
 
@@ -53,7 +54,13 @@ def test_traced_wide_spaces_run_allocates_no_region_slots(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "equivalence: ok" in out
-    assert tracer.calls["address_space.init"] >= w.spaces
+    # Each of the four set-ups builds a space only for a thread that
+    # accesses memory.
+    sf = parse_scenario(w.text)
+    asid = {t.name: t.asid for t in sf.threads}
+    faulting = {asid[i.thread] for i in sf.script if isinstance(i, AccessItem)}
+    assert 0 < len(faulting) < w.spaces
+    assert tracer.calls["address_space.init"] == len(ALL_SCHEMES) * len(faulting)
     assert tracer.counts["address_space.region_slots"] == 0
 
 

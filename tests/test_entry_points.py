@@ -1,7 +1,7 @@
-"""Smoke test of what runs only as a program: the demos,
-``python -m pagersim`` and ``python -m pagersim.reproduce``, each in a
-fresh interpreter with ``src`` on the import path, and the README's
-library example."""
+"""Smoke test of what runs only as a program: the demos, whose stdout must
+equal its golden under ``tests/golden/demos/``, ``python -m pagersim`` and
+``python -m pagersim.reproduce``, each in a fresh interpreter with ``src``
+on the import path, and the README's library example."""
 
 import os
 import subprocess
@@ -9,19 +9,21 @@ import sys
 from pathlib import Path
 
 import pytest
-from support import fixture_scn, golden
+from support import GOLDEN_DIR, fixture_scn, golden
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+def run(
+    *args: str, timeout: float = 60, text: bool = True
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
-        text=True, timeout=timeout,
+        text=text, timeout=timeout,
     )
 
 
@@ -31,8 +33,12 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo):
-    proc = run(str(demo))
-    assert proc.returncode == 0, proc.stderr
+    # A demo's stdout is pinned byte for byte; after an intended change,
+    # regenerate its golden with
+    #   PYTHONPATH=src python demos/NAME.py > tests/golden/demos/NAME.out
+    proc = run(str(demo), text=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN_DIR / "demos" / f"{demo.stem}.out").read_bytes()
 
 
 def test_module_entry_point_checks_a_fixture():

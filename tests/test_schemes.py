@@ -6,11 +6,13 @@ import pytest
 
 from pagersim import (
     ALL_SCHEMES,
+    AddressSpace,
     EventKind,
     OverheadReport,
     Scheme,
     SimResult,
     Simulator,
+    ThreadRole,
     VerdictCode,
     check_expectations,
     cycle_metrics,
@@ -724,3 +726,73 @@ def test_memory_follows_assigned_regions_not_declared_ones(scheme):
         tracemalloc.stop()
     assert [c.verdict for c in result.cycles] == [VerdictCode.DISPATCHED]
     assert peak < 1 << 20
+
+
+# Four applicant spaces and the pager's: A faults in an assigned region, D
+# faults in a space with no assign line, and B and C never access memory
+# although their spaces have assigned regions.  Regions span 0x4000.
+IDLE_SPACES = """\
+layout regions=8 pages_per_region=4 page_size=4096
+thread A tid=1 asid=1 role=applicant
+thread B tid=2 asid=2 role=applicant
+thread C tid=3 asid=3 role=applicant
+thread D tid=4 asid=4 role=applicant
+thread P tid=5 asid=5 role=pager
+pager P policy=anonymous
+assign asid=1 rid=0 pager=P
+assign asid=1 rid=3 pager=P
+assign asid=2 rid=0 pager=P
+assign asid=2 rid=1 pager=P
+assign asid=3 rid=2 pager=P
+access A 0x1000 read
+access D 0x1000 read
+"""
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_set_up_builds_only_the_faulters_spaces(scheme, monkeypatch):
+    built = []
+    init = AddressSpace.__init__
+
+    def recording_init(self, asid, layout):
+        built.append(asid)
+        init(self, asid, layout)
+
+    monkeypatch.setattr(AddressSpace, "__init__", recording_init)
+    result = simulate(scheme, parse_scenario(IDLE_SPACES))
+    assert built == [1, 4]
+    assert list(result.spaces) == [1, 4]
+    assert result.page_snapshot() == {1: {1: (True, 0, 0)}}
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_a_faulter_in_a_space_without_assign_lines_gets_no_pager(scheme):
+    result = simulate(scheme, parse_scenario(IDLE_SPACES))
+    assert [c.verdict for c in result.cycles] == [
+        VerdictCode.DISPATCHED, VerdictCode.NO_PAGER,
+    ]
+    assert result.cycles[1].faulter == 4
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_a_faulting_space_gets_exactly_its_assigned_regions(scheme):
+    sim = Simulator(parse_scenario(IDLE_SPACES), scheme)
+    assert sim.spaces[1].regions.managers() == [(0, 5), (3, 5)]
+    assert sim.spaces[4].regions.managers() == []
+    mappers = {
+        t.asid: sim.behaviors[t.tid].db for t in sim.machine.threads.values()
+        if t.role is ThreadRole.REGION_MAPPER
+    }
+    if scheme is not Scheme.L4RE:
+        assert mappers == {}
+        return
+    # Each region mapper's database lists its own space's regions, no
+    # other space's: rids 1 and 2 are assigned only in the idle spaces.
+    assert sorted(mappers) == [1, 4]
+    db = mappers[1]
+    assert len(db) == 2
+    assert [db.lookup(a) for a in (0x0, 0x3FFF, 0xC000, 0xFFFF)] == [5] * 4
+    for vaddr in (0x4000, 0x8000, 0xBFFF, 0x10000):
+        with pytest.raises(NoDatabaseEntryError):
+            db.lookup(vaddr)
+    assert len(mappers[4]) == 0
