@@ -135,6 +135,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"check: {msg}")
         n = len(scenario.expectations)
         print(f"check: {n} expectation line(s), {len(failures)} failure(s)")
+        if not multi:  # lines for the schemes that did not run are skipped
+            unrun = [
+                e.scheme for e in scenario.expectations
+                if e.scheme is not None and e.scheme not in results
+            ]
+            if unrun:
+                print(
+                    f"check: {len(unrun)} expectation line(s) not checked: "
+                    f"scheme did not run ({', '.join(sorted(set(unrun)))})"
+                )
         failed = failed or bool(failures)
 
     if args.verify_equivalence:

@@ -127,7 +127,7 @@ class Machine:
         if tid <= 0:
             raise ValueError("thread ids must be positive (0 is the kernel)")
         # Pagers and region mappers idle in their message loop.
-        if role in (_PAGER, _REGION_MAPPER):
+        if role is _PAGER or role is _REGION_MAPPER:
             state = _BLOCKED_ON_RECEIVE
         else:
             state = _READY

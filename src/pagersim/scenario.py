@@ -25,8 +25,9 @@ which both ``parse_scenario`` and ``serialize_scenario`` read.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, replace
 from math import inf
+from typing import NamedTuple
 
 from .address_space import ADDRESS_SPACE_SIZE, LayoutConfig
 from .engine import AccessType, ThreadRole
@@ -59,8 +60,31 @@ class SemanticError(ScenarioError):
     pass
 
 
-@dataclass(frozen=True)
-class ThreadDecl:
+def _record(cls):
+    """A per-line record class: a NamedTuple that equals only a record of
+    its own class, so ``DispatchItem("T") != SwitchItem("T")`` and no
+    record equals a plain tuple.  ``__ne__`` is set too, since a tuple
+    subclass would otherwise keep tuple's, and ``__hash__`` stays tuple's."""
+    cls.__eq__ = _record_eq
+    cls.__ne__ = _record_ne
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
+def _record_eq(self, other):
+    return type(other) is type(self) and _tuple_eq(self, other)
+
+
+def _record_ne(self, other):
+    return type(other) is not type(self) or _tuple_ne(self, other)
+
+
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+
+
+@_record
+class ThreadDecl(NamedTuple):
     name: str
     tid: int
     asid: int
@@ -86,47 +110,47 @@ class PagerDecl:
     dbranges: tuple[DbRange, ...] = ()
 
 
-@dataclass(frozen=True)
-class AssignDecl:
+@_record
+class AssignDecl(NamedTuple):
     asid: int
     rid: int
     pager_name: str
 
 
-@dataclass(frozen=True)
-class AccessItem:
+@_record
+class AccessItem(NamedTuple):
     thread: str
     vaddr: int
     access: AccessType
     hold: bool = False
 
 
-@dataclass(frozen=True)
-class DispatchItem:
+@_record
+class DispatchItem(NamedTuple):
     thread: str
 
 
-@dataclass(frozen=True)
-class PagerStepItem:
+@_record
+class PagerStepItem(NamedTuple):
     pager: str
     count: int = 1
 
 
-@dataclass(frozen=True)
-class SwitchItem:
+@_record
+class SwitchItem(NamedTuple):
     thread: str
 
 
-@dataclass(frozen=True)
-class YieldItem:
+@_record
+class YieldItem(NamedTuple):
     pass
 
 
 ScriptItem = AccessItem | DispatchItem | PagerStepItem | SwitchItem | YieldItem
 
 
-@dataclass(frozen=True)
-class Expectation:
+@_record
+class Expectation(NamedTuple):
     fault: int
     verdict: VerdictCode
     scheme: str | None = None  # None: applies to every scheme run
@@ -205,16 +229,15 @@ def _field(key, conv, required=False, attr=None, fmt=None) -> Field:
 
 
 def _directive(section, record, positional=(), keyed=()) -> Directive:
-    """A section directive's fields are its record's leading constructor
-    arguments, in order, so ``_read`` hands back the record's positional
-    arguments and an absent optional field reads as the record's default.
+    """A section directive's fields are its record's leading fields, in
+    order, so ``_read`` hands back the record's leading values and an
+    absent optional field reads as the record's default.
     Any other directive's absent field reads as None, and parse_scenario
     applies its structural rule to what was given."""
     fields = positional + keyed
     defaults = [None] * len(fields)
     if section is not None:
-        default_of = {f.name: f.default for f in dataclass_fields(record)}
-        defaults = [default_of[f.attr] for f in fields]
+        defaults = [record._field_defaults.get(f.attr) for f in fields]
     npos = len(positional)
     return Directive(
         section, record, fields, npos,
@@ -305,6 +328,11 @@ GRAMMAR: dict[str, Directive] = {
 }
 
 _SCRIPT_WORDS = {d.record: w for w, d in GRAMMAR.items() if d.section == "script"}
+
+# Builds a record from its values in field order: one C call, where calling
+# the class would run its generated Python __new__ (docs/architecture.md,
+# "Set-up costs").
+_new = tuple.__new__
 
 
 # ---- parsing -------------------------------------------------------------
@@ -437,15 +465,16 @@ def parse_scenario(text: str) -> ScenarioFile:
         if entry is None:
             raise ParseError(lineno, f"unknown directive {word!r}")
         d, memos, add = entry
-        hold = tokens[-1] == "hold" and word == "access"
+        access = word == "access"
+        hold = access and tokens[-1] == "hold"
         if hold:
             tokens.pop()
         vals = _read(d, tokens[1:], lineno, memos)
 
         if add is not None:
-            if hold:
-                vals.append(True)
-            add(d.record(*vals))
+            if access:
+                vals.append(hold)
+            add(_new(d.record, vals))
         elif word == "layout":
             if layout_line:
                 raise ParseError(lineno, "duplicate layout line")
@@ -605,7 +634,7 @@ def serialize_scenario(sf: ScenarioFile) -> str:
     a structurally equal ScenarioFile (defaults are written explicitly, so
     the second round trip is the identity)."""
     out = [_line("layout", vars(sf.layout)), _line("option", vars(sf.options))]
-    out += [_line("thread", vars(t)) for t in sf.threads]
+    out += [_line("thread", t._asdict()) for t in sf.threads]
     for p in sf.pagers:
         out.append(_line("pager", vars(p)))
         out += [
@@ -618,9 +647,9 @@ def serialize_scenario(sf: ScenarioFile) -> str:
             _line("dbrange", {"asid": asid, **vars(r)})
             for r in sf.space_dbranges[asid]
         ]
-    out += [_line("assign", vars(a)) for a in sf.assigns]
+    out += [_line("assign", a._asdict()) for a in sf.assigns]
     for item in sf.script:
-        line = _line(_SCRIPT_WORDS[type(item)], vars(item))
+        line = _line(_SCRIPT_WORDS[type(item)], item._asdict())
         out.append(line + " hold" if getattr(item, "hold", False) else line)
-    out += [_line("expect", vars(e)) for e in sf.expectations]
+    out += [_line("expect", e._asdict()) for e in sf.expectations]
     return "\n".join(out) + "\n"

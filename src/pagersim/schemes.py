@@ -115,7 +115,6 @@ _U2K, _K2U, _CTX, _SEND, _RECEIVE, _SUSPEND, _RESUME = map(SLOT.__getitem__, (
     "IPC_RECEIVE", "SUSPEND", "RESUME",
 ))
 _ZERO_ROW = (0,) * len(SLOT)
-_NO_COSTS = (None,) * len(CycleMetrics._fields)
 _verdict = attrgetter("verdict")
 
 
@@ -200,6 +199,8 @@ class Simulator:
             asid: AddressSpace(asid, self.layout)
             for asid in sorted({t.asid for t in faulters})
         }
+        # What an access looks up: its thread's tid and space, by name.
+        self._faulter = {t.name: (t.tid, spaces[t.asid]) for t in faulters}
 
         self.allocator = FrameAllocator(
             scenario.options.frames
@@ -286,10 +287,11 @@ class Simulator:
         """Declarations of the threads the script makes access memory, in
         order of first access."""
         # A list comprehension makes no Python-level call per script item,
-        # and runs faster than a filter over a bound isinstance check.
+        # and runs faster than a filter over a bound isinstance check.  A
+        # class test and an index read are each quicker than isinstance and
+        # a field read by name on a tuple record.
         names = dict.fromkeys([
-            item.thread for item in self.sf.script
-            if isinstance(item, AccessItem)
+            item[0] for item in self.sf.script if item.__class__ is AccessItem
         ])
         return [self._decl[name] for name in names]
 
@@ -383,13 +385,14 @@ class Simulator:
         )
 
     def _exec_access(self, item: AccessItem) -> None:
-        tid = self._decl[item.thread].tid
+        # A hit reads two of the item's four fields, by name: cheaper than
+        # unpacking all four (docs/architecture.md, "Set-up costs").
+        tid, space = self._faulter[item.thread]
         if tid in self._held:
             raise SimulationError(
                 f"thread {item.thread!r} has a held fault; dispatch it first"
             )
         self.machine.switch_to(tid)
-        space = self.spaces[self.machine.threads[tid].asid]
         if translate(space.pages, self.layout.page_size, item.vaddr) is not None:
             return  # plain memory access, nothing to record
         cycle = self.dispatcher.begin_fault(tid, item.vaddr, item.access)
@@ -688,35 +691,46 @@ def check_expectations(
     def fail(token: str, fault: int, what: str) -> None:
         failures.append(f"[{token}] fault {fault}: {what}")
 
-    for e in scenario.expectations:
-        targets = [e.scheme] if e.scheme else sorted(results)
-        wanted = (e.mode, e.ctx, e.ipc, e.invocations)
-        for token in targets:
-            res = results.get(token)
-            if res is None:
+    # What an expect line reads of each run, looked up once: its cycles and
+    # counter rows.
+    runs = {
+        token: (res.cycles, res.trace.cycle_counts)
+        for token, res in results.items()
+    }
+    every = sorted(results)
+    # One unpack per expect line: a NamedTuple field read is not
+    # specialized (docs/architecture.md, "Set-up costs").
+    for fault, expected, scheme, mode, ctx, ipc, invocations in (
+        scenario.expectations
+    ):
+        wanted = (mode, ctx, ipc, invocations)
+        for token in (scheme,) if scheme else every:
+            run = runs.get(token)
+            if run is None:
                 continue
-            if e.fault >= len(res.cycles):
-                fail(token, e.fault, f"only {len(res.cycles)} fault(s) occurred")
+            cycles, rows = run
+            if fault >= len(cycles):
+                fail(token, fault, f"only {len(cycles)} fault(s) occurred")
                 continue
-            verdict = res.cycles[e.fault].verdict
-            if verdict is not e.verdict:
+            verdict = cycles[fault].verdict
+            if verdict is not expected:
                 got = "none (fault held, never dispatched)"
                 if verdict is not None:
                     got = verdict.value
-                fail(token, e.fault, f"verdict {got}, expected {e.verdict.value}")
+                fail(token, fault, f"verdict {got}, expected {expected.value}")
                 continue
-            if wanted == _NO_COSTS:
-                continue
-            row = res.trace.cycle_counts[e.fault]
+            if mode is None and ctx is None and ipc is None and invocations is None:
+                continue  # the line names no cost, only a verdict
+            row = rows[fault]
             if not _resolved(row):
-                fail(token, e.fault, "cycle never completed")
+                fail(token, fault, "cycle never completed")
                 continue
             costs = _costs(row)
             if costs == wanted:
                 continue
             for attr, got, want in zip(CycleMetrics._fields, costs, wanted):
                 if want is not None and got != want:
-                    fail(token, e.fault, f"{attr}={got}, expected {want}")
+                    fail(token, fault, f"{attr}={got}, expected {want}")
     return failures
 
 

@@ -95,12 +95,28 @@ def test_check_skips_an_expect_line_for_a_scheme_that_did_not_run(
     rc = cli.main(["--scenario", str(path), "--scheme", "proposed", "--check"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "check: 4 expectation line(s), 0 failure(s)" in out.splitlines()
+    assert out.splitlines()[-2:] == [
+        "check: 4 expectation line(s), 0 failure(s)",
+        "check: 3 expectation line(s) not checked: scheme did not run "
+        "(l4-single, l4re, monolithic)",
+    ]
 
     rc = cli.main(["--scenario", str(path), "--check"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "check: [l4re] fault 0: mode_switches=6, expected 5" in out.splitlines()
+    assert "not checked" not in out
+
+
+def test_check_names_no_skipped_line_when_every_line_ran(tmp_path, capsys):
+    # Unqualified expect lines apply to whatever scheme ran.
+    path = tmp_path / "classify.scn"
+    path.write_text(fixture_scn("classify"))
+    rc = cli.main(["--scenario", str(path), "--scheme", "l4re", "--check"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[-1].startswith("check: ")
+    assert "not checked" not in out
 
 
 def test_undispatched_held_fault_fails_its_check(tmp_path, capsys):

@@ -31,9 +31,9 @@ faulting one: setting up a space is part of the design under test, and a
 keyword call into a dataclass ``__init__`` costs about twice a positional
 one (docs/architecture.md, "Set-up costs").
 ``test_per_line_parse_calls_stay_on_the_fast_call_path`` does the same for
-``parse_scenario``, per script line, and lets a lone ``*values`` argument
-pass: parse calls a record's class, and a class call costs the same
-whether its arguments are fixed or unpacked from one list.
+``parse_scenario``, per script line.  Parse builds each record with
+``tuple.__new__``, a C call, so the per-fault test's ban on NamedTuple
+constructors covers parse too.
 """
 
 import ast
@@ -68,9 +68,10 @@ from pagersim import (
     simulate,
     verify_equivalence,
 )
-from pagersim.engine import Machine
+from pagersim.engine import AccessType, Machine, ThreadRole
 from pagersim.fault_dispatch import Classification, FaultDispatcher
 from pagersim.pagers import REVOKE, MapAction
+from pagersim.scenario import AccessItem, AssignDecl, Expectation, ThreadDecl
 from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent
 from support import fixture_scn
 
@@ -165,23 +166,33 @@ TRACKED_OBJECTS_PER_SPACE_BUDGET = {
 }
 
 # Python-level calls per directive line (not blank, not only a comment) of
-# parse_scenario(workload50): 10% above the 2.54 measured when the budget
-# was set (Python 3.11). Validation makes no call per script item.
-PARSE_CALLS_PER_LINE_BUDGET = 2.8
+# parse_scenario(workload50): 10% above the 1.59 measured when the budget
+# was set (Python 3.10.13 and 3.11.7; 1.36 on 3.12.1 and 3.13.0), against
+# 2.54 while each record was built by calling its class's generated
+# __init__. Validation makes no call per script item.
+PARSE_CALLS_PER_LINE_BUDGET = 1.75
 
 # Python-level calls per script line of parse_scenario plus four
 # Simulator(...) builds, one per scheme, of script_of() at 500 and at
-# 2,000 lines: 10% above the 2.0 measured when the budget was set (reading
-# the line and building its record; Python 3.11). Neither validation nor
-# set-up calls a function or resumes a generator per script item.
-SCRIPT_CALLS_PER_LINE_BUDGET = 2.2
+# 2,000 lines: 10% above the 1.0 measured when the budget was set (reading
+# the line; Python 3.10 to 3.13), against 2.0 while building its record
+# called a generated __init__. Neither validation nor set-up calls a
+# function or resumes a generator per script item.
+SCRIPT_CALLS_PER_LINE_BUDGET = 1.1
 
-# GC-tracked objects a parsed FAULT_STREAM keeps per record: 1.0 plus the
-# file's few containers when the bound was set, against 2.0 for records
-# whose instance __dict__ is filled by hand (Python 3.11).  On Python 3.10
-# every record keeps its tracked __dict__: 1.99 measured, so 2.0 plus the
-# same few containers.
-TRACKED_OBJECTS_PER_RECORD_BUDGET = 2.02 if PY310 else 1.02
+# GC-tracked objects a parsed FAULT_STREAM keeps per record: 1.01 (1.016 on
+# Python 3.10.13) when the bound was set, one tuple per record plus the
+# file's few containers, against 2.0 for records whose instance __dict__
+# was filled by hand (Python 3.11), and 1.99 on 3.10 while each record was
+# a dataclass instance with a tracked __dict__.  The collector untracks
+# only exact tuples, so a record stays tracked.
+TRACKED_OBJECTS_PER_RECORD_BUDGET = 1.02
+
+# Bytes a parsed FAULT_STREAM keeps per record, its field values included:
+# 10% above the 168 measured when the bound was set (Python 3.10.13 and
+# 3.11.7; 160 on 3.12.1 and 3.13.0, 64-bit), against 192 (240 on 3.10)
+# while each record was a frozen dataclass instance.
+BYTES_PER_RECORD_BUDGET = 185
 
 
 @pytest.mark.parametrize(
@@ -191,6 +202,10 @@ TRACKED_OBJECTS_PER_RECORD_BUDGET = 2.02 if PY310 else 1.02
         (Classification(VerdictCode.DISPATCHED, rid=0, manager=2), "manager"),
         (MapAction(0, 0), "frame"),
         (CycleMetrics(4, 2, 2, 1), "ipc_messages"),
+        (AccessItem("T", 0x1000, AccessType.READ), "vaddr"),
+        (Expectation(0, VerdictCode.DISPATCHED), "verdict"),
+        (ThreadDecl("T", 1, 1, ThreadRole.APPLICANT), "tid"),
+        (AssignDecl(1, 0, "P"), "pager_name"),
     ],
     ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
 )
@@ -352,20 +367,14 @@ def test_run_path_reads_no_enum_member_through_its_class(tmp_path):
     assert sorted(offenders) == []
 
 
-def slow_shape(call: ast.Call, values_ok: bool) -> bool:
-    """Whether ``call`` passes a keyword, ``*`` or ``**`` argument; with
-    ``values_ok``, a lone ``*values`` argument passes.  Calling a class
-    goes the generic way whatever the shape, and there ``cls(*values)``
-    costs what a fixed positional call does (docs/architecture.md,
-    "Set-up costs")."""
-    if call.keywords:
-        return True
-    if values_ok and len(call.args) == 1:
-        return False
-    return any(isinstance(a, ast.Starred) for a in call.args)
+def slow_shape(call: ast.Call) -> bool:
+    """Whether ``call`` passes a keyword, ``*`` or ``**`` argument."""
+    return bool(call.keywords) or any(
+        isinstance(a, ast.Starred) for a in call.args
+    )
 
 
-def slow_calls(code, module, nodes, values_ok=False) -> list[str]:
+def slow_calls(code, module, nodes) -> list[str]:
     """``module:function line: call`` for each call in the body of the
     function that ``code`` runs, outside a ``raise``, that passes a keyword,
     ``*`` or ``**`` argument (see ``slow_shape``), and
@@ -385,13 +394,13 @@ def slow_calls(code, module, nodes, values_ok=False) -> list[str]:
         if (
             isinstance(sub, ast.Call)
             and id(sub) not in raised
-            and slow_shape(sub, values_ok)
+            and slow_shape(sub)
         ):
             found.append(f"{name} line {sub.lineno}: {ast.unparse(sub)}")
     return found
 
 
-def slow_call_sites(sites, least: int, values_ok=False) -> list[str]:
+def slow_call_sites(sites, least: int) -> list[str]:
     """``module:function line: call`` for each call in a pagersim module's
     source that called Python functions at least ``least`` times (see
     ``functions_run``) and passes a keyword, ``*`` or ``**`` argument (see
@@ -416,7 +425,7 @@ def slow_call_sites(sites, least: int, values_ok=False) -> list[str]:
             }
         _, line, _, col = list(code.co_positions())[offset // 2]
         call = calls_by_end[module].get((line, col))
-        if call is not None and slow_shape(call, values_ok):
+        if call is not None and slow_shape(call):
             name = getattr(code, "co_qualname", code.co_name)
             found.append(
                 f"{module.__name__}:{name} line {call.lineno}: "
@@ -425,20 +434,20 @@ def slow_call_sites(sites, least: int, values_ok=False) -> list[str]:
     return found
 
 
-def calls_off_the_fast_path(ran, sites, least: int, values_ok=False):
+def calls_off_the_fast_path(ran, sites, least: int):
     """The pagersim functions ``ran`` ran at least ``least`` times, and
     the slow calls in their bodies, their slow signatures and the slow
     call sites that made at least ``least`` calls."""
     nodes = {}
     hot = set()
-    offenders = slow_call_sites(sites, least, values_ok)
+    offenders = slow_call_sites(sites, least)
     for code, module, calls in source_functions(ran):
         if calls < least:
             continue
         hot.add(code)
         if module not in nodes:
             nodes[module] = function_nodes(module)
-        offenders += slow_calls(code, module, nodes[module], values_ok)
+        offenders += slow_calls(code, module, nodes[module])
     return hot, sorted(set(offenders))
 
 
@@ -481,13 +490,11 @@ def test_per_space_calls_stay_on_the_fast_call_path():
 
 
 def test_per_line_parse_calls_stay_on_the_fast_call_path():
-    # Building a record by keywords costs up to twice a positional call
-    # into its generated __init__; parse builds one record per line.
+    # Parse reads every line through _read; a keyword or starred call there
+    # would go the generic way once per line.
     text = fixture_scn("workload50")
     sf, ran, sites = functions_run(lambda: parse_scenario(text))
-    per_line, offenders = calls_off_the_fast_path(
-        ran, sites, len(sf.script), values_ok=True
-    )
+    per_line, offenders = calls_off_the_fast_path(ran, sites, len(sf.script))
     # Reading each line's fields is among the guarded functions.
     assert scenario._read.__code__ in per_line
     assert not offenders, "\n".join(offenders)
@@ -949,20 +956,37 @@ def test_set_up_calls_per_script_line_stay_within_budget():
     assert small == large
 
 
+def records_of(sf) -> int:
+    return sum(map(len, (
+        sf.threads, sf.pagers, sf.assigns, sf.script, sf.expectations,
+    )))
+
+
 def test_a_parsed_scenario_keeps_one_tracked_object_per_record():
-    # One frozen-dataclass instance per line, its fields in the instance
-    # itself: no separate __dict__ and no record shared between lines.
+    # One tuple per line, with no __dict__ of its own and no record shared
+    # between lines.
     text = FAULT_STREAM
     gc.collect()
     before = len(gc.get_objects())
     sf = parse_scenario(text)
     gc.collect()
     tracked = len(gc.get_objects()) - before
-    records = sum(map(len, (
-        sf.threads, sf.pagers, sf.assigns, sf.script, sf.expectations,
-    )))
-    assert records >= 800
-    assert tracked / records <= TRACKED_OBJECTS_PER_RECORD_BUDGET
+    assert records_of(sf) >= 800
+    assert tracked / records_of(sf) <= TRACKED_OBJECTS_PER_RECORD_BUDGET
+
+
+def test_bytes_kept_per_parsed_record_stay_within_budget():
+    text = FAULT_STREAM
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sf = parse_scenario(text)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records_of(sf) >= 800
+    assert kept / records_of(sf) <= BYTES_PER_RECORD_BUDGET
 
 
 def reread_stream(rereads: int) -> str:

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from pathlib import Path
 
@@ -6,8 +5,18 @@ import pytest
 
 from pagersim import ParseError, SemanticError, parse_scenario, serialize_scenario
 from pagersim.engine import AccessType, ThreadRole
+from pagersim.fault_dispatch import VerdictCode
 from pagersim.pagers import MarkerKind, PagerPolicy
-from pagersim.scenario import GRAMMAR, AccessItem, PagerStepItem, YieldItem
+from pagersim.scenario import (
+    GRAMMAR,
+    AccessItem,
+    DispatchItem,
+    Expectation,
+    PagerStepItem,
+    SwitchItem,
+    ThreadDecl,
+    YieldItem,
+)
 from mutants import FIXTURES, outcome_line, recorded_mutants
 from support import GOLDEN_DIR, fixture_scn, load_bench_module
 
@@ -87,7 +96,7 @@ def test_section_fields_come_in_constructor_order():
     }
     for word, d in sections.items():
         attrs = [f.attr for f in d.fields]
-        names = [f.name for f in dataclasses.fields(d.record)]
+        names = list(d.record._fields)
         assert attrs == names[:len(attrs)], word
 
 
@@ -134,13 +143,49 @@ def test_a_repeated_token_is_converted_once_per_parse():
     assert first is not second
 
 
+def test_records_equal_only_records_of_their_own_class():
+    # Records are tuples, yet a dispatch and a switch naming the same
+    # thread differ, and no record equals the plain tuple of its values.
+    read = AccessType.READ
+    assert DispatchItem("T") != SwitchItem("T")
+    assert not DispatchItem("T") == SwitchItem("T")
+    assert AccessItem("T", 0x1000, read) != ("T", 0x1000, read, False)
+    assert not AccessItem("T", 0x1000, read) == ("T", 0x1000, read, False)
+    assert ("T", 0x1000, read, False) != AccessItem("T", 0x1000, read)
+    assert AccessItem("T", 0x1000, read) == AccessItem("T", 0x1000, read, False)
+    assert not AccessItem("T", 0x1000, read) != AccessItem("T", 0x1000, read)
+    assert AccessItem("T", 0x1000, read) != AccessItem("T", 0x1000, read, True)
+
+
+def test_equal_records_hash_equal():
+    sf = parse_scenario(MINIMAL + "access T1 0x1000 read\nyield\nyield\n")
+    first, second, y1, y2 = sf.script
+    assert first == second and hash(first) == hash(second)
+    assert y1 == y2 == YieldItem() and hash(y1) == hash(y2)
+    assert hash(sf.threads[0]) == hash(
+        ThreadDecl("T1", 1, 1, ThreadRole.APPLICANT)
+    )
+    assert len({first, second, y1, y2}) == 2
+    expect = Expectation(0, VerdictCode.DISPATCHED, "proposed", 4)
+    assert {expect: 1}[Expectation(0, VerdictCode.DISPATCHED, "proposed", 4)]
+
+
 def test_round_trip_on_the_fixtures_and_the_bench_workloads():
     generate = load_bench_module("workloads").generate
     texts = [fixture_scn(name) for name in FIXTURES]
-    texts += [generate(name, 0).text for name in ("fault-stream", "wide-spaces", "hot-mix")]
+    texts += [
+        generate(name, seed).text
+        for name in ("fault-stream", "wide-spaces", "hot-mix")
+        for seed in (0, 13)
+    ]
     for text in texts:
         sf = parse_scenario(text)
-        assert parse_scenario(serialize_scenario(sf)) == sf
+        again = parse_scenario(serialize_scenario(sf))
+        assert again == sf
+        for section in ("threads", "assigns", "script", "expectations"):
+            assert list(map(type, getattr(again, section))) == list(
+                map(type, getattr(sf, section))
+            ), section
 
 
 @pytest.mark.parametrize(
