@@ -169,7 +169,7 @@ class Options:
     order: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)  # slots: no separate __dict__ to keep (Python 3.10)
 class ScenarioFile:
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     options: Options = field(default_factory=Options)
@@ -179,6 +179,8 @@ class ScenarioFile:
     assigns: list[AssignDecl] = field(default_factory=list)
     script: list[ScriptItem] = field(default_factory=list)
     expectations: list[Expectation] = field(default_factory=list)
+    # What validation resolved and set-up reads (see ``_validate``).
+    declared: tuple = field(default=None, compare=False, repr=False)
 
 
 # ---- grammar -------------------------------------------------------------
@@ -343,22 +345,17 @@ def _read(
 ) -> list:
     """The values of ``d.fields`` given by one line's tokens after the
     directive word, absent optional ones filled from ``d.defaults``.
-    ``memos`` holds one entry per positional field, None for a text field
-    and otherwise a dict mapping each token the directive has converted
-    there before to its value, and then a dict for the key=value tokens,
-    mapping each to its field's index and value: most tokens repeat, and
-    values are immutable."""
+    ``memos`` holds one dict per positional field, mapping each token the
+    directive has read there before to its value, and then a dict for the
+    key=value tokens, mapping each to its field's index and value: most
+    tokens repeat, values are immutable, and a name is kept once."""
     fields, npos = d.fields, d.npos
     keyed = memos[npos]
     vals = [_ABSENT] * len(fields)
     dup = False
     for i, tok in enumerate(tokens):
         if i < npos:
-            memo = memos[i]
-            if memo is None:  # a text field: the token is the value
-                vals[i] = tok
-                continue
-            val = memo.get(tok)
+            val = memos[i].get(tok)
             if val is not None:
                 vals[i] = val
                 continue
@@ -444,11 +441,13 @@ def parse_scenario(text: str) -> ScenarioFile:
     layout_line = 0  # line number of the layout line, 0 if there is none
     # Per directive word: its grammar entry, the memos _read keeps for it,
     # and the append of the ScenarioFile list its records go to (None for
-    # the directives whose structural rules are spelled out below).
+    # the directives whose structural rules are spelled out below).  Every
+    # positional name shares one memo, so each name is kept as one string.
+    names: dict[str, str] = {}
     table = {
         word: (
             d,
-            [None if f.conv is TEXT else {} for f in d.fields[:d.npos]] + [{}],
+            [names if f.conv is TEXT else {} for f in d.fields[:d.npos]] + [{}],
             d.section and getattr(sf, d.section).append,
         )
         for word, d in GRAMMAR.items()
@@ -513,7 +512,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         if isinstance(owner, str):
             raise SemanticError(f"dbrange for undeclared pager {owner!r}")
     sf.space_dbranges = {asid: tuple(r) for asid, r in dbranges.items()}
-    _validate(sf)
+    sf.declared = _validate(sf)
     return sf
 
 
@@ -527,7 +526,12 @@ def _check_no_overlap(ranges, what: str) -> None:
             )
 
 
-def _validate(sf: ScenarioFile) -> None:
+def _validate(sf: ScenarioFile) -> tuple:
+    """Check every name and bound; return what set-up reads: the threads
+    by name, the names of those that access memory in order of first
+    access, the assign lines of their spaces as ``(asid, rid, manager
+    tid)`` in file order, the tids of ``option order=``, and whether a
+    pager-step line exists.  Only the map stays tracked by the collector."""
     if not sf.threads:
         raise SemanticError("no threads declared")
     by_name: dict[str, ThreadDecl] = {}
@@ -600,10 +604,19 @@ def _validate(sf: ScenarioFile) -> None:
                 f"assign names undeclared pager {a.pager_name!r}"
             )
 
-    # Membership tests inline: no Python-level call per script item.
+    # Membership tests inline: no Python-level call per script item.  A
+    # class test and an index read are each quicker than isinstance and a
+    # field read by name on a tuple record.
+    faulters: dict[str, int] = {}  # name -> asid
+    pager_step = False
     for item in sf.script:
         cls = item.__class__
-        if cls is PagerStepItem:
+        if cls is AccessItem:
+            name = item[0]
+            if name not in faulters:
+                faulters[name] = thread(name).asid
+        elif cls is PagerStepItem:
+            pager_step = True
             if item.pager not in pager_names:
                 raise SemanticError(
                     f"pager-step names undeclared pager {item.pager!r}"
@@ -611,8 +624,13 @@ def _validate(sf: ScenarioFile) -> None:
         elif cls is not YieldItem and item.thread not in by_name:
             thread(item.thread)
 
-    for name in sf.options.order:
-        thread(name)
+    order = tuple([thread(name).tid for name in sf.options.order])
+    faulting = set(faulters.values())
+    assigns = tuple([
+        (a.asid, a.rid, by_name[a.pager_name].tid)
+        for a in sf.assigns if a.asid in faulting
+    ])
+    return by_name, tuple(faulters), assigns, order, pager_step
 
 
 # ---- serialization -------------------------------------------------------

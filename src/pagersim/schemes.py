@@ -184,28 +184,36 @@ class Simulator:
         self.sf = scenario
         self.scheme = scheme
         self.layout = scenario.layout
+        opt = scenario.options
 
-        self._decl = {t.name: t for t in scenario.threads}
-        self.machine = Machine(self._directive(), keep_events)
+        # Resolved once per parse (``scenario._validate``): set-up walks
+        # neither the script nor the assign lines.
+        self._decl, names, assigns, order, pager_step = scenario.declared
+        faulters = [self._decl[name] for name in names]
+        self.machine = Machine(
+            SeededRoundRobin(opt.seed) if opt.schedule == "round-robin"
+            # An empty order is completed by the machine to every thread in
+            # registration order.
+            else DeterministicOrder(order),
+            keep_events,
+        )
         for t in scenario.threads:
             self.machine.register_thread(t.tid, t.asid, t.role, t.name)
 
-        # One scan of the script finds the faulters.  Every space a run can
-        # touch is a faulter's: the trap, classification, translation, maps,
-        # revokes and the region mappers' databases all name the faulter's
-        # asid.  So only those spaces are built and given their regions.
-        faulters = self._faulters()
+        # Every space a run can touch is a faulter's: the trap, classification,
+        # translation, maps, revokes and the region mappers' databases all name
+        # the faulter's asid.  So only those spaces are built and assigned.
         spaces = self.spaces = {
             asid: AddressSpace(asid, self.layout)
             for asid in sorted({t.asid for t in faulters})
         }
+        for asid, rid, manager in assigns:
+            spaces[asid].regions.assign(rid, manager)
         # What an access looks up: its thread's tid and space, by name.
         self._faulter = {t.name: (t.tid, spaces[t.asid]) for t in faulters}
 
         self.allocator = FrameAllocator(
-            scenario.options.frames
-            if scenario.options.frames is not None
-            else DEFAULT_FRAME_LIMIT
+            opt.frames if opt.frames is not None else DEFAULT_FRAME_LIMIT
         )
         self.dispatcher = FaultDispatcher(self.machine, self.spaces)
 
@@ -230,10 +238,6 @@ class Simulator:
             if not p.accepts:
                 self.non_accepting.add(tid)
 
-        for a in scenario.assigns:
-            if a.asid in spaces:
-                spaces[a.asid].regions.assign(a.rid, self._decl[a.pager_name].tid)
-
         # Per pager, the fault it is answering and the actions of its answer
         # not yet carried out, in order; never an empty list.
         self._actions: dict[int, tuple[FaultCycle, list[Action]]] = {}
@@ -242,7 +246,7 @@ class Simulator:
         # the two schemes that route by thread rather than by region.
         self._pager_of: dict[int, int] = {}
 
-        self._check_scheme_fit(faulters)
+        self._check_scheme_fit(faulters, pager_step)
         if scheme is _L4RE:
             self._wire_region_mappers(faulters)
         elif scheme is _L4_SINGLE:
@@ -250,16 +254,7 @@ class Simulator:
 
     # ---- setup -----------------------------------------------------------
 
-    def _directive(self):
-        opt = self.sf.options
-        if opt.schedule == "round-robin":
-            return SeededRoundRobin(opt.seed)
-        # A list, not a generator: each step of a generator is a
-        # Python-level call.  An empty order is completed by the machine to
-        # every thread in registration order.
-        return DeterministicOrder(tuple([self._decl[n].tid for n in opt.order]))
-
-    def _check_scheme_fit(self, faulters: list[ThreadDecl]) -> None:
+    def _check_scheme_fit(self, faulters: list, pager_step: bool) -> None:
         sf, scheme = self.sf, self.scheme
         if scheme is not _L4RE:
             if sf.space_dbranges:
@@ -270,30 +265,17 @@ class Simulator:
                 raise SchemeMismatchError(
                     "reflecting pagers require the l4re scheme"
                 )
-        if scheme is _MONOLITHIC:
-            if PagerStepItem in map(type, sf.script):
-                raise SchemeMismatchError(
-                    "pager-step directives are meaningless under monolithic "
-                    "dispatch: no pager threads run"
-                )
+        if scheme is _MONOLITHIC and pager_step:
+            raise SchemeMismatchError(
+                "pager-step directives are meaningless under monolithic "
+                "dispatch: no pager threads run"
+            )
         if scheme is _L4RE and any(
             t.role is _REGION_MAPPER for t in faulters
         ):
             raise SchemeMismatchError(
                 "a region mapper must never fault; its pages are wired"
             )
-
-    def _faulters(self) -> list[ThreadDecl]:
-        """Declarations of the threads the script makes access memory, in
-        order of first access."""
-        # A list comprehension makes no Python-level call per script item,
-        # and runs faster than a filter over a bound isinstance check.  A
-        # class test and an index read are each quicker than isinstance and
-        # a field read by name on a tuple record.
-        names = dict.fromkeys([
-            item[0] for item in self.sf.script if item.__class__ is AccessItem
-        ])
-        return [self._decl[name] for name in names]
 
     def _wire_region_mappers(self, faulters: list[ThreadDecl]) -> None:
         """In L4Re a space's region mapper is the pager of all its threads."""

@@ -185,14 +185,17 @@ SCRIPT_CALLS_PER_LINE_BUDGET = 1.1
 # file's few containers, against 2.0 for records whose instance __dict__
 # was filled by hand (Python 3.11), and 1.99 on 3.10 while each record was
 # a dataclass instance with a tracked __dict__.  The collector untracks
-# only exact tuples, so a record stays tracked.
+# only exact tuples, so a record stays tracked.  What validation resolves
+# for set-up (``ScenarioFile.declared``) adds three containers, less the
+# file's own __dict__ on 3.10: 1.015 (1.018 on 3.10.13).
 TRACKED_OBJECTS_PER_RECORD_BUDGET = 1.02
 
 # Bytes a parsed FAULT_STREAM keeps per record, its field values included:
-# 10% above the 168 measured when the bound was set (Python 3.10.13 and
-# 3.11.7; 160 on 3.12.1 and 3.13.0, 64-bit), against 192 (240 on 3.10)
-# while each record was a frozen dataclass instance.
-BYTES_PER_RECORD_BUDGET = 185
+# 10% above the 119.9 measured when the bound was set (Python 3.10.13;
+# 119.2-119.3 on 3.11.7 to 3.13.0, 64-bit), against 168 while every access
+# line kept its own copy of its thread's name, and 192 (240 on 3.10) while
+# each record was a frozen dataclass instance.
+BYTES_PER_RECORD_BUDGET = 132
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,18 @@ def test_round_trip_on_the_fixtures_and_the_bench_workloads():
             ), section
 
 
+def test_a_parsed_scenario_keeps_each_name_once():
+    # Every positional name field shares one memo, so a thread's
+    # declaration and each access line naming it hold one string.
+    text = load_bench_module("workloads").generate("hot-mix", 0).text
+    sf = parse_scenario(text)
+    names = [item.thread for item in sf.script if type(item) is AccessItem]
+    assert len(names) == 3000
+    assert len(set(map(id, names))) == len(set(names)) == 9
+    declared = {t.name: t.name for t in sf.threads}
+    assert all(name is declared[name] for name in names)
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

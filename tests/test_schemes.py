@@ -796,3 +796,59 @@ def test_a_faulting_space_gets_exactly_its_assigned_regions(scheme):
         with pytest.raises(NoDatabaseEntryError):
             db.lookup(vaddr)
     assert len(mappers[4]) == 0
+
+
+# Region 0 of the faulting space is assigned twice, first to Q and then to
+# P, and region 1 the other way round.  Regions span 0x4000.
+REASSIGNED = """\
+layout regions=8 pages_per_region=4 page_size=4096
+thread A tid=1 asid=1 role=applicant pager=P
+thread P tid=2 asid=2 role=pager
+thread Q tid=3 asid=3 role=pager
+pager P policy=anonymous
+pager Q policy=anonymous
+assign asid=1 rid=0 pager=Q
+assign asid=1 rid=1 pager=P
+assign asid=1 rid=0 pager=P
+assign asid=1 rid=1 pager=Q
+access A 0x1000 read
+"""
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_a_region_assigned_twice_keeps_its_last_manager(scheme):
+    sim = Simulator(parse_scenario(REASSIGNED), scheme)
+    assert sim.spaces[1].regions.managers() == [(0, 2), (1, 3)]
+    if scheme is Scheme.L4RE:
+        [rm] = [
+            t.tid for t in sim.machine.threads.values()
+            if t.role is ThreadRole.REGION_MAPPER
+        ]
+        db = sim.behaviors[rm].db
+        assert [db.lookup(a) for a in (0x0, 0x3FFF, 0x4000, 0x7FFF)] == [
+            2, 2, 3, 3,
+        ]
+    result = sim.run()
+    assert [c.manager for c in result.cycles] == [2]
+
+
+class _Unwalkable(list):
+    """A list that refuses iteration: set-up may not walk it."""
+
+    def __iter__(self):
+        raise AssertionError("set-up walked a script or assign list")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_set_up_walks_no_script_line_and_no_assign_line(name):
+    sf = parse_scenario(fixture_scn(name))
+    sf.script = _Unwalkable(sf.script)
+    sf.assigns = _Unwalkable(sf.assigns)
+    built = []
+    for scheme in ALL_SCHEMES:
+        try:
+            Simulator(sf, scheme)
+        except SchemeMismatchError:  # l4re-reflect fits only l4re
+            continue
+        built.append(scheme)
+    assert built
