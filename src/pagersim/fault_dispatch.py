@@ -31,8 +31,8 @@ reply - carries that cycle as its payload, and this module alone reads
 its fields: each send writes its own trace arguments from the cycle, and
 the machine only records them and queues the cycle.  Delivery hands the
 receiver the cycle itself, and a reflection or a reply names the cycle it
-is about, so no step ever looks a fault up.  The trap is the first event
-attributed to the cycle.
+is about, so no step ever looks a fault up.  The trap opens the cycle's
+counter row and is its first event.
 
 Privilege crossings are steps of the protocol, so this module alone
 records them, where the protocol mandates them rather than where a real
@@ -293,9 +293,10 @@ class FaultDispatcher:
         """Phase one of fault handling: the trap into the kernel."""
         machine = self.machine
         decl = machine.threads.get(tid) or machine.thread(tid)
-        cycle = FaultCycle(len(self.cycles), tid, decl.asid, vaddr, access)
+        index = machine.trace.open_cycle()
+        cycle = FaultCycle(index, tid, decl.asid, vaddr, access)
         self.cycles.append(cycle)
-        machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
+        machine.trace.append(_MODE_SWITCH_U2K, (), index)
         return cycle
 
     def record_verdict(self, cycle: FaultCycle, cls: Classification) -> None:
@@ -304,9 +305,10 @@ class FaultDispatcher:
         cycle.manager = cls.manager
         cycle.marker = cls.marker
         # _value_, not .value: docs/architecture.md, "Run-path costs".
-        args: tuple = (cls.code._value_, cycle.faulter, cycle.vaddr)
-        if cls.manager is not None:
-            args += (cls.manager,)
+        if cls.manager is None:
+            args = (cls.code._value_, cycle.faulter, cycle.vaddr)
+        else:
+            args = (cls.code._value_, cycle.faulter, cycle.vaddr, cls.manager)
         self.machine.trace.append(_VERDICT, args, cycle.index)
 
     def park(self, cycle: FaultCycle) -> None:

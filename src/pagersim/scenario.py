@@ -592,6 +592,10 @@ def _validate(sf: ScenarioFile) -> tuple:
         elif cls is not YieldItem and item.thread not in by_name:
             thread(item.thread)
 
+    if sf.options.order and sf.options.schedule == "round-robin":
+        raise SemanticError(
+            "option order= needs schedule=deterministic, not round-robin"
+        )
     order = tuple([thread(name).tid for name in sf.options.order])
     faulting = set(faulters.values())
     assigns = tuple([

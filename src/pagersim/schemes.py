@@ -22,13 +22,14 @@ to its cycle, so scripted scheduling noise between faults never pollutes
 the per-fault figures.  Every attributed event is emitted by the
 ``FaultDispatcher``; the simulator only decides where a dispatched fault
 goes and when a pager runs.  One loop serves a pager its queued faults in
-order, without recursion, and a fault reflected back to a thread it
-already reached is an error.  The trace keeps one counter row per cycle,
-counting each event kind as events are appended; one function
-(``_costs``) decides which kinds count toward which cost column and one
-(``_resolved``) whether a cycle's faulter got the CPU back.  Per-cycle
-metrics, whole-run totals, expectation checks and the cross-scheme
-ordering all read rows through those two.
+order; under ``mode=auto`` it carries out each answer at once and serves
+a reflection's target next, without recursion.  A fault reflected back
+to a thread it already reached is an error.  A fault's trap opens its
+cycle's counter row, which counts each event kind as events are
+appended; one function (``_costs``) decides which kinds count toward
+which cost column and one (``_resolved``) whether a cycle's faulter got
+the CPU back.  Per-cycle metrics, whole-run totals, expectation checks
+and the cross-scheme ordering all read rows through those two.
 """
 
 import random
@@ -228,8 +229,9 @@ class Simulator:
             if not p.accepts:
                 self.non_accepting.add(tid)
 
-        # Per pager, the fault it is answering and the actions of its answer
-        # not yet carried out, in order; never an empty list.
+        # Under mode=manual, per pager, the fault it is answering and the
+        # actions of its answer not yet carried out; never an empty list.
+        self._manual = opt.mode == "manual"
         self._actions: dict[int, tuple[FaultCycle, list[Action]]] = {}
         self._held: dict[int, FaultCycle] = {}
         # Faulting thread -> the pager the kernel sends its faults to, under
@@ -338,7 +340,6 @@ class Simulator:
     # ---- run loop --------------------------------------------------------
 
     def run(self) -> SimResult:
-        auto = self.sf.options.mode == "auto"
         for item in self.sf.script:
             if isinstance(item, AccessItem):
                 self._exec_access(item)
@@ -350,10 +351,6 @@ class Simulator:
                 self.machine.switch_to(self._decl[item.thread].tid)
             elif isinstance(item, YieldItem):
                 self.machine.yield_current()
-            # Serve pagers until every action queue is empty; a queue
-            # leaves the map as soon as it empties (see _exec_action).
-            while auto and self._actions:
-                self._exec_action(next(iter(self._actions)))
         return SimResult(
             scheme=self.scheme,
             trace=self.machine.trace,
@@ -450,7 +447,7 @@ class Simulator:
             if action is REPLY:
                 self.dispatcher.return_to_faulter(cycle)
             else:
-                self._change_memory(manager, cycle, action)
+                self._carry_out(manager, cycle, action)
         if not cycle.closed:
             # The in-kernel policy produced no resolution; the thread can
             # never make progress, park it like a protection fault.
@@ -459,83 +456,85 @@ class Simulator:
     # ---- serving pagers --------------------------------------------------
 
     def _serve(self, pager: int) -> None:
-        """Hand ``pager`` its queued messages in order until one leaves it
-        actions or its mailbox is empty.  A pager that still has actions
-        queued gets nothing; ``_exec_action`` serves it again once they
-        are carried out."""
+        """Hand ``pager`` its queued messages in order.  Under mode=auto
+        each answer is carried out at once and a reflection's target is
+        served next; under manual the answer waits in ``_actions``, and the
+        pager gets nothing more until ``_exec_action`` has carried it out."""
         box = self.machine.mailboxes[pager]
         while box and pager not in self._actions:
             fault = self.dispatcher.deliver(pager)
             actions = self._build_actions(pager, fault)
-            if actions:
-                self._actions[pager] = (fault, actions)
-            else:  # nothing to do: straight back to the receive loop
+            if not actions:  # straight back to the receive loop
                 self.machine.block_on_receive(pager)
+            elif self._manual:
+                self._actions[pager] = (fault, actions)
+            else:
+                for action in actions:
+                    target = self._carry_out(pager, fault, action)
+                if target is not None:
+                    pager, box = target, self.machine.mailboxes[target]
 
     def _exec_action(self, pager: int) -> None:
         fault, queue = self._actions[pager]
         action = queue.pop(0)
         if not queue:
-            # An emptied queue leaves the map at once (the auto run loop
-            # stops on an empty map).
-            del self._actions[pager]
-        if action is REPLY or action is REFLECT:
-            if self.machine.occupant != pager:
-                # A reply or reflection is a syscall; the pager must hold
-                # the CPU.  Scripted interleavings may have moved it away -
-                # switch back with an unattributed context switch
-                # (scheduling, not fault protocol).
-                self.machine.switch_to(pager)
-            if action is REPLY:
-                self.dispatcher.pager_reply(pager, fault)
-            else:
-                # Region-mapper reflection: forward the fault unchanged to
-                # the pager the mapper's database names (the mapper's
-                # actions came from its behavior, see _build_actions).
-                target = self.behaviors[pager].db.lookup(fault.vaddr)
-                # Unchanged, the fault would go round forever once it
-                # reached a thread twice.  Its path so far has no loop:
-                # walk it again from the thread the kernel sent it to.
-                hop = self._pager_of[fault.faulter]
-                while hop != target and hop != pager:
-                    hop = self.behaviors[hop].db.lookup(fault.vaddr)
-                if hop == target:
-                    name = self.machine.threads
-                    raise SimulationError(
-                        f"reflection loop: pager {name[pager].name!r} would "
-                        f"reflect fault {fault.index} (thread "
-                        f"{name[fault.faulter].name!r} at {fault.vaddr:#x}) "
-                        f"to {name[target].name!r}, which the fault already "
-                        "reached"
-                    )
-                self.dispatcher.reflect(pager, fault, target)
-                self._serve(target)
-        else:
-            self._change_memory(pager, fault, action)
+            del self._actions[pager]  # so _serve serves the pager again
+        target = self._carry_out(pager, fault, action)
+        if target is not None:
+            self._serve(target)
         if not queue:
-            # Already back in its receive loop: every non-empty action list
-            # ends with the reply or reflection that put the pager there,
-            # or with an action that comes after it.
+            # Back in its receive loop already: every answer ends with the
+            # reply or reflection that put it there, or an action after it.
             self._serve(pager)
 
-    def _change_memory(
+    def _carry_out(
         self, pager: int, fault: FaultCycle, action: Action
-    ) -> None:
-        """Carry out a map or revoke action answering ``fault`` through the
-        kernel's memory service, on behalf of ``pager``."""
+    ) -> int | None:
+        """Carry out one action of ``pager``'s answer to ``fault``: a map or
+        a revoke through the kernel's memory service (the only actions the
+        monolithic path brings), a reply, or a reflection, whose target it
+        returns for the caller to serve next."""
         memory = self.dispatcher.memory
-        if action is not REVOKE:
+        if action is REVOKE:
+            pages = self.spaces[fault.asid].present_pages_in_region(fault.rid)
+            for i, page in enumerate(pages):
+                memory.unmap_page(
+                    pager, fault.asid, page * self.layout.page_size,
+                    i == len(pages) - 1, fault.index,
+                )
+            return None
+        if action is not REPLY and action is not REFLECT:  # a MapAction
             memory.map_page(
                 pager, fault.asid, fault.vaddr, action.frame, action.marker,
                 fault.index,
             )
-            return
-        pages = self.spaces[fault.asid].present_pages_in_region(fault.rid)
-        for i, page in enumerate(pages):
-            memory.unmap_page(
-                pager, fault.asid, page * self.layout.page_size,
-                i == len(pages) - 1, fault.index,
+            return None
+        if self.machine.occupant != pager:
+            # A reply or reflection is a syscall: a pager that a scripted
+            # interleaving moved off the CPU gets it back by an unattributed
+            # context switch (scheduling, not fault protocol).
+            self.machine.switch_to(pager)
+        if action is REPLY:
+            self.dispatcher.pager_reply(pager, fault)
+            return None
+        # Reflection: forward the fault unchanged to the pager the mapper's
+        # database names.  It would go round forever once it reached a
+        # thread twice; its path so far has no loop, so walk it again from
+        # the thread the kernel sent it to.
+        target = self.behaviors[pager].db.lookup(fault.vaddr)
+        hop = self._pager_of[fault.faulter]
+        while hop != target and hop != pager:
+            hop = self.behaviors[hop].db.lookup(fault.vaddr)
+        if hop == target:
+            name = self.machine.threads
+            raise SimulationError(
+                f"reflection loop: pager {name[pager].name!r} would reflect "
+                f"fault {fault.index} (thread {name[fault.faulter].name!r} at "
+                f"{fault.vaddr:#x}) to {name[target].name!r}, which the fault "
+                "already reached"
             )
+        self.dispatcher.reflect(pager, fault, target)
+        return target
 
 
 def simulate(
@@ -623,14 +622,10 @@ class OverheadReport:
         return "\n".join(lines) + "\n"
 
     def as_kv(self) -> str:
-        lines = []
-        for row in self.rows:
-            lines.append(
-                " ".join(
-                    f"{attr}={getattr(row, attr)}"
-                    for attr in self._COLUMNS
-                )
-            )
+        lines = [
+            " ".join(f"{attr}={getattr(row, attr)}" for attr in self._COLUMNS)
+            for row in self.rows
+        ]
         if self.reduction_mode is not None:
             lines.append(f"reduction_mode_switches={self.reduction_mode}")
             lines.append(f"reduction_context_switches={self.reduction_ctx}")

@@ -10,13 +10,13 @@ Events may carry the index of the fault-handling cycle they belong to.
 Per-cycle accounting counts only attributed events; switches produced by
 scripted scheduling directives carry no attribution and are invisible to
 the per-fault cost figures, mirroring cost models that charge a fault only
-for the crossings its own handling protocol mandates.  Appending an
-attributed event bumps its kind's count in its cycle's counter row, so
-accounting never walks the events.  Events live in columns of kinds, raw
-arguments (ints and enum spellings) and cycles; only rendering makes text.
-Rendering joins the line templates of a block of ``RENDER_BLOCK`` events
-and formats the block with one ``%`` over its fields, so it makes no
-Python-level call per event.
+for the crossings its own handling protocol mandates.  A fault's trap
+opens its cycle's counter row, and each attributed event bumps its kind's
+count there, so accounting never walks the events.  Events live in
+columns of kinds, raw arguments (ints and enum spellings) and cycles;
+only rendering makes text.  Rendering joins the line templates of a
+block of ``RENDER_BLOCK`` events and formats the block with one ``%``
+over its fields, so it makes no Python-level call per event.
 
 Where events go is chosen once, when the trace is built.  A ``Trace``
 keeps them; a ``CountingTrace``, for runs whose events nobody reads, keeps
@@ -91,7 +91,7 @@ class TraceEvent(NamedTuple):
 class Trace:
     """Gap-free, append-only log in columns ``kinds``, ``args`` and
     ``cycle_of``, indexed by seq and read back as :class:`TraceEvent`, with
-    one counter row per attributed cycle: ``cycle_counts[c][SLOT[kind._value_]]``
+    one counter row per opened cycle: ``cycle_counts[c][SLOT[kind._value_]]``
     is how many events of that kind cycle ``c`` has."""
 
     def __init__(self) -> None:
@@ -104,16 +104,18 @@ class Trace:
         self, kind: EventKind, args: tuple = (), cycle: int | None = None
     ) -> None:
         """Record one event: its kind, its arguments as one tuple, and the
-        fault cycle it is attributed to, if any.  The run path passes all
-        three positionally (docs/architecture.md, "Run-path costs")."""
+        open fault cycle it is attributed to, if any.  The run path passes
+        all three positionally (docs/architecture.md, "Run-path costs")."""
+        if cycle is not None:  # first, so an unopened cycle stores nothing
+            self.cycle_counts[cycle][SLOT[kind._value_]] += 1
         self.kinds.append(kind)
         self.args.append(args)
         self.cycle_of.append(cycle)
-        if cycle is not None:
-            rows = self.cycle_counts
-            while len(rows) <= cycle:
-                rows.append([0] * len(SLOT))
-            rows[cycle][SLOT[kind._value_]] += 1
+
+    def open_cycle(self) -> int:
+        """Open the next fault cycle's counter row; return its index."""
+        self.cycle_counts.append([0] * len(SLOT))
+        return len(self.cycle_counts) - 1
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -180,12 +182,9 @@ class CountingTrace(Trace):
         self, kind: EventKind, args: tuple = (), cycle: int | None = None
     ) -> None:
         """Count one event and, if it is attributed, bump its cycle's row."""
-        self.appended += 1
         if cycle is not None:
-            rows = self.cycle_counts
-            while len(rows) <= cycle:
-                rows.append([0] * len(SLOT))
-            rows[cycle][SLOT[kind._value_]] += 1
+            self.cycle_counts[cycle][SLOT[kind._value_]] += 1
+        self.appended += 1
 
     def __len__(self) -> int:
         return self.appended

@@ -39,6 +39,15 @@ def load_bench_module(name: str):
     return module
 
 
+def opened(trace, cycles: int):
+    """``trace`` with its first ``cycles`` fault cycles opened, as the
+    traps of that many faults open them; an attributed event needs its
+    cycle open."""
+    for _ in range(cycles):
+        trace.open_cycle()
+    return trace
+
+
 def fitting_results(name: str, keep_events: bool = True) -> dict[str, SimResult]:
     """Runs of one fixture under every scheme it fits."""
     sf = parse_scenario(fixture_scn(name))

@@ -222,6 +222,25 @@ def test_scenario_error_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_order_under_a_round_robin_schedule_is_refused(tmp_path, capsys):
+    # The shuffle would replace the order, so the pair is an error, not a
+    # silently dropped list.
+    path = tmp_path / "order.scn"
+    path.write_text(
+        "option schedule=round-robin seed=3 order=B,A\n"
+        "thread A tid=1 asid=1 role=applicant\n"
+        "thread B tid=2 asid=1 role=applicant\n"
+        "yield\n"
+    )
+    rc = cli.main(["--scenario", str(path), "--report", "kv"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: option order= needs schedule=deterministic, not round-robin\n"
+    )
+
+
 def test_scheme_mismatch_is_reported(tmp_path, capsys):
     path = tmp_path / "mismatch.scn"
     path.write_text(
@@ -420,6 +439,44 @@ def test_a_deep_mailbox_is_served_without_recursion(scheme, tmp_path, capsys):
     assert rc == 0
     assert first.startswith(f"{scheme}: faults=1000 ")
     assert first.endswith(" warnings=999")
+
+
+def reflection_chain(hops: int) -> str:
+    """One fault under l4re that the region mapper reflects to ``P0``,
+    which reflects it to ``P1``, and so on to ``P<hops>``, the anonymous
+    manager of the region."""
+    lines = [
+        "layout regions=8 pages_per_region=1024 page_size=4096",
+        "thread T tid=1 asid=1 role=applicant",
+    ]
+    lines += [f"thread P{i} tid={i + 2} asid=2 role=pager" for i in range(hops + 1)]
+    lines += [f"pager P{i} policy=reflecting" for i in range(hops)]
+    lines.append(f"pager P{hops} policy=anonymous")
+    lines += [
+        f"dbrange pager=P{i} start=0x0 end=0x400000 target=P{i + 1}"
+        for i in range(hops)
+    ]
+    lines += [
+        "dbrange asid=1 start=0x0 end=0x400000 target=P0",
+        f"assign asid=1 rid=0 pager=P{hops}",
+        "access T 0x1000 read",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_long_reflection_chain_is_served_without_recursion(tmp_path, capsys):
+    # The mapper and 600 pagers each reflect once: 601 reflections, then
+    # the manager maps and replies, all in one loop of constant stack.
+    path = tmp_path / "chain.scn"
+    path.write_text(
+        reflection_chain(600) + "expect fault=0 verdict=DISPATCHED "
+        "scheme=l4re mode=1206 ctx=603 ipc=603 invocations=602\n"
+    )
+    rc = cli.main(["--scenario", str(path), "--scheme", "l4re", "--check"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[0].startswith("l4re: faults=1 ")
+    assert out[1] == "check: 1 expectation line(s), 0 failure(s)"
 
 
 CLI_FUZZ_MUTANTS = 84  # per fixture: about 500 in all

@@ -19,6 +19,7 @@ from pagersim.errors import (
     UnknownReceiverError,
     UnknownThreadError,
 )
+from support import opened
 
 
 def two_thread_machine():
@@ -35,6 +36,7 @@ def test_kernel_is_not_a_registered_thread():
     assert m.threads == {}
     with pytest.raises(UnknownThreadError):
         m.thread(KERNEL_TID)
+    opened(m.trace, 1)
     m.send((2, KERNEL_TID, "REPLY", 1), object(), 0)
     assert [(ev.kind, ev.args, ev.cycle) for ev in m.trace] == [
         (EventKind.IPC_SEND, (2, KERNEL_TID, "REPLY", 1), 0)
@@ -122,6 +124,7 @@ def test_switch_to_refuses_unschedulable_threads():
 
 def test_suspend_resume_events_and_states():
     m = two_thread_machine()
+    opened(m.trace, 4)
     m.suspend(1, cycle=3)
     assert m.state[1] is ThreadState.SUSPENDED
     m.resume(1, cycle=3)
@@ -139,6 +142,7 @@ def fault_send(receiver: int, vaddr: int = 0x2000) -> tuple:
 
 def test_send_renders_fault_payload_and_queues():
     m = two_thread_machine()
+    opened(m.trace, 1)
     cycle = FaultCycle(0, faulter=1, asid=1, vaddr=0x2000,
                        access=AccessType.WRITE, marker=5)
     m.send(fault_send(2), cycle, 0)
@@ -156,6 +160,7 @@ def test_send_queues_an_opaque_payload_untouched():
     # The machine reads no field of what it carries: any object goes
     # through the mailbox as it was sent.
     m = two_thread_machine()
+    opened(m.trace, 4)
     payload = object()
     m.send(fault_send(2), payload)
     assert m.receive(2, 3) is payload
@@ -182,6 +187,7 @@ def test_send_to_unknown_receiver():
 
 def test_receive_is_fifo_and_traces():
     m = two_thread_machine()
+    opened(m.trace, 1)
     first, second = object(), object()
     m.send(fault_send(2), first)
     m.send(fault_send(2, 0x3000), second)

@@ -15,6 +15,7 @@ from pagersim import (
     classify,
 )
 from pagersim.fault_dispatch import Classification
+from pagersim.trace import SLOT
 from pagersim.errors import (
     BadRegionError,
     NoOutstandingFaultError,
@@ -23,6 +24,7 @@ from pagersim.errors import (
     UnknownThreadError,
     WrongPagerError,
 )
+from support import opened
 
 SMALL = LayoutConfig(region_count=8, pages_per_region=4, page_size=4096)
 PAGER = 9
@@ -90,6 +92,7 @@ def test_map_requires_region_manager():
 
 def test_first_map_accepts_the_contract():
     m, spaces, mem = machine_with_memory()
+    opened(m.trace, 1)
     assert spaces[1].regions.lookup(0).contract is ContractState.ASSIGNED
     mem.map_page(PAGER, 1, 0x1A20, frame=3, marker=2, cycle=0)
     assert spaces[1].regions.lookup(0).contract is ContractState.ACCEPTED
@@ -168,6 +171,22 @@ def test_dispatch_event_order():
     assert m.trace.of_cycle(cycle.index)[0].seq == 0  # the trap
     assert cycle.dispatched_to == PAGER
     assert not cycle.closed
+
+
+def test_each_trap_opens_the_next_counter_row():
+    m, spaces, disp = dispatcher_setup()
+    m.register_thread(3, 1, role=ThreadRole.APPLICANT, name="u")
+    for expected, tid in enumerate((1, 3, 1)):
+        m.switch_to(tid)
+        cycle = disp.begin_fault(tid, 0x1000 * (expected + 1), AccessType.READ)
+        # The trap's cycle is the row it opened: the last, and only its
+        # trap is counted there.
+        assert cycle.index == expected == len(disp.cycles) - 1
+        assert len(m.trace.cycle_counts) == len(disp.cycles)
+        row = m.trace.cycle_counts[expected]
+        assert sum(row) == row[SLOT["MODE_SWITCH_U2K"]] == 1
+    # The opener hands out the index the next trap would take.
+    assert m.trace.open_cycle() == len(disp.cycles)
 
 
 def test_reply_validation_happens_before_any_event():

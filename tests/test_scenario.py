@@ -64,7 +64,7 @@ def test_comments_and_blank_lines_ignored():
 def test_full_round_trip_is_identity():
     text = """\
 layout regions=8 pages_per_region=4 page_size=4096
-option mode=manual schedule=round-robin seed=5 frames=64 order=T1,P
+option mode=manual schedule=round-robin seed=5 frames=64
 thread T1 tid=1 asid=1 role=applicant pager=P
 thread RM tid=2 asid=1 role=region_mapper
 thread P tid=3 asid=2 role=pager
@@ -337,6 +337,17 @@ def test_parse_errors_carry_line_numbers():
             "thread T tid=1 asid=1 role=applicant\n"
             "dbrange asid=7 start=0x0 end=0x1000 target=T\n",
             "dbrange for unknown asid 7",
+        ),
+        (
+            "thread T tid=1 asid=1 role=applicant\n"
+            "option schedule=round-robin seed=3 order=T\n",
+            "order= needs schedule=deterministic",
+        ),
+        (  # the pair is refused however the option lines split it
+            "thread T tid=1 asid=1 role=applicant\n"
+            "option order=T\n"
+            "option schedule=round-robin\n",
+            "order= needs schedule=deterministic",
         ),
     ],
 )

@@ -2,7 +2,7 @@ import pytest
 
 from pagersim import CountingTrace, EventKind, EventsNotKeptError, Trace
 from pagersim.reproduce import FIXTURES
-from support import fitting_results
+from support import fitting_results, opened
 
 
 def test_sequence_numbers_are_gap_free():
@@ -21,7 +21,7 @@ def test_render_without_attribution():
 
 
 def test_render_with_attribution_and_kv_args():
-    tr = Trace()
+    tr = opened(Trace(), 8)
     tr.append(EventKind.MODE_SWITCH_U2K, (), 0)
     tr.append(EventKind.MAP_PAGE, (1, 0x1000), 7)
     assert tr[-1].render() == "1 MAP_PAGE asid=1 vaddr=0x1000 cycle=7"
@@ -57,7 +57,7 @@ RENDERED = {
 @pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)
 def test_render_of_every_kind(kind):
     args, text = RENDERED[kind]
-    tr = Trace()
+    tr = opened(Trace(), 4)
     tr.append(kind, args)
     assert tr[-1].render() == f"0 {text}"
     tr.append(kind, args, 3)
@@ -65,7 +65,7 @@ def test_render_of_every_kind(kind):
 
 
 def test_of_cycle_filters_and_preserves_order():
-    tr = Trace()
+    tr = opened(Trace(), 2)
     tr.append(EventKind.MODE_SWITCH_U2K, (), 0)
     tr.append(EventKind.CONTEXT_SWITCH, (1, 2))  # scheduling, unattributed
     tr.append(EventKind.MODE_SWITCH_K2U, (), 0)
@@ -76,7 +76,7 @@ def test_of_cycle_filters_and_preserves_order():
 
 
 def test_to_text_is_line_per_event_with_trailing_newline():
-    tr = Trace()
+    tr = opened(Trace(), 3)
     tr.append(EventKind.SUSPEND, (4,), 2)
     tr.append(EventKind.RESUME, (4,), 2)
     assert tr.to_text() == "0 SUSPEND 4 cycle=2\n1 RESUME 4 cycle=2\n"
@@ -116,6 +116,7 @@ EVENTS = (
 
 
 def filled(trace: Trace) -> Trace:
+    opened(trace, 3)
     for event in EVENTS:
         trace.append(*event)
     return trace
@@ -126,6 +127,28 @@ def test_counting_trace_keeps_the_count_and_the_counter_rows():
     assert len(counted) == len(kept) == 3
     assert counted.cycle_counts == kept.cycle_counts
     assert len(CountingTrace()) == 0
+
+
+@pytest.mark.parametrize("make", [Trace, CountingTrace])
+def test_open_cycle_numbers_the_rows_in_order(make):
+    tr = make()
+    assert [tr.open_cycle() for _ in range(3)] == [0, 1, 2]
+    assert tr.cycle_counts == [[0] * len(EventKind)] * 3
+    tr.append(EventKind.MODE_SWITCH_U2K, (), 1)
+    assert [sum(row) for row in tr.cycle_counts] == [0, 1, 0]
+
+
+@pytest.mark.parametrize("make", [Trace, CountingTrace])
+def test_an_event_of_a_cycle_never_opened_is_refused(make):
+    tr = opened(make(), 2)
+    tr.append(EventKind.CONTEXT_SWITCH, (1, 2))  # unattributed: no row
+    with pytest.raises(IndexError):
+        tr.append(EventKind.MODE_SWITCH_U2K, (), 2)
+    with pytest.raises(IndexError):
+        make().append(EventKind.MODE_SWITCH_U2K, (), 0)
+    # The refused event is neither counted nor kept.
+    assert len(tr) == 1
+    assert tr.cycle_counts == [[0] * len(EventKind)] * 2
 
 
 # Each reader of events, on a counters-only trace.
