@@ -17,7 +17,8 @@ arguments itself.  A queued message is its kind and its payload, and the
 payload is opaque here: the machine reads none of its fields.
 
 A thread is its declaration, shared by every machine built from one
-scenario; a machine keeps only each thread's scheduling state.
+scenario; a machine keeps only each thread's scheduling state, and sets
+it only at registration: the fault-dispatch layer writes every change.
 """
 
 from collections import deque
@@ -89,14 +90,11 @@ class ThreadDecl(NamedTuple):
 # Members the run path reads, bound once: a read through the enum class
 # runs its metaclass's lookup hook (docs/architecture.md, "Run-path costs").
 _READY = ThreadState.READY
-_SUSPENDED = ThreadState.SUSPENDED
 _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
 _APPLICANT = ThreadRole.APPLICANT
 _CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
 _IPC_SEND = EventKind.IPC_SEND
 _IPC_RECEIVE = EventKind.IPC_RECEIVE
-_SUSPEND = EventKind.SUSPEND
-_RESUME = EventKind.RESUME
 
 
 class Machine:
@@ -106,8 +104,8 @@ class Machine:
         self.order = order
         # False builds a counters-only trace: event count and counter rows.
         self.trace = Trace() if keep_events else CountingTrace()
-        # Each thread's declaration, and the one thing about it that runs
-        # change: its state.
+        # Each thread's declaration, and the one thing runs change about
+        # it: its state, which only the fault-dispatch layer writes later.
         self.threads: dict[int, ThreadDecl] = {}
         self.state: dict[int, ThreadState] = {}
         self.warnings: list[str] = []
@@ -160,7 +158,7 @@ class Machine:
             raise UnknownThreadError(f"no thread with id {tid}")
         return decl
 
-    # ---- occupancy and thread states -------------------------------------
+    # ---- occupancy -------------------------------------------------------
 
     def switch_to(self, tid: int, cycle: int | None = None) -> None:
         """Make the ready thread `tid` the occupant, emitting a context
@@ -176,24 +174,6 @@ class Machine:
             if prev is not None:
                 self.trace.append(_CONTEXT_SWITCH, (prev, tid), cycle)
             self.occupant = tid
-
-    def suspend(self, tid: int, cycle: int | None = None) -> None:
-        if tid not in self.state:
-            self.thread(tid)  # raises UnknownThreadError
-        self.state[tid] = _SUSPENDED
-        self.trace.append(_SUSPEND, (tid,), cycle)
-
-    def resume(self, tid: int, cycle: int | None = None) -> None:
-        if tid not in self.state:
-            self.thread(tid)  # raises UnknownThreadError
-        self.state[tid] = _READY
-        self.trace.append(_RESUME, (tid,), cycle)
-
-    def block_on_receive(self, tid: int) -> None:
-        # Occupancy is only reassigned by the next switch_to.
-        if tid not in self.state:
-            self.thread(tid)  # raises UnknownThreadError
-        self.state[tid] = _BLOCKED_ON_RECEIVE
 
     # ---- messaging -------------------------------------------------------
 

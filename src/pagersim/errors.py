@@ -59,11 +59,11 @@ class NoDatabaseEntryError(SimulationError):
 
 
 class NoOutstandingFaultError(SimulationError):
-    """A pager reply arrived for a fault that is not in flight."""
+    """A reply or reflection named a fault that is not in flight."""
 
 
 class WrongPagerError(SimulationError):
-    """A pager reply came from a thread other than the dispatched handler."""
+    """A reply or reflection came from a thread that does not hold the fault."""
 
 
 class SchemeMismatchError(SimulationError):

@@ -45,8 +45,10 @@ CPU would incidentally cross for scheduling:
 
 Scripted scheduler switches emit only ``CONTEXT_SWITCH``.  This matches
 cost comparisons that count a fault's protocol-mandated crossings and
-treat scheduler overhead as out of scope.  A reply or a reflection also
-puts its sender back in its receive loop.
+treat scheduler overhead as out of scope.  Thread states are steps of
+the protocol too: after registration only this module writes one, each
+step with its own ``SUSPEND`` or ``RESUME``.  An open fault keeps the set
+of threads it was sent to, so a reflection back to one is refused at once.
 """
 
 from dataclasses import dataclass
@@ -72,6 +74,7 @@ from .errors import (
     NotMappedError,
     NotRegionManagerError,
     RevokedRegionError,
+    SimulationError,
     WrongPagerError,
 )
 from .mmu import MARKER_BITS, MARKER_LIMIT
@@ -102,12 +105,15 @@ _ACCEPTED = ContractState.ACCEPTED
 _REVOKED = ContractState.REVOKED
 _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
 _READY = ThreadState.READY
+_SUSPENDED = ThreadState.SUSPENDED
 # Message kinds are their trace spellings.
 _PAGE_FAULT = "PAGE_FAULT"
 _REFLECTION = "REFLECTION"
 _REPLY = "REPLY"
 _MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
 _MODE_SWITCH_K2U = EventKind.MODE_SWITCH_K2U
+_SUSPEND = EventKind.SUSPEND
+_RESUME = EventKind.RESUME
 _VERDICT = EventKind.VERDICT
 _MAP_PAGE = EventKind.MAP_PAGE
 _UNMAP_PAGE = EventKind.UNMAP_PAGE
@@ -270,6 +276,8 @@ class FaultCycle:
     closed: bool = False
     # The thread whose reply settles the fault; a reflection moves it.
     dispatched_to: int | None = None
+    # Every thread the fault was sent to, while it is open.
+    sent_to: set[int] | None = None
 
 
 class FaultDispatcher:
@@ -315,13 +323,15 @@ class FaultDispatcher:
         """Suspend the faulter for good: the thread state enum has no
         terminal member, so a thread that can never continue is modeled
         as a suspension nothing will ever pair with a resume."""
-        self.machine.suspend(cycle.faulter, cycle.index)
+        self.machine.state[cycle.faulter] = _SUSPENDED
+        self.machine.trace.append(_SUSPEND, (cycle.faulter,), cycle.index)
 
     def return_to_faulter(self, cycle: FaultCycle) -> None:
         """Leave the kernel into the faulter and close the cycle."""
         self.machine.trace.append(_MODE_SWITCH_K2U, (), cycle.index)
         self.machine.switch_to(cycle.faulter, cycle.index)
         cycle.closed = True
+        cycle.sent_to = None
 
     # ---- dispatch to a pager --------------------------------------------
 
@@ -329,13 +339,15 @@ class FaultDispatcher:
         """Phase two for a dispatched fault, after its verdict: suspend
         the faulter and queue the fault message at ``target``.  When the
         message is delivered is the caller's business (see ``deliver``)."""
-        self.machine.suspend(cycle.faulter, cycle.index)
+        self.machine.state[cycle.faulter] = _SUSPENDED
+        self.machine.trace.append(_SUSPEND, (cycle.faulter,), cycle.index)
         # _value_, not .value: docs/architecture.md, "Run-path costs".
         self.machine.send((
             KERNEL_TID, target, _PAGE_FAULT, cycle.faulter, cycle.vaddr,
             cycle.access._value_, cycle.marker,
         ), cycle, cycle.index)
         cycle.dispatched_to = target
+        cycle.sent_to = {target}
 
     def deliver(self, target: int) -> FaultCycle | None:
         """Hand the next message queued at ``target`` to it: the
@@ -356,35 +368,55 @@ class FaultDispatcher:
         machine.switch_to(target, index)
         return machine.receive(target, index)
 
+    def back_to_receive(self, pager: int) -> None:
+        """Return a pager that answered a fault with nothing to its loop."""
+        self.machine.state[pager] = _BLOCKED_ON_RECEIVE
+
     def reflect(self, mapper: int, cycle: FaultCycle, target: int) -> None:
         """A region mapper's reflect syscall: forward the fault unchanged
         to ``target``, make ``target`` the thread whose reply settles it,
-        and put the mapper back in its receive loop."""
+        and put the mapper back in its receive loop.  Validated as a reply
+        is, and refused if the fault already reached ``target``."""
+        sent_to = cycle.sent_to
+        if sent_to is None or cycle.dispatched_to != mapper:
+            raise self._not_held(mapper, cycle)
+        if target in sent_to:
+            name = self.machine.threads
+            raise SimulationError(
+                f"reflection loop: pager {name[mapper].name!r} would reflect "
+                f"fault {cycle.index} (thread {name[cycle.faulter].name!r} at "
+                f"{cycle.vaddr:#x}) to {name[target].name!r}, which the fault "
+                "already reached"
+            )
         self.machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
         cycle.dispatched_to = target
         self.machine.send((
             mapper, target, _REFLECTION, cycle.faulter, cycle.vaddr,
             cycle.access._value_, cycle.marker,
         ), cycle, cycle.index)
-        self.machine.block_on_receive(mapper)
+        sent_to.add(target)
+        self.machine.state[mapper] = _BLOCKED_ON_RECEIVE
 
     def pager_reply(self, pager: int, cycle: FaultCycle) -> None:
         """A pager's reply syscall: validate it, wake the faulter, and hand
         the CPU back.  Emits U2K (the syscall), the reply send, the
         resume, K2U, and the context switch back to the faulter."""
-        if cycle.dispatched_to is None or cycle.closed:
-            raise NoOutstandingFaultError(
-                f"fault cycle {cycle.index} is not in flight"
-            )
-        if cycle.dispatched_to != pager:
-            raise WrongPagerError(
-                f"fault of thread {cycle.faulter} is handled by "
-                f"{cycle.dispatched_to}, not {pager}"
-            )
+        if cycle.sent_to is None or cycle.dispatched_to != pager:
+            raise self._not_held(pager, cycle)
         self.machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
         self.machine.send(
             (pager, KERNEL_TID, _REPLY, cycle.faulter), cycle, cycle.index
         )
-        self.machine.resume(cycle.faulter, cycle.index)
-        self.machine.block_on_receive(pager)
+        self.machine.state[cycle.faulter] = _READY
+        self.machine.trace.append(_RESUME, (cycle.faulter,), cycle.index)
+        self.machine.state[pager] = _BLOCKED_ON_RECEIVE
         self.return_to_faulter(cycle)
+
+    def _not_held(self, pager: int, cycle: FaultCycle) -> SimulationError:
+        """The refusal of a reply or reflection from ``pager`` on ``cycle``."""
+        if cycle.sent_to is not None:
+            return WrongPagerError(
+                f"fault of thread {cycle.faulter} is handled by "
+                f"{cycle.dispatched_to}, not {pager}"
+            )
+        return NoOutstandingFaultError(f"fault cycle {cycle.index} is not in flight")

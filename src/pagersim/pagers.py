@@ -108,11 +108,9 @@ class MappingDatabase:
         if start >= end:
             raise ValueError(f"empty range [{start:#x}, {end:#x})")
         i = bisect.bisect_left(self._starts, start)
-        if i > 0 and self._ends[i - 1] > start:
-            raise OverlappingRangeError(
-                f"[{start:#x}, {end:#x}) overlaps an existing range"
-            )
-        if i < len(self._starts) and self._starts[i] < end:
+        if (i > 0 and self._ends[i - 1] > start) or (
+            i < len(self._starts) and self._starts[i] < end
+        ):
             raise OverlappingRangeError(
                 f"[{start:#x}, {end:#x}) overlaps an existing range"
             )

@@ -19,17 +19,17 @@ DISPATCHED fault travels before someone maps a frame:
 
 A resolved fault's cost is read off the trace from the events attributed
 to its cycle, so scripted scheduling noise between faults never pollutes
-the per-fault figures.  Every attributed event is emitted by the
-``FaultDispatcher``; the simulator only decides where a dispatched fault
-goes and when a pager runs.  One loop serves a pager its queued faults in
-order; under ``mode=auto`` it carries out each answer at once and serves
-a reflection's target next, without recursion.  A fault reflected back
-to a thread it already reached is an error.  A fault's trap opens its
-cycle's counter row, which counts each event kind as events are
-appended; one function (``_costs``) decides which kinds count toward
-which cost column and one (``_resolved``) whether a cycle's faulter got
-the CPU back.  Per-cycle metrics, whole-run totals, expectation checks
-and the cross-scheme ordering all read rows through those two.
+the per-fault figures.  Every attributed event and every thread state a
+run changes is written by the ``FaultDispatcher``; the simulator only
+decides where a dispatched fault goes and when a pager runs.  One loop
+serves a pager its queued faults in order; under ``mode=auto`` it carries
+out each answer at once and serves a reflection's target next, without
+recursion.  A fault's trap opens its cycle's counter row, which counts
+each event kind as events are appended; one function (``_costs``)
+decides which kinds count toward which cost column and one
+(``_resolved``) whether a cycle's faulter got the CPU back.  Per-cycle
+metrics, whole-run totals, expectation checks and the cross-scheme
+ordering all read rows through those two.
 """
 
 import random
@@ -465,7 +465,7 @@ class Simulator:
             fault = self.dispatcher.deliver(pager)
             actions = self._build_actions(pager, fault)
             if not actions:  # straight back to the receive loop
-                self.machine.block_on_receive(pager)
+                self.dispatcher.back_to_receive(pager)
             elif self._manual:
                 self._actions[pager] = (fault, actions)
             else:
@@ -517,22 +517,8 @@ class Simulator:
         if action is REPLY:
             self.dispatcher.pager_reply(pager, fault)
             return None
-        # Reflection: forward the fault unchanged to the pager the mapper's
-        # database names.  It would go round forever once it reached a
-        # thread twice; its path so far has no loop, so walk it again from
-        # the thread the kernel sent it to.
+        # Reflection: forward the fault to the pager the database names.
         target = self.behaviors[pager].db.lookup(fault.vaddr)
-        hop = self._pager_of[fault.faulter]
-        while hop != target and hop != pager:
-            hop = self.behaviors[hop].db.lookup(fault.vaddr)
-        if hop == target:
-            name = self.machine.threads
-            raise SimulationError(
-                f"reflection loop: pager {name[pager].name!r} would reflect "
-                f"fault {fault.index} (thread {name[fault.faulter].name!r} at "
-                f"{fault.vaddr:#x}) to {name[target].name!r}, which the fault "
-                "already reached"
-            )
         self.dispatcher.reflect(pager, fault, target)
         return target
 

@@ -107,6 +107,8 @@ class Trace:
         open fault cycle it is attributed to, if any.  The run path passes
         all three positionally (docs/architecture.md, "Run-path costs")."""
         if cycle is not None:  # first, so an unopened cycle stores nothing
+            if cycle < 0:  # a row from the end, never this event's
+                raise IndexError(f"fault cycle {cycle} was never opened")
             self.cycle_counts[cycle][SLOT[kind._value_]] += 1
         self.kinds.append(kind)
         self.args.append(args)
@@ -183,6 +185,8 @@ class CountingTrace(Trace):
     ) -> None:
         """Count one event and, if it is attributed, bump its cycle's row."""
         if cycle is not None:
+            if cycle < 0:
+                raise IndexError(f"fault cycle {cycle} was never opened")
             self.cycle_counts[cycle][SLOT[kind._value_]] += 1
         self.appended += 1
 

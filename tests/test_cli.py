@@ -5,6 +5,8 @@ import pytest
 from pagersim import (
     ALL_SCHEMES,
     CountingTrace,
+    Scheme,
+    SimulationError,
     Simulator,
     Trace,
     cli,
@@ -12,6 +14,7 @@ from pagersim import (
     parse_scenario,
     simulate,
 )
+from pagersim.pagers import MappingDatabase
 from mutants import FIXTURES, mutant
 from support import fixture_scn, golden_digests
 
@@ -477,6 +480,37 @@ def test_a_long_reflection_chain_is_served_without_recursion(tmp_path, capsys):
     assert rc == 0
     assert out[0].startswith("l4re: faults=1 ")
     assert out[1] == "check: 1 expectation line(s), 0 failure(s)"
+
+
+def test_a_reflection_chain_looks_each_hop_up_once(monkeypatch):
+    # Each of the 601 reflections looks its target up once; re-walking the
+    # fault's path before every reflection made about n**2 / 2 lookups
+    # (180,901 here).
+    lookups = 0
+    lookup = MappingDatabase.lookup
+
+    def counted(db, vaddr):
+        nonlocal lookups
+        lookups += 1
+        return lookup(db, vaddr)
+
+    monkeypatch.setattr(MappingDatabase, "lookup", counted)
+    result = Simulator(parse_scenario(reflection_chain(600)), Scheme.L4RE).run()
+    assert result.cycles[0].closed
+    assert lookups == 601
+
+    # A loop closed at the end of the chain is still refused by name.
+    looped = reflection_chain(600).replace(
+        "pager P600 policy=anonymous\n",
+        "pager P600 policy=reflecting\n"
+        "dbrange pager=P600 start=0x0 end=0x400000 target=P0\n",
+    )
+    with pytest.raises(SimulationError) as err:
+        Simulator(parse_scenario(looped), Scheme.L4RE).run()
+    assert str(err.value) == (
+        "reflection loop: pager 'P600' would reflect fault 0 (thread 'T' at "
+        "0x1000) to 'P0', which the fault already reached"
+    )
 
 
 CLI_FUZZ_MUTANTS = 84  # per fixture: about 500 in all

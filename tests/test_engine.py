@@ -4,6 +4,7 @@ from pagersim import (
     AccessType,
     EventKind,
     FaultCycle,
+    FaultDispatcher,
     KERNEL_TID,
     Machine,
     Scheme,
@@ -68,9 +69,7 @@ def test_unknown_thread():
         Machine().thread(9)
 
 
-@pytest.mark.parametrize(
-    "method", ["switch_to", "suspend", "resume", "block_on_receive"]
-)
+@pytest.mark.parametrize("method", ["switch_to"])
 def test_every_method_taking_a_tid_refuses_an_unknown_thread(method):
     m = two_thread_machine()
     with pytest.raises(UnknownThreadError):
@@ -115,7 +114,7 @@ def test_occupant_change_emits_context_switch():
 
 def test_switch_to_refuses_unschedulable_threads():
     m = two_thread_machine()
-    m.suspend(1)
+    m.state[1] = ThreadState.SUSPENDED
     with pytest.raises(NotSchedulableError):
         m.switch_to(1)
     with pytest.raises(NotSchedulableError):
@@ -123,13 +122,23 @@ def test_switch_to_refuses_unschedulable_threads():
 
 
 def test_suspend_resume_events_and_states():
+    # The dispatcher writes thread states: a dispatched fault suspends its
+    # faulter, and the pager's reply resumes it.
     m = two_thread_machine()
     opened(m.trace, 4)
-    m.suspend(1, cycle=3)
+    d = FaultDispatcher(m, {})
+    cycle = FaultCycle(3, faulter=1, asid=1, vaddr=0x2000,
+                       access=AccessType.WRITE)
+    d.suspend_and_send(cycle, 2)
     assert m.state[1] is ThreadState.SUSPENDED
-    m.resume(1, cycle=3)
+    assert d.deliver(2) is cycle
+    d.pager_reply(2, cycle)
     assert m.state[1] is ThreadState.READY
-    assert [(ev.kind, ev.args, ev.cycle) for ev in m.trace] == [
+    assert m.state[2] is ThreadState.BLOCKED_ON_RECEIVE
+    assert [
+        (ev.kind, ev.args, ev.cycle) for ev in m.trace
+        if ev.kind in (EventKind.SUSPEND, EventKind.RESUME)
+    ] == [
         (EventKind.SUSPEND, (1,), 3),
         (EventKind.RESUME, (1,), 3),
     ]
@@ -214,8 +223,7 @@ def test_schedule_next_follows_declared_order():
 
 def test_schedule_next_skips_unschedulable():
     m = scheduling_machine((1, 2, 3))
-    m.suspend(1)
-    m.suspend(2)
+    m.state[1] = m.state[2] = ThreadState.SUSPENDED
     assert m.schedule_next() == 3
 
 
@@ -228,7 +236,7 @@ def test_schedule_next_wraps_around():
 def test_deadlock_when_nothing_schedulable():
     m = scheduling_machine((1, 2, 3))
     for tid in (1, 2, 3):
-        m.suspend(tid)
+        m.state[tid] = ThreadState.SUSPENDED
     with pytest.raises(DeadlockError):
         m.schedule_next()
 

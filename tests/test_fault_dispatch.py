@@ -21,6 +21,7 @@ from pagersim.errors import (
     NoOutstandingFaultError,
     NotRegionManagerError,
     RevokedRegionError,
+    SimulationError,
     UnknownThreadError,
     WrongPagerError,
 )
@@ -278,6 +279,31 @@ def test_reflect_hands_the_fault_to_the_new_handler():
     assert disp.deliver(PAGER) is cycle
     disp.pager_reply(PAGER, cycle)
     assert cycle.closed
+
+
+def test_reflect_validation_happens_before_any_event():
+    m, spaces, disp = dispatcher_setup()
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
+    dispatch(disp, cycle, spaces[1], target=OTHER)
+    assert disp.deliver(OTHER) is cycle
+    length = len(m.trace)
+    with pytest.raises(WrongPagerError):
+        disp.reflect(PAGER, cycle, PAGER)  # PAGER does not hold the fault
+    with pytest.raises(SimulationError, match="^reflection loop: pager 'q' "):
+        disp.reflect(OTHER, cycle, OTHER)  # the fault already reached OTHER
+    assert len(m.trace) == length
+    assert m.state[OTHER] is ThreadState.READY
+    disp.reflect(OTHER, cycle, PAGER)
+    assert cycle.sent_to == {OTHER, PAGER}
+    assert disp.deliver(PAGER) is cycle
+    disp.pager_reply(PAGER, cycle)
+    # A closed fault keeps no record of where it went, and takes no
+    # reflection.
+    assert cycle.sent_to is None
+    length = len(m.trace)
+    with pytest.raises(NoOutstandingFaultError):
+        disp.reflect(PAGER, cycle, OTHER)
+    assert len(m.trace) == length
 
 
 def test_general_protection_is_permanent_suspension():

@@ -146,6 +146,9 @@ def test_an_event_of_a_cycle_never_opened_is_refused(make):
         tr.append(EventKind.MODE_SWITCH_U2K, (), 2)
     with pytest.raises(IndexError):
         make().append(EventKind.MODE_SWITCH_U2K, (), 0)
+    # A negative index names no cycle either: it would bump the last row.
+    with pytest.raises(IndexError):
+        tr.append(EventKind.MODE_SWITCH_U2K, (), -1)
     # The refused event is neither counted nor kept.
     assert len(tr) == 1
     assert tr.cycle_counts == [[0] * len(EventKind)] * 2
