@@ -20,8 +20,8 @@ Policies:
 * ``REJECTING``  - silently ignore the fault; the faulter stays suspended.
   This is distinct from refusing a region's contract, which the kernel
   turns into a protection fault before any message is sent.
-* ``REFLECTING`` - forward the fault to the pager responsible for the
-  faulting range per the mapping database (the region-mapper protocol).
+* ``REFLECTING`` - forward the fault to the pager its mapping database,
+  or else its space's region table, names (the region-mapper protocol).
 
 A pager with ``revoke_after=N`` walks away after its Nth resolved fault in
 a region: it unmaps every present page there, setting the revoke flag on
@@ -142,7 +142,7 @@ class Step(Enum):
     """The actions that need no data beyond the fault they answer."""
 
     REPLY = "reply"  # settle the fault, releasing the faulter
-    REFLECT = "reflect"  # forward the fault to the pager the database names
+    REFLECT = "reflect"  # forward the fault to the pager responsible for it
     # Unmap every present page the pager holds in the faulted region,
     # revoke flag on the last; expanded at execution time against live state.
     REVOKE = "revoke"
@@ -163,13 +163,14 @@ _new = tuple.__new__
 @dataclass
 class PagerBehavior:
     policy: PagerPolicy = PagerPolicy.ANONYMOUS
-    marker_rule: MarkerRule = field(default_factory=MarkerRule)
+    marker_rule: MarkerRule = MarkerRule()
     revoke_after: int | None = None
     backing: dict[int, int] = field(default_factory=dict)  # page -> frame
+    # None: a region mapper without dbrange lines reads its region table.
     db: MappingDatabase | None = None
 
     # Resolved-fault counts per (asid, rid), for revoke_after.
-    _resolved: dict[tuple[int, int], int] = field(default_factory=dict)
+    _resolved: dict = field(default_factory=dict, init=False, repr=False)
 
     def on_page_fault(
         self,

@@ -13,8 +13,8 @@ DISPATCHED fault travels before someone maps a frame:
   as ``l4-single``: 4 crossings, 2 context switches, but different pagers
   can serve different regions of one space.
 * ``l4re``        - multi-pager service in user space: the kernel only
-  knows the per-process region-mapper thread, which looks up the real
-  pager in its mapping database and reflects the message; the pager's
+  knows the per-process region-mapper thread, which reads the real pager
+  off its space's region table and reflects the message; the pager's
   reply releases the faulter directly.  6 crossings, 3 context switches.
 
 A resolved fault's cost is read off the trace from the events attributed
@@ -43,6 +43,7 @@ from .address_space import AddressSpace
 from .engine import Machine, ThreadDecl, ThreadRole
 from .errors import (
     IncompleteCycleError,
+    NoDatabaseEntryError,
     SchemeMismatchError,
     SimulationError,
 )
@@ -276,7 +277,8 @@ class Simulator:
             )
 
     def _wire_region_mappers(self, faulters: list[ThreadDecl]) -> None:
-        """In L4Re a space's region mapper is the pager of all its threads."""
+        """In L4Re a space's region mapper is the pager of all its threads.
+        The mappers without dbrange lines share one behavior, no database."""
         declared: dict[int, int] = {}
         for t in self.sf.threads:
             if t.role is _REGION_MAPPER:
@@ -286,6 +288,7 @@ class Simulator:
                     )
                 declared[t.asid] = t.tid
         mapper_of: dict[int, int] = {}
+        shared = PagerBehavior(policy=_REFLECTING)
         next_tid = max([t.tid for t in self.sf.threads], default=0) + 1
         for asid in self.spaces:  # the faulters' spaces, in asid order
             tid = declared.get(asid)
@@ -296,8 +299,9 @@ class Simulator:
                     tid, asid, _REGION_MAPPER, f"rm{asid}"
                 )
             mapper_of[asid] = tid
-            self.behaviors[tid] = PagerBehavior(
-                policy=_REFLECTING, db=self._space_db(asid)
+            explicit = self.sf.space_dbranges.get(asid)
+            self.behaviors[tid] = shared if not explicit else PagerBehavior(
+                policy=_REFLECTING, db=self._db_of(explicit)
             )
         for t in faulters:
             self._pager_of[t.tid] = mapper_of[t.asid]
@@ -307,21 +311,6 @@ class Simulator:
         db = MappingDatabase()
         for r in ranges:
             db.insert(r.start, r.end, self._decl[r.target].tid)
-        return db
-
-    def _space_db(self, asid: int) -> MappingDatabase:
-        """Mapping database of one space's region mapper: the explicit
-        ranges if the scenario declared any, otherwise one range per
-        assigned region - the same declarations the in-kernel region
-        table is built from, realized in user space."""
-        explicit = self.sf.space_dbranges.get(asid)
-        if explicit:
-            return self._db_of(explicit)
-        db = MappingDatabase()
-        layout = self.layout
-        for rid, manager in self.spaces[asid].regions.managers():
-            start = layout.user_base + rid * layout.region_size
-            db.insert(start, start + layout.region_size, manager)
         return db
 
     def _wire_thread_pagers(self, faulters: list[ThreadDecl]) -> None:
@@ -517,8 +506,17 @@ class Simulator:
         if action is REPLY:
             self.dispatcher.pager_reply(pager, fault)
             return None
-        # Reflection: forward the fault to the pager the database names.
-        target = self.behaviors[pager].db.lookup(fault.vaddr)
+        # Reflection: forward the fault to the pager the database names, or
+        # else the one the mapper's own space's region table names.
+        db = self.behaviors[pager].db
+        if db is not None:
+            target = db.lookup(fault.vaddr)
+        elif (asid := self.machine.threads[pager].asid) == fault.asid:
+            target = fault.manager  # as classification read it there
+        else:  # another space's fault, sent here by a pager's database
+            target = self.spaces[asid].regions.lookup(fault.rid).manager
+            if target is None:
+                raise NoDatabaseEntryError(f"no range covers {fault.vaddr:#x}")
         self.dispatcher.reflect(pager, fault, target)
         return target
 

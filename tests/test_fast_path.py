@@ -137,40 +137,44 @@ TRACKED_OBJECTS_PER_EVENT_BUDGET = 0.2
 
 # Python-level calls per declared address space of four Simulator(...)
 # builds, one per scheme, of wide_spaces() at 100 and at 1,000 spaces: 10%
-# above the 7.91 measured at 100 spaces when the budget was set (7.09 at
-# 1,000; Python 3.10.13 and 3.11.7; 7.40 and 6.86 on 3.12.1 and 3.13.0),
-# against 16.19 while each build registered every declared thread with a
-# call and a control block of its own, 38.5 while every declared space was
-# built and given its regions, and 60.6 while assign also built a
-# throwaway RegionSlot per region and set-up stepped a generator per
-# thread.  A build adds the declared threads in one step and builds a
-# space only for a thread that accesses memory, one space in five here.
-# The 100-space figure binds because the builds' fixed cost, 91 calls, is
-# spread over fewer spaces; net of it both sizes cost 7.0 calls per space.
-SETUP_CALLS_PER_SPACE_BUDGET = 8.7
+# above the 6.32 measured at 100 spaces when the budget was set (5.49 at
+# 1,000; Python 3.11.7), against 7.91 (7.09) while each l4re region
+# mapper got a mapping database copied from its space's region table,
+# 16.19 while each build registered every declared thread with a call and
+# a control block of its own, 38.5 while every declared space was built
+# and given its regions, and 60.6 while assign also built a throwaway
+# RegionSlot per region and set-up stepped a generator per thread.  A
+# build adds the declared threads in one step and builds a space only for
+# a thread that accesses memory, one space in five here.  The 100-space
+# figure binds because the builds' fixed cost, 92 calls, is spread over
+# fewer spaces; net of it both sizes cost 5.4 calls per space.
+SETUP_CALLS_PER_SPACE_BUDGET = 6.95
 
 # GC-tracked objects one Simulator(...) keeps per declared address space of
 # wide_spaces(), at 100 and at 1,000 spaces, each build counted alone.  A
-# build makes an AddressSpace, its page-table dict and its RegionTable
-# only for a space whose thread accesses memory, one in five here, and
-# l4re adds a region mapper and a mapping database for each such space.
-# A declared thread adds no object: the machine keeps its parsed
-# declaration and an untracked state entry.  The 100-space count binds,
-# since a build's fixed objects are spread over fewer spaces: 1.40 (2.80
-# under l4re) on Python 3.11.7, 3.12.1 and 3.13.0, and 1.22 (2.62) at
-# 1,000.  On Python 3.10.13 each AddressSpace and RegionTable adds its
-# tracked __dict__: 1.88 (3.88) at 100 spaces, which binds, and 1.63
-# (3.63) at 1,000.  Each bound is 10% above its binding figure, against
-# 2.43 (3.83) at 100 spaces on 3.11.7 while every thread had a control
+# build makes an AddressSpace, its page-table dict and its RegionTable only
+# for a space whose thread accesses memory, one in five here, and l4re adds
+# a region mapper thread for each such space; the mappers share one behavior
+# and keep no database.  A declared thread adds no object: the machine keeps
+# its parsed declaration and an untracked state entry.  The 100-space count
+# binds, since a build's fixed objects are spread over fewer spaces: 1.40 on
+# Python 3.11.7, 3.12.1 and 3.13.0 (1.61 under l4re, measured on 3.11.7),
+# and 1.22 (1.42) at 1,000.  On Python 3.10.13 each AddressSpace and
+# RegionTable adds its tracked __dict__: 1.88 (3.88 while each l4re mapper
+# kept a database) at 100 spaces, which binds, and 1.63 (3.63) at 1,000; the
+# l4re figure has not been measured on 3.10 since.  Each bound is 10% above
+# its binding figure, against 2.80 (2.62 at 1,000) under l4re on 3.11.7
+# while each region mapper kept a behavior and a mapping database of its
+# own, 2.43 (3.83) at 100 spaces on 3.11.7 while every thread had a control
 # block of its own, 6.03 (7.43) kept per space by a lone 1,000-space build
-# on 3.11 while every declared space was built, 7.03 (8.43) while each
-# page table was an object wrapping its dict, and 8.03 (9.63) while every
-# thread got its mailbox deque at registration.
+# on 3.11 while every declared space was built, 7.03 (8.43) while each page
+# table was an object wrapping its dict, and 8.03 (9.63) while every thread
+# got its mailbox deque at registration.
 TRACKED_OBJECTS_PER_SPACE_BUDGET = {
     Scheme.MONOLITHIC: 2.07 if PY310 else 1.54,
     Scheme.L4_SINGLE: 2.07 if PY310 else 1.54,
     Scheme.REGION_DISPATCH: 2.07 if PY310 else 1.54,
-    Scheme.L4RE: 4.27 if PY310 else 3.08,
+    Scheme.L4RE: 4.27 if PY310 else 1.77,
 }
 
 # Python-level calls per directive line (not blank, not only a comment) of

@@ -9,6 +9,7 @@ from pagersim import (
     AddressSpace,
     EventKind,
     OverheadReport,
+    PagerPolicy,
     Scheme,
     SimResult,
     Simulator,
@@ -792,28 +793,38 @@ def test_a_faulter_in_a_space_without_assign_lines_gets_no_pager(scheme):
     assert result.cycles[1].faulter == 4
 
 
+def _reflections(result: SimResult) -> list[tuple[int, int]]:
+    """(mapper, target) of every reflection a run sent, in order."""
+    return [
+        ev.args[:2] for ev in result.trace
+        if ev.kind is EventKind.IPC_SEND and ev.args[2] == "REFLECTION"
+    ]
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
 def test_a_faulting_space_gets_exactly_its_assigned_regions(scheme):
-    sim = Simulator(parse_scenario(IDLE_SPACES), scheme)
+    # A also faults in rid 3, assigned in its own space, and in rid 1,
+    # assigned only in idle space 2.
+    text = IDLE_SPACES + "access A 0xC000 read\naccess A 0x4000 read\n"
+    sim = Simulator(parse_scenario(text), scheme)
     assert sim.spaces[1].regions.managers() == [(0, 5), (3, 5)]
     assert sim.spaces[4].regions.managers() == []
+    result = sim.run()
+    assert [(c.faulter, c.verdict) for c in result.cycles] == [
+        (1, VerdictCode.DISPATCHED), (4, VerdictCode.NO_PAGER),
+        (1, VerdictCode.DISPATCHED), (1, VerdictCode.NO_PAGER),
+    ]
     mappers = {
-        t.asid: sim.behaviors[t.tid].db for t in sim.machine.threads.values()
+        t.asid: t.tid for t in sim.machine.threads.values()
         if t.role is ThreadRole.REGION_MAPPER
     }
     if scheme is not Scheme.L4RE:
         assert mappers == {}
         return
-    # Each region mapper's database lists its own space's regions, no
-    # other space's: rids 1 and 2 are assigned only in the idle spaces.
-    assert sorted(mappers) == [1, 4]
-    db = mappers[1]
-    assert len(db) == 2
-    assert [db.lookup(a) for a in (0x0, 0x3FFF, 0xC000, 0xFFFF)] == [5] * 4
-    for vaddr in (0x4000, 0x8000, 0xBFFF, 0x10000):
-        with pytest.raises(NoDatabaseEntryError):
-            db.lookup(vaddr)
-    assert len(mappers[4]) == 0
+    # Each region mapper reflects by its own space's regions, no other
+    # space's; the mapper of space 4, which has none, never reflects.
+    assert mappers == {1: 6, 4: 7}
+    assert _reflections(result) == [(6, 5), (6, 5)]
 
 
 # Region 0 of the faulting space is assigned twice, first to Q and then to
@@ -837,17 +848,92 @@ access A 0x1000 read
 def test_a_region_assigned_twice_keeps_its_last_manager(scheme):
     sim = Simulator(parse_scenario(REASSIGNED), scheme)
     assert sim.spaces[1].regions.managers() == [(0, 2), (1, 3)]
-    if scheme is Scheme.L4RE:
-        [rm] = [
-            t.tid for t in sim.machine.threads.values()
-            if t.role is ThreadRole.REGION_MAPPER
-        ]
-        db = sim.behaviors[rm].db
-        assert [db.lookup(a) for a in (0x0, 0x3FFF, 0x4000, 0x7FFF)] == [
-            2, 2, 3, 3,
-        ]
     result = sim.run()
     assert [c.manager for c in result.cycles] == [2]
+    if scheme is Scheme.L4RE:
+        # The region mapper rm1 (tid 4) reflects each region's fault to its
+        # last manager: P (tid 2) for rid 0, Q (tid 3) for rid 1.  Under
+        # l4-single A's pager P may not map in rid 1, so only l4re runs it.
+        result = simulate(
+            scheme, parse_scenario(REASSIGNED + "access A 0x5000 read\n")
+        )
+        assert [c.manager for c in result.cycles] == [2, 3]
+        assert _reflections(result) == [(4, 2), (4, 3)]
+
+
+# A declared region mapper for space 1 and an implicit one, rm2 (tid 6),
+# for space 2, both without dbrange lines.  Regions span 0x4000.
+TABLE_MAPPERS = """\
+layout regions=8 pages_per_region=4 page_size=4096
+thread T tid=1 asid=1 role=applicant
+thread RM tid=2 asid=1 role=region_mapper
+thread U tid=3 asid=2 role=applicant
+thread P1 tid=4 asid=3 role=pager
+thread P2 tid=5 asid=3 role=pager
+pager P1 policy=anonymous
+pager P2 policy=anonymous
+assign asid=1 rid=0 pager=P1
+assign asid=1 rid=2 pager=P2
+assign asid=2 rid=0 pager=P2
+access T 0x1000 read
+access T 0x9000 read
+access U 0x1000 read
+"""
+
+
+def test_region_mappers_without_dbrange_lines_share_one_behavior():
+    sim = Simulator(parse_scenario(TABLE_MAPPERS), Scheme.L4RE)
+    shared = sim.behaviors[2]
+    assert sim.behaviors[6] is shared
+    assert shared.policy is PagerPolicy.REFLECTING and shared.db is None
+    result = sim.run()
+    assert _reflections(result) == [(2, 4), (2, 5), (6, 5)]
+    assert [cycle_metrics(result.trace, i) for i in range(3)] == [(6, 3, 3, 2)] * 3
+
+
+def test_an_explicit_database_that_misses_an_assigned_region_raises():
+    # The mapper's dbrange lines cover rids 0 and 1 only; rid 2 is still
+    # assigned to P2, but the database, not the region table, is read.
+    sf = parse_scenario(
+        fixture_scn("l4re-reflect").replace(
+            "dbrange asid=1 start=0x8000 end=0x10000 target=P2\n", ""
+        )
+    )
+    with pytest.raises(NoDatabaseEntryError, match="no range covers 0x9000"):
+        simulate(Scheme.L4RE, sf)
+
+
+# R's database sends space 1's fault to RB, the declared region mapper of
+# space 2, whose region table names the rejecting pager P for rid 0.
+CROSS_SPACE_REFLECTION = """\
+layout regions=8 pages_per_region=4 page_size=4096
+thread A tid=1 asid=1 role=applicant
+thread B tid=2 asid=2 role=applicant
+thread RB tid=3 asid=2 role=region_mapper
+thread R tid=4 asid=3 role=pager
+thread P tid=5 asid=3 role=pager
+pager R policy=reflecting
+pager P policy=rejecting
+dbrange pager=R start=0x0 end=0x4000 target=RB
+assign asid=1 rid=0 pager=R
+assign asid=2 rid=0 pager=P
+access A 0x1000 read
+access B 0x1000 read
+"""
+
+
+def test_a_region_mapper_reads_its_own_space_table_for_another_space_fault():
+    # rm1 (tid 6) -> R -> RB, which reads space 2's table and reflects to
+    # P, not back to R, the manager of the faulting region.
+    result = simulate(Scheme.L4RE, parse_scenario(CROSS_SPACE_REFLECTION))
+    assert _reflections(result) == [(6, 4), (4, 3), (3, 5), (3, 5)]
+    assert [c.closed for c in result.cycles] == [False, False]
+    # A region that space 2 does not assign is missing from RB's table.
+    sf = parse_scenario(
+        CROSS_SPACE_REFLECTION.replace("assign asid=2 rid=0 pager=P\n", "")
+    )
+    with pytest.raises(NoDatabaseEntryError, match="no range covers 0x1000"):
+        simulate(Scheme.L4RE, sf)
 
 
 class _Unwalkable(list):
