@@ -20,8 +20,9 @@ Policies:
 * ``REJECTING``  - silently ignore the fault; the faulter stays suspended.
   This is distinct from refusing a region's contract, which the kernel
   turns into a protection fault before any message is sent.
-* ``REFLECTING`` - forward the fault to the pager its mapping database,
-  or else its space's region table, names (the region-mapper protocol).
+* ``REFLECTING`` - forward the fault to the pager its mapping database
+  names; a region mapper without one forwards it to the manager its own
+  space's region table names (the region-mapper protocol).
 
 A pager with ``revoke_after=N`` walks away after its Nth resolved fault in
 a region: it unmaps every present page there, setting the revoke flag on

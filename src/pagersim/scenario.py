@@ -31,9 +31,10 @@ from typing import NamedTuple
 
 from .address_space import ADDRESS_SPACE_SIZE, LayoutConfig
 from .engine import AccessType, ThreadDecl, ThreadRole, _record
+from .errors import OverlappingRangeError
 from .fault_dispatch import VerdictCode
 from .mmu import MARKER_LIMIT
-from .pagers import MarkerKind, MarkerRule, PagerPolicy
+from .pagers import MappingDatabase, MarkerKind, MarkerRule, PagerPolicy
 
 
 # Members that parsing and validation read, bound once: a read through the
@@ -484,22 +485,14 @@ def parse_scenario(text: str) -> ScenarioFile:
     return sf
 
 
-def _check_no_overlap(ranges, what: str) -> None:
-    ordered = sorted(ranges, key=lambda r: r.start)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.end > b.start:
-            raise SemanticError(
-                f"overlapping db ranges in {what}: "
-                f"[{a.start:#x},{a.end:#x}) and [{b.start:#x},{b.end:#x})"
-            )
-
-
 def _validate(sf: ScenarioFile) -> tuple:
     """Check every name and bound; return what set-up reads: the threads
     by name, the names of those that access memory in order of first
     access, the assign lines of their spaces as ``(asid, rid, manager
-    tid)`` in file order, the tids of ``option order=``, and whether a
-    pager-step line exists.  Only the map stays tracked by the collector."""
+    tid)`` in file order, the tids of ``option order=``, whether a
+    pager-step line exists, and the mapping database of each set of
+    dbrange lines.  Without dbrange lines only the map stays tracked by
+    the collector."""
     if not sf.threads:
         raise SemanticError("no threads declared")
     by_name: dict[str, ThreadDecl] = {}
@@ -536,14 +529,33 @@ def _validate(sf: ScenarioFile) -> tuple:
             raise SemanticError(
                 f"backing declared for non-fixed pager {p.name!r}"
             )
-        if p.dbranges:
-            if p.policy is not _REFLECTING:
+        if p.dbranges and p.policy is not _REFLECTING:
+            raise SemanticError(
+                f"dbrange declared for non-reflecting pager {p.name!r}"
+            )
+
+    def database(ranges, what: str) -> MappingDatabase:
+        """The mapping database of ``ranges``, each target a declared
+        pager's tid; every build of this parse shares it."""
+        db = MappingDatabase()
+        for r in ranges:
+            if r.target not in pager_names:
+                raise SemanticError(f"dbrange target {r.target!r} is not a pager")
+            try:
+                db.insert(r.start, r.end, by_name[r.target].tid)
+            except OverlappingRangeError as exc:
                 raise SemanticError(
-                    f"dbrange declared for non-reflecting pager {p.name!r}"
-                )
-            for r in p.dbranges:
-                thread(r.target)
-            _check_no_overlap(p.dbranges, f"pager {p.name!r}")
+                    f"overlapping db ranges in {what}: {exc}"
+                ) from None
+        return db
+
+    # By pager name or asid, as parse_scenario keys the ranges.  A reflecting
+    # pager without dbrange lines gets an empty database: each of its
+    # reflections is then a NoDatabaseEntryError.
+    dbs: dict[str | int, MappingDatabase] = {
+        p.name: database(p.dbranges, f"pager {p.name!r}")
+        for p in sf.pagers if p.policy is _REFLECTING
+    }
 
     for t in sf.threads:
         if t.pager_name is not None and t.pager_name not in pager_names:
@@ -555,9 +567,7 @@ def _validate(sf: ScenarioFile) -> tuple:
     for asid, ranges in sf.space_dbranges.items():
         if asid not in declared_asids:
             raise SemanticError(f"dbrange for unknown asid {asid}")
-        for r in ranges:
-            thread(r.target)
-        _check_no_overlap(ranges, f"asid {asid}")
+        dbs[asid] = database(ranges, f"asid {asid}")
 
     for a in sf.assigns:
         if a.asid not in declared_asids:
@@ -602,7 +612,7 @@ def _validate(sf: ScenarioFile) -> tuple:
         (a.asid, a.rid, by_name[a.pager_name].tid)
         for a in sf.assigns if a.asid in faulting
     ])
-    return by_name, tuple(faulters), assigns, order, pager_step
+    return by_name, tuple(faulters), assigns, order, pager_step, dbs
 
 
 # ---- serialization -------------------------------------------------------

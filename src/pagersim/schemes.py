@@ -14,7 +14,8 @@ DISPATCHED fault travels before someone maps a frame:
   can serve different regions of one space.
 * ``l4re``        - multi-pager service in user space: the kernel only
   knows the per-process region-mapper thread, which reads the real pager
-  off its space's region table and reflects the message; the pager's
+  off its own space's region table, or off a database that validation
+  built from dbrange lines, and reflects the message; the pager's
   reply releases the faulter directly.  6 crossings, 3 context switches.
 
 A resolved fault's cost is read off the trace from the events attributed
@@ -43,7 +44,6 @@ from .address_space import AddressSpace
 from .engine import Machine, ThreadDecl, ThreadRole
 from .errors import (
     IncompleteCycleError,
-    NoDatabaseEntryError,
     SchemeMismatchError,
     SimulationError,
 )
@@ -58,7 +58,6 @@ from .mmu import translate
 from .pagers import (
     Action,
     FrameAllocator,
-    MappingDatabase,
     PagerBehavior,
     PagerPolicy,
     REFLECT,
@@ -68,7 +67,6 @@ from .pagers import (
 )
 from .scenario import (
     AccessItem,
-    DbRange,
     DispatchItem,
     PagerStepItem,
     ScenarioFile,
@@ -185,7 +183,7 @@ class Simulator:
 
         # Resolved once per parse (``scenario._validate``): set-up walks
         # neither the script nor the assign lines.
-        self._decl, names, assigns, order, pager_step = scenario.declared
+        self._decl, names, assigns, order, pager_step, dbs = scenario.declared
         faulters = [self._decl[name] for name in names]
         # An empty order is completed by the machine to every thread in
         # registration order.
@@ -213,10 +211,6 @@ class Simulator:
         self.non_accepting: set[int] = set()
         for p in scenario.pagers:
             tid = self._decl[p.name].tid
-            # A reflecting pager without dbrange lines covers nothing: every
-            # reflection is then a NoDatabaseEntryError, not a missing
-            # database.
-            db = self._db_of(p.dbranges) if p.policy is _REFLECTING else None
             self.behaviors[tid] = PagerBehavior(
                 policy=p.policy,
                 marker_rule=p.marker_rule,
@@ -225,7 +219,7 @@ class Simulator:
                     vaddr // self.layout.page_size: frame
                     for vaddr, frame in p.backing
                 },
-                db=db,
+                db=dbs.get(p.name),  # validation's, shared by every build
             )
             if not p.accepts:
                 self.non_accepting.add(tid)
@@ -241,7 +235,7 @@ class Simulator:
 
         self._check_scheme_fit(faulters, pager_step)
         if scheme is _L4RE:
-            self._wire_region_mappers(faulters)
+            self._wire_region_mappers(faulters, dbs)
         elif scheme is _L4_SINGLE:
             self._wire_thread_pagers(faulters)
         if opt.schedule == "round-robin":
@@ -276,7 +270,7 @@ class Simulator:
                 "a region mapper must never fault; its pages are wired"
             )
 
-    def _wire_region_mappers(self, faulters: list[ThreadDecl]) -> None:
+    def _wire_region_mappers(self, faulters: list[ThreadDecl], dbs) -> None:
         """In L4Re a space's region mapper is the pager of all its threads.
         The mappers without dbrange lines share one behavior, no database."""
         declared: dict[int, int] = {}
@@ -299,19 +293,12 @@ class Simulator:
                     tid, asid, _REGION_MAPPER, f"rm{asid}"
                 )
             mapper_of[asid] = tid
-            explicit = self.sf.space_dbranges.get(asid)
-            self.behaviors[tid] = shared if not explicit else PagerBehavior(
-                policy=_REFLECTING, db=self._db_of(explicit)
+            db = dbs.get(asid)
+            self.behaviors[tid] = shared if db is None else PagerBehavior(
+                policy=_REFLECTING, db=db
             )
         for t in faulters:
             self._pager_of[t.tid] = mapper_of[t.asid]
-
-    def _db_of(self, ranges: tuple[DbRange, ...]) -> MappingDatabase:
-        """Mapping database of declared dbrange lines."""
-        db = MappingDatabase()
-        for r in ranges:
-            db.insert(r.start, r.end, self._decl[r.target].tid)
-        return db
 
     def _wire_thread_pagers(self, faulters: list[ThreadDecl]) -> None:
         pager_tids = [self._decl[p.name].tid for p in self.sf.pagers]
@@ -417,22 +404,14 @@ class Simulator:
             dispatcher.suspend_and_send(cycle, target)
             self._serve(target)
 
-    def _build_actions(self, handler: int, fault: FaultCycle) -> list[Action]:
-        behavior = self.behaviors.get(handler)
-        if behavior is None:
-            raise SimulationError(
-                f"thread {handler} received a fault but has no pager behavior"
-            )
-        return behavior.on_page_fault(
-            fault, self.layout.page_size, self.allocator, self.machine.warnings
-        )
-
     def _resolve_in_kernel(self, cycle: FaultCycle) -> None:
         """Monolithic path: the verdict still names the responsible manager
         (here an in-kernel module), but resolution happens without leaving
         kernel work: no suspension, no IPC, no occupancy change."""
         manager = cycle.manager
-        for action in self._build_actions(manager, cycle):
+        for action in self.behaviors[manager].on_page_fault(
+            cycle, self.layout.page_size, self.allocator, self.machine.warnings
+        ):
             if action is REPLY:
                 self.dispatcher.return_to_faulter(cycle)
             else:
@@ -452,7 +431,10 @@ class Simulator:
         box = self.machine.mailboxes[pager]
         while box and pager not in self._actions:
             fault = self.dispatcher.deliver(pager)
-            actions = self._build_actions(pager, fault)
+            actions = self.behaviors[pager].on_page_fault(
+                fault, self.layout.page_size, self.allocator,
+                self.machine.warnings,
+            )
             if not actions:  # straight back to the receive loop
                 self.dispatcher.back_to_receive(pager)
             elif self._manual:
@@ -506,17 +488,11 @@ class Simulator:
         if action is REPLY:
             self.dispatcher.pager_reply(pager, fault)
             return None
-        # Reflection: forward the fault to the pager the database names, or
-        # else the one the mapper's own space's region table names.
+        # Reflection: forward the fault to the pager the database names.  A
+        # region mapper without one gets only its own space's faults, from
+        # the kernel, so the manager classification read there is the target.
         db = self.behaviors[pager].db
-        if db is not None:
-            target = db.lookup(fault.vaddr)
-        elif (asid := self.machine.threads[pager].asid) == fault.asid:
-            target = fault.manager  # as classification read it there
-        else:  # another space's fault, sent here by a pager's database
-            target = self.spaces[asid].regions.lookup(fault.rid).manager
-            if target is None:
-                raise NoDatabaseEntryError(f"no range covers {fault.vaddr:#x}")
+        target = fault.manager if db is None else db.lookup(fault.vaddr)
         self.dispatcher.reflect(pager, fault, target)
         return target
 

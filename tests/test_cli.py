@@ -6,6 +6,7 @@ from pagersim import (
     ALL_SCHEMES,
     CountingTrace,
     Scheme,
+    SemanticError,
     SimulationError,
     Simulator,
     Trace,
@@ -390,8 +391,8 @@ def test_an_unschedulable_thread_is_named(
 def test_a_reflection_to_a_thread_without_a_pager_line_is_an_error(
     tmp_path, capsys
 ):
-    # B is an applicant that never had a message, so it has no mailbox
-    # until the region mapper's reflection makes one.
+    # B is an applicant: a fault can only ever reach a pager, so the
+    # database is refused at parse, before any run.
     path = tmp_path / "reflect_to_applicant.scn"
     path.write_text(
         "thread A tid=1 asid=1 role=applicant\n"
@@ -405,9 +406,43 @@ def test_a_reflection_to_a_thread_without_a_pager_line_is_an_error(
     rc = cli.main(["--scenario", str(path), "--scheme", "l4re"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == (
-        "error: thread 3 received a fault but has no pager behavior\n"
-    )
+    assert captured.err == "error: dbrange target 'B' is not a pager\n"
+
+
+DBRANGE_TARGETS = """\
+thread A tid=1 asid=1 role=applicant
+thread RM tid=2 asid=1 role=region_mapper
+thread Q tid=3 asid=2 role=pager
+thread R tid=4 asid=2 role=pager
+thread P tid=5 asid=2 role=pager
+pager R policy=reflecting
+pager P policy=anonymous
+assign asid=1 rid=0 pager=P
+dbrange {owner} start=0x0 end=0x400000 target={target}
+access A 0x1000 read
+"""
+
+
+@pytest.mark.parametrize("owner", ["asid=1", "pager=R"])
+@pytest.mark.parametrize(
+    "target", ["A", "RM", "Q", "Ghost"],
+    ids=["applicant", "region-mapper", "pager-role-without-pager-line",
+         "undeclared"],
+)
+def test_a_dbrange_target_that_is_not_a_declared_pager_is_refused_at_parse(
+    owner, target, tmp_path, capsys
+):
+    text = DBRANGE_TARGETS.format(owner=owner, target=target)
+    message = f"dbrange target {target!r} is not a pager"
+    with pytest.raises(SemanticError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+    path = tmp_path / "target.scn"
+    path.write_text(text)
+    rc = cli.main(["--scenario", str(path), "--scheme", "l4re"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {message}\n"
 
 
 def deep_queue(applicants: int) -> str:

@@ -71,7 +71,7 @@ from pagersim import (
 )
 from pagersim.engine import AccessType, Machine, ThreadRole, ThreadState
 from pagersim.fault_dispatch import Classification, FaultDispatcher
-from pagersim.pagers import REVOKE, MapAction
+from pagersim.pagers import REVOKE, MapAction, PagerBehavior
 from pagersim.scenario import AccessItem, AssignDecl, Expectation, ThreadDecl
 from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent
 from support import fixture_scn, opened
@@ -83,16 +83,18 @@ from support import fixture_scn, opened
 PY310 = sys.version_info < (3, 11)
 
 # Python-level calls per fault of one run of workload50 under every scheme:
-# 10% above the 44.1 measured when the budget was set (Python 3.11),
-# against 46.6 while the machine had methods that wrote thread states for
-# the dispatcher, 47.6 while mode=auto queued every pager answer for the
-# run loop to drain, 49.1 while delivery peeked at a mailbox through a
-# machine method and the kernel looked a region's slot up again to write
-# its contract, 51.1 while a map went through a page-table method that
-# built a mutable entry record, and 55.1 while the machine wrote the
-# syscall and return crossings and a pager went back to its receive loop
-# twice per reply or reflection.
-CALLS_PER_FAULT_BUDGET = 48.5
+# 10% above the 42.6 measured when the budget was set (Python 3.11.7),
+# against 43.9 while every pager answer went through a simulator method
+# that checked the pager had a behavior, 44.1 while a region mapper kept a
+# copy of its space's region table, 46.6 while the machine had methods that
+# wrote thread states for the dispatcher, 47.6 while mode=auto queued every
+# pager answer for the run loop to drain, 49.1 while delivery peeked at a
+# mailbox through a machine method and the kernel looked a region's slot
+# up again to write its contract, 51.1 while a map went through a
+# page-table method that built a mutable entry record, and 55.1 while the
+# machine wrote the syscall and return crossings and a pager went back to
+# its receive loop twice per reply or reflection.
+CALLS_PER_FAULT_BUDGET = 46.9
 
 # Python-level calls per translate hit, under every scheme: 10% above the
 # 3.0 measured when the budget was set (Python 3.11): the access, the
@@ -160,9 +162,9 @@ SETUP_CALLS_PER_SPACE_BUDGET = 6.95
 # binds, since a build's fixed objects are spread over fewer spaces: 1.40 on
 # Python 3.11.7, 3.12.1 and 3.13.0 (1.61 under l4re, measured on 3.11.7),
 # and 1.22 (1.42) at 1,000.  On Python 3.10.13 each AddressSpace and
-# RegionTable adds its tracked __dict__: 1.88 (3.88 while each l4re mapper
-# kept a database) at 100 spaces, which binds, and 1.63 (3.63) at 1,000; the
-# l4re figure has not been measured on 3.10 since.  Each bound is 10% above
+# RegionTable adds its tracked __dict__: 1.88 (2.10 under l4re) at 100
+# spaces, which binds, and 1.63 (1.83) at 1,000, against 3.88 (3.63) under
+# l4re while each mapper kept a database.  Each bound is 10% above
 # its binding figure, against 2.80 (2.62 at 1,000) under l4re on 3.11.7
 # while each region mapper kept a behavior and a mapping database of its
 # own, 2.43 (3.83) at 100 spaces on 3.11.7 while every thread had a control
@@ -174,7 +176,7 @@ TRACKED_OBJECTS_PER_SPACE_BUDGET = {
     Scheme.MONOLITHIC: 2.07 if PY310 else 1.54,
     Scheme.L4_SINGLE: 2.07 if PY310 else 1.54,
     Scheme.REGION_DISPATCH: 2.07 if PY310 else 1.54,
-    Scheme.L4RE: 4.27 if PY310 else 1.77,
+    Scheme.L4RE: 2.31 if PY310 else 1.77,
 }
 
 # Python-level calls per directive line (not blank, not only a comment) of
@@ -475,7 +477,7 @@ def test_per_fault_calls_stay_on_the_fast_call_path(tmp_path):
     # The fault path, the pagers' answers, the trap's row opener and the
     # trace appends are among the guarded functions.
     assert {
-        Simulator._zero_level.__code__, Simulator._build_actions.__code__,
+        Simulator._zero_level.__code__, PagerBehavior.on_page_fault.__code__,
         Simulator._carry_out.__code__, Trace.open_cycle.__code__,
         Trace.append.__code__,
     } <= per_fault

@@ -297,9 +297,10 @@ def test_parse_errors_carry_line_numbers():
             "thread P tid=1 asid=1 role=pager\n"
             "thread Q tid=2 asid=1 role=pager\n"
             "pager P policy=reflecting\n"
+            "pager Q policy=anonymous\n"
             "dbrange pager=P start=0x0 end=0x2000 target=Q\n"
             "dbrange pager=P start=0x1000 end=0x3000 target=Q\n",
-            "overlapping",
+            "overlapping db ranges in pager 'P'",
         ),
         (
             "thread T tid=1 asid=1 role=applicant\n"

@@ -11,6 +11,7 @@ from pagersim import (
     OverheadReport,
     PagerPolicy,
     Scheme,
+    SemanticError,
     SimResult,
     Simulator,
     ThreadRole,
@@ -903,8 +904,9 @@ def test_an_explicit_database_that_misses_an_assigned_region_raises():
         simulate(Scheme.L4RE, sf)
 
 
-# R's database sends space 1's fault to RB, the declared region mapper of
-# space 2, whose region table names the rejecting pager P for rid 0.
+# R's database would send space 1's fault to RB, the declared region mapper
+# of space 2.  A fault only ever reaches a pager, and a region mapper is
+# reached only by the kernel, for its own space's faults.
 CROSS_SPACE_REFLECTION = """\
 layout regions=8 pages_per_region=4 page_size=4096
 thread A tid=1 asid=1 role=applicant
@@ -922,18 +924,39 @@ access B 0x1000 read
 """
 
 
-def test_a_region_mapper_reads_its_own_space_table_for_another_space_fault():
-    # rm1 (tid 6) -> R -> RB, which reads space 2's table and reflects to
-    # P, not back to R, the manager of the faulting region.
-    result = simulate(Scheme.L4RE, parse_scenario(CROSS_SPACE_REFLECTION))
-    assert _reflections(result) == [(6, 4), (4, 3), (3, 5), (3, 5)]
-    assert [c.closed for c in result.cycles] == [False, False]
-    # A region that space 2 does not assign is missing from RB's table.
-    sf = parse_scenario(
-        CROSS_SPACE_REFLECTION.replace("assign asid=2 rid=0 pager=P\n", "")
-    )
-    with pytest.raises(NoDatabaseEntryError, match="no range covers 0x1000"):
-        simulate(Scheme.L4RE, sf)
+def test_a_reflection_to_another_space_region_mapper_is_refused_at_parse():
+    with pytest.raises(SemanticError, match="dbrange target 'RB' is not a pager"):
+        parse_scenario(CROSS_SPACE_REFLECTION)
+
+
+SHARED_DATABASES = """\
+layout regions=8 pages_per_region=4 page_size=4096
+thread T tid=1 asid=1 role=applicant
+thread RM tid=2 asid=1 role=region_mapper
+thread R tid=3 asid=2 role=pager
+thread P tid=4 asid=2 role=pager
+pager R policy=reflecting
+pager P policy=anonymous
+dbrange asid=1 start=0x0 end=0x8000 target=R
+dbrange pager=R start=0x0 end=0x8000 target=P
+assign asid=1 rid=0 pager=P
+access T 0x1000 read
+"""
+
+
+def test_every_build_of_one_parse_shares_its_mapping_databases():
+    sf = parse_scenario(SHARED_DATABASES)
+    sims = [Simulator(sf, Scheme.L4RE) for _ in range(4)]
+    for tid in (2, 3):  # RM's database (asid=1) and R's (pager=R)
+        dbs = {id(sim.behaviors[tid].db) for sim in sims}
+        assert len(dbs) == 1 and len(sims[0].behaviors[tid].db) == 1
+    # A behavior keeps per-build state of its own; only the database is
+    # shared, and a run only reads it.
+    assert sims[0].behaviors[3] is not sims[1].behaviors[3]
+    for sim in sims:
+        result = sim.run()
+        assert _reflections(result) == [(2, 3), (3, 4)]
+        assert cycle_metrics(result.trace, 0) == (8, 4, 4, 3)
 
 
 class _Unwalkable(list):
