@@ -11,10 +11,11 @@ fault-dispatch layer records them.
 
 Message passing is synchronous rendezvous: pagers sit in a receive loop
 (``BLOCKED_ON_RECEIVE``), a send queues at the receiver, and delivery
-hands the CPU to the receiver.  The fault-dispatch layer decides when a
-queued message is actually delivered, and it writes each send's trace
-arguments itself.  A queued message is its kind and its payload, and the
-payload is opaque here: the machine reads none of its fields.
+hands the CPU to the receiver.  The machine only queues: the
+fault-dispatch layer writes each send's trace arguments, and it delivers
+a queued message, taking it from the box and recording the receive.  A
+queued message is its kind and its payload, and the payload is opaque
+here: the machine reads none of its fields.
 
 A thread is its declaration, shared by every machine built from one
 scenario; a machine keeps only each thread's scheduling state, and sets
@@ -29,7 +30,6 @@ from typing import NamedTuple
 from .errors import (
     DeadlockError,
     NotSchedulableError,
-    SimulationError,
     UnknownReceiverError,
     UnknownThreadError,
 )
@@ -94,7 +94,6 @@ _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
 _APPLICANT = ThreadRole.APPLICANT
 _CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
 _IPC_SEND = EventKind.IPC_SEND
-_IPC_RECEIVE = EventKind.IPC_RECEIVE
 
 
 class Machine:
@@ -193,18 +192,6 @@ class Machine:
                 self.mailboxes[receiver].append(msg)
             except KeyError:
                 self.mailboxes[receiver] = deque((msg,))
-
-    def receive(self, tid: int, cycle: int | None = None) -> object:
-        """Take the next message queued at ``tid``; returns its payload."""
-        box = self.mailboxes.get(tid)
-        if not box:
-            # The run path never gets here: it receives only after it saw
-            # mail in the box.
-            self.thread(tid)  # raises UnknownThreadError for an unknown tid
-            raise SimulationError(f"thread {tid} has no pending message")
-        kind, payload = box.popleft()
-        self.trace.append(_IPC_RECEIVE, (tid, kind), cycle)
-        return payload
 
     # ---- scheduling ------------------------------------------------------
 

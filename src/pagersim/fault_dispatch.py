@@ -29,7 +29,8 @@ A fault has one record from the trap to the reply, its ``FaultCycle``.
 Every message about the fault - the page fault, each reflection, the
 reply - carries that cycle as its payload, and this module alone reads
 its fields: each send writes its own trace arguments from the cycle, and
-the machine only records them and queues the cycle.  Delivery hands the
+the machine only records them and queues the cycle.  Delivery takes the
+message from the receiver's box, records the receive and hands the
 receiver the cycle itself, and a reflection or a reply names the cycle it
 is about, so no step ever looks a fault up.  The trap opens the cycle's
 counter row and is its first event.
@@ -112,6 +113,7 @@ _REFLECTION = "REFLECTION"
 _REPLY = "REPLY"
 _MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
 _MODE_SWITCH_K2U = EventKind.MODE_SWITCH_K2U
+_IPC_RECEIVE = EventKind.IPC_RECEIVE
 _SUSPEND = EventKind.SUSPEND
 _RESUME = EventKind.RESUME
 _VERDICT = EventKind.VERDICT
@@ -280,19 +282,19 @@ class FaultCycle:
     sent_to: set[int] | None = None
 
 
-class FaultDispatcher:
+class FaultDispatcher(KernelMemory):
     """Every protocol step of a fault, from trap to settlement.
 
-    One instance per simulation run.  The scheme layer decides where a
-    DISPATCHED fault is routed and when a pager runs; every event that is
-    attributed to a fault cycle (crossings, protocol context switches,
-    suspension, IPC, verdicts, map and unmap) is emitted here, so the
-    accounting rules hold for every scheme by construction.
+    One instance per simulation run, which is also the run's kernel
+    memory service.  The scheme layer decides where a DISPATCHED fault is
+    routed and when a pager runs; every event that is attributed to a
+    fault cycle (crossings, protocol context switches, suspension, IPC,
+    verdicts, map and unmap) is emitted here, so the accounting rules hold
+    for every scheme by construction.
     """
 
     def __init__(self, machine: Machine, spaces: dict[int, AddressSpace]) -> None:
-        self.machine = machine
-        self.memory = KernelMemory(machine, spaces)
+        super().__init__(machine, spaces)
         self.cycles: list[FaultCycle] = []
 
     # ---- trap and verdicts ----------------------------------------------
@@ -359,14 +361,16 @@ class FaultDispatcher:
         if not box:
             machine.thread(target)  # UnknownThreadError for an unknown tid
             return None
-        index = box[0][1].index
+        kind, cycle = box.popleft()
+        index = cycle.index
         # A thread with a mailbox is registered.
         state = machine.state
         if state[target] is _BLOCKED_ON_RECEIVE:
             state[target] = _READY
         machine.trace.append(_MODE_SWITCH_K2U, (), index)
         machine.switch_to(target, index)
-        return machine.receive(target, index)
+        machine.trace.append(_IPC_RECEIVE, (target, kind), index)
+        return cycle
 
     def back_to_receive(self, pager: int) -> None:
         """Return a pager that answered a fault with nothing to its loop."""

@@ -465,17 +465,17 @@ class Simulator:
         a revoke through the kernel's memory service (the only actions the
         monolithic path brings), a reply, or a reflection, whose target it
         returns for the caller to serve next."""
-        memory = self.dispatcher.memory
+        dispatcher = self.dispatcher
         if action is REVOKE:
             pages = self.spaces[fault.asid].present_pages_in_region(fault.rid)
             for i, page in enumerate(pages):
-                memory.unmap_page(
+                dispatcher.unmap_page(
                     pager, fault.asid, page * self.layout.page_size,
                     i == len(pages) - 1, fault.index,
                 )
             return None
         if action is not REPLY and action is not REFLECT:  # a MapAction
-            memory.map_page(
+            dispatcher.map_page(
                 pager, fault.asid, fault.vaddr, action.frame, action.marker,
                 fault.index,
             )
@@ -486,14 +486,14 @@ class Simulator:
             # context switch (scheduling, not fault protocol).
             self.machine.switch_to(pager)
         if action is REPLY:
-            self.dispatcher.pager_reply(pager, fault)
+            dispatcher.pager_reply(pager, fault)
             return None
         # Reflection: forward the fault to the pager the database names.  A
         # region mapper without one gets only its own space's faults, from
         # the kernel, so the manager classification read there is the target.
         db = self.behaviors[pager].db
         target = fault.manager if db is None else db.lookup(fault.vaddr)
-        self.dispatcher.reflect(pager, fault, target)
+        dispatcher.reflect(pager, fault, target)
         return target
 
 

@@ -16,7 +16,6 @@ from pagersim import (
 from pagersim.errors import (
     DeadlockError,
     NotSchedulableError,
-    SimulationError,
     UnknownReceiverError,
     UnknownThreadError,
 )
@@ -74,22 +73,6 @@ def test_every_method_taking_a_tid_refuses_an_unknown_thread(method):
     m = two_thread_machine()
     with pytest.raises(UnknownThreadError):
         getattr(m, method)(9)
-    assert len(m.trace) == 0
-
-
-@pytest.mark.parametrize("method", ["receive"])
-def test_mailbox_methods_refuse_an_unknown_thread(method):
-    m = two_thread_machine()
-    with pytest.raises(UnknownThreadError):
-        getattr(m, method)(9)
-    # A known thread gets its box with its first message.
-    assert m.mailboxes == {}
-
-
-def test_receive_on_an_empty_mailbox_is_a_simulation_error():
-    m = two_thread_machine()
-    with pytest.raises(SimulationError, match="thread 2 has no pending message"):
-        m.receive(2)
     assert len(m.trace) == 0
 
 
@@ -162,20 +145,17 @@ def test_send_renders_fault_payload_and_queues():
     assert ev.render() == (
         "0 IPC_SEND 0 2 PAGE_FAULT faulter=1 vaddr=0x2000 access=W marker=5 cycle=0"
     )
-    assert m.receive(2) is cycle and not m.mailboxes[2]  # one queued
 
 
 def test_send_queues_an_opaque_payload_untouched():
     # The machine reads no field of what it carries: any object goes
     # through the mailbox as it was sent.
     m = two_thread_machine()
-    opened(m.trace, 4)
     payload = object()
     m.send(fault_send(2), payload)
-    assert m.receive(2, 3) is payload
+    assert list(m.mailboxes[2]) == [("PAGE_FAULT", payload)]
     assert [(ev.kind, ev.args, ev.cycle) for ev in m.trace] == [
         (EventKind.IPC_SEND, fault_send(2), None),
-        (EventKind.IPC_RECEIVE, (2, "PAGE_FAULT"), 3),
     ]
 
 
@@ -195,16 +175,26 @@ def test_send_to_unknown_receiver():
 
 
 def test_receive_is_fifo_and_traces():
+    # Two faults queued at one pager are delivered in the order they were
+    # sent, and each receive is attributed to the cycle it carries.
     m = two_thread_machine()
-    opened(m.trace, 1)
-    first, second = object(), object()
-    m.send(fault_send(2), first)
-    m.send(fault_send(2, 0x3000), second)
-    assert m.receive(2, cycle=0) is first
-    assert m.receive(2) is second
+    m.register_thread(3, 1, role=ThreadRole.APPLICANT, name="b")
+    opened(m.trace, 2)
+    d = FaultDispatcher(m, {})
+    first = FaultCycle(0, faulter=1, asid=1, vaddr=0x2000,
+                       access=AccessType.WRITE)
+    second = FaultCycle(1, faulter=3, asid=1, vaddr=0x3000,
+                        access=AccessType.READ)
+    d.suspend_and_send(first, 2)
+    d.suspend_and_send(second, 2)
+    assert d.deliver(2) is first
+    assert [msg for _, msg in m.mailboxes[2]] == [second]
+    assert d.deliver(2) is second
     assert not m.mailboxes[2]
-    recv_events = [ev for ev in m.trace if ev.kind is EventKind.IPC_RECEIVE]
-    assert recv_events[0].args == (2, "PAGE_FAULT")
+    assert [
+        (ev.args, ev.cycle) for ev in m.trace
+        if ev.kind is EventKind.IPC_RECEIVE
+    ] == [((2, "PAGE_FAULT"), 0), ((2, "PAGE_FAULT"), 1)]
 
 
 def scheduling_machine(order):
