@@ -5,24 +5,25 @@ The kernel is not a thread: tid 0 only names it as the sender of a page
 fault and the receiver of a reply, and kernel work is charged to the
 thread it serves.  A ``CONTEXT_SWITCH`` event is emitted if and only if
 the occupying thread id changes, so projecting the trace onto context
-switches reconstructs the occupancy timeline.  The machine emits no
-privilege crossing: those are steps of the fault protocol, and the
-fault-dispatch layer records them.
+switches reconstructs the occupancy timeline.  The machine records the
+scripted switches; a fault-protocol step that hands the CPU on records
+its switch with its other events, as it records the privilege
+crossings: those are steps of the fault protocol.
 
 Message passing is synchronous rendezvous: pagers sit in a receive loop
 (``BLOCKED_ON_RECEIVE``), a send queues at the receiver, and delivery
 hands the CPU to the receiver.  The machine only queues: the
-fault-dispatch layer writes each send's trace arguments, and it delivers
-a queued message, taking it from the box and recording the receive.  A
-queued message is its kind and its payload, and the payload is opaque
-here: the machine reads none of its fields.
+fault-dispatch layer records each send, and it delivers a queued
+message, taking it from the box and recording the receive.  A queued
+message is its kind and its payload, and the payload is opaque here: the
+machine reads none of its fields.
 
 A thread is its declaration, shared by every machine built from one
 scenario; a machine keeps only each thread's scheduling state, and sets
 it only at registration: the fault-dispatch layer writes every change.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple
@@ -93,7 +94,6 @@ _READY = ThreadState.READY
 _BLOCKED_ON_RECEIVE = ThreadState.BLOCKED_ON_RECEIVE
 _APPLICANT = ThreadRole.APPLICANT
 _CONTEXT_SWITCH = EventKind.CONTEXT_SWITCH
-_IPC_SEND = EventKind.IPC_SEND
 
 
 class Machine:
@@ -115,7 +115,7 @@ class Machine:
         # trace spells it.  A thread's box is made by the first message
         # sent to it, so a thread that never gets one has none.  The
         # dispatch and scheme layers read a pager's box without a call.
-        self.mailboxes: dict[int, deque[tuple[str, object]]] = {}
+        self.mailboxes: dict[int, deque[tuple[str, object]]] = defaultdict(deque)
         # The scheduling order and each tid's first position in it, built
         # together after registration changes.
         self._sched_order: list[int] | None = None
@@ -159,39 +159,32 @@ class Machine:
 
     # ---- occupancy -------------------------------------------------------
 
-    def switch_to(self, tid: int, cycle: int | None = None) -> None:
-        """Make the ready thread `tid` the occupant, emitting a context
-        switch iff the occupant changes.  The first dispatch of a run emits
-        none.  No thread state changes: the occupant is who runs."""
+    def switch_to(self, tid: int, scripted: bool = True) -> int | None:
+        """Make the ready thread `tid` the occupant and return the one it
+        displaced, if any, recording a scripted switch unattributed: a
+        protocol step passes ``False`` and records the switch itself.  No
+        thread state changes: the occupant is who runs."""
         state = self.state.get(tid)
         if state is not _READY:
             name = self.thread(tid).name  # UnknownThreadError if unknown
             who = f"thread {name!r} (tid {tid})" if name else f"thread {tid}"
             raise NotSchedulableError(f"{who} is {state.value}, cannot run")
         prev = self.occupant
-        if prev != tid:
-            if prev is not None:
-                self.trace.append(_CONTEXT_SWITCH, (prev, tid), cycle)
-            self.occupant = tid
+        if prev == tid:
+            return None
+        self.occupant = tid
+        if scripted and prev is not None:
+            self.trace.append(_CONTEXT_SWITCH, (prev, tid), None)
+        return prev
 
     # ---- messaging -------------------------------------------------------
 
-    def send(self, args: tuple, payload: object, cycle: int | None = None) -> None:
-        """Record a send whose trace arguments are ``args``, ``(sender,
-        receiver, kind, ...)``, and queue ``(kind, payload)`` at the
-        receiver."""
-        receiver = args[1]
-        if receiver != KERNEL_TID and receiver not in self.threads:
+    def send(self, receiver: int, kind: str, payload: object) -> None:
+        """Queue the message ``(kind, payload)`` at the thread ``receiver``.
+        The kernel takes a reply at once and has no mailbox."""
+        if receiver not in self.threads:
             raise UnknownReceiverError(f"no receiver with id {receiver}")
-        self.trace.append(_IPC_SEND, args, cycle)
-        if receiver != KERNEL_TID:
-            # The kernel is no thread: it takes a reply synchronously, so
-            # only real threads have a mailbox worth filling.
-            msg = (args[2], payload)
-            try:
-                self.mailboxes[receiver].append(msg)
-            except KeyError:
-                self.mailboxes[receiver] = deque((msg,))
+        self.mailboxes[receiver].append((kind, payload))
 
     # ---- scheduling ------------------------------------------------------
 

@@ -29,20 +29,22 @@ A fault has one record from the trap to the reply, its ``FaultCycle``.
 Every message about the fault - the page fault, each reflection, the
 reply - carries that cycle as its payload, and this module alone reads
 its fields: each send writes its own trace arguments from the cycle, and
-the machine only records them and queues the cycle.  Delivery takes the
-message from the receiver's box, records the receive and hands the
-receiver the cycle itself, and a reflection or a reply names the cycle it
-is about, so no step ever looks a fault up.  The trap opens the cycle's
-counter row and is its first event.
+the machine only queues the cycle.  Delivery takes the message from the
+receiver's box, records the receive and hands the receiver the cycle
+itself, and a reflection or a reply names the cycle it is about, so no
+step ever looks a fault up.  The trap opens the cycle's counter row and
+is its first event.
 
-Privilege crossings are steps of the protocol, so this module alone
-records them, where the protocol mandates them rather than where a real
-CPU would incidentally cross for scheduling:
+The protocol is one table, ``STEPS``, of steps and the events each
+records together (Holzmann, 1991, states a protocol as a finite-state
+machine).  Privilege crossings are events of its steps, so this module
+alone records them, where the protocol mandates them rather than where a
+real CPU would incidentally cross for scheduling:
 
 * a fault trap emits ``MODE_SWITCH_U2K``;
 * a syscall entry (reply or reflection send) emits ``MODE_SWITCH_U2K``;
 * delivering control to user code (message delivery, fault return, resume
-  after a reply) emits ``MODE_SWITCH_K2U``.
+  after a reply) emits ``MODE_SWITCH_K2U``, then any ``CONTEXT_SWITCH``.
 
 Scripted scheduler switches emit only ``CONTEXT_SWITCH``.  This matches
 cost comparisons that count a fault's protocol-mandated crossings and
@@ -79,7 +81,7 @@ from .errors import (
     WrongPagerError,
 )
 from .mmu import MARKER_BITS, MARKER_LIMIT
-from .trace import EventKind
+from .trace import EventKind, step
 
 
 class VerdictCode(Enum):
@@ -111,14 +113,27 @@ _SUSPENDED = ThreadState.SUSPENDED
 _PAGE_FAULT = "PAGE_FAULT"
 _REFLECTION = "REFLECTION"
 _REPLY = "REPLY"
-_MODE_SWITCH_U2K = EventKind.MODE_SWITCH_U2K
-_MODE_SWITCH_K2U = EventKind.MODE_SWITCH_K2U
-_IPC_RECEIVE = EventKind.IPC_RECEIVE
-_SUSPEND = EventKind.SUSPEND
-_RESUME = EventKind.RESUME
-_VERDICT = EventKind.VERDICT
-_MAP_PAGE = EventKind.MAP_PAGE
-_UNMAP_PAGE = EventKind.UNMAP_PAGE
+# The event kinds, in their declaration order.
+_U2K, _K2U, _CTX, _SEND, _RECEIVE, _SUSPEND, _RESUME, _MAP, _UNMAP, _VERDICT = EventKind
+
+# The fault protocol, one step a row: the events each step records, in one
+# ``Trace.record``.  A step that hands the CPU to a thread has a second
+# row, "+switch", for when the occupant changes: the switch follows K2U.
+STEPS = {
+    "trap": step(_U2K),
+    "verdict": step(_VERDICT),
+    "park": step(_SUSPEND),
+    "send": step(_SUSPEND, _SEND),
+    "deliver": step(_K2U, _RECEIVE),
+    "deliver+switch": step(_K2U, _CTX, _RECEIVE),
+    "reflect": step(_U2K, _SEND),
+    "reply": step(_U2K, _SEND, _RESUME, _K2U),
+    "reply+switch": step(_U2K, _SEND, _RESUME, _K2U, _CTX),
+    "return": step(_K2U),
+    "return+switch": step(_K2U, _CTX),
+    "map": step(_MAP),
+    "unmap": step(_UNMAP),
+}
 
 # A tuple, not a set: docs/architecture.md, "Run-path costs".
 GP_CODES = (_KERNEL_RANGE_VERDICT, _NO_PAGER, _NOT_ACCEPTED)
@@ -217,8 +232,8 @@ class KernelMemory:
         if slot.contract is _ASSIGNED:
             # First map into the region doubles as acceptance.
             slot.contract = _ACCEPTED
-        self.machine.trace.append(
-            _MAP_PAGE, (asid, page * layout.page_size, frame, marker), cycle
+        self.machine.trace.record(
+            STEPS["map"], ((asid, page * layout.page_size, frame, marker),), cycle
         )
 
     def unmap_page(
@@ -238,8 +253,8 @@ class KernelMemory:
         # Drop the present flag but keep the marker readable.
         space.pages[page] = (False, 0, ent[2])
         slot.present &= ~(1 << page % space.layout.pages_per_region)
-        self.machine.trace.append(
-            _UNMAP_PAGE, (asid, page * space.layout.page_size, revoke), cycle
+        self.machine.trace.record(
+            STEPS["unmap"], ((asid, page * space.layout.page_size, revoke),), cycle
         )
         if not revoke:
             return
@@ -289,8 +304,8 @@ class FaultDispatcher(KernelMemory):
     memory service.  The scheme layer decides where a DISPATCHED fault is
     routed and when a pager runs; every event that is attributed to a
     fault cycle (crossings, protocol context switches, suspension, IPC,
-    verdicts, map and unmap) is emitted here, so the accounting rules hold
-    for every scheme by construction.
+    verdicts, map and unmap) is recorded here, one ``STEPS`` row per step,
+    so the accounting rules hold for every scheme by construction.
     """
 
     def __init__(self, machine: Machine, spaces: dict[int, AddressSpace]) -> None:
@@ -306,7 +321,7 @@ class FaultDispatcher(KernelMemory):
         index = machine.trace.open_cycle()
         cycle = FaultCycle(index, tid, decl.asid, vaddr, access)
         self.cycles.append(cycle)
-        machine.trace.append(_MODE_SWITCH_U2K, (), index)
+        machine.trace.record(STEPS["trap"], ((),), index)
         return cycle
 
     def record_verdict(self, cycle: FaultCycle, cls: Classification) -> None:
@@ -319,19 +334,23 @@ class FaultDispatcher(KernelMemory):
             args = (cls.code._value_, cycle.faulter, cycle.vaddr)
         else:
             args = (cls.code._value_, cycle.faulter, cycle.vaddr, cls.manager)
-        self.machine.trace.append(_VERDICT, args, cycle.index)
+        self.machine.trace.record(STEPS["verdict"], (args,), cycle.index)
 
     def park(self, cycle: FaultCycle) -> None:
         """Suspend the faulter for good: the thread state enum has no
         terminal member, so a thread that can never continue is modeled
         as a suspension nothing will ever pair with a resume."""
         self.machine.state[cycle.faulter] = _SUSPENDED
-        self.machine.trace.append(_SUSPEND, (cycle.faulter,), cycle.index)
+        self.machine.trace.record(STEPS["park"], ((cycle.faulter,),), cycle.index)
 
     def return_to_faulter(self, cycle: FaultCycle) -> None:
         """Leave the kernel into the faulter and close the cycle."""
-        self.machine.trace.append(_MODE_SWITCH_K2U, (), cycle.index)
-        self.machine.switch_to(cycle.faulter, cycle.index)
+        faulter, index = cycle.faulter, cycle.index
+        prev = self.machine.switch_to(faulter, False)
+        if prev is None:
+            self.machine.trace.record(STEPS["return"], ((),), index)
+        else:
+            self.machine.trace.record(STEPS["return+switch"], ((), (prev, faulter)), index)
         cycle.closed = True
         cycle.sent_to = None
 
@@ -341,13 +360,14 @@ class FaultDispatcher(KernelMemory):
         """Phase two for a dispatched fault, after its verdict: suspend
         the faulter and queue the fault message at ``target``.  When the
         message is delivered is the caller's business (see ``deliver``)."""
-        self.machine.state[cycle.faulter] = _SUSPENDED
-        self.machine.trace.append(_SUSPEND, (cycle.faulter,), cycle.index)
+        machine, faulter = self.machine, cycle.faulter
+        machine.send(target, _PAGE_FAULT, cycle)  # refuses an unknown target
+        machine.state[faulter] = _SUSPENDED
         # _value_, not .value: docs/architecture.md, "Run-path costs".
-        self.machine.send((
-            KERNEL_TID, target, _PAGE_FAULT, cycle.faulter, cycle.vaddr,
+        machine.trace.record(STEPS["send"], ((faulter,), (
+            KERNEL_TID, target, _PAGE_FAULT, faulter, cycle.vaddr,
             cycle.access._value_, cycle.marker,
-        ), cycle, cycle.index)
+        )), cycle.index)
         cycle.dispatched_to = target
         cycle.sent_to = {target}
 
@@ -367,9 +387,12 @@ class FaultDispatcher(KernelMemory):
         state = machine.state
         if state[target] is _BLOCKED_ON_RECEIVE:
             state[target] = _READY
-        machine.trace.append(_MODE_SWITCH_K2U, (), index)
-        machine.switch_to(target, index)
-        machine.trace.append(_IPC_RECEIVE, (target, kind), index)
+        prev = machine.switch_to(target, False)
+        if prev is None:
+            machine.trace.record(STEPS["deliver"], ((), (target, kind)), index)
+        else:
+            args = ((), (prev, target), (target, kind))
+            machine.trace.record(STEPS["deliver+switch"], args, index)
         return cycle
 
     def back_to_receive(self, pager: int) -> None:
@@ -392,29 +415,34 @@ class FaultDispatcher(KernelMemory):
                 f"{cycle.vaddr:#x}) to {name[target].name!r}, which the fault "
                 "already reached"
             )
-        self.machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
-        cycle.dispatched_to = target
-        self.machine.send((
+        machine = self.machine
+        machine.send(target, _REFLECTION, cycle)
+        machine.trace.record(STEPS["reflect"], ((), (
             mapper, target, _REFLECTION, cycle.faulter, cycle.vaddr,
             cycle.access._value_, cycle.marker,
-        ), cycle, cycle.index)
+        )), cycle.index)
+        cycle.dispatched_to = target
         sent_to.add(target)
-        self.machine.state[mapper] = _BLOCKED_ON_RECEIVE
+        machine.state[mapper] = _BLOCKED_ON_RECEIVE
 
     def pager_reply(self, pager: int, cycle: FaultCycle) -> None:
         """A pager's reply syscall: validate it, wake the faulter, and hand
-        the CPU back.  Emits U2K (the syscall), the reply send, the
-        resume, K2U, and the context switch back to the faulter."""
+        the CPU back, closing the cycle, in one step.  The kernel takes the
+        reply at once, so nothing is queued."""
         if cycle.sent_to is None or cycle.dispatched_to != pager:
             raise self._not_held(pager, cycle)
-        self.machine.trace.append(_MODE_SWITCH_U2K, (), cycle.index)
-        self.machine.send(
-            (pager, KERNEL_TID, _REPLY, cycle.faulter), cycle, cycle.index
-        )
-        self.machine.state[cycle.faulter] = _READY
-        self.machine.trace.append(_RESUME, (cycle.faulter,), cycle.index)
-        self.machine.state[pager] = _BLOCKED_ON_RECEIVE
-        self.return_to_faulter(cycle)
+        machine, faulter, index = self.machine, cycle.faulter, cycle.index
+        machine.state[faulter] = _READY
+        machine.state[pager] = _BLOCKED_ON_RECEIVE
+        reply = (pager, KERNEL_TID, _REPLY, faulter)
+        prev = machine.switch_to(faulter, False)
+        if prev is None:
+            machine.trace.record(STEPS["reply"], ((), reply, (faulter,), ()), index)
+        else:
+            args = ((), reply, (faulter,), (), (prev, faulter))
+            machine.trace.record(STEPS["reply+switch"], args, index)
+        cycle.closed = True
+        cycle.sent_to = None
 
     def _not_held(self, pager: int, cycle: FaultCycle) -> SimulationError:
         """The refusal of a reply or reflection from ``pager`` on ``cycle``."""

@@ -25,12 +25,13 @@ run changes is written by the ``FaultDispatcher``; the simulator only
 decides where a dispatched fault goes and when a pager runs.  One loop
 serves a pager its queued faults in order; under ``mode=auto`` it carries
 out each answer at once and serves a reflection's target next, without
-recursion.  A fault's trap opens its cycle's counter row, which counts
-each event kind as events are appended; one function (``_costs``)
+recursion.  A fault's trap opens its cycle's counter row, one packed int
+to which each recorded step adds its counts; one function (``_costs``)
 decides which kinds count toward which cost column and one
 (``_resolved``) whether a cycle's faulter got the CPU back.  Per-cycle
 metrics, whole-run totals, expectation checks and the cross-scheme
-ordering all read rows through those two.
+ordering all read rows, unpacked by ``trace.unpack_row``, through those
+two.
 """
 
 import random
@@ -73,7 +74,7 @@ from .scenario import (
     SwitchItem,
     YieldItem,
 )
-from .trace import SLOT, Trace
+from .trace import SLOT, Trace, unpack_row
 
 
 class Scheme(Enum):
@@ -104,18 +105,18 @@ class CycleMetrics(NamedTuple):
     pager_invocations: int
 
 
-# Counter-row columns (see ``trace.SLOT``) that the cost figures read.
+# Columns of an unpacked counter row (see ``trace.SLOT``) that the cost
+# figures read.
 _U2K, _K2U, _CTX, _SEND, _RECEIVE, _SUSPEND, _RESUME = map(SLOT.__getitem__, (
     "MODE_SWITCH_U2K", "MODE_SWITCH_K2U", "CONTEXT_SWITCH", "IPC_SEND",
     "IPC_RECEIVE", "SUSPEND", "RESUME",
 ))
-_ZERO_ROW = (0,) * len(SLOT)
 _verdict = attrgetter("verdict")
 
 
 def _costs(row) -> tuple[int, int, int, int]:
-    """Cost columns of a counter row, in ``CycleMetrics`` order: the one
-    place that maps event kinds to costs."""
+    """Cost columns of an unpacked counter row, in ``CycleMetrics`` order:
+    the one place that maps event kinds to costs."""
     return (row[_U2K] + row[_K2U], row[_CTX], row[_SEND], row[_RECEIVE])
 
 
@@ -134,9 +135,10 @@ def cycle_metrics(trace: Trace, fault_index: int) -> CycleMetrics:
     """
     rows = trace.cycle_counts
     # Bounds checked here: a negative index would read a row from the end.
-    row = rows[fault_index] if 0 <= fault_index < len(rows) else _ZERO_ROW
+    packed = rows[fault_index] if 0 <= fault_index < len(rows) else 0
+    row = unpack_row(packed)
     if not _resolved(row):
-        if not any(row):  # no event is attributed to this cycle
+        if not packed:  # no event is attributed to this cycle
             raise ValueError(f"trace has no fault cycle {fault_index}")
         raise IncompleteCycleError(
             f"fault cycle {fault_index}: thread never resumed"
@@ -524,8 +526,7 @@ class SchemeTotals:
 
 def totals_of(result: SimResult) -> SchemeTotals:
     """Protocol-attributed event totals over a whole run."""
-    # The leading zero row keeps every column when no cycle has events.
-    columns = [sum(c) for c in zip(_ZERO_ROW, *result.trace.cycle_counts)]
+    columns = unpack_row(sum(result.trace.cycle_counts))
     return SchemeTotals(result.scheme.value, len(result.cycles), *_costs(columns))
 
 
@@ -654,7 +655,7 @@ def check_expectations(
                 continue
             if mode is None and ctx is None and ipc is None and invocations is None:
                 continue  # the line names no cost, only a verdict
-            row = rows[fault]
+            row = unpack_row(rows[fault])
             if not _resolved(row):
                 fail(token, fault, "cycle never completed")
                 continue
@@ -697,10 +698,10 @@ def verify_equivalence(results: dict[str, SimResult]) -> list[str]:
     ordered = ("monolithic", "proposed", "l4re")
     if all(t in results for t in ordered):
         # Dispatched cycles share a few counter-row patterns, so each
-        # distinct (monolithic, proposed, l4re) triple of rows, read as
-        # tuples to key a dict, is judged once.
+        # distinct (monolithic, proposed, l4re) triple of packed rows is
+        # judged once.
         judged: dict[tuple, list[str]] = {}
-        rows = zip(*[map(tuple, results[t].trace.cycle_counts) for t in ordered])
+        rows = zip(*[results[t].trace.cycle_counts for t in ordered])
         for cycle, verdict, triple in zip(base.cycles, base_verdicts, rows):
             # The cost ordering is a claim about dispatched faults; cycles
             # that never reach a pager cost the same under every scheme.
@@ -715,9 +716,10 @@ def verify_equivalence(results: dict[str, SimResult]) -> list[str]:
 
 
 def _misordered(r0, r1, r2) -> list[str]:
-    """How the monolithic, proposed and l4re counter rows of one cycle
-    break the cost ordering, if they do."""
+    """How the monolithic, proposed and l4re packed counter rows of one
+    cycle break the cost ordering, if they do."""
     found: list[str] = []
+    r0, r1, r2 = unpack_row(r0), unpack_row(r1), unpack_row(r2)
     if not (_resolved(r0) and _resolved(r1) and _resolved(r2)):
         return found  # ordering is only claimed for resolved cycles
     m0, m1, m2 = _costs(r0), _costs(r1), _costs(r2)

@@ -11,12 +11,13 @@ Per-cycle accounting counts only attributed events; switches produced by
 scripted scheduling directives carry no attribution and are invisible to
 the per-fault cost figures, mirroring cost models that charge a fault only
 for the crossings its own handling protocol mandates.  A fault's trap
-opens its cycle's counter row, and each attributed event bumps its kind's
-count there, so accounting never walks the events.  Events live in
-columns of kinds, raw arguments (ints and enum spellings) and cycles;
-only rendering makes text.  Rendering joins the line templates of a
-block of ``RENDER_BLOCK`` events and formats the block with one ``%``
-over its fields, so it makes no Python-level call per event.
+opens its cycle's counter row, one int; each protocol step's ``record``
+adds all its events' counts to it at once, so accounting never walks the
+events.  Events live in columns of kinds, raw arguments (ints and enum
+spellings) and cycles; only rendering makes text.  Rendering joins the
+line templates of a block of ``RENDER_BLOCK`` events and formats the
+block with one ``%`` over its fields, so it makes no Python-level call
+per event.
 
 Where events go is chosen once, when the trace is built.  A ``Trace``
 keeps them; a ``CountingTrace``, for runs whose events nobody reads, keeps
@@ -24,6 +25,7 @@ only the event count and the counter rows, and each of its event readers
 raises ``EventsNotKeptError``.
 """
 
+import struct
 from enum import Enum
 from typing import NamedTuple
 
@@ -45,8 +47,24 @@ class EventKind(Enum):
 
 # Tables keyed by the on-wire spelling, not the enum: docs/architecture.md,
 # "Run-path costs".
-# Column of each kind in a cycle's counter row:
+# Column of each kind in a cycle's counter row, as ``unpack_row`` reads it:
 SLOT = {kind._value_: i for i, kind in enumerate(EventKind)}
+# A row is one int: kind k's count is its 64-bit field at bit 64 * SLOT[k],
+# and _ONE[k] is one event of kind k.
+_ONE = {k: 1 << 64 * i for k, i in SLOT.items()}
+_ROW = struct.Struct(f"<{len(SLOT)}Q")
+
+
+def unpack_row(row: int) -> tuple[int, ...]:
+    """The counts of a counter row, or of a sum of rows, in ``SLOT`` order."""
+    return _ROW.unpack(row.to_bytes(_ROW.size, "little"))
+
+
+def step(*kinds: EventKind) -> tuple[tuple[EventKind, ...], int, int]:
+    """A protocol step for ``Trace.record``: its events' kinds, their row
+    and their number."""
+    return kinds, sum(_ONE[k._value_] for k in kinds), len(kinds)
+
 
 # Each kind's argument formats, in order; unlisted kinds take none.  An event
 # may carry a prefix of them: a send without payload ends at the message
@@ -91,14 +109,14 @@ class TraceEvent(NamedTuple):
 class Trace:
     """Gap-free, append-only log in columns ``kinds``, ``args`` and
     ``cycle_of``, indexed by seq and read back as :class:`TraceEvent`, with
-    one counter row per opened cycle: ``cycle_counts[c][SLOT[kind._value_]]``
-    is how many events of that kind cycle ``c`` has."""
+    one counter row per opened cycle: ``unpack_row(cycle_counts[c])[SLOT[k]]``
+    is how many events of kind ``k`` cycle ``c`` has."""
 
     def __init__(self) -> None:
         self.kinds: list[EventKind] = []
         self.args: list[tuple] = []
         self.cycle_of: list[int | None] = []
-        self.cycle_counts: list[list[int]] = []
+        self.cycle_counts: list[int] = []
 
     def append(
         self, kind: EventKind, args: tuple = (), cycle: int | None = None
@@ -109,14 +127,31 @@ class Trace:
         if cycle is not None:  # first, so an unopened cycle stores nothing
             if cycle < 0:  # a row from the end, never this event's
                 raise IndexError(f"fault cycle {cycle} was never opened")
-            self.cycle_counts[cycle][SLOT[kind._value_]] += 1
+            self.cycle_counts[cycle] += _ONE[kind._value_]
         self.kinds.append(kind)
         self.args.append(args)
         self.cycle_of.append(cycle)
 
+    def record(self, step: tuple, args: tuple, cycle: int | None) -> None:
+        """Record a protocol ``step``'s events, one tuple each in ``args``,
+        as ``append`` does one, adding the step's row to the cycle's."""
+        kinds, delta, n = step
+        if cycle is not None:
+            if cycle < 0:
+                raise IndexError(f"fault cycle {cycle} was never opened")
+            self.cycle_counts[cycle] += delta
+        if n == 1:  # three appends cost less than three extends
+            self.kinds.append(kinds[0])
+            self.args.append(args[0])
+            self.cycle_of.append(cycle)
+        else:
+            self.kinds.extend(kinds)
+            self.args.extend(args)
+            self.cycle_of.extend((cycle,) * n)
+
     def open_cycle(self) -> int:
         """Open the next fault cycle's counter row; return its index."""
-        self.cycle_counts.append([0] * len(SLOT))
+        self.cycle_counts.append(0)
         return len(self.cycle_counts) - 1
 
     def __len__(self) -> int:
@@ -173,12 +208,12 @@ class CountingTrace(Trace):
     :class:`Trace`, and no events.  ``len`` is the number of events
     appended, so a run's summary reads the same as with a kept log;
     iterating, indexing, ``of_cycle`` and ``to_text`` raise
-    :class:`EventsNotKeptError`.  The keeping ``Trace.append`` is left
-    without a branch; this class has its own."""
+    :class:`EventsNotKeptError`.  The keeping ``append`` and ``record``
+    are left without a branch; this class has its own."""
 
     def __init__(self) -> None:
         self.appended = 0
-        self.cycle_counts: list[list[int]] = []
+        self.cycle_counts: list[int] = []
 
     def append(
         self, kind: EventKind, args: tuple = (), cycle: int | None = None
@@ -187,8 +222,17 @@ class CountingTrace(Trace):
         if cycle is not None:
             if cycle < 0:
                 raise IndexError(f"fault cycle {cycle} was never opened")
-            self.cycle_counts[cycle][SLOT[kind._value_]] += 1
+            self.cycle_counts[cycle] += _ONE[kind._value_]
         self.appended += 1
+
+    def record(self, step: tuple, args: tuple, cycle: int | None) -> None:
+        """Count a step's events and add its row to its cycle's, if any."""
+        _, delta, n = step
+        if cycle is not None:
+            if cycle < 0:
+                raise IndexError(f"fault cycle {cycle} was never opened")
+            self.cycle_counts[cycle] += delta
+        self.appended += n
 
     def __len__(self) -> int:
         return self.appended

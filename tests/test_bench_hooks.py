@@ -11,6 +11,7 @@ import re
 import pagersim.cli
 from pagersim import ALL_SCHEMES, parse_scenario
 from pagersim.scenario import AccessItem
+from pagersim.trace import Trace
 from support import load_bench_module
 
 
@@ -31,7 +32,18 @@ def traced_cli_run(tmp_path, name: str):
     return w, rc, tracer
 
 
-def test_traced_cli_run_on_fault_stream(tmp_path, capsys):
+def test_traced_cli_run_on_fault_stream(tmp_path, capsys, monkeypatch):
+    # The tracer wraps Trace.append, not Trace.record: count the events
+    # the protocol's steps record here, beside it.
+    record = Trace.record
+    recorded = 0
+
+    def counting_record(trace, step, args, cycle):
+        nonlocal recorded
+        recorded += len(step[0])
+        return record(trace, step, args, cycle)
+
+    monkeypatch.setattr(Trace, "record", counting_record)
     w, rc, tracer = traced_cli_run(tmp_path, "fault-stream")
     out = capsys.readouterr().out
     expectations = len(parse_scenario(w.text).expectations)
@@ -40,10 +52,10 @@ def test_traced_cli_run_on_fault_stream(tmp_path, capsys):
     assert "equivalence: ok" in out
     assert tracer.calls["schemes.run"] == len(ALL_SCHEMES)
     # The benchmark's trace.events counts wrapped appends; every event the
-    # runs recorded went through Trace.append.
+    # runs recorded went through Trace.append or a step's Trace.record.
     events = sum(map(int, re.findall(r" events=(\d+) ", out)))
     assert events > 0
-    assert tracer.calls["trace.append"] == events
+    assert tracer.calls["trace.append"] + recorded == events
 
 
 def test_traced_wide_spaces_run_allocates_no_region_slots(tmp_path, capsys):

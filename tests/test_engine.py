@@ -31,20 +31,17 @@ def two_thread_machine():
 
 def test_kernel_is_not_a_registered_thread():
     # Tid 0 only names the kernel in send lines: no control block stands
-    # for it, yet a reply to it is recorded and consumed at once.
+    # for it, and no mailbox, since it takes a reply at once (see
+    # test_reply_to_kernel_renders_short_and_is_consumed_synchronously).
     m = Machine()
     assert m.threads == {}
     with pytest.raises(UnknownThreadError):
         m.thread(KERNEL_TID)
-    opened(m.trace, 1)
-    m.send((2, KERNEL_TID, "REPLY", 1), object(), 0)
-    assert [(ev.kind, ev.args, ev.cycle) for ev in m.trace] == [
-        (EventKind.IPC_SEND, (2, KERNEL_TID, "REPLY", 1), 0)
-    ]
+    for receiver in (KERNEL_TID, 9):
+        with pytest.raises(UnknownReceiverError):
+            m.send(receiver, "PAGE_FAULT", object())
     assert m.mailboxes == {}
-    with pytest.raises(UnknownReceiverError):
-        m.send((KERNEL_TID, 9, "PAGE_FAULT", 1, 0x2000, "W", 0), object())
-    assert len(m.trace) == 1
+    assert len(m.trace) == 0
 
 
 def test_register_rejects_duplicate_and_nonpositive_tids():
@@ -133,44 +130,52 @@ def fault_send(receiver: int, vaddr: int = 0x2000) -> tuple:
 
 
 def test_send_renders_fault_payload_and_queues():
+    # The dispatcher's send step queues the cycle and records the send
+    # after the faulter's suspension.
     m = two_thread_machine()
     opened(m.trace, 1)
     cycle = FaultCycle(0, faulter=1, asid=1, vaddr=0x2000,
                        access=AccessType.WRITE, marker=5)
-    m.send(fault_send(2), cycle, 0)
+    FaultDispatcher(m, {}).suspend_and_send(cycle, 2)
     assert list(m.mailboxes[2]) == [("PAGE_FAULT", cycle)]
-    ev = m.trace[0]
+    ev = m.trace[1]
     assert ev.kind is EventKind.IPC_SEND
-    assert ev.args == (0, 2, "PAGE_FAULT", 1, 0x2000, "W", 5)
+    assert ev.args == fault_send(2)
     assert ev.render() == (
-        "0 IPC_SEND 0 2 PAGE_FAULT faulter=1 vaddr=0x2000 access=W marker=5 cycle=0"
+        "1 IPC_SEND 0 2 PAGE_FAULT faulter=1 vaddr=0x2000 access=W marker=5 cycle=0"
     )
 
 
 def test_send_queues_an_opaque_payload_untouched():
     # The machine reads no field of what it carries: any object goes
-    # through the mailbox as it was sent.
+    # through the mailbox as it was sent.  The send's caller records it.
     m = two_thread_machine()
     payload = object()
-    m.send(fault_send(2), payload)
+    m.send(2, "PAGE_FAULT", payload)
     assert list(m.mailboxes[2]) == [("PAGE_FAULT", payload)]
-    assert [(ev.kind, ev.args, ev.cycle) for ev in m.trace] == [
-        (EventKind.IPC_SEND, fault_send(2), None),
-    ]
+    assert len(m.trace) == 0
 
 
 def test_reply_to_kernel_renders_short_and_is_consumed_synchronously():
     m = two_thread_machine()
-    m.send((2, KERNEL_TID, "REPLY", 1), object())
-    assert m.trace[0].args == (2, 0, "REPLY", 1)
-    assert m.trace[0].render() == "0 IPC_SEND 2 0 REPLY faulter=1"
-    assert m.mailboxes == {}
+    opened(m.trace, 1)
+    d = FaultDispatcher(m, {})
+    cycle = FaultCycle(0, faulter=1, asid=1, vaddr=0x2000,
+                       access=AccessType.WRITE)
+    d.suspend_and_send(cycle, 2)
+    d.deliver(2)
+    d.pager_reply(2, cycle)
+    reply = [ev for ev in m.trace if ev.kind is EventKind.IPC_SEND][-1]
+    assert reply.args == (2, 0, "REPLY", 1)
+    assert reply.render() == f"{reply.seq} IPC_SEND 2 0 REPLY faulter=1 cycle=0"
+    assert list(m.mailboxes) == [2] and not m.mailboxes[2]
 
 
 def test_send_to_unknown_receiver():
     m = two_thread_machine()
     with pytest.raises(UnknownReceiverError):
-        m.send(fault_send(9), object())
+        m.send(9, "PAGE_FAULT", object())
+    assert m.mailboxes == {}
     assert len(m.trace) == 0
 
 

@@ -83,8 +83,10 @@ from support import fixture_scn, opened
 PY310 = sys.version_info < (3, 11)
 
 # Python-level calls per fault of one run of workload50 under every
-# scheme: 10% above the 41.6 measured when the budget was set (Python
-# 3.11.7), against 42.6 while delivery received a message through a
+# scheme: 10% above the 34.1 measured when the budget was set (Python
+# 3.11.7), against 41.6 while each event of a protocol step was appended
+# by a call of its own and the machine recorded sends and protocol
+# context switches, 42.6 while delivery received a message through a
 # machine method that fetched and checked the box again, 43.9 while every
 # pager answer went through a simulator method that checked the pager had
 # a behavior, 44.1 while a region mapper kept a copy of its space's region
@@ -96,7 +98,7 @@ PY310 = sys.version_info < (3, 11)
 # built a mutable entry record, and 55.1 while the machine wrote the
 # syscall and return crossings and a pager went back to its receive loop
 # twice per reply or reflection.
-CALLS_PER_FAULT_BUDGET = 45.8
+CALLS_PER_FAULT_BUDGET = 37.5
 
 # Python-level calls per translate hit, under every scheme: 10% above the
 # 3.0 measured when the budget was set (Python 3.11): the access, the
@@ -129,10 +131,12 @@ COUNTED_BYTES_PER_FAULT_BUDGET = 548
 
 # GC-tracked objects a counters-only run (keep_events=False) of
 # fault_stream(n, 512) keeps per closed fault, at 600 and at 6,000 faults,
-# under monolithic and l4re: 10% above the 2.0 measured when the bound was
-# set, against 3.0 while each page-table entry was a mutable record rather
-# than a tuple of ints, which the collector untracks (Python 3.11).
-TRACKED_OBJECTS_PER_FAULT_BUDGET = 2.2
+# under monolithic and l4re: 10% above the 1.0 measured when the bound was
+# set (the fault's FaultCycle), against 2.0 while each counter row was a
+# list rather than one int, which the collector does not track, and 3.0
+# while each page-table entry was a mutable record rather than a tuple of
+# ints, which the collector untracks (Python 3.11).
+TRACKED_OBJECTS_PER_FAULT_BUDGET = 1.1
 
 # GC-tracked objects one l4re run of FAULT_STREAM keeps per trace event:
 # 0.158 when the bound was set, against 1.16 for a store of one TraceEvent
@@ -477,11 +481,11 @@ def test_per_fault_calls_stay_on_the_fast_call_path(tmp_path):
     assert faults == 4 * 50
     per_fault, offenders = calls_off_the_fast_path(ran, sites, faults)
     # The fault path, the pagers' answers, the trap's row opener and the
-    # trace appends are among the guarded functions.
+    # trace's step recorder are among the guarded functions.
     assert {
         Simulator._zero_level.__code__, PagerBehavior.on_page_fault.__code__,
         Simulator._carry_out.__code__, Trace.open_cycle.__code__,
-        Trace.append.__code__,
+        Trace.record.__code__,
     } <= per_fault
     for (code, name), calls in ran.items():
         if code.co_name == "<lambda>" and code.co_filename == "<string>":
@@ -679,15 +683,68 @@ def appends_one_of(module, node, kinds) -> bool:
     return any(value is k for k in kinds)
 
 
+def recorded_step(module, node, kinds) -> str | None:
+    """If ``node`` is a ``record`` call whose step, ``STEPS["name"]`` read
+    in ``module``, has an event of one of the ``kinds``: the step's name,
+    its "+switch" row named as the step.  ``"?"`` for a ``record`` call
+    whose step is not written so, whatever its kinds."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "record"
+        and node.args
+    ):
+        return None
+    step = node.args[0]
+    if not (
+        isinstance(step, ast.Subscript)
+        and isinstance(step.value, ast.Name)
+        and isinstance(step.slice, ast.Constant)
+        and step.slice.value in getattr(module, step.value.id, {})
+    ):
+        return "?"
+    name = step.slice.value
+    recorded_kinds = getattr(module, step.value.id)[name][0]
+    if any(k is kind for k in recorded_kinds for kind in kinds):
+        return name.partition("+")[0]
+    return None
+
+
+def nodes_in(module):
+    """``(function, node)`` for each node of ``module``'s source, with the
+    name of the function whose body holds it (``None`` outside any)."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+            else:
+                yield function, child
+                yield from walk(child, function)
+
+    return walk(ast.parse(inspect.getsource(module)), None)
+
+
 def package_appends(kinds) -> list[str]:
     """``module line: call`` for each ``append`` call in the package's
     source whose first argument is one of the event ``kinds``."""
     return [
         f"{module.__name__} line {node.lineno}: {ast.unparse(node)}"
         for module in package_modules()
-        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        for _, node in nodes_in(module)
         if appends_one_of(module, node, kinds)
     ]
+
+
+def package_records(kinds) -> list[str]:
+    """``module function: step`` for each protocol step with an event of
+    one of the ``kinds`` that a ``record`` call in the package's source
+    names, each step once."""
+    return sorted({
+        f"{module.__name__} {function}: {step}"
+        for module in package_modules()
+        for function, node in nodes_in(module)
+        if (step := recorded_step(module, node, kinds))
+    })
 
 
 def package_modules() -> list:
@@ -701,8 +758,11 @@ def package_modules() -> list:
 
 
 def test_only_the_dispatcher_appends_a_crossing():
-    # The fault protocol's crossings have one writer, the dispatcher.
-    found = package_appends((EventKind.MODE_SWITCH_U2K, EventKind.MODE_SWITCH_K2U))
+    # The fault protocol's crossings have one writer, the dispatcher: no
+    # module appends one, and only the dispatcher's steps record one.
+    crossings = (EventKind.MODE_SWITCH_U2K, EventKind.MODE_SWITCH_K2U)
+    assert package_appends(crossings) == []
+    found = package_records(crossings)
     outside = [f for f in found if not f.startswith("pagersim.fault_dispatch ")]
     assert outside == []
     # The trap, the two syscalls and the two returns to user mode.
@@ -712,41 +772,39 @@ def test_only_the_dispatcher_appends_a_crossing():
 def test_only_the_dispatcher_appends_a_receive():
     # Delivery takes a message from its box and records the receive in one
     # step, the dispatcher's.
-    found = package_appends((EventKind.IPC_RECEIVE,))
+    assert package_appends((EventKind.IPC_RECEIVE,)) == []
+    found = package_records((EventKind.IPC_RECEIVE,))
     assert len(found) == 1 and found[0].startswith("pagersim.fault_dispatch "), found
 
 
 def state_writes(module) -> list[str]:
     """``module line: code (in function)`` for each store into a
     ``state[...]`` subscript and each ``append`` call whose first argument
-    is ``SUSPEND`` or ``RESUME``, in the source of ``module``."""
+    is ``SUSPEND`` or ``RESUME``, and ``module step: name (in function)``
+    for each protocol step with one of them that a ``record`` call names,
+    each step once, in the source of ``module``."""
     changes = (EventKind.SUSPEND, EventKind.RESUME)
     found = []
-
-    def walk(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(child, child.name)
-                continue
-            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = getattr(child, "targets", None) or [child.target]
-                hit = any(
-                    isinstance(t, ast.Subscript)
-                    and getattr(t.value, "attr", getattr(t.value, "id", None))
-                    == "state"
-                    for t in targets
-                )
-            else:
-                hit = appends_one_of(module, child, changes)
-            if hit:
-                found.append(
-                    f"{module.__name__} line {child.lineno}: "
-                    f"{ast.unparse(child)} (in {function})"
-                )
-            walk(child, function)
-
-    walk(ast.parse(inspect.getsource(module)), None)
-    return found
+    for function, node in nodes_in(module):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            hit = any(
+                isinstance(t, ast.Subscript)
+                and getattr(t.value, "attr", getattr(t.value, "id", None))
+                == "state"
+                for t in targets
+            )
+        else:
+            hit = appends_one_of(module, node, changes)
+        if hit:
+            found.append(
+                f"{module.__name__} line {node.lineno}: "
+                f"{ast.unparse(node)} (in {function})"
+            )
+        step = recorded_step(module, node, changes)
+        if step:
+            found.append(f"{module.__name__} step: {step} (in {function})")
+    return list(dict.fromkeys(found))
 
 
 def test_only_the_dispatcher_writes_a_thread_state():
@@ -761,7 +819,7 @@ def test_only_the_dispatcher_writes_a_thread_state():
     assert outside == []
     # park, suspend_and_send, deliver, back_to_receive, reflect and
     # pager_reply's two store states; the two suspensions and the resume
-    # append their events.
+    # are recorded by their steps, park, send and reply.
     dispatcher = [f for f in found if f.startswith("pagersim.fault_dispatch ")]
     assert len(dispatcher) == 10, dispatcher
 

@@ -15,7 +15,7 @@ from pagersim import (
     classify,
 )
 from pagersim.fault_dispatch import Classification
-from pagersim.trace import SLOT
+from pagersim.trace import SLOT, unpack_row
 from pagersim.errors import (
     BadRegionError,
     NoOutstandingFaultError,
@@ -184,7 +184,7 @@ def test_each_trap_opens_the_next_counter_row():
         # trap is counted there.
         assert cycle.index == expected == len(disp.cycles) - 1
         assert len(m.trace.cycle_counts) == len(disp.cycles)
-        row = m.trace.cycle_counts[expected]
+        row = unpack_row(m.trace.cycle_counts[expected])
         assert sum(row) == row[SLOT["MODE_SWITCH_U2K"]] == 1
     # The opener hands out the index the next trap would take.
     assert m.trace.open_cycle() == len(disp.cycles)

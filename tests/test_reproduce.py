@@ -1,5 +1,5 @@
 from pagersim import reproduce
-from pagersim.trace import CountingTrace, EventKind, Trace
+from pagersim.trace import CountingTrace, EventKind, Trace, step
 
 
 def test_all_claims_reproduce(capsys):
@@ -31,7 +31,8 @@ def test_broken_kernel_entry_fails_claims(monkeypatch, capsys):
     # A simulator that loses its kernel entries (the trap and the reply
     # and reflection syscalls) must not still pass, whether its traces
     # keep events or only count them (cli.main without --trace and
-    # overhead_report build counters-only traces).
+    # overhead_report build counters-only traces).  The protocol records
+    # them in its steps; an appended one is lost too.
     def lossy(append):
         def append_all_but_kernel_entries(self, kind, args=(), cycle=None):
             if kind is not EventKind.MODE_SWITCH_U2K:
@@ -39,8 +40,20 @@ def test_broken_kernel_entry_fails_claims(monkeypatch, capsys):
 
         return append_all_but_kernel_entries
 
+    def lossy_steps(record):
+        def record_all_but_kernel_entries(self, recorded, args, cycle):
+            kept = [
+                (kind, a) for kind, a in zip(recorded[0], args)
+                if kind is not EventKind.MODE_SWITCH_U2K
+            ]
+            kinds = tuple(kind for kind, _ in kept)
+            record(self, step(*kinds), tuple(a for _, a in kept), cycle)
+
+        return record_all_but_kernel_entries
+
     for cls in (Trace, CountingTrace):
         monkeypatch.setattr(cls, "append", lossy(cls.__dict__["append"]))
+        monkeypatch.setattr(cls, "record", lossy_steps(cls.__dict__["record"]))
     rc = reproduce.reproduce_all()
     out = capsys.readouterr().out
     assert rc == 1

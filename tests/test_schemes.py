@@ -31,7 +31,7 @@ from pagersim.errors import (
     SimulationError,
 )
 from pagersim.reproduce import FIXTURES
-from pagersim.trace import SLOT, Trace
+from pagersim.trace import SLOT, Trace, step, unpack_row
 from support import fitting_results, fixture_scn, golden, golden_digests
 
 
@@ -315,8 +315,11 @@ def test_check_expectations_cost_lines_are_exact():
 
 
 def _bump(res: SimResult, cycle: int, kind: EventKind, by: int) -> None:
-    """Tamper with one count in one cycle's counter row."""
-    res.trace.cycle_counts[cycle][SLOT[kind.value]] += by
+    """Tamper with one count in one cycle's packed counter row."""
+    before = unpack_row(res.trace.cycle_counts[cycle])
+    res.trace.cycle_counts[cycle] += by * step(kind)[1]
+    after = unpack_row(res.trace.cycle_counts[cycle])
+    assert after[SLOT[kind.value]] == before[SLOT[kind.value]] + by
 
 
 def test_verify_reports_l4re_not_above_proposed():
@@ -363,7 +366,7 @@ def test_verify_reports_every_cycle_of_a_shared_bad_row_pattern():
     for cycle in (7, 31):
         _bump(results["l4re"], cycle, EventKind.CONTEXT_SWITCH, -1)
     rows = [results[t].trace.cycle_counts for t in ("monolithic", "proposed", "l4re")]
-    assert [r[8] for r in rows] == [r[6] for r in rows]
+    assert [unpack_row(r[8]) for r in rows] == [unpack_row(r[6]) for r in rows]
     assert verify_equivalence(results) == [
         f"cycle {cycle}: l4re (6, 2, 3, 2) not strictly above proposed "
         "(4, 2, 2, 1)"
@@ -694,23 +697,32 @@ _RECORDERS = ("pagersim.engine", "pagersim.trace")
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_every_attributed_event_is_emitted_by_the_dispatcher(name, monkeypatch):
-    append = Trace.append
+    append, record = Trace.append, Trace.record
     emitters = set()
+
+    def note(kinds):
+        frame = sys._getframe(2)
+        while frame.f_globals["__name__"] in _RECORDERS:
+            frame = frame.f_back
+        # The method's class and name: co_qualname is 3.11+ only.
+        owner = frame.f_locals.get("self")
+        function = frame.f_code.co_name
+        if owner is not None:
+            function = f"{type(owner).__name__}.{function}"
+        for kind in kinds:
+            emitters.add((frame.f_globals["__name__"], function, kind.name))
 
     def recording_append(trace, kind, args=(), cycle=None):
         if cycle is not None:
-            frame = sys._getframe(1)
-            while frame.f_globals["__name__"] in _RECORDERS:
-                frame = frame.f_back
-            # The method's class and name: co_qualname is 3.11+ only.
-            owner = frame.f_locals.get("self")
-            function = frame.f_code.co_name
-            if owner is not None:
-                function = f"{type(owner).__name__}.{function}"
-            emitters.add((frame.f_globals["__name__"], function, kind.name))
+            note((kind,))
         return append(trace, kind, args, cycle)
 
+    def recording_record(trace, step, args, cycle):
+        note(step[0])
+        return record(trace, step, args, cycle)
+
     monkeypatch.setattr(Trace, "append", recording_append)
+    monkeypatch.setattr(Trace, "record", recording_record)
     assert fitting_results(name)
     assert emitters
     assert {

@@ -1,7 +1,8 @@
 import pytest
 
-from pagersim import CountingTrace, EventKind, EventsNotKeptError, Trace
+from pagersim import CountingTrace, EventKind, EventsNotKeptError, Trace, totals_of
 from pagersim.reproduce import FIXTURES
+from pagersim.trace import SLOT, step, unpack_row
 from support import fitting_results, opened
 
 
@@ -133,9 +134,9 @@ def test_counting_trace_keeps_the_count_and_the_counter_rows():
 def test_open_cycle_numbers_the_rows_in_order(make):
     tr = make()
     assert [tr.open_cycle() for _ in range(3)] == [0, 1, 2]
-    assert tr.cycle_counts == [[0] * len(EventKind)] * 3
+    assert list(map(unpack_row, tr.cycle_counts)) == [(0,) * len(EventKind)] * 3
     tr.append(EventKind.MODE_SWITCH_U2K, (), 1)
-    assert [sum(row) for row in tr.cycle_counts] == [0, 1, 0]
+    assert [sum(unpack_row(row)) for row in tr.cycle_counts] == [0, 1, 0]
 
 
 @pytest.mark.parametrize("make", [Trace, CountingTrace])
@@ -151,7 +152,82 @@ def test_an_event_of_a_cycle_never_opened_is_refused(make):
         tr.append(EventKind.MODE_SWITCH_U2K, (), -1)
     # The refused event is neither counted nor kept.
     assert len(tr) == 1
-    assert tr.cycle_counts == [[0] * len(EventKind)] * 2
+    assert list(map(unpack_row, tr.cycle_counts)) == [(0,) * len(EventKind)] * 2
+
+
+# Steps as the dispatcher records them: one of two events, and one of one
+# event, which a kept trace stores by appending.
+DELIVERY = step(EventKind.MODE_SWITCH_K2U, EventKind.IPC_RECEIVE)
+TRAP = step(EventKind.MODE_SWITCH_U2K)
+STEP_ARGS = {DELIVERY: ((), (2, "PAGE_FAULT")), TRAP: ((),)}
+
+
+@pytest.mark.parametrize("recorded", [DELIVERY, TRAP], ids=["two", "one"])
+@pytest.mark.parametrize("make", [Trace, CountingTrace])
+def test_a_step_of_a_cycle_never_opened_is_refused(make, recorded):
+    tr = opened(make(), 2)
+    tr.record(recorded, STEP_ARGS[recorded], 1)
+    before = (len(tr), list(tr.cycle_counts))
+    for cycle in (2, -1):  # never opened; a row from the end
+        with pytest.raises(IndexError):
+            tr.record(recorded, STEP_ARGS[recorded], cycle)
+    with pytest.raises(IndexError):
+        make().record(recorded, STEP_ARGS[recorded], 0)
+    # No event kept, none counted, no row changed.
+    assert (len(tr), tr.cycle_counts) == before
+    if make is Trace:
+        events = len(recorded[0])
+        assert (len(tr.kinds), len(tr.args), len(tr.cycle_of)) == (events,) * 3
+
+
+@pytest.mark.parametrize("make", [Trace, CountingTrace])
+def test_a_step_counts_each_of_its_events(make):
+    tr = opened(make(), 2)
+    tr.record(DELIVERY, ((), (2, "PAGE_FAULT")), 1)
+    tr.record(TRAP, ((),), 0)
+    tr.record(DELIVERY, ((), (2, "REFLECTION")), 1)
+    assert len(tr) == 5
+    row = unpack_row(tr.cycle_counts[1])
+    assert row[SLOT["MODE_SWITCH_K2U"]] == row[SLOT["IPC_RECEIVE"]] == 2
+    assert sum(row) == 4
+    assert unpack_row(tr.cycle_counts[0]) == unpack_row(TRAP[1])
+    if make is Trace:
+        assert tr.to_text() == (
+            "0 MODE_SWITCH_K2U cycle=1\n1 IPC_RECEIVE 2 PAGE_FAULT cycle=1\n"
+            "2 MODE_SWITCH_U2K cycle=0\n"
+            "3 MODE_SWITCH_K2U cycle=1\n4 IPC_RECEIVE 2 REFLECTION cycle=1\n"
+        )
+
+
+def kept_counts(trace: Trace, cycle: int) -> tuple[int, ...]:
+    """Per-kind counts of the events kept for ``cycle``, recounted from the
+    kind and cycle columns, in ``SLOT`` order."""
+    counts = [0] * len(SLOT)
+    for kind, c in zip(trace.kinds, trace.cycle_of):
+        if c == cycle:
+            counts[SLOT[kind._value_]] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("name", FIXTURES)  # workload50 among them
+def test_each_unpacked_row_counts_its_cycles_kept_events(name):
+    for token, res in fitting_results(name).items():
+        rows = list(map(unpack_row, res.trace.cycle_counts))
+        assert len(rows) == len(res.cycles) > 0, token
+        for cycle, row in enumerate(rows):
+            assert row == kept_counts(res.trace, cycle), (token, cycle)
+        # The totals unpack one sum of packed rows: no field carried.
+        columns = tuple(map(sum, zip(*rows)))
+        assert unpack_row(sum(res.trace.cycle_counts)) == columns, token
+        totals = totals_of(res)
+        assert (
+            totals.mode_switches, totals.context_switches,
+            totals.ipc_messages, totals.pager_invocations,
+        ) == (
+            columns[SLOT["MODE_SWITCH_U2K"]] + columns[SLOT["MODE_SWITCH_K2U"]],
+            columns[SLOT["CONTEXT_SWITCH"]], columns[SLOT["IPC_SEND"]],
+            columns[SLOT["IPC_RECEIVE"]],
+        ), token
 
 
 # Each reader of events, on a counters-only trace.
