@@ -174,7 +174,7 @@ class Machine:
             return None
         self.occupant = tid
         if scripted and prev is not None:
-            self.trace.append(_CONTEXT_SWITCH, (prev, tid), None)
+            self.trace.append(_CONTEXT_SWITCH, (prev, tid))
         return prev
 
     # ---- messaging -------------------------------------------------------

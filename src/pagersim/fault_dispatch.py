@@ -39,19 +39,15 @@ The protocol is one table, ``STEPS``, of steps and the events each
 records together (Holzmann, 1991, states a protocol as a finite-state
 machine).  Privilege crossings are events of its steps, so this module
 alone records them, where the protocol mandates them rather than where a
-real CPU would incidentally cross for scheduling:
-
-* a fault trap emits ``MODE_SWITCH_U2K``;
-* a syscall entry (reply or reflection send) emits ``MODE_SWITCH_U2K``;
-* delivering control to user code (message delivery, fault return, resume
-  after a reply) emits ``MODE_SWITCH_K2U``, then any ``CONTEXT_SWITCH``.
-
-Scripted scheduler switches emit only ``CONTEXT_SWITCH``.  This matches
-cost comparisons that count a fault's protocol-mandated crossings and
-treat scheduler overhead as out of scope.  Thread states are steps of
-the protocol too: after registration only this module writes one, each
-step with its own ``SUSPEND`` or ``RESUME``.  An open fault keeps the set
-of threads it was sent to, so a reflection back to one is refused at once.
+real CPU would incidentally cross for scheduling: a trap or a syscall
+(reply or reflection) enters the kernel, and handing control to user code
+leaves it, before any context switch.  Scripted scheduler switches emit
+only ``CONTEXT_SWITCH``.  This matches cost comparisons that count a
+fault's protocol-mandated crossings and treat scheduler overhead as out
+of scope.  Thread states are steps of the protocol too: after
+registration only this module writes one, each step with its own
+``SUSPEND`` or ``RESUME``.  An open fault keeps the set of threads it was
+sent to, so a reflection back to one is refused at once.
 """
 
 from dataclasses import dataclass

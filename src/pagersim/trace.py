@@ -6,18 +6,18 @@ increasing sequence number starting at zero.  The text rendering is stable
 and line oriented, ``seq kind args...``, so two runs can be compared
 byte-for-byte and traces can be kept as golden files.
 
-Events may carry the index of the fault-handling cycle they belong to.
-Per-cycle accounting counts only attributed events; switches produced by
-scripted scheduling directives carry no attribution and are invisible to
-the per-fault cost figures, mirroring cost models that charge a fault only
-for the crossings its own handling protocol mandates.  A fault's trap
-opens its cycle's counter row, one int; each protocol step's ``record``
-adds all its events' counts to it at once, so accounting never walks the
-events.  Events live in columns of kinds, raw arguments (ints and enum
-spellings) and cycles; only rendering makes text.  Rendering joins the
-line templates of a block of ``RENDER_BLOCK`` events and formats the
-block with one ``%`` over its fields, so it makes no Python-level call
-per event.
+A protocol step's ``record`` attributes its events to the fault cycle
+they belong to; ``append`` records one event of no cycle, a scripted
+switch.  Per-cycle accounting counts only attributed events, so scripted
+switches are invisible to the per-fault cost figures, mirroring cost
+models that charge a fault only for the crossings its own handling
+protocol mandates.  A fault's trap opens its cycle's counter row, one
+int, and each step adds all its events' counts to it at once, so
+accounting never walks the events.  Events live in columns of kinds, raw
+arguments (ints and enum spellings) and cycles; only rendering makes
+text.  Rendering joins the line templates of a block of ``RENDER_BLOCK``
+events and formats the block with one ``%`` over its fields, so it makes
+no Python-level call per event.
 
 Where events go is chosen once, when the trace is built.  A ``Trace``
 keeps them; a ``CountingTrace``, for runs whose events nobody reads, keeps
@@ -49,9 +49,7 @@ class EventKind(Enum):
 # "Run-path costs".
 # Column of each kind in a cycle's counter row, as ``unpack_row`` reads it:
 SLOT = {kind._value_: i for i, kind in enumerate(EventKind)}
-# A row is one int: kind k's count is its 64-bit field at bit 64 * SLOT[k],
-# and _ONE[k] is one event of kind k.
-_ONE = {k: 1 << 64 * i for k, i in SLOT.items()}
+# A row is one int: kind k's count is its 64-bit field at bit 64 * SLOT[k].
 _ROW = struct.Struct(f"<{len(SLOT)}Q")
 
 
@@ -63,7 +61,7 @@ def unpack_row(row: int) -> tuple[int, ...]:
 def step(*kinds: EventKind) -> tuple[tuple[EventKind, ...], int, int]:
     """A protocol step for ``Trace.record``: its events' kinds, their row
     and their number."""
-    return kinds, sum(_ONE[k._value_] for k in kinds), len(kinds)
+    return kinds, sum(1 << 64 * SLOT[k._value_] for k in kinds), len(kinds)
 
 
 # Each kind's argument formats, in order; unlisted kinds take none.  An event
@@ -118,26 +116,19 @@ class Trace:
         self.cycle_of: list[int | None] = []
         self.cycle_counts: list[int] = []
 
-    def append(
-        self, kind: EventKind, args: tuple = (), cycle: int | None = None
-    ) -> None:
-        """Record one event: its kind, its arguments as one tuple, and the
-        open fault cycle it is attributed to, if any.  The run path passes
-        all three positionally (docs/architecture.md, "Run-path costs")."""
-        if cycle is not None:  # first, so an unopened cycle stores nothing
-            if cycle < 0:  # a row from the end, never this event's
-                raise IndexError(f"fault cycle {cycle} was never opened")
-            self.cycle_counts[cycle] += _ONE[kind._value_]
+    def append(self, kind: EventKind, args: tuple = ()) -> None:
+        """Record one event of no fault cycle, a scripted switch: its kind
+        and its arguments as one tuple."""
         self.kinds.append(kind)
         self.args.append(args)
-        self.cycle_of.append(cycle)
+        self.cycle_of.append(None)
 
     def record(self, step: tuple, args: tuple, cycle: int | None) -> None:
         """Record a protocol ``step``'s events, one tuple each in ``args``,
-        as ``append`` does one, adding the step's row to the cycle's."""
+        and add the step's row to the row of ``cycle``, if it has one."""
         kinds, delta, n = step
-        if cycle is not None:
-            if cycle < 0:
+        if cycle is not None:  # first, so an unopened cycle stores nothing
+            if cycle < 0:  # a row from the end, never this step's
                 raise IndexError(f"fault cycle {cycle} was never opened")
             self.cycle_counts[cycle] += delta
         if n == 1:  # three appends cost less than three extends
@@ -206,7 +197,7 @@ class EventsNotKeptError(LookupError):
 class CountingTrace(Trace):
     """Counters-only trace: the event count and the counter rows of a
     :class:`Trace`, and no events.  ``len`` is the number of events
-    appended, so a run's summary reads the same as with a kept log;
+    recorded, so a run's summary reads the same as with a kept log;
     iterating, indexing, ``of_cycle`` and ``to_text`` raise
     :class:`EventsNotKeptError`.  The keeping ``append`` and ``record``
     are left without a branch; this class has its own."""
@@ -215,14 +206,8 @@ class CountingTrace(Trace):
         self.appended = 0
         self.cycle_counts: list[int] = []
 
-    def append(
-        self, kind: EventKind, args: tuple = (), cycle: int | None = None
-    ) -> None:
-        """Count one event and, if it is attributed, bump its cycle's row."""
-        if cycle is not None:
-            if cycle < 0:
-                raise IndexError(f"fault cycle {cycle} was never opened")
-            self.cycle_counts[cycle] += _ONE[kind._value_]
+    def append(self, kind: EventKind, args: tuple = ()) -> None:
+        """Count one event of no fault cycle."""
         self.appended += 1
 
     def record(self, step: tuple, args: tuple, cycle: int | None) -> None:

@@ -73,7 +73,7 @@ from pagersim.engine import AccessType, ThreadRole, ThreadState
 from pagersim.fault_dispatch import Classification, FaultDispatcher
 from pagersim.pagers import REVOKE, MapAction, PagerBehavior
 from pagersim.scenario import AccessItem, AssignDecl, Expectation, ThreadDecl
-from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent
+from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent, step
 from support import fixture_scn, opened
 
 # On Python 3.10 the attributes of an instance without slots live in a
@@ -1192,7 +1192,7 @@ def prefix(trace: Trace, events: int) -> Trace:
     as many cycles opened."""
     out = opened(Trace(), len(trace.cycle_counts))
     for ev in trace[:events]:
-        out.append(ev.kind, ev.args, ev.cycle)
+        out.record(step(ev.kind), (ev.args,), ev.cycle)  # one-event steps
     return out
 
 

@@ -32,14 +32,7 @@ def test_broken_kernel_entry_fails_claims(monkeypatch, capsys):
     # and reflection syscalls) must not still pass, whether its traces
     # keep events or only count them (cli.main without --trace and
     # overhead_report build counters-only traces).  The protocol records
-    # them in its steps; an appended one is lost too.
-    def lossy(append):
-        def append_all_but_kernel_entries(self, kind, args=(), cycle=None):
-            if kind is not EventKind.MODE_SWITCH_U2K:
-                append(self, kind, args, cycle)
-
-        return append_all_but_kernel_entries
-
+    # them in its steps.
     def lossy_steps(record):
         def record_all_but_kernel_entries(self, recorded, args, cycle):
             kept = [
@@ -52,7 +45,6 @@ def test_broken_kernel_entry_fails_claims(monkeypatch, capsys):
         return record_all_but_kernel_entries
 
     for cls in (Trace, CountingTrace):
-        monkeypatch.setattr(cls, "append", lossy(cls.__dict__["append"]))
         monkeypatch.setattr(cls, "record", lossy_steps(cls.__dict__["record"]))
     rc = reproduce.reproduce_all()
     out = capsys.readouterr().out

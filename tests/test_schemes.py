@@ -697,7 +697,7 @@ _RECORDERS = ("pagersim.engine", "pagersim.trace")
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_every_attributed_event_is_emitted_by_the_dispatcher(name, monkeypatch):
-    append, record = Trace.append, Trace.record
+    record = Trace.record
     emitters = set()
 
     def note(kinds):
@@ -712,16 +712,10 @@ def test_every_attributed_event_is_emitted_by_the_dispatcher(name, monkeypatch):
         for kind in kinds:
             emitters.add((frame.f_globals["__name__"], function, kind.name))
 
-    def recording_append(trace, kind, args=(), cycle=None):
-        if cycle is not None:
-            note((kind,))
-        return append(trace, kind, args, cycle)
-
     def recording_record(trace, step, args, cycle):
         note(step[0])
         return record(trace, step, args, cycle)
 
-    monkeypatch.setattr(Trace, "append", recording_append)
     monkeypatch.setattr(Trace, "record", recording_record)
     assert fitting_results(name)
     assert emitters

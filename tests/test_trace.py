@@ -21,10 +21,15 @@ def test_render_without_attribution():
     assert tr[-1].render() == "0 CONTEXT_SWITCH 1 2"
 
 
+def attributed(trace, kind, args, cycle):
+    """Record one event of ``cycle``, as a one-event protocol step."""
+    trace.record(step(kind), (args,), cycle)
+
+
 def test_render_with_attribution_and_kv_args():
     tr = opened(Trace(), 8)
-    tr.append(EventKind.MODE_SWITCH_U2K, (), 0)
-    tr.append(EventKind.MAP_PAGE, (1, 0x1000), 7)
+    attributed(tr, EventKind.MODE_SWITCH_U2K, (), 0)
+    attributed(tr, EventKind.MAP_PAGE, (1, 0x1000), 7)
     assert tr[-1].render() == "1 MAP_PAGE asid=1 vaddr=0x1000 cycle=7"
 
 
@@ -61,16 +66,16 @@ def test_render_of_every_kind(kind):
     tr = opened(Trace(), 4)
     tr.append(kind, args)
     assert tr[-1].render() == f"0 {text}"
-    tr.append(kind, args, 3)
+    attributed(tr, kind, args, 3)
     assert tr[-1].render() == f"1 {text} cycle=3"
 
 
 def test_of_cycle_filters_and_preserves_order():
     tr = opened(Trace(), 2)
-    tr.append(EventKind.MODE_SWITCH_U2K, (), 0)
+    attributed(tr, EventKind.MODE_SWITCH_U2K, (), 0)
     tr.append(EventKind.CONTEXT_SWITCH, (1, 2))  # scheduling, unattributed
-    tr.append(EventKind.MODE_SWITCH_K2U, (), 0)
-    tr.append(EventKind.MODE_SWITCH_U2K, (), 1)
+    attributed(tr, EventKind.MODE_SWITCH_K2U, (), 0)
+    attributed(tr, EventKind.MODE_SWITCH_U2K, (), 1)
     assert [ev.seq for ev in tr.of_cycle(0)] == [0, 2]
     assert [ev.seq for ev in tr.of_cycle(1)] == [3]
     assert tr.of_cycle(9) == []
@@ -78,8 +83,8 @@ def test_of_cycle_filters_and_preserves_order():
 
 def test_to_text_is_line_per_event_with_trailing_newline():
     tr = opened(Trace(), 3)
-    tr.append(EventKind.SUSPEND, (4,), 2)
-    tr.append(EventKind.RESUME, (4,), 2)
+    attributed(tr, EventKind.SUSPEND, (4,), 2)
+    attributed(tr, EventKind.RESUME, (4,), 2)
     assert tr.to_text() == "0 SUSPEND 4 cycle=2\n1 RESUME 4 cycle=2\n"
     assert Trace().to_text() == ""
 
@@ -118,8 +123,11 @@ EVENTS = (
 
 def filled(trace: Trace) -> Trace:
     opened(trace, 3)
-    for event in EVENTS:
-        trace.append(*event)
+    for kind, args, cycle in EVENTS:
+        if cycle is None:
+            trace.append(kind, args)
+        else:
+            attributed(trace, kind, args, cycle)
     return trace
 
 
@@ -135,7 +143,7 @@ def test_open_cycle_numbers_the_rows_in_order(make):
     tr = make()
     assert [tr.open_cycle() for _ in range(3)] == [0, 1, 2]
     assert list(map(unpack_row, tr.cycle_counts)) == [(0,) * len(EventKind)] * 3
-    tr.append(EventKind.MODE_SWITCH_U2K, (), 1)
+    attributed(tr, EventKind.MODE_SWITCH_U2K, (), 1)
     assert [sum(unpack_row(row)) for row in tr.cycle_counts] == [0, 1, 0]
 
 
@@ -144,12 +152,12 @@ def test_an_event_of_a_cycle_never_opened_is_refused(make):
     tr = opened(make(), 2)
     tr.append(EventKind.CONTEXT_SWITCH, (1, 2))  # unattributed: no row
     with pytest.raises(IndexError):
-        tr.append(EventKind.MODE_SWITCH_U2K, (), 2)
+        attributed(tr, EventKind.MODE_SWITCH_U2K, (), 2)
     with pytest.raises(IndexError):
-        make().append(EventKind.MODE_SWITCH_U2K, (), 0)
+        attributed(make(), EventKind.MODE_SWITCH_U2K, (), 0)
     # A negative index names no cycle either: it would bump the last row.
     with pytest.raises(IndexError):
-        tr.append(EventKind.MODE_SWITCH_U2K, (), -1)
+        attributed(tr, EventKind.MODE_SWITCH_U2K, (), -1)
     # The refused event is neither counted nor kept.
     assert len(tr) == 1
     assert list(map(unpack_row, tr.cycle_counts)) == [(0,) * len(EventKind)] * 2
