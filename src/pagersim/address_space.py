@@ -139,8 +139,8 @@ class RegionSlot:
 class RegionTable:
     """Slots of the assigned regions; an absent region reads as
     ``RegionSlot()``.  Assignment is consumer-driven and last-writer wins;
-    acceptance and revocation are driven by the pager through the
-    fault-dispatch layer, which writes the contract of the slot it holds."""
+    acceptance and revocation are driven by the pager through the kernel's
+    map and unmap, which read a slot from ``_slots`` and write its contract."""
 
     def __init__(self, region_count: int) -> None:
         self.region_count = region_count

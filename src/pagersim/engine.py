@@ -5,10 +5,10 @@ The kernel is not a thread: tid 0 only names it as the sender of a page
 fault and the receiver of a reply, and kernel work is charged to the
 thread it serves.  A ``CONTEXT_SWITCH`` event is emitted if and only if
 the occupying thread id changes, so projecting the trace onto context
-switches reconstructs the occupancy timeline.  The machine records the
-scripted switches; a fault-protocol step that hands the CPU on records
-its switch with its other events, as it records the privilege
-crossings: those are steps of the fault protocol.
+switches reconstructs the occupancy timeline.  ``switch_to`` makes and
+records the scripted switches and yields.  A fault-protocol step that
+hands the CPU on writes the occupant itself, right after the state write
+that readied the thread, and records the switch with its other events.
 
 Message passing is synchronous rendezvous: pagers sit in a receive loop
 (``BLOCKED_ON_RECEIVE``), a send queues at the receiver, and delivery
@@ -159,23 +159,22 @@ class Machine:
 
     # ---- occupancy -------------------------------------------------------
 
-    def switch_to(self, tid: int, scripted: bool = True) -> int | None:
-        """Make the ready thread `tid` the occupant and return the one it
-        displaced, if any, recording a scripted switch unattributed: a
-        protocol step passes ``False`` and records the switch itself.  No
-        thread state changes: the occupant is who runs."""
-        state = self.state.get(tid)
-        if state is not _READY:
-            name = self.thread(tid).name  # UnknownThreadError if unknown
-            who = f"thread {name!r} (tid {tid})" if name else f"thread {tid}"
-            raise NotSchedulableError(f"{who} is {state.value}, cannot run")
+    def switch_to(self, tid: int) -> None:
+        """Make the ready thread ``tid`` the occupant, recording a scripted
+        switch or a yield unattributed.  No thread state changes."""
+        if self.state.get(tid) is not _READY:
+            raise self.unschedulable(tid)
         prev = self.occupant
-        if prev == tid:
-            return None
-        self.occupant = tid
-        if scripted and prev is not None:
-            self.trace.append(_CONTEXT_SWITCH, (prev, tid))
-        return prev
+        if prev != tid:
+            self.occupant = tid
+            if prev is not None:
+                self.trace.append(_CONTEXT_SWITCH, (prev, tid))
+
+    def unschedulable(self, tid: int) -> NotSchedulableError:
+        """The refusal to hand the CPU to ``tid``, which is not ready."""
+        name = self.thread(tid).name  # UnknownThreadError if unknown
+        who = f"thread {name!r} (tid {tid})" if name else f"thread {tid}"
+        return NotSchedulableError(f"{who} is {self.state[tid].value}, cannot run")
 
     # ---- messaging -------------------------------------------------------
 

@@ -33,7 +33,8 @@ the machine only queues the cycle.  Delivery takes the message from the
 receiver's box, records the receive and hands the receiver the cycle
 itself, and a reflection or a reply names the cycle it is about, so no
 step ever looks a fault up.  The trap opens the cycle's counter row and
-is its first event.
+is its first event; a map or unmap answering the fault is handed the
+region classification resolved, and resolves no address to a region.
 
 The protocol is one table, ``STEPS``, of steps and the events each
 records together (Holzmann, 1991, states a protocol as a finite-state
@@ -46,8 +47,11 @@ only ``CONTEXT_SWITCH``.  This matches cost comparisons that count a
 fault's protocol-mandated crossings and treat scheduler overhead as out
 of scope.  Thread states are steps of the protocol too: after
 registration only this module writes one, each step with its own
-``SUSPEND`` or ``RESUME``.  An open fault keeps the set of threads it was
-sent to, so a reflection back to one is refused at once.
+``SUSPEND`` or ``RESUME``; delivery, a reply and the return to the
+faulter write the machine's occupant right after readying the thread
+(Liedtke's direct process switch), refusing only a pager that faulted
+and cannot run.  An open fault keeps the set of threads it was sent to,
+so a reflection back to one is refused at once.
 """
 
 from dataclasses import dataclass
@@ -190,28 +194,26 @@ class KernelMemory:
         self.machine = machine
         self.spaces = spaces
 
-    def _region_slot(self, space: AddressSpace, vaddr: int, caller: int):
+    def _region_of(self, space: AddressSpace, vaddr: int) -> int:
         rid = region_id_of(space.layout, vaddr)
         if rid is KERNEL_RANGE:
             raise BadRegionError(f"address {vaddr:#x} is in the kernel range")
-        slot = space.regions.lookup(rid)
-        if slot.manager != caller:
-            raise NotRegionManagerError(
-                f"thread {caller} does not manage region {rid} of space {space.asid}"
-            )
-        return rid, slot
+        return rid
 
     def map_page(
-        self,
-        caller: int,
-        asid: int,
-        vaddr: int,
-        frame: int,
-        marker: int,
-        cycle: int | None = None,
+        self, caller: int, asid: int, vaddr: int, frame: int, marker: int,
+        cycle: int | None = None, rid: int | None = None,
     ) -> None:
+        """A map answering a fault passes the region its classification
+        resolved as ``rid``; the kernel reads the region's slot directly."""
         space = self.spaces[asid]
-        rid, slot = self._region_slot(space, vaddr, caller)
+        if rid is None:
+            rid = self._region_of(space, vaddr)
+        slot = space.regions._slots.get(rid)
+        if slot is None or slot.manager != caller:
+            raise NotRegionManagerError(
+                f"thread {caller} does not manage region {rid} of space {asid}"
+            )
         if slot.contract is _REVOKED:
             raise RevokedRegionError(
                 f"region {rid} of space {asid} was revoked; reassign before mapping"
@@ -233,15 +235,18 @@ class KernelMemory:
         )
 
     def unmap_page(
-        self,
-        caller: int,
-        asid: int,
-        vaddr: int,
-        revoke: bool = False,
-        cycle: int | None = None,
+        self, caller: int, asid: int, vaddr: int, revoke: bool = False,
+        cycle: int | None = None, rid: int | None = None,
     ) -> None:
+        """``rid`` as for ``map_page``."""
         space = self.spaces[asid]
-        rid, slot = self._region_slot(space, vaddr, caller)
+        if rid is None:
+            rid = self._region_of(space, vaddr)
+        slot = space.regions._slots.get(rid)
+        if slot is None or slot.manager != caller:
+            raise NotRegionManagerError(
+                f"thread {caller} does not manage region {rid} of space {asid}"
+            )
         page = vaddr // space.layout.page_size
         ent = space.pages.get(page)
         if ent is None or not ent[0]:
@@ -314,7 +319,9 @@ class FaultDispatcher(KernelMemory):
         """Phase one of fault handling: the trap into the kernel."""
         machine = self.machine
         decl = machine.threads.get(tid) or machine.thread(tid)
-        index = machine.trace.open_cycle()
+        rows = machine.trace.cycle_counts  # the trap opens the cycle's row
+        index = len(rows)
+        rows.append(0)
         cycle = FaultCycle(index, tid, decl.asid, vaddr, access)
         self.cycles.append(cycle)
         machine.trace.record(STEPS["trap"], ((),), index)
@@ -340,13 +347,15 @@ class FaultDispatcher(KernelMemory):
         self.machine.trace.record(STEPS["park"], ((cycle.faulter,),), cycle.index)
 
     def return_to_faulter(self, cycle: FaultCycle) -> None:
-        """Leave the kernel into the faulter and close the cycle."""
-        faulter, index = cycle.faulter, cycle.index
-        prev = self.machine.switch_to(faulter, False)
-        if prev is None:
-            self.machine.trace.record(STEPS["return"], ((),), index)
+        """Leave the kernel into the faulter, hand it the CPU, close the cycle."""
+        machine, faulter, index = self.machine, cycle.faulter, cycle.index
+        if machine.state[faulter] is not _READY:  # a pager back in its loop
+            raise machine.unschedulable(faulter)
+        prev, machine.occupant = machine.occupant, faulter
+        if prev != faulter and prev is not None:
+            machine.trace.record(STEPS["return+switch"], ((), (prev, faulter)), index)
         else:
-            self.machine.trace.record(STEPS["return+switch"], ((), (prev, faulter)), index)
+            machine.trace.record(STEPS["return"], ((),), index)
         cycle.closed = True
         cycle.sent_to = None
 
@@ -378,17 +387,18 @@ class FaultDispatcher(KernelMemory):
             machine.thread(target)  # UnknownThreadError for an unknown tid
             return None
         kind, cycle = box.popleft()
-        index = cycle.index
         # A thread with a mailbox is registered.
         state = machine.state
         if state[target] is _BLOCKED_ON_RECEIVE:
             state[target] = _READY
-        prev = machine.switch_to(target, False)
-        if prev is None:
-            machine.trace.record(STEPS["deliver"], ((), (target, kind)), index)
-        else:
+        elif state[target] is not _READY:  # suspended on a fault of its own
+            raise machine.unschedulable(target)
+        prev, machine.occupant = machine.occupant, target
+        if prev != target and prev is not None:
             args = ((), (prev, target), (target, kind))
-            machine.trace.record(STEPS["deliver+switch"], args, index)
+            machine.trace.record(STEPS["deliver+switch"], args, cycle.index)
+        else:
+            machine.trace.record(STEPS["deliver"], ((), (target, kind)), cycle.index)
         return cycle
 
     def back_to_receive(self, pager: int) -> None:
@@ -430,13 +440,15 @@ class FaultDispatcher(KernelMemory):
         machine, faulter, index = self.machine, cycle.faulter, cycle.index
         machine.state[faulter] = _READY
         machine.state[pager] = _BLOCKED_ON_RECEIVE
+        if pager == faulter:  # back in its loop, so it cannot run
+            raise machine.unschedulable(faulter)
+        prev, machine.occupant = machine.occupant, faulter
         reply = (pager, KERNEL_TID, _REPLY, faulter)
-        prev = machine.switch_to(faulter, False)
-        if prev is None:
-            machine.trace.record(STEPS["reply"], ((), reply, (faulter,), ()), index)
-        else:
+        if prev != faulter and prev is not None:
             args = ((), reply, (faulter,), (), (prev, faulter))
             machine.trace.record(STEPS["reply+switch"], args, index)
+        else:
+            machine.trace.record(STEPS["reply"], ((), reply, (faulter,), ()), index)
         cycle.closed = True
         cycle.sent_to = None
 

@@ -42,7 +42,7 @@ from operator import attrgetter, ge, gt
 from typing import NamedTuple
 
 from .address_space import AddressSpace
-from .engine import Machine, ThreadDecl, ThreadRole
+from .engine import Machine, ThreadDecl, ThreadRole, ThreadState
 from .errors import (
     IncompleteCycleError,
     SchemeMismatchError,
@@ -94,6 +94,7 @@ _RESUMED_PRESENT = VerdictCode.RESUMED_PRESENT
 _DISPATCHED = VerdictCode.DISPATCHED
 _REFLECTING = PagerPolicy.REFLECTING
 _REGION_MAPPER = ThreadRole.REGION_MAPPER
+_READY = ThreadState.READY
 
 ALL_SCHEMES = tuple(Scheme)
 
@@ -345,7 +346,9 @@ class Simulator:
             raise SimulationError(
                 f"thread {item.thread!r} has a held fault; dispatch it first"
             )
-        self.machine.switch_to(tid)
+        machine = self.machine
+        if machine.occupant != tid or machine.state[tid] is not _READY:
+            machine.switch_to(tid)
         if translate(space.pages, self.layout.page_size, item.vaddr) is not None:
             return  # plain memory access, nothing to record
         cycle = self.dispatcher.begin_fault(tid, item.vaddr, item.access)
@@ -377,7 +380,17 @@ class Simulator:
                         )
                         break
                 raise SimulationError(msg)
-            self._exec_action(tid)
+            fault, queue = self._actions[tid]
+            action = queue.pop(0)
+            if not queue:
+                del self._actions[tid]  # so _serve serves the pager again
+            target = self._carry_out(tid, fault, (action,))
+            if target is not None:
+                self._serve(target)
+            if not queue:
+                # Back in its loop already: an answer ends with the reply
+                # or reflection that put it there, or an action after it.
+                self._serve(tid)
 
     # ---- fault path ------------------------------------------------------
 
@@ -385,10 +398,8 @@ class Simulator:
         """Phase two of fault handling: classify, record the verdict once,
         and route by it."""
         dispatcher = self.dispatcher
-        space = self.spaces[cycle.asid]
-        dispatcher.record_verdict(
-            cycle, classify(space, cycle.vaddr, self.non_accepting)
-        )
+        cls = classify(self.spaces[cycle.asid], cycle.vaddr, self.non_accepting)
+        dispatcher.record_verdict(cycle, cls)
         verdict = cycle.verdict
         if verdict in GP_CODES:
             dispatcher.park(cycle)  # a protection fault ends the faulter
@@ -397,7 +408,14 @@ class Simulator:
             # back to user mode, with no suspension and no pager message.
             dispatcher.return_to_faulter(cycle)
         elif self.scheme is _MONOLITHIC:
-            self._resolve_in_kernel(cycle)
+            # The verdict's manager is an in-kernel module: it resolves the
+            # fault within kernel work, with no suspension, IPC or switch.
+            manager = cycle.manager
+            self._carry_out(manager, cycle, self.behaviors[manager].on_page_fault(
+                cycle, self.layout.page_size, self.allocator, self.machine.warnings
+            ))
+            if not cycle.closed:  # no resolution: park it for good
+                dispatcher.park(cycle)
         else:
             if self.scheme is _REGION_DISPATCH:
                 target = cycle.manager
@@ -406,30 +424,13 @@ class Simulator:
             dispatcher.suspend_and_send(cycle, target)
             self._serve(target)
 
-    def _resolve_in_kernel(self, cycle: FaultCycle) -> None:
-        """Monolithic path: the verdict still names the responsible manager
-        (here an in-kernel module), but resolution happens without leaving
-        kernel work: no suspension, no IPC, no occupancy change."""
-        manager = cycle.manager
-        for action in self.behaviors[manager].on_page_fault(
-            cycle, self.layout.page_size, self.allocator, self.machine.warnings
-        ):
-            if action is REPLY:
-                self.dispatcher.return_to_faulter(cycle)
-            else:
-                self._carry_out(manager, cycle, action)
-        if not cycle.closed:
-            # The in-kernel policy produced no resolution; the thread can
-            # never make progress, park it like a protection fault.
-            self.dispatcher.park(cycle)
-
     # ---- serving pagers --------------------------------------------------
 
     def _serve(self, pager: int) -> None:
         """Hand ``pager`` its queued messages in order.  Under mode=auto
         each answer is carried out at once and a reflection's target is
         served next; under manual the answer waits in ``_actions``, and the
-        pager gets nothing more until ``_exec_action`` has carried it out."""
+        pager gets nothing more until its pager-steps have carried it out."""
         box = self.machine.mailboxes[pager]
         while box and pager not in self._actions:
             fault = self.dispatcher.deliver(pager)
@@ -442,60 +443,47 @@ class Simulator:
             elif self._manual:
                 self._actions[pager] = (fault, actions)
             else:
-                for action in actions:
-                    target = self._carry_out(pager, fault, action)
+                target = self._carry_out(pager, fault, actions)
                 if target is not None:
                     pager, box = target, self.machine.mailboxes[target]
 
-    def _exec_action(self, pager: int) -> None:
-        fault, queue = self._actions[pager]
-        action = queue.pop(0)
-        if not queue:
-            del self._actions[pager]  # so _serve serves the pager again
-        target = self._carry_out(pager, fault, action)
-        if target is not None:
-            self._serve(target)
-        if not queue:
-            # Back in its receive loop already: every answer ends with the
-            # reply or reflection that put it there, or an action after it.
-            self._serve(pager)
-
-    def _carry_out(
-        self, pager: int, fault: FaultCycle, action: Action
-    ) -> int | None:
-        """Carry out one action of ``pager``'s answer to ``fault``: a map or
-        a revoke through the kernel's memory service (the only actions the
-        monolithic path brings), a reply, or a reflection, whose target it
-        returns for the caller to serve next."""
-        dispatcher = self.dispatcher
-        if action is REVOKE:
-            pages = self.spaces[fault.asid].present_pages_in_region(fault.rid)
-            for i, page in enumerate(pages):
-                dispatcher.unmap_page(
-                    pager, fault.asid, page * self.layout.page_size,
-                    i == len(pages) - 1, fault.index,
+    def _carry_out(self, pager: int, fault: FaultCycle, actions) -> int | None:
+        """Carry out ``actions``, ``pager``'s answer to ``fault``, in order:
+        maps and a revoke, into the region classification resolved; a reply,
+        which under monolithic returns to the faulter; or a reflection,
+        whose target it returns for the caller to serve next."""
+        dispatcher, asid, rid = self.dispatcher, fault.asid, fault.rid
+        target = None
+        for action in actions:
+            if action is REVOKE:
+                pages = self.spaces[asid].present_pages_in_region(rid)
+                for i, page in enumerate(pages):
+                    dispatcher.unmap_page(
+                        pager, asid, page * self.layout.page_size,
+                        i == len(pages) - 1, fault.index, rid,
+                    )
+            elif action is not REPLY and action is not REFLECT:  # a MapAction
+                dispatcher.map_page(
+                    pager, asid, fault.vaddr, action.frame, action.marker,
+                    fault.index, rid,
                 )
-            return None
-        if action is not REPLY and action is not REFLECT:  # a MapAction
-            dispatcher.map_page(
-                pager, fault.asid, fault.vaddr, action.frame, action.marker,
-                fault.index,
-            )
-            return None
-        if self.machine.occupant != pager:
-            # A reply or reflection is a syscall: a pager that a scripted
-            # interleaving moved off the CPU gets it back by an unattributed
-            # context switch (scheduling, not fault protocol).
-            self.machine.switch_to(pager)
-        if action is REPLY:
-            dispatcher.pager_reply(pager, fault)
-            return None
-        # Reflection: forward the fault to the pager the database names.  A
-        # region mapper without one gets only its own space's faults, from
-        # the kernel, so the manager classification read there is the target.
-        db = self.behaviors[pager].db
-        target = fault.manager if db is None else db.lookup(fault.vaddr)
-        dispatcher.reflect(pager, fault, target)
+            elif self.scheme is _MONOLITHIC:
+                dispatcher.return_to_faulter(fault)
+            else:
+                # A reply or reflection is a syscall: a pager that a scripted
+                # interleaving moved off the CPU gets it back by an
+                # unattributed context switch (scheduling, not fault protocol).
+                if self.machine.occupant != pager:
+                    self.machine.switch_to(pager)
+                if action is REPLY:
+                    dispatcher.pager_reply(pager, fault)
+                    continue
+                # A reflection goes to the pager the database names.  A region
+                # mapper without one gets only its own space's faults, so the
+                # manager classification read there is the target.
+                db = self.behaviors[pager].db
+                target = fault.manager if db is None else db.lookup(fault.vaddr)
+                dispatcher.reflect(pager, fault, target)
         return target
 
 
@@ -506,8 +494,8 @@ def simulate(
     event by default; with ``keep_events=False`` it keeps only the event
     count and the per-cycle counter rows, enough for ``totals_of``,
     ``check_expectations`` and ``verify_equivalence``, and its event
-    readers (``iter``, indexing, ``of_cycle``, ``to_text``) raise
-    ``EventsNotKeptError``."""
+    readers (``iter``, indexing, ``of_cycle``, ``to_text``, the columns)
+    raise ``EventsNotKeptError``."""
     return Simulator(scenario, scheme, keep_events).run()
 
 

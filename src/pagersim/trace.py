@@ -198,7 +198,7 @@ class CountingTrace(Trace):
     """Counters-only trace: the event count and the counter rows of a
     :class:`Trace`, and no events.  ``len`` is the number of events
     recorded, so a run's summary reads the same as with a kept log;
-    iterating, indexing, ``of_cycle`` and ``to_text`` raise
+    iterating, indexing, ``of_cycle``, ``to_text`` and the columns raise
     :class:`EventsNotKeptError`.  The keeping ``append`` and ``record``
     are left without a branch; this class has its own."""
 
@@ -229,3 +229,4 @@ class CountingTrace(Trace):
         )
 
     __iter__ = __getitem__ = of_cycle = to_text = _not_kept
+    kinds = args = cycle_of = property(_not_kept)

@@ -388,6 +388,100 @@ def test_an_unschedulable_thread_is_named(
     assert captured.err == f"error: {error}\n"
 
 
+def run_error(tmp_path, capsys, text: str, scheme: str) -> tuple[int, str]:
+    """Exit code and standard error of one run of ``text`` under ``scheme``."""
+    path = tmp_path / "run.scn"
+    path.write_text(text)
+    rc = cli.main(["--scenario", str(path), "--scheme", scheme])
+    return rc, capsys.readouterr().err
+
+
+def test_a_map_by_a_pager_that_does_not_manage_the_region_is_refused(
+    tmp_path, capsys
+):
+    # Under l4-single the fault goes to T's pager, Q, and the region's
+    # manager is P: the kernel refuses Q's map into the region that the
+    # fault's classification resolved.
+    text = (
+        "thread T tid=1 asid=1 role=applicant pager=Q\n"
+        "thread P tid=2 asid=2 role=pager\n"
+        "thread Q tid=3 asid=2 role=pager\n"
+        "pager P policy=anonymous\n"
+        "pager Q policy=anonymous\n"
+        "assign asid=1 rid=0 pager=P\n"
+        "access T 0x1000 read\n"
+    )
+    assert run_error(tmp_path, capsys, text, "l4-single") == (
+        2, "error: thread 3 does not manage region 0 of space 1\n"
+    )
+
+
+@pytest.mark.parametrize("scheme", ["l4-single", "proposed"])
+def test_a_map_into_a_region_revoked_while_its_fault_waited_is_refused(
+    scheme, tmp_path, capsys
+):
+    # U's fault is dispatched while P still holds T's answer, whose revoke
+    # then flips region 0 to REVOKED; P's map answering U is refused.
+    text = (
+        "option mode=manual\n"
+        "thread T tid=1 asid=1 role=applicant pager=P\n"
+        "thread U tid=2 asid=1 role=applicant pager=P\n"
+        "thread P tid=3 asid=2 role=pager\n"
+        "pager P policy=anonymous revoke_after=1\n"
+        "assign asid=1 rid=0 pager=P\n"
+        "access T 0x1000 read\n"
+        "access U 0x2000 read\n"
+        "pager-step P 3\n"
+        "pager-step P 1\n"
+    )
+    assert run_error(tmp_path, capsys, text, scheme) == (
+        2, "error: region 0 of space 1 was revoked; reassign before mapping\n"
+    )
+
+
+# A pager P that serves its own space and faults there while it holds an
+# answer (mode=manual): each script ends in a hand-off of the CPU to P,
+# which its fault left unable to run.
+SELF_PAGER = (
+    "option mode=manual\n"
+    "thread T tid=1 asid=1 role=applicant pager=P\n"
+    "thread V tid=4 asid=2 role=applicant pager=P\n"
+    "thread P tid=2 asid=2 role=pager pager=P\n"
+    "pager P policy=anonymous\n"
+    "assign asid=1 rid=0 pager=P\n"
+    "assign asid=2 rid=0 pager=P\n"
+    "access T 0x1000 read\n"
+)
+
+
+@pytest.mark.parametrize(
+    "script, state",
+    [
+        # Its reply to T puts it back in its loop; then it replies to its
+        # own fault, which would hand it the CPU.
+        ("access P 0x1000 read\npager-step P 2\npager-step P 2\n",
+         "blocked_on_receive"),
+        # Its held fault, dispatched after its reply to T, is delivered to
+        # P itself, suspended on that fault.
+        ("access P 0x2000 read hold\npager-step P 2\ndispatch P\n",
+         "suspended"),
+        # Its held fault finds the page V's fault mapped meanwhile, and
+        # the return hands the CPU to P, back in its loop.
+        ("access P 0x3000 read hold\naccess V 0x3000 read\n"
+         "pager-step P 2\npager-step P 2\ndispatch P\n",
+         "blocked_on_receive"),
+    ],
+    ids=["reply", "delivery", "return"],
+)
+@pytest.mark.parametrize("scheme", ["l4-single", "proposed"])
+def test_a_hand_off_to_a_thread_that_cannot_run_is_refused(
+    script, state, scheme, tmp_path, capsys
+):
+    assert run_error(tmp_path, capsys, SELF_PAGER + script, scheme) == (
+        2, f"error: thread 'P' (tid 2) is {state}, cannot run\n"
+    )
+
+
 def test_a_reflection_to_a_thread_without_a_pager_line_is_an_error(
     tmp_path, capsys
 ):

@@ -246,6 +246,10 @@ READERS = {
     "slice": lambda tr: tr[:],
     "of_cycle": lambda tr: tr.of_cycle(0),
     "to_text": lambda tr: tr.to_text(),
+    # The columns, which a counters-only trace does not have.
+    "kinds": lambda tr: tr.kinds,
+    "args": lambda tr: tr.args,
+    "cycle_of": lambda tr: tr.cycle_of,
 }
 
 
