@@ -38,7 +38,8 @@ import random
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter, ge, gt
+from itertools import compress, repeat
+from operator import attrgetter, ge, gt, is_
 from typing import NamedTuple
 
 from .address_space import AddressSpace
@@ -95,6 +96,7 @@ _DISPATCHED = VerdictCode.DISPATCHED
 _REFLECTING = PagerPolicy.REFLECTING
 _REGION_MAPPER = ThreadRole.REGION_MAPPER
 _READY = ThreadState.READY
+_SUSPENDED = ThreadState.SUSPENDED
 
 ALL_SCHEMES = tuple(Scheme)
 
@@ -380,6 +382,9 @@ class Simulator:
                         )
                         break
                 raise SimulationError(msg)
+            if self.machine.state[tid] is _SUSPENDED:
+                # Parked by its own fault: it makes no syscall.
+                raise self.machine.unschedulable(tid)
             fault, queue = self._actions[tid]
             action = queue.pop(0)
             if not queue:
@@ -620,6 +625,9 @@ def check_expectations(
         for token, res in results.items()
     }
     every = sorted(results)
+    # Packed row -> its costs, or () if unresolved: each distinct row of
+    # the expect lines is judged once per call.
+    costs_of: dict[int, tuple] = {}
     # One unpack per expect line: a NamedTuple field read is not
     # specialized (docs/architecture.md, "Set-up costs").
     for fault, expected, scheme, mode, ctx, ipc, invocations in (
@@ -643,11 +651,13 @@ def check_expectations(
                 continue
             if mode is None and ctx is None and ipc is None and invocations is None:
                 continue  # the line names no cost, only a verdict
-            row = unpack_row(rows[fault])
-            if not _resolved(row):
+            costs = costs_of.get(rows[fault])
+            if costs is None:
+                row = unpack_row(rows[fault])
+                costs = costs_of[rows[fault]] = _costs(row) if _resolved(row) else ()
+            if not costs:
                 fail(token, fault, "cycle never completed")
                 continue
-            costs = _costs(row)
             if costs == wanted:
                 continue
             for attr, got, want in zip(CycleMetrics._fields, costs, wanted):
@@ -671,11 +681,16 @@ def verify_equivalence(results: dict[str, SimResult]) -> list[str]:
     tokens = sorted(results)
     base_token = tokens[0]
     base = results[base_token]
-    base_snap = base.page_snapshot()
+    # Live page tables, compared in place, not copied.  Every run of one
+    # scenario builds the same spaces, so an empty table meets an empty one.
+    tables = {
+        t: {asid: sp.pages for asid, sp in results[t].spaces.items()}
+        for t in tokens
+    }
     base_verdicts = list(map(_verdict, base.cycles))
     for token in tokens[1:]:
         res = results[token]
-        if res.page_snapshot() != base_snap:
+        if tables[token] != tables[base_token]:
             problems.append(
                 f"final page tables differ between {base_token} and {token}"
             )
@@ -685,21 +700,21 @@ def verify_equivalence(results: dict[str, SimResult]) -> list[str]:
             )
     ordered = ("monolithic", "proposed", "l4re")
     if all(t in results for t in ordered):
-        # Dispatched cycles share a few counter-row patterns, so each
+        # The cost ordering is a claim about dispatched faults; cycles that
+        # never reach a pager cost the same under every scheme.  Each
         # distinct (monolithic, proposed, l4re) triple of packed rows is
-        # judged once.
-        judged: dict[tuple, list[str]] = {}
-        rows = zip(*[results[t].trace.cycle_counts for t in ordered])
-        for cycle, verdict, triple in zip(base.cycles, base_verdicts, rows):
-            # The cost ordering is a claim about dispatched faults; cycles
-            # that never reach a pager cost the same under every scheme.
-            if verdict is not _DISPATCHED:
-                continue
-            found = judged.get(triple)
-            if found is None:
-                found = judged[triple] = _misordered(*triple)
-            for problem in found:
-                problems.append(f"cycle {cycle.index}: {problem}")
+        # judged once; the cycles are walked only to report a bad one.
+        rows = [results[t].trace.cycle_counts for t in ordered]
+        dispatched = map(is_, base_verdicts, repeat(_DISPATCHED))
+        judged = {
+            triple: _misordered(*triple)
+            for triple in set(compress(zip(*rows), dispatched))
+        }
+        if any(judged.values()):
+            for cycle, verdict, triple in zip(base.cycles, base_verdicts, zip(*rows)):
+                if verdict is _DISPATCHED:
+                    for problem in judged[triple]:
+                        problems.append(f"cycle {cycle.index}: {problem}")
     return problems
 
 

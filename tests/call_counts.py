@@ -1,9 +1,12 @@
-"""Print the call figures that the run-loop budgets of
+"""Print the call figures that the run-loop and accounting budgets of
 ``tests/test_fast_path.py`` bound, as a Markdown table: Python-level calls
-per fault of workload50 under the four schemes, and per translate hit
-under each scheme.  The figures come from the helpers those tests use, so
-they are the ones the tests compare with ``CALLS_PER_FAULT_BUDGET`` and
-``CALLS_PER_HIT_BUDGET``.  It checks nothing against them::
+per fault of workload50 under the four schemes, per translate hit under
+each scheme, and per fault cycle of ``check_expectations`` plus
+``verify_equivalence`` over the four runs of the expect-heavy stream.  The
+figures come from the helpers those tests use, so they are the ones the
+tests compare with ``CALLS_PER_FAULT_BUDGET``, ``CALLS_PER_HIT_BUDGET``
+and ``EXPECT_HEAVY_CHECK_CALLS_PER_CYCLE_BUDGET``.  It checks nothing
+against them::
 
     PYTHONPATH=src python tests/call_counts.py
 """
@@ -11,20 +14,30 @@ they are the ones the tests compare with ``CALLS_PER_FAULT_BUDGET`` and
 import platform
 
 from pagersim import ALL_SCHEMES
-from support import calls_per_hit, fixture_scn, run_loop_calls
+from support import (
+    calls_per_hit,
+    check_verify_calls,
+    expect_heavy,
+    fixture_scn,
+    run_loop_calls,
+)
 
 
 def main() -> None:
     calls, faults = run_loop_calls(fixture_scn("workload50"))
-    rows = [("calls per fault, workload50, four schemes", calls / faults)]
+    rows = [("calls per fault, workload50, four schemes", f"{calls / faults:.2f}")]
     rows += [
-        (f"calls per translate hit, {scheme.value}", calls_per_hit(scheme))
+        (f"calls per translate hit, {scheme.value}", f"{calls_per_hit(scheme):.2f}")
         for scheme in ALL_SCHEMES
     ]
-    print(f"Run-loop calls, Python {platform.python_version()}:\n")
+    _, calls, cycles = check_verify_calls(expect_heavy(800))
+    rows.append(
+        ("check + verify calls per cycle, expect-heavy 800", f"{calls / cycles:.4f}")
+    )
+    print(f"Run-loop and accounting calls, Python {platform.python_version()}:\n")
     print("| figure | calls |\n|---|---:|")
     for name, value in rows:
-        print(f"| {name} | {value:.2f} |")
+        print(f"| {name} | {value} |")
     print()
 
 

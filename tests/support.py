@@ -5,7 +5,16 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from pagersim import ALL_SCHEMES, Simulator, SimResult, Scheme, parse_scenario, simulate
+from pagersim import (
+    ALL_SCHEMES,
+    Scheme,
+    SimResult,
+    Simulator,
+    check_expectations,
+    parse_scenario,
+    simulate,
+    verify_equivalence,
+)
 from pagersim.errors import SimulationError
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -88,6 +97,54 @@ def run_loop_calls(text: str) -> tuple[int, int]:
     sims = [Simulator(sf, s) for s in ALL_SCHEMES]
     results, calls, _ = python_calls(lambda: [sim.run() for sim in sims])
     return calls, sum(len(res.cycles) for res in results)
+
+
+def fault_stream(faults: int, pages: int = 64) -> str:
+    """Distinct demand-zero faults from two threads, each served by its own
+    pager, over 16 regions of ``pages`` pages."""
+    lines = [
+        f"layout regions=16 pages_per_region={pages} page_size=4096",
+        "thread T1 tid=1 asid=1 role=applicant pager=P1",
+        "thread T2 tid=2 asid=1 role=applicant pager=P2",
+        "thread P1 tid=3 asid=2 role=pager",
+        "thread P2 tid=4 asid=2 role=pager",
+        "pager P1 policy=anonymous marker=page",
+        "pager P2 policy=anonymous marker=page",
+    ]
+    lines += [f"assign asid=1 rid={r} pager=P{r % 2 + 1}" for r in range(16)]
+    for i in range(faults):
+        rid, page = i % 16, i // 16
+        kind = "write" if i % 3 else "read"
+        lines.append(f"access T{rid % 2 + 1} {(rid * pages + page) * 4096:#x} {kind}")
+    return "\n".join(lines) + "\n"
+
+
+def expect_heavy(faults: int) -> str:
+    """``fault_stream(faults)`` with one cost-bearing expect line per fault,
+    for each scheme in turn, that holds: the benchmark's uncontended cost
+    of a dispatched fault."""
+    cost = load_bench_module("workloads").DISPATCHED_COST
+    lines = []
+    for i in range(faults):
+        scheme = ALL_SCHEMES[i % len(ALL_SCHEMES)].value
+        mode, ctx, ipc, invocations = cost[scheme]
+        lines.append(
+            f"expect scheme={scheme} fault={i} verdict=DISPATCHED "
+            f"mode={mode} ctx={ctx} ipc={ipc} invocations={invocations}"
+        )
+    return fault_stream(faults) + "\n".join(lines) + "\n"
+
+
+def check_verify_calls(text: str):
+    """Run ``text`` under every scheme; return what ``check_expectations``
+    and ``verify_equivalence`` return for the four runs, the Python-level
+    calls the two make together, and the fault cycles of the runs."""
+    sf = parse_scenario(text)
+    results = {s.value: simulate(s, sf) for s in ALL_SCHEMES}
+    outputs, calls, _ = python_calls(
+        lambda: (check_expectations(results, sf), verify_equivalence(results))
+    )
+    return outputs, calls, sum(len(res.cycles) for res in results.values())
 
 
 def reread_stream(rereads: int) -> str:

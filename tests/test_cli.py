@@ -457,10 +457,10 @@ SELF_PAGER = (
 @pytest.mark.parametrize(
     "script, state",
     [
-        # Its reply to T puts it back in its loop; then it replies to its
-        # own fault, which would hand it the CPU.
+        # Its own fault, dispatched to itself, parks it before it carries
+        # out its answer to T: its first pager step is refused.
         ("access P 0x1000 read\npager-step P 2\npager-step P 2\n",
-         "blocked_on_receive"),
+         "suspended"),
         # Its held fault, dispatched after its reply to T, is delivered to
         # P itself, suspended on that fault.
         ("access P 0x2000 read hold\npager-step P 2\ndispatch P\n",
@@ -479,6 +479,31 @@ def test_a_hand_off_to_a_thread_that_cannot_run_is_refused(
 ):
     assert run_error(tmp_path, capsys, SELF_PAGER + script, scheme) == (
         2, f"error: thread 'P' (tid 2) is {state}, cannot run\n"
+    )
+
+
+@pytest.mark.parametrize("scheme", ["l4-single", "proposed"])
+def test_a_pager_parked_by_its_own_protection_fault_takes_no_step(
+    scheme, tmp_path, capsys
+):
+    # P holds its answer to T when its own access, to a page of its space
+    # that no pager serves (NO_PAGER), parks it for good: the map and the
+    # reply it still holds are refused at its first pager step.
+    text = (
+        "option mode=manual\n"
+        "thread T tid=1 asid=1 role=applicant pager=P\n"
+        "thread U tid=3 asid=1 role=applicant pager=P\n"
+        "thread P tid=2 asid=2 role=pager pager=P\n"
+        "pager P policy=anonymous\n"
+        "assign asid=1 rid=0 pager=P\n"
+        "access T 0x1000 read\n"
+        "access P 0x800000 read\n"
+        "pager-step P 2\n"
+        "access U 0x2000 read\n"
+        "pager-step P 2\n"
+    )
+    assert run_error(tmp_path, capsys, text, scheme) == (
+        2, "error: thread 'P' (tid 2) is suspended, cannot run\n"
     )
 
 
