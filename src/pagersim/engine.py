@@ -11,12 +11,11 @@ hands the CPU on writes the occupant itself, right after the state write
 that readied the thread, and records the switch with its other events.
 
 Message passing is synchronous rendezvous: pagers sit in a receive loop
-(``BLOCKED_ON_RECEIVE``), a send queues at the receiver, and delivery
-hands the CPU to the receiver.  The machine only queues: the
-fault-dispatch layer records each send, and it delivers a queued
-message, taking it from the box and recording the receive.  A queued
-message is its kind and its payload, and the payload is opaque here: the
-machine reads none of its fields.
+(``BLOCKED_ON_RECEIVE``), and a send to a pager waiting there hands it
+the message and the CPU in one step; only a busy receiver's messages
+queue here.  The fault-dispatch layer records each send, and delivers a
+queued message later, taking it from the box and recording the receive.
+A queued message is its kind and its payload, opaque here.
 
 A thread is its declaration, shared by every machine built from one
 scenario; a machine keeps only each thread's scheduling state, and sets

@@ -28,11 +28,11 @@ someone assigns the region again.
 A fault has one record from the trap to the reply, its ``FaultCycle``.
 Every message about the fault - the page fault, each reflection, the
 reply - carries that cycle as its payload, and this module alone reads
-its fields: each send writes its own trace arguments from the cycle, and
-the machine only queues the cycle.  Delivery takes the message from the
-receiver's box, records the receive and hands the receiver the cycle
-itself, and a reflection or a reply names the cycle it is about, so no
-step ever looks a fault up.  The trap opens the cycle's counter row and
+its fields: each send writes its own trace arguments from the cycle.  The
+receiver gets the cycle itself: in the send's own step if it waits in
+its receive loop, else from its mailbox once it is done being busy.  A
+reflection or a reply names the cycle it is about, so no step ever looks
+a fault up.  The trap opens the cycle's counter row and
 is its first event; a map or unmap answering the fault is handed the
 region classification resolved, and resolves no address to a region.
 
@@ -78,6 +78,7 @@ from .errors import (
     NotRegionManagerError,
     RevokedRegionError,
     SimulationError,
+    UnknownReceiverError,
     WrongPagerError,
 )
 from .mmu import MARKER_BITS, MARKER_LIMIT
@@ -134,6 +135,14 @@ STEPS = {
     "map": step(_MAP),
     "unmap": step(_UNMAP),
 }
+# A send to a receiver waiting in its receive loop is delivered in the same
+# step, one row: the send's joined with the delivery's.  _DELIVERY holds a
+# delivery's rows, without and with the switch, by the step that sent its
+# message in the same step: "" for a message that queued.
+_DELIVERY = {"": (STEPS["deliver"], STEPS["deliver+switch"])}
+for _sent in ("send", "reflect"):
+    _DELIVERY[_sent] = tuple(step(*STEPS[_sent][0], *r[0]) for r in _DELIVERY[""])
+    STEPS[_sent + "+deliver"], STEPS[_sent + "+deliver+switch"] = _DELIVERY[_sent]
 
 # A tuple, not a set: docs/architecture.md, "Run-path costs".
 GP_CODES = (_KERNEL_RANGE_VERDICT, _NO_PAGER, _NOT_ACCEPTED)
@@ -361,55 +370,78 @@ class FaultDispatcher(KernelMemory):
 
     # ---- dispatch to a pager --------------------------------------------
 
-    def suspend_and_send(self, cycle: FaultCycle, target: int) -> None:
-        """Phase two for a dispatched fault, after its verdict: suspend
-        the faulter and queue the fault message at ``target``.  When the
-        message is delivered is the caller's business (see ``deliver``)."""
+    def suspend_and_send(
+        self, cycle: FaultCycle, target: int, waiting: bool = False
+    ) -> FaultCycle | None:
+        """Phase two for a dispatched fault, after its verdict: suspend the
+        faulter and send the fault message to ``target`` (``_transfer``)."""
         machine, faulter = self.machine, cycle.faulter
-        machine.send(target, _PAGE_FAULT, cycle)  # refuses an unknown target
         machine.state[faulter] = _SUSPENDED
-        # _value_, not .value: docs/architecture.md, "Run-path costs".
-        machine.trace.record(STEPS["send"], ((faulter,), (
-            KERNEL_TID, target, _PAGE_FAULT, faulter, cycle.vaddr,
-            cycle.access._value_, cycle.marker,
-        )), cycle.index)
         cycle.dispatched_to = target
         cycle.sent_to = {target}
+        # _value_, not .value: docs/architecture.md, "Run-path costs".
+        return self._transfer(target, _PAGE_FAULT, cycle, "send", ((faulter,), (
+            KERNEL_TID, target, _PAGE_FAULT, faulter, cycle.vaddr,
+            cycle.access._value_, cycle.marker,
+        )), waiting)
 
     def deliver(self, target: int) -> FaultCycle | None:
-        """Hand the next message queued at ``target`` to it: the
-        kernel-to-user crossing, the switch to the receiver, and the
-        receive, all attributed to the cycle the message carries.  Returns
-        that cycle, or ``None`` if the mailbox is empty."""
-        machine = self.machine
-        box = machine.mailboxes.get(target)
+        """Hand ``target`` its next queued message (``_transfer``), if any."""
+        box = self.machine.mailboxes.get(target)
         if not box:
-            machine.thread(target)  # UnknownThreadError for an unknown tid
+            self.machine.thread(target)  # UnknownThreadError for an unknown tid
             return None
         kind, cycle = box.popleft()
-        # A thread with a mailbox is registered.
+        return self._transfer(target, kind, cycle, "", (), True)
+
+    def _transfer(
+        self, target: int, kind: str, cycle: FaultCycle, sent: str,
+        args: tuple, waiting: bool,
+    ) -> FaultCycle | None:
+        """Finish the step ``sent``, whose events take ``args``, sending
+        ``target`` the message ``kind`` about ``cycle``: queued if the
+        target is busy.  One the caller knows is ``waiting`` in its receive
+        loop, with nothing queued, is readied and handed the CPU, and the
+        step is recorded joined with the delivery's crossing, switch and
+        receive, as ``deliver`` hands over a queued message (``sent`` "").
+        Returns the cycle the target received, if any.  An unknown target
+        is refused before any event, one that cannot run after the send's."""
+        machine, index = self.machine, cycle.index
+        if not waiting:
+            machine.send(target, kind, cycle)  # refuses an unknown target
+            machine.trace.record(STEPS[sent], args, index)
+            return None
         state = machine.state
-        if state[target] is _BLOCKED_ON_RECEIVE:
+        now = state.get(target)
+        if now is _BLOCKED_ON_RECEIVE:
             state[target] = _READY
-        elif state[target] is not _READY:  # suspended on a fault of its own
+        elif now is not _READY:  # unknown, or suspended on a fault of its own
+            if now is None:
+                raise UnknownReceiverError(f"no receiver with id {target}")
+            if sent:  # the send happened, in this step
+                machine.trace.record(STEPS[sent], args, index)
             raise machine.unschedulable(target)
+        plain, switched = _DELIVERY[sent]
         prev, machine.occupant = machine.occupant, target
         if prev != target and prev is not None:
-            args = ((), (prev, target), (target, kind))
-            machine.trace.record(STEPS["deliver+switch"], args, cycle.index)
+            args += ((), (prev, target), (target, kind))
+            machine.trace.record(switched, args, index)
         else:
-            machine.trace.record(STEPS["deliver"], ((), (target, kind)), cycle.index)
+            machine.trace.record(plain, args + ((), (target, kind)), index)
         return cycle
 
     def back_to_receive(self, pager: int) -> None:
         """Return a pager that answered a fault with nothing to its loop."""
         self.machine.state[pager] = _BLOCKED_ON_RECEIVE
 
-    def reflect(self, mapper: int, cycle: FaultCycle, target: int) -> None:
+    def reflect(
+        self, mapper: int, cycle: FaultCycle, target: int, waiting: bool = False
+    ) -> FaultCycle | None:
         """A region mapper's reflect syscall: forward the fault unchanged
-        to ``target``, make ``target`` the thread whose reply settles it,
-        and put the mapper back in its receive loop.  Validated as a reply
-        is, and refused if the fault already reached ``target``."""
+        to ``target`` (``_transfer``), make ``target`` the thread whose
+        reply settles it, and put the mapper back in its receive loop.
+        Validated as a reply is, and refused if the fault already reached
+        ``target``."""
         sent_to = cycle.sent_to
         if sent_to is None or cycle.dispatched_to != mapper:
             raise self._not_held(mapper, cycle)
@@ -421,15 +453,13 @@ class FaultDispatcher(KernelMemory):
                 f"{cycle.vaddr:#x}) to {name[target].name!r}, which the fault "
                 "already reached"
             )
-        machine = self.machine
-        machine.send(target, _REFLECTION, cycle)
-        machine.trace.record(STEPS["reflect"], ((), (
-            mapper, target, _REFLECTION, cycle.faulter, cycle.vaddr,
-            cycle.access._value_, cycle.marker,
-        )), cycle.index)
+        self.machine.state[mapper] = _BLOCKED_ON_RECEIVE
         cycle.dispatched_to = target
         sent_to.add(target)
-        machine.state[mapper] = _BLOCKED_ON_RECEIVE
+        return self._transfer(target, _REFLECTION, cycle, "reflect", ((), (
+            mapper, target, _REFLECTION, cycle.faulter, cycle.vaddr,
+            cycle.access._value_, cycle.marker,
+        )), waiting)
 
     def pager_reply(self, pager: int, cycle: FaultCycle) -> None:
         """A pager's reply syscall: validate it, wake the faulter, and hand

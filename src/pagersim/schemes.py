@@ -22,16 +22,18 @@ A resolved fault's cost is read off the trace from the events attributed
 to its cycle, so scripted scheduling noise between faults never pollutes
 the per-fault figures.  Every attributed event and every thread state a
 run changes is written by the ``FaultDispatcher``; the simulator only
-decides where a dispatched fault goes and when a pager runs.  One loop
-serves a pager its queued faults in order; under ``mode=auto`` it carries
-out each answer at once and serves a reflection's target next, without
-recursion.  A fault's trap opens its cycle's counter row, one packed int
-to which each recorded step adds its counts; one function (``_costs``)
-decides which kinds count toward which cost column and one
-(``_resolved``) whether a cycle's faulter got the CPU back.  Per-cycle
-metrics, whole-run totals, expectation checks and the cross-scheme
-ordering all read rows, unpacked by ``trace.unpack_row``, through those
-two.
+decides where a dispatched fault goes and when a pager runs.  A pager
+waiting in its receive loop receives a fault or reflection in the send's
+own step; only a busy pager's messages queue.  One loop runs a pager on
+what it received, then on its queued faults in order; under
+``mode=auto`` it carries out each answer at once and runs a reflection's
+target next, without recursion.  A fault's trap opens its cycle's
+counter row, one packed int to which each recorded step adds its
+counts; one function (``_costs``) decides which kinds count toward which
+cost column and one (``_resolved``) whether a cycle's faulter got the CPU
+back.  Per-cycle metrics, whole-run totals, expectation checks and the
+cross-scheme ordering all read rows, unpacked by ``trace.unpack_row``,
+through those two.
 """
 
 import random
@@ -389,9 +391,9 @@ class Simulator:
             action = queue.pop(0)
             if not queue:
                 del self._actions[tid]  # so _serve serves the pager again
-            target = self._carry_out(tid, fault, (action,))
-            if target is not None:
-                self._serve(target)
+            received = self._carry_out(tid, fault, (action,))
+            if received is not None:
+                self._serve(received.dispatched_to, received)
             if not queue:
                 # Back in its loop already: an answer ends with the reply
                 # or reflection that put it there, or an action after it.
@@ -426,39 +428,45 @@ class Simulator:
                 target = cycle.manager
             else:
                 target = self._pager_of[cycle.faulter]
-            dispatcher.suspend_and_send(cycle, target)
-            self._serve(target)
+            self._serve(target, dispatcher.suspend_and_send(cycle, target, (
+                target not in self._actions and not self.machine.mailboxes.get(target)
+            )))
 
     # ---- serving pagers --------------------------------------------------
 
-    def _serve(self, pager: int) -> None:
-        """Hand ``pager`` its queued messages in order.  Under mode=auto
-        each answer is carried out at once and a reflection's target is
-        served next; under manual the answer waits in ``_actions``, and the
-        pager gets nothing more until its pager-steps have carried it out."""
-        box = self.machine.mailboxes[pager]
-        while box and pager not in self._actions:
-            fault = self.dispatcher.deliver(pager)
+    def _serve(self, pager: int, fault: FaultCycle | None = None) -> None:
+        """Run ``pager`` on ``fault``, which it has just received, if any,
+        then on each message queued at it.  Under mode=auto each answer is
+        carried out at once and a reflection's target runs next; under
+        manual the answer waits in ``_actions``, and the pager gets nothing
+        more until its pager-steps have carried it out."""
+        while True:
+            if fault is None:
+                if pager in self._actions or not self.machine.mailboxes.get(pager):
+                    return
+                fault = self.dispatcher.deliver(pager)
             actions = self.behaviors[pager].on_page_fault(
                 fault, self.layout.page_size, self.allocator,
                 self.machine.warnings,
             )
             if not actions:  # straight back to the receive loop
                 self.dispatcher.back_to_receive(pager)
+                fault = None
             elif self._manual:
                 self._actions[pager] = (fault, actions)
+                return
             else:
-                target = self._carry_out(pager, fault, actions)
-                if target is not None:
-                    pager, box = target, self.machine.mailboxes[target]
+                fault = self._carry_out(pager, fault, actions)
+                if fault is not None:  # the reflection's target has it
+                    pager = fault.dispatched_to
 
-    def _carry_out(self, pager: int, fault: FaultCycle, actions) -> int | None:
+    def _carry_out(self, pager: int, fault: FaultCycle, actions) -> FaultCycle | None:
         """Carry out ``actions``, ``pager``'s answer to ``fault``, in order:
         maps and a revoke, into the region classification resolved; a reply,
-        which under monolithic returns to the faulter; or a reflection,
-        whose target it returns for the caller to serve next."""
+        which under monolithic returns to the faulter; or a reflection, which
+        returns ``fault`` if its target received it at once, to run next."""
         dispatcher, asid, rid = self.dispatcher, fault.asid, fault.rid
-        target = None
+        received = None
         for action in actions:
             if action is REVOKE:
                 pages = self.spaces[asid].present_pages_in_region(rid)
@@ -488,8 +496,11 @@ class Simulator:
                 # manager classification read there is the target.
                 db = self.behaviors[pager].db
                 target = fault.manager if db is None else db.lookup(fault.vaddr)
-                dispatcher.reflect(pager, fault, target)
-        return target
+                received = dispatcher.reflect(pager, fault, target, (
+                    target not in self._actions
+                    and not self.machine.mailboxes.get(target)
+                ))
+        return received
 
 
 def simulate(

@@ -1,7 +1,8 @@
 """Print the call figures that the run-loop and accounting budgets of
 ``tests/test_fast_path.py`` bound, as a Markdown table: Python-level calls
-per fault of workload50 under the four schemes, per translate hit under
-each scheme, and per fault cycle of ``check_expectations`` plus
+per fault of workload50 under the four schemes, and under each scheme
+alone, per translate hit under each scheme, and per fault cycle of
+``check_expectations`` plus
 ``verify_equivalence`` over the four runs of the expect-heavy stream.  The
 figures come from the helpers those tests use, so they are the ones the
 tests compare with ``CALLS_PER_FAULT_BUDGET``, ``CALLS_PER_HIT_BUDGET``
@@ -26,6 +27,11 @@ from support import (
 def main() -> None:
     calls, faults = run_loop_calls(fixture_scn("workload50"))
     rows = [("calls per fault, workload50, four schemes", f"{calls / faults:.2f}")]
+    for scheme in ALL_SCHEMES:
+        calls, faults = run_loop_calls(fixture_scn("workload50"), (scheme,))
+        rows.append(
+            (f"calls per fault, workload50, {scheme.value}", f"{calls / faults:.2f}")
+        )
     rows += [
         (f"calls per translate hit, {scheme.value}", f"{calls_per_hit(scheme):.2f}")
         for scheme in ALL_SCHEMES

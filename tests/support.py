@@ -90,11 +90,11 @@ def python_calls(fn, *codes):
     return result, calls, list(matched.values())
 
 
-def run_loop_calls(text: str) -> tuple[int, int]:
-    """The Python-level calls that one run of ``text`` under each of the
-    four schemes makes, set-up left out, and the faults those runs take."""
+def run_loop_calls(text: str, schemes=ALL_SCHEMES) -> tuple[int, int]:
+    """The Python-level calls that one run of ``text`` under each of
+    ``schemes`` makes, set-up left out, and the faults those runs take."""
     sf = parse_scenario(text)
-    sims = [Simulator(sf, s) for s in ALL_SCHEMES]
+    sims = [Simulator(sf, s) for s in schemes]
     results, calls, _ = python_calls(lambda: [sim.run() for sim in sims])
     return calls, sum(len(res.cycles) for res in results)
 

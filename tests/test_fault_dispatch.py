@@ -14,14 +14,16 @@ from pagersim import (
     VerdictCode,
     classify,
 )
-from pagersim.fault_dispatch import Classification
+from pagersim.fault_dispatch import STEPS, Classification
 from pagersim.trace import SLOT, unpack_row
 from pagersim.errors import (
     BadRegionError,
     NoOutstandingFaultError,
     NotRegionManagerError,
+    NotSchedulableError,
     RevokedRegionError,
     SimulationError,
+    UnknownReceiverError,
     UnknownThreadError,
     WrongPagerError,
 )
@@ -368,3 +370,87 @@ def test_each_send_renders_the_fields_of_the_cycle_it_carries():
         "access=W marker=77 cycle=0",
         f"IPC_SEND {PAGER} 0 REPLY faulter=1 cycle=0",
     ]
+
+
+@pytest.mark.parametrize("sent", ["send", "reflect"])
+@pytest.mark.parametrize("delivery", ["deliver", "deliver+switch"])
+def test_each_direct_transfer_row_joins_its_queued_pair(sent, delivery):
+    # A send to a waiting receiver records the send's events and the
+    # delivery's, in that order, as one step: its row is the sum of theirs.
+    kinds, delta, n = STEPS[f"{sent}+{delivery}"]
+    assert kinds == STEPS[sent][0] + STEPS[delivery][0]
+    assert delta == STEPS[sent][1] + STEPS[delivery][1]
+    assert n == STEPS[sent][2] + STEPS[delivery][2] == len(kinds)
+
+
+def transfer(disp, waiting):
+    """A fault of thread 1 sent to OTHER, reflected to PAGER and answered,
+    each send to a waiting receiver (``waiting``) or queued and then
+    delivered; returns the trace text and the cycle's counter row."""
+    m = disp.machine
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
+    disp.record_verdict(cycle, classify(disp.spaces[1], 0x1000))
+    got = disp.suspend_and_send(cycle, OTHER, waiting)
+    assert got is (cycle if waiting else None)
+    if not waiting:
+        assert disp.deliver(OTHER) is cycle
+    got = disp.reflect(OTHER, cycle, PAGER, waiting)
+    assert got is (cycle if waiting else None)
+    if not waiting:
+        assert disp.deliver(PAGER) is cycle
+    assert m.occupant == PAGER and m.state[PAGER] is ThreadState.READY
+    assert m.state[OTHER] is ThreadState.BLOCKED_ON_RECEIVE
+    disp.pager_reply(PAGER, cycle)
+    assert not any(m.mailboxes.values())
+    return m.trace.to_text(), m.trace.cycle_counts[cycle.index]
+
+
+def test_a_direct_transfer_records_what_a_queued_one_does():
+    # The same lines and the same counter row, whether each receiver
+    # takes its message in the send's step or from its mailbox later.
+    assert transfer(dispatcher_setup()[2], True) == transfer(
+        dispatcher_setup()[2], False
+    )
+
+
+def send_or_reflect(disp, cycle, target, waiting, reflect):
+    """Send ``cycle`` to ``target`` (reflected by OTHER if ``reflect``), and
+    for a queued send, deliver it."""
+    if reflect:
+        disp.reflect(OTHER, cycle, target, waiting)
+    else:
+        disp.suspend_and_send(cycle, target, waiting)
+    if not waiting:
+        disp.deliver(target)
+
+
+@pytest.mark.parametrize("reflect", [False, True], ids=["send", "reflect"])
+@pytest.mark.parametrize("waiting", [False, True], ids=["queued", "direct"])
+def test_a_refused_transfer_is_refused_where_a_queued_one_was(waiting, reflect):
+    m, spaces, disp = dispatcher_setup()
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
+    disp.record_verdict(cycle, classify(spaces[1], 0x1000))
+    if reflect:
+        disp.suspend_and_send(cycle, OTHER, True)
+    # An unknown target is refused before any event.
+    length = len(m.trace)
+    with pytest.raises(UnknownReceiverError, match="^no receiver with id 99$"):
+        send_or_reflect(disp, cycle, 99, waiting, reflect)
+    assert len(m.trace) == length
+    assert not any(m.mailboxes.values())
+
+    # A receiver suspended on a fault of its own is refused after the
+    # send's events, with nothing delivered.
+    m, spaces, disp = dispatcher_setup()
+    cycle = disp.begin_fault(1, 0x1000, AccessType.READ)
+    disp.record_verdict(cycle, classify(spaces[1], 0x1000))
+    if reflect:
+        disp.suspend_and_send(cycle, OTHER, True)
+    m.state[PAGER] = ThreadState.SUSPENDED
+    length = len(m.trace)
+    with pytest.raises(NotSchedulableError, match="^thread 'p' .* is suspended"):
+        send_or_reflect(disp, cycle, PAGER, waiting, reflect)
+    sent = [EventKind.MODE_SWITCH_U2K] if reflect else [EventKind.SUSPEND]
+    assert [ev.kind for ev in m.trace[length:]] == sent + [EventKind.IPC_SEND]
+    assert not any(m.mailboxes.values())
+    assert m.occupant == (OTHER if reflect else 1)
