@@ -47,11 +47,12 @@ only ``CONTEXT_SWITCH``.  This matches cost comparisons that count a
 fault's protocol-mandated crossings and treat scheduler overhead as out
 of scope.  Thread states are steps of the protocol too: after
 registration only this module writes one, each step with its own
-``SUSPEND`` or ``RESUME``; delivery, a reply and the return to the
-faulter write the machine's occupant right after readying the thread
-(Liedtke's direct process switch), refusing only a pager that faulted
-and cannot run.  An open fault keeps the set of threads it was sent to,
-so a reflection back to one is refused at once.
+``SUSPEND`` or ``RESUME``; delivery and the return to the faulter (a
+reply's too) write the machine's occupant right after readying the thread
+(Liedtke's direct process switch) and refuse no thread: the simulator
+refuses a pager's step while it has a fault of its own.  An open fault
+keeps the set of threads it was sent to, so a reflection back to one is
+refused at once.
 """
 
 from dataclasses import dataclass
@@ -128,8 +129,6 @@ STEPS = {
     "deliver": step(_K2U, _RECEIVE),
     "deliver+switch": step(_K2U, _CTX, _RECEIVE),
     "reflect": step(_U2K, _SEND),
-    "reply": step(_U2K, _SEND, _RESUME, _K2U),
-    "reply+switch": step(_U2K, _SEND, _RESUME, _K2U, _CTX),
     "return": step(_K2U),
     "return+switch": step(_K2U, _CTX),
     "map": step(_MAP),
@@ -143,6 +142,12 @@ _DELIVERY = {"": (STEPS["deliver"], STEPS["deliver+switch"])}
 for _sent in ("send", "reflect"):
     _DELIVERY[_sent] = tuple(step(*STEPS[_sent][0], *r[0]) for r in _DELIVERY[""])
     STEPS[_sent + "+deliver"], STEPS[_sent + "+deliver+switch"] = _DELIVERY[_sent]
+# A reply returns to the faulter in its own step, one row: the reply's
+# crossing in, send and wake-up joined with the return's.  _RETURN holds a
+# return's rows by the step that ends in it, as _DELIVERY does: "" alone.
+_RETURN = {"": (STEPS["return"], STEPS["return+switch"])}
+_RETURN["reply"] = tuple(step(_U2K, _SEND, _RESUME, *r[0]) for r in _RETURN[""])
+STEPS["reply"], STEPS["reply+switch"] = _RETURN["reply"]
 
 # A tuple, not a set: docs/architecture.md, "Run-path costs".
 GP_CODES = (_KERNEL_RANGE_VERDICT, _NO_PAGER, _NOT_ACCEPTED)
@@ -355,16 +360,25 @@ class FaultDispatcher(KernelMemory):
         self.machine.state[cycle.faulter] = _SUSPENDED
         self.machine.trace.record(STEPS["park"], ((cycle.faulter,),), cycle.index)
 
-    def return_to_faulter(self, cycle: FaultCycle) -> None:
-        """Leave the kernel into the faulter, hand it the CPU, close the cycle."""
-        machine, faulter, index = self.machine, cycle.faulter, cycle.index
-        if machine.state[faulter] is not _READY:  # a pager back in its loop
-            raise machine.unschedulable(faulter)
+    def return_to_faulter(self, cycle: FaultCycle, pager: int | None = None) -> None:
+        """Leave the kernel into the faulter, hand it the CPU, close the cycle.
+        With ``pager``, in the step of its reply syscall, validated first,
+        which wakes the faulter and puts the pager back in its receive loop."""
+        machine, faulter = self.machine, cycle.faulter
+        if pager is None:
+            (plain, switched), args = _RETURN[""], ((),)
+        else:
+            if cycle.sent_to is None or cycle.dispatched_to != pager:
+                raise self._not_held(pager, cycle)
+            machine.state[faulter] = _READY
+            machine.state[pager] = _BLOCKED_ON_RECEIVE
+            plain, switched = _RETURN["reply"]
+            args = ((), (pager, KERNEL_TID, _REPLY, faulter), (faulter,), ())
         prev, machine.occupant = machine.occupant, faulter
         if prev != faulter and prev is not None:
-            machine.trace.record(STEPS["return+switch"], ((), (prev, faulter)), index)
+            machine.trace.record(switched, args + ((prev, faulter),), cycle.index)
         else:
-            machine.trace.record(STEPS["return"], ((),), index)
+            machine.trace.record(plain, args, cycle.index)
         cycle.closed = True
         cycle.sent_to = None
 
@@ -405,22 +419,16 @@ class FaultDispatcher(KernelMemory):
         step is recorded joined with the delivery's crossing, switch and
         receive, as ``deliver`` hands over a queued message (``sent`` "").
         Returns the cycle the target received, if any.  An unknown target
-        is refused before any event, one that cannot run after the send's."""
+        is refused before any event."""
         machine, index = self.machine, cycle.index
         if not waiting:
             machine.send(target, kind, cycle)  # refuses an unknown target
             machine.trace.record(STEPS[sent], args, index)
             return None
         state = machine.state
-        now = state.get(target)
-        if now is _BLOCKED_ON_RECEIVE:
-            state[target] = _READY
-        elif now is not _READY:  # unknown, or suspended on a fault of its own
-            if now is None:
-                raise UnknownReceiverError(f"no receiver with id {target}")
-            if sent:  # the send happened, in this step
-                machine.trace.record(STEPS[sent], args, index)
-            raise machine.unschedulable(target)
+        if target not in state:
+            raise UnknownReceiverError(f"no receiver with id {target}")
+        state[target] = _READY
         plain, switched = _DELIVERY[sent]
         prev, machine.occupant = machine.occupant, target
         if prev != target and prev is not None:
@@ -460,27 +468,6 @@ class FaultDispatcher(KernelMemory):
             mapper, target, _REFLECTION, cycle.faulter, cycle.vaddr,
             cycle.access._value_, cycle.marker,
         )), waiting)
-
-    def pager_reply(self, pager: int, cycle: FaultCycle) -> None:
-        """A pager's reply syscall: validate it, wake the faulter, and hand
-        the CPU back, closing the cycle, in one step.  The kernel takes the
-        reply at once, so nothing is queued."""
-        if cycle.sent_to is None or cycle.dispatched_to != pager:
-            raise self._not_held(pager, cycle)
-        machine, faulter, index = self.machine, cycle.faulter, cycle.index
-        machine.state[faulter] = _READY
-        machine.state[pager] = _BLOCKED_ON_RECEIVE
-        if pager == faulter:  # back in its loop, so it cannot run
-            raise machine.unschedulable(faulter)
-        prev, machine.occupant = machine.occupant, faulter
-        reply = (pager, KERNEL_TID, _REPLY, faulter)
-        if prev != faulter and prev is not None:
-            args = ((), reply, (faulter,), (), (prev, faulter))
-            machine.trace.record(STEPS["reply+switch"], args, index)
-        else:
-            machine.trace.record(STEPS["reply"], ((), reply, (faulter,), ()), index)
-        cycle.closed = True
-        cycle.sent_to = None
 
     def _not_held(self, pager: int, cycle: FaultCycle) -> SimulationError:
         """The refusal of a reply or reflection from ``pager`` on ``cycle``."""

@@ -384,6 +384,10 @@ class Simulator:
                         )
                         break
                 raise SimulationError(msg)
+            if tid in self._held:  # trapped on its own fault: no syscall
+                raise SimulationError(
+                    f"thread {item.pager!r} has a held fault; dispatch it first"
+                )
             if self.machine.state[tid] is _SUSPENDED:
                 # Parked by its own fault: it makes no syscall.
                 raise self.machine.unschedulable(tid)
@@ -489,7 +493,7 @@ class Simulator:
                 if self.machine.occupant != pager:
                     self.machine.switch_to(pager)
                 if action is REPLY:
-                    dispatcher.pager_reply(pager, fault)
+                    dispatcher.return_to_faulter(fault, pager)
                     continue
                 # A reflection goes to the pager the database names.  A region
                 # mapper without one gets only its own space's faults, so the

@@ -140,11 +140,6 @@ class Trace:
             self.args.extend(args)
             self.cycle_of.extend((cycle,) * n)
 
-    def open_cycle(self) -> int:
-        """Open the next fault cycle's counter row; return its index."""
-        self.cycle_counts.append(0)
-        return len(self.cycle_counts) - 1
-
     def __len__(self) -> int:
         return len(self.kinds)
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import importlib.util
+import random
 import sys
 from importlib import resources
 from pathlib import Path
@@ -52,8 +53,7 @@ def opened(trace, cycles: int):
     """``trace`` with its first ``cycles`` fault cycles opened, as the
     traps of that many faults open them; an attributed event needs its
     cycle open."""
-    for _ in range(cycles):
-        trace.open_cycle()
+    trace.cycle_counts.extend([0] * cycles)
     return trace
 
 
@@ -168,3 +168,109 @@ def calls_per_hit(scheme: Scheme, rereads: int = 200) -> float:
     result, calls, _ = python_calls(with_hits.run)
     assert len(result.cycles) == 1
     return (calls - base) / rereads
+
+
+# A pager P that serves its own space and faults there while it holds an
+# answer to T (mode=manual).
+SELF_PAGER = (
+    "option mode=manual\n"
+    "thread T tid=1 asid=1 role=applicant pager=P\n"
+    "thread V tid=4 asid=2 role=applicant pager=P\n"
+    "thread P tid=2 asid=2 role=pager pager=P\n"
+    "pager P policy=anonymous\n"
+    "assign asid=1 rid=0 pager=P\n"
+    "assign asid=2 rid=0 pager=P\n"
+    "access T 0x1000 read\n"
+)
+# Scripts that follow SELF_PAGER, each named by the hand-off of the CPU to
+# P, unable to run, that P's pager steps would lead to if they were taken.
+SELF_PAGER_SCRIPTS = {
+    # P's own fault, dispatched to itself, parks it before it carries out
+    # its answer to T.
+    "reply": "access P 0x1000 read\npager-step P 2\npager-step P 2\n",
+    # P's held fault, dispatched after its reply to T, would be delivered
+    # to P itself, suspended on that fault.
+    "delivery": "access P 0x2000 read hold\npager-step P 2\ndispatch P\n",
+    # P's held fault finds the page V's fault mapped meanwhile, and the
+    # return would hand the CPU to P, back in its loop.
+    "return": (
+        "access P 0x3000 read hold\naccess V 0x3000 read\n"
+        "pager-step P 2\npager-step P 2\ndispatch P\n"
+    ),
+}
+
+
+def mutual_pagers(seed: int, steps: int = 32) -> str:
+    """A seeded ``mode=manual`` script in which pagers P and Q serve each
+    other's spaces and one region each of the applicants' space.  Each
+    step accesses a page of a thread's own region (some held), dispatches
+    a held fault or steps a pager that holds an answer, chosen among what
+    the script's own model of the run lets act.  Pagers fault while they
+    hold an answer, and a held fault can find its page mapped meanwhile.
+    A pager with a held fault is stepped too, which ends the run there."""
+    rng = random.Random(f"mutual:{seed}")
+    lines = [
+        "layout regions=2 pages_per_region=2 page_size=4096",
+        "option mode=manual",
+        "thread T tid=1 asid=1 role=applicant pager=P",
+        "thread U tid=2 asid=1 role=applicant pager=Q",
+        "thread V tid=3 asid=2 role=applicant pager=Q",
+        "thread P tid=4 asid=2 role=pager pager=Q",
+        "thread Q tid=5 asid=3 role=pager pager=P",
+        "pager P policy=anonymous",
+        "pager Q policy=anonymous",
+        "assign asid=1 rid=0 pager=P",
+        "assign asid=1 rid=1 pager=Q",
+        "assign asid=2 rid=0 pager=Q",
+        "assign asid=3 rid=0 pager=P",
+    ]
+    space = {"T": 1, "U": 1, "V": 2, "P": 2, "Q": 3}
+    pages = {"T": (0, 1), "U": (2, 3), "V": (0, 1), "P": (0, 1), "Q": (0, 1)}
+    pager_of = {"T": "P", "U": "Q", "V": "Q", "P": "Q", "Q": "P"}
+    present: set[tuple[int, int]] = set()
+    held: dict[str, tuple[int, int]] = {}  # thread -> page of its held fault
+    waiting: set[str] = set()  # suspended on a dispatched fault
+    # Each pager's faults, the first received: [thread, page, actions left].
+    answers: dict[str, list] = {"P": [], "Q": []}
+
+    def send(thread: str, page: tuple[int, int]) -> None:
+        waiting.add(thread)
+        answers[pager_of[thread]].append([thread, page, 2])
+
+    for _ in range(steps):
+        can_run = [  # a pager runs only while it holds an answer
+            t for t in space
+            if t not in waiting and t not in held and answers.get(t, True)
+        ]
+        steppable = [p for p in answers if answers[p] and p not in waiting]
+        roll = rng.random()
+        if steppable and roll < 0.4:
+            pager = rng.choice(steppable)
+            fault = answers[pager][0]
+            count = rng.randint(1, fault[2])
+            lines.append(f"pager-step {pager} {count}")
+            for _ in range(count):
+                fault[2] -= 1
+                if fault[2]:  # the map
+                    present.add(fault[1])
+                else:  # the reply
+                    waiting.discard(fault[0])
+                    answers[pager].pop(0)
+        elif held and roll < 0.6:
+            thread = rng.choice(sorted(held))
+            lines.append(f"dispatch {thread}")
+            page = held.pop(thread)
+            if page not in present:
+                send(thread, page)
+        elif can_run:
+            thread = rng.choice(can_run)
+            page = (space[thread], rng.choice(pages[thread]))
+            hold = page not in present and rng.random() < 0.4
+            lines.append(
+                f"access {thread} {page[1] * 4096:#x} read" + (" hold" if hold else "")
+            )
+            if hold:
+                held[thread] = page
+            elif page not in present:
+                send(thread, page)
+    return "\n".join(lines) + "\n"

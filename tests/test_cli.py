@@ -17,7 +17,7 @@ from pagersim import (
 )
 from pagersim.pagers import MappingDatabase
 from mutants import FIXTURES, mutant
-from support import fixture_scn, golden_digests
+from support import SELF_PAGER, SELF_PAGER_SCRIPTS, fixture_scn, golden_digests
 
 
 @pytest.fixture
@@ -439,46 +439,30 @@ def test_a_map_into_a_region_revoked_while_its_fault_waited_is_refused(
     )
 
 
-# A pager P that serves its own space and faults there while it holds an
-# answer (mode=manual): each script ends in a hand-off of the CPU to P,
-# which its fault left unable to run.
-SELF_PAGER = (
-    "option mode=manual\n"
-    "thread T tid=1 asid=1 role=applicant pager=P\n"
-    "thread V tid=4 asid=2 role=applicant pager=P\n"
-    "thread P tid=2 asid=2 role=pager pager=P\n"
-    "pager P policy=anonymous\n"
-    "assign asid=1 rid=0 pager=P\n"
-    "assign asid=2 rid=0 pager=P\n"
-    "access T 0x1000 read\n"
-)
+@pytest.mark.parametrize("script", [SELF_PAGER_SCRIPTS["reply"]], ids=["reply"])
+@pytest.mark.parametrize("scheme", ["l4-single", "proposed"])
+def test_a_hand_off_to_a_thread_that_cannot_run_is_refused(
+    script, scheme, tmp_path, capsys
+):
+    # P's own fault parks it before its answer to T is carried out: its
+    # first pager step is refused, before any hand-off of the CPU to P.
+    assert run_error(tmp_path, capsys, SELF_PAGER + script, scheme) == (
+        2, "error: thread 'P' (tid 2) is suspended, cannot run\n"
+    )
 
 
 @pytest.mark.parametrize(
-    "script, state",
-    [
-        # Its own fault, dispatched to itself, parks it before it carries
-        # out its answer to T: its first pager step is refused.
-        ("access P 0x1000 read\npager-step P 2\npager-step P 2\n",
-         "suspended"),
-        # Its held fault, dispatched after its reply to T, is delivered to
-        # P itself, suspended on that fault.
-        ("access P 0x2000 read hold\npager-step P 2\ndispatch P\n",
-         "suspended"),
-        # Its held fault finds the page V's fault mapped meanwhile, and
-        # the return hands the CPU to P, back in its loop.
-        ("access P 0x3000 read hold\naccess V 0x3000 read\n"
-         "pager-step P 2\npager-step P 2\ndispatch P\n",
-         "blocked_on_receive"),
-    ],
-    ids=["reply", "delivery", "return"],
+    "script",
+    [SELF_PAGER_SCRIPTS["delivery"], SELF_PAGER_SCRIPTS["return"]],
+    ids=["delivery", "return"],
 )
 @pytest.mark.parametrize("scheme", ["l4-single", "proposed"])
-def test_a_hand_off_to_a_thread_that_cannot_run_is_refused(
-    script, state, scheme, tmp_path, capsys
-):
+def test_a_pager_with_a_held_fault_takes_no_step(script, scheme, tmp_path, capsys):
+    # A thread that trapped makes no syscall until its fault is dispatched,
+    # as it makes no access: P's first pager step is refused, so the
+    # kernel never hands the CPU to P while it cannot run.
     assert run_error(tmp_path, capsys, SELF_PAGER + script, scheme) == (
-        2, f"error: thread 'P' (tid 2) is {state}, cannot run\n"
+        2, "error: thread 'P' has a held fault; dispatch it first\n"
     )
 
 

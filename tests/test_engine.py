@@ -112,7 +112,7 @@ def test_suspend_resume_events_and_states():
     d.suspend_and_send(cycle, 2)
     assert m.state[1] is ThreadState.SUSPENDED
     assert d.deliver(2) is cycle
-    d.pager_reply(2, cycle)
+    d.return_to_faulter(cycle, 2)
     assert m.state[1] is ThreadState.READY
     assert m.state[2] is ThreadState.BLOCKED_ON_RECEIVE
     assert [
@@ -164,7 +164,7 @@ def test_reply_to_kernel_renders_short_and_is_consumed_synchronously():
                        access=AccessType.WRITE)
     d.suspend_and_send(cycle, 2)
     d.deliver(2)
-    d.pager_reply(2, cycle)
+    d.return_to_faulter(cycle, 2)
     reply = [ev for ev in m.trace if ev.kind is EventKind.IPC_SEND][-1]
     assert reply.args == (2, 0, "REPLY", 1)
     assert reply.render() == f"{reply.seq} IPC_SEND 2 0 REPLY faulter=1 cycle=0"

@@ -78,11 +78,14 @@ from pagersim.scenario import AccessItem, AssignDecl, Expectation, ThreadDecl
 from pagersim.trace import RENDER_BLOCK, Trace, TraceEvent, step
 from schedules import SCENARIOS, scenario as schedule
 from support import (
+    SELF_PAGER,
+    SELF_PAGER_SCRIPTS,
     calls_per_hit,
     check_verify_calls,
     expect_heavy,
     fault_stream,
     fixture_scn,
+    mutual_pagers,
     opened,
     python_calls,
     run_loop_calls,
@@ -820,16 +823,30 @@ def package_modules() -> list:
     ]
 
 
-def transfer_steps(kind) -> list[str]:
-    """The names of the ``STEPS`` rows with an event of ``kind`` that
-    ``FaultDispatcher._transfer``, the scan's one ``"?"``, can record: a
-    send's row, alone when its message queues, and a delivery's row from
-    ``_DELIVERY``, joined with the send in the same step or alone."""
-    deliveries = {row for rows in fault_dispatch._DELIVERY.values() for row in rows}
+def steps_in(table, kind, alone=()) -> list[str]:
+    """The names of the ``STEPS`` rows with an event of ``kind`` among the
+    rows of ``table``, a table of row pairs as ``_DELIVERY`` and ``_RETURN``
+    are, and the rows named in ``alone``."""
+    rows = {row for pair in table.values() for row in pair}
     return sorted(
         name for name, row in fault_dispatch.STEPS.items()
-        if (name in ("send", "reflect") or row in deliveries) and kind in row[0]
+        if (name in alone or row in rows) and kind in row[0]
     )
+
+
+def transfer_steps(kind) -> list[str]:
+    """The names of the ``STEPS`` rows with an event of ``kind`` that
+    ``FaultDispatcher._transfer``, one of the scan's two ``"?"``, can
+    record: a send's row, alone when its message queues, and a delivery's
+    row from ``_DELIVERY``, joined with the send in the same step or alone."""
+    return steps_in(fault_dispatch._DELIVERY, kind, ("send", "reflect"))
+
+
+def return_steps(kind) -> list[str]:
+    """The names of the ``STEPS`` rows with an event of ``kind`` that
+    ``FaultDispatcher.return_to_faulter``, the scan's other ``"?"``, can
+    record: a return's row from ``_RETURN``, joined with a reply or alone."""
+    return steps_in(fault_dispatch._RETURN, kind)
 
 
 def test_only_the_dispatcher_appends_a_crossing():
@@ -838,15 +855,16 @@ def test_only_the_dispatcher_appends_a_crossing():
     crossings = (EventKind.MODE_SWITCH_U2K, EventKind.MODE_SWITCH_K2U)
     assert package_appends(crossings) == []
     found = package_records(crossings)
-    # The trap, the reply, the return to the faulter, and the one helper
-    # that records a send and a delivery, whose rows the scan cannot name.
+    # The trap and the two hand-offs, whose rows the scan cannot name: the
+    # one helper that records a send and a delivery, and the return to the
+    # faulter, which records a reply with it.
     assert found == [
         "pagersim.fault_dispatch _transfer: ?",
         "pagersim.fault_dispatch begin_fault: trap",
-        "pagersim.fault_dispatch pager_reply: reply",
-        "pagersim.fault_dispatch return_to_faulter: return",
+        "pagersim.fault_dispatch return_to_faulter: ?",
     ]
-    # A reflection enters the kernel, and every delivery leaves it.
+    # A reflection and a reply enter the kernel, and every delivery and
+    # return leaves it.
     assert transfer_steps(EventKind.MODE_SWITCH_U2K) == [
         "reflect", "reflect+deliver", "reflect+deliver+switch",
     ]
@@ -854,19 +872,28 @@ def test_only_the_dispatcher_appends_a_crossing():
         "deliver", "deliver+switch", "reflect+deliver", "reflect+deliver+switch",
         "send+deliver", "send+deliver+switch",
     ]
+    assert return_steps(EventKind.MODE_SWITCH_U2K) == ["reply", "reply+switch"]
+    assert return_steps(EventKind.MODE_SWITCH_K2U) == [
+        "reply", "reply+switch", "return", "return+switch",
+    ]
 
 
 def test_only_the_dispatcher_appends_a_receive():
     # A delivery records the receive, joined with the send when the
     # receiver was waiting for it: one helper, the dispatcher's, which
-    # deliver and the two sends share.
+    # deliver and the two sends share.  The scan reads the return to the
+    # faulter's rows as "?" too, and none of them has a receive.
     assert package_appends((EventKind.IPC_RECEIVE,)) == []
     found = package_records((EventKind.IPC_RECEIVE,))
-    assert found == ["pagersim.fault_dispatch _transfer: ?"]
+    assert found == [
+        "pagersim.fault_dispatch _transfer: ?",
+        "pagersim.fault_dispatch return_to_faulter: ?",
+    ]
     assert transfer_steps(EventKind.IPC_RECEIVE) == [
         "deliver", "deliver+switch", "reflect+deliver", "reflect+deliver+switch",
         "send+deliver", "send+deliver+switch",
     ]
+    assert return_steps(EventKind.IPC_RECEIVE) == []
 
 
 def state_writes(module) -> list[str]:
@@ -910,17 +937,21 @@ def test_only_the_dispatcher_writes_a_thread_state():
     ]
     assert outside == []
     # park, suspend_and_send, _transfer (the receiver's wake-up),
-    # back_to_receive, reflect and pager_reply's two store states; the two
-    # suspensions and the resume are recorded by steps: park's, reply's,
-    # and a fault's send, which _transfer records with or without its
-    # delivery (read by the scan as "?").
+    # back_to_receive, reflect and return_to_faulter's two (a reply's)
+    # store states; the two suspensions and the resume are recorded by
+    # steps: park's, a fault's send, which _transfer records with or
+    # without its delivery, and a reply's, which return_to_faulter records
+    # with its return (each read by the scan as "?").
     dispatcher = [f for f in found if f.startswith("pagersim.fault_dispatch ")]
     assert len(dispatcher) == 10, dispatcher
     assert transfer_steps(EventKind.SUSPEND) == [
         "send", "send+deliver", "send+deliver+switch",
     ]
     assert transfer_steps(EventKind.RESUME) == []
+    assert return_steps(EventKind.SUSPEND) == []
+    assert return_steps(EventKind.RESUME) == ["reply", "reply+switch"]
     assert "pagersim.fault_dispatch step: ? (in _transfer)" in dispatcher
+    assert "pagersim.fault_dispatch step: ? (in return_to_faulter)" in dispatcher
 
     # A pager goes back to its receive loop once per reply or reflection
     # it sends: once per fault under l4-single and proposed, twice under
@@ -983,16 +1014,16 @@ def occupant_writes(module) -> list[str]:
 
 def test_only_switch_to_and_the_hand_offs_write_the_occupant():
     # The scheduler's switch_to makes scripted switches and yields; the
-    # fault protocol's three hand-offs write the occupant themselves, right
+    # fault protocol's two hand-offs write the occupant themselves, right
     # after the state write that readies the thread.  The hand-off to a
     # message's receiver is one helper, _transfer, which deliver and a send
-    # to a waiting receiver share.
+    # to a waiting receiver share; the hand-off to a faulter is
+    # return_to_faulter, which a reply shares.
     found = sorted(f for module in package_modules() for f in occupant_writes(module))
     assert found == [
         "pagersim.engine __init__",
         "pagersim.engine switch_to",
         "pagersim.fault_dispatch _transfer",
-        "pagersim.fault_dispatch pager_reply",
         "pagersim.fault_dispatch return_to_faulter",
     ]
 
@@ -1026,12 +1057,21 @@ def check_each_switch(machine) -> Counter:
     return checked
 
 
+# Seeded scripts of two pagers that serve each other's spaces.
+MUTUAL_PAGERS = 200
+
+
 def test_every_context_switch_hands_the_cpu_to_a_ready_thread():
-    # Over the fixtures and the seeded schedules, under every scheme that
-    # fits each: a run that stops (l4re at a manual pager-step) is checked
-    # up to where it stops.
+    # Over the fixtures, the seeded schedules, the self-serving pager's
+    # scripts and the seeded scripts of two pagers that serve each other,
+    # under every scheme that fits each: a run that stops (l4re at a
+    # manual pager-step, a pager stepped with a held fault) is checked up
+    # to where it stops.  The hand-offs do not check the thread they hand
+    # the CPU to; the pagers' faults are what could make it unable to run.
     texts = [fixture_scn(name) for name in FIXTURES]
     texts += [schedule(seed) for seed in range(SCENARIOS)]
+    texts += [SELF_PAGER + script for script in SELF_PAGER_SCRIPTS.values()]
+    texts += [mutual_pagers(seed) for seed in range(MUTUAL_PAGERS)]
     checked, runs = Counter(), 0
     for text in texts:
         sf = parse_scenario(text)
@@ -1047,7 +1087,7 @@ def test_every_context_switch_hands_the_cpu_to_a_ready_thread():
                 pass
             checked += counts
             runs += 1
-    assert runs >= len(FIXTURES) + 2 * SCENARIOS
+    assert runs >= len(FIXTURES) + 2 * (SCENARIOS + MUTUAL_PAGERS)
     assert checked["step"] > 1000 and checked["scripted"] > 100, checked
 
 

@@ -139,15 +139,6 @@ def test_counting_trace_keeps_the_count_and_the_counter_rows():
 
 
 @pytest.mark.parametrize("make", [Trace, CountingTrace])
-def test_open_cycle_numbers_the_rows_in_order(make):
-    tr = make()
-    assert [tr.open_cycle() for _ in range(3)] == [0, 1, 2]
-    assert list(map(unpack_row, tr.cycle_counts)) == [(0,) * len(EventKind)] * 3
-    attributed(tr, EventKind.MODE_SWITCH_U2K, (), 1)
-    assert [sum(unpack_row(row)) for row in tr.cycle_counts] == [0, 1, 0]
-
-
-@pytest.mark.parametrize("make", [Trace, CountingTrace])
 def test_an_event_of_a_cycle_never_opened_is_refused(make):
     tr = opened(make(), 2)
     tr.append(EventKind.CONTEXT_SWITCH, (1, 2))  # unattributed: no row
